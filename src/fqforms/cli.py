@@ -6,7 +6,8 @@ the grammar `coeff ['*' t ['^' exp]]` joined by '+'/'-'; binary forms are
 `(a, b, c)` literals and rank-3 forms `(a11,a22,a33;a12,a13,a23)`.
 
 Exit codes: 0 success (and no violations), 1 a verification check found
-violations, 2 usage, parse, or budget errors.
+violations, 2 usage, parse, or budget errors, 3 an internal error (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .classify import class_number, class_table
 from .errors import BudgetError, CapabilityError
@@ -357,6 +359,10 @@ def main(argv=None):
     except (ValueError, BudgetError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not read as "violations found" (exit 1)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

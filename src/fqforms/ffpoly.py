@@ -393,12 +393,6 @@ class Poly:
             out = F.add(F.mul(out, x), c)
         return out
 
-    def shift(self, n):
-        """Multiply by t^n."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * n + self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.constant(other)

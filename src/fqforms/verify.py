@@ -5,12 +5,14 @@ sampling), tests the claimed implication on every instance, and returns a
 Report with any violations.  Reports are deterministic: fixed seeds,
 canonical orderings, no time-dependent state.
 
-Representation sets drive most checks.  Per class representative the keys
-of V_k for the largest needed k are hashed into per-degree prefix digests
-(ascending key order is degree-compatible, so V_j is a prefix of V_k).
-Classes are bucketed by digest and only members of nontrivial buckets are
-re-enumerated for exact set comparison, which keeps memory flat while the
-comparisons stay exact.
+Representation sets drive most checks.  V_j is the part of V_k of degree
+<= j, and ascending key order is degree-compatible, so the keys of V_j are
+a prefix of those of V_k.  The class records are therefore refined one
+degree at a time: V_(d+1) is enumerated only for records whose V_d digest
+some other record shares, and a record whose V_d is unique is resolved at
+d, since its V_k is then unique for every k >= d.  Pairs with equal digests
+are re-enumerated for exact set comparison, so the comparisons stay exact
+while most classes never need their large representation sets.
 
 Checks whose hypotheses carry a lower bound on q ("q > 3", "q > 13") can
 also run just below the threshold; they then record failures as expected
@@ -22,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field as dataclass_field
+from math import comb
 
 import numpy as np
 
@@ -107,7 +110,7 @@ class Report:
         }
 
 
-# -- shared class inventory with representation-set digests -----------------
+# -- shared class inventory, refined by representation sets ------------------
 
 
 @dataclass
@@ -117,44 +120,85 @@ class ClassRecord:
     class_index: int
     rep: object
     minima: tuple
-    digests: tuple  # digests[d] identifies V_d for d = 0..kmax
+    # Least d at which V_d of this record differs from V_d of every other
+    # record of its SweepData, or kmax + 1 if another record ties with it
+    # up to V_kmax.  The record is a singleton for every k >= resolved_at.
+    resolved_at: int = 0
+    # digests[j] identifies V_j (a blake2b chain over the keys of degree
+    # 0..j), for each degree j <= resolved_at at which the refinement
+    # enumerated the record, i.e. while it was in a group of two or more.
+    digests: tuple = ()
 
 
 class SweepData:
-    """Primitive class representatives with V-set digests, per (q, max_deg)."""
+    """Class records refined by their representation sets V_0, V_1, ...
 
-    def __init__(self, cfg):
+    `classes` lists (canonical disc, class index, representative) triples;
+    a triple may repeat.  All records start in one group.  At each degree
+    d = 0..kmax, V_d is enumerated only for records in a group of two or
+    more: each one's digest chain is extended by its keys of degree exactly
+    d, and the group is split by digest.  A record left alone is resolved
+    at d.  Since V_d = {f in V_k : deg f <= d} for every k >= d, a V_d that
+    no other record shares stays unshared at every larger k, so a resolved
+    record needs no larger V_k.  Refinement stops once no group of two or
+    more is left.  Equal digests do not prove equal sets; `equal_set_pairs`
+    re-verifies every tied pair exactly.
+    """
+
+    def __init__(self, cfg, classes):
         self.field = prime_field(cfg.q)
         self.cfg = cfg
         self.kmax = max(3 * cfg.max_disc_degree - 2, 0)
-        self.records = []
+        self.records = [
+            ClassRecord(
+                disc=disc,
+                disc_degree=disc.degree,
+                class_index=ci,
+                rep=rep,
+                minima=successive_minima(rep),
+            )
+            for disc, ci, rep in classes
+        ]
         self._key_cache = {}
-        for disc in canonical_discs(self.field, cfg.max_disc_degree):
-            table = class_table(self.field, disc, primitive_only=True)
-            for ci, rep in enumerate(table.class_representatives):
-                keys = repset_upto(rep, self.kmax, budget=cfg.budget).keys
-                self.records.append(
-                    ClassRecord(
-                        disc=disc,
-                        disc_degree=disc.degree,
-                        class_index=ci,
-                        rep=rep,
-                        minima=successive_minima(rep),
-                        digests=self._prefix_digests(keys),
-                    )
-                )
+        # least degree at which two records differ -> number of such pairs
+        self.distinguishing_histogram = {}
+        # pairs still tied at V_kmax
+        self.undistinguished_pairs = 0
+        self._refine()
 
-    def _prefix_digests(self, keys):
+    def _refine(self):
         q = self.field.q
-        out = []
-        h = hashlib.blake2b(digest_size=16)
-        pos = 0
+        budget = self.cfg.budget
+        records = self.records
+        hist = self.distinguishing_histogram
+        hashes = [hashlib.blake2b(digest_size=16) for _ in records]
+        groups = [range(len(records))] if len(records) > 1 else []
         for d in range(self.kmax + 1):
-            cut = int(np.searchsorted(keys, q ** (d + 1)))
-            h.update(keys[pos:cut].tobytes())
-            pos = cut
-            out.append(h.copy().digest())
-        return tuple(out)
+            tied = []
+            for group in groups:
+                parts = {}
+                for i in group:
+                    keys = repset_upto(records[i].rep, d, budget=budget).keys
+                    # keys of degree exactly d: q^d <= key < q^(d+1)
+                    lo = int(np.searchsorted(keys, q**d)) if d else 0
+                    hashes[i].update(keys[lo:].tobytes())
+                    digest = hashes[i].digest()
+                    records[i].digests += (digest,)
+                    parts.setdefault(digest, []).append(i)
+                split = comb(len(group), 2)
+                split -= sum(comb(len(part), 2) for part in parts.values())
+                if split:
+                    hist[d] = hist.get(d, 0) + split
+                for part in parts.values():
+                    if len(part) == 1:
+                        records[part[0]].resolved_at = d
+                    else:
+                        tied.append(part)
+            groups = tied
+        for group in groups:
+            self.undistinguished_pairs += comb(len(group), 2)
+            for i in group:
+                records[i].resolved_at = self.kmax + 1
 
     def value_keys(self, record, k):
         """Exact V_k keys of a record, cached."""
@@ -172,10 +216,15 @@ class SweepData:
         return np.array_equal(self.value_keys(r1, k), self.value_keys(r2, k))
 
     def equal_set_pairs(self, records, k):
-        """Pairs (r1, r2) of distinct records with V_k(r1) = V_k(r2)."""
+        """Pairs (r1, r2) of distinct records with V_k(r1) = V_k(r2).
+
+        A record resolved at or below k shares its V_k with no record, so
+        only records still tied at k are bucketed by their V_k digest.
+        """
         buckets = {}
         for rec in records:
-            buckets.setdefault(rec.digests[k], []).append(rec)
+            if rec.resolved_at > k:
+                buckets.setdefault(rec.digests[k], []).append(rec)
         out = []
         for members in buckets.values():
             for i in range(len(members)):
@@ -184,31 +233,6 @@ class SweepData:
                         out.append((members[i], members[j]))
         return out
 
-    def distinguishing_histogram(self, records, k):
-        """Histogram of least degrees at which distinct classes differ."""
-        hist = {}
-        undistinguished = 0
-        n = len(records)
-        if n < 2:
-            return hist, undistinguished
-        mat = np.array(
-            [
-                [int.from_bytes(d[:8], "little", signed=False) for d in rec.digests]
-                for rec in records
-            ],
-            dtype=np.uint64,
-        )[:, : k + 1]
-        for i in range(n - 1):
-            diff = mat[i + 1 :] != mat[i]
-            any_diff = diff.any(axis=1)
-            firsts = diff.argmax(axis=1)
-            for deg, has in zip(firsts.tolist(), any_diff.tolist()):
-                if has:
-                    hist[deg] = hist.get(deg, 0) + 1
-                else:
-                    undistinguished += 1
-        return hist, undistinguished
-
 
 _SWEEP_CACHE = {}
 
@@ -216,7 +240,15 @@ _SWEEP_CACHE = {}
 def sweep_data(cfg):
     key = (cfg.q, cfg.max_disc_degree, cfg.budget)
     if key not in _SWEEP_CACHE:
-        _SWEEP_CACHE[key] = SweepData(cfg)
+        field = prime_field(cfg.q)
+        classes = [
+            (disc, ci, rep)
+            for disc in canonical_discs(field, cfg.max_disc_degree)
+            for ci, rep in enumerate(
+                class_table(field, disc, primitive_only=True).class_representatives
+            )
+        ]
+        _SWEEP_CACHE[key] = SweepData(cfg, classes)
     return _SWEEP_CACHE[key]
 
 
@@ -378,13 +410,11 @@ def verify_equiv_theorems(cfg):
                     expected="equivalent forms",
                 )
             )
-    hist, undistinguished = data.distinguishing_histogram(
-        data.records, data.kmax
-    )
+    hist = sorted(data.distinguishing_histogram.items())
     stats = {
         "classes": len(data.records),
-        "distinguishing_degree_histogram": {str(k): v for k, v in sorted(hist.items())},
-        "undistinguished_pairs": undistinguished,
+        "distinguishing_degree_histogram": {str(k): v for k, v in hist},
+        "undistinguished_pairs": data.undistinguished_pairs,
     }
     return _finish("equiv", cfg, instances, violations, stats, cfg.q <= 3)
 

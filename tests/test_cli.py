@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import fqforms.cli
 from fqforms.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -147,3 +151,24 @@ def test_delta_override(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["disc"] == "3"
+
+
+@pytest.mark.parametrize("q,deg", [(3, 2), (7, 2), (3, 3)])
+@pytest.mark.parametrize("check", ["minima", "disc", "equiv"])
+def test_verify_report_matches_golden(capsys, check, q, deg):
+    # reports recorded from the eager V_kmax sweep, before lazy refinement
+    code, out = run_cli(capsys, "verify", check, "--q", str(q), "--max-degree", str(deg))
+    assert code == 0
+    assert out == (DATA / f"{check}-q{q}-d{deg}.json").read_text()
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def crash(check, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fqforms.cli, "run_check", crash)
+    code = main(["verify", "equiv", "--q", "3", "--max-degree", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: boom" in captured.err

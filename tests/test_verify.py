@@ -1,13 +1,19 @@
+import hashlib
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fqforms.ffpoly import prime_field
+from fqforms.repset import repset_upto
 from fqforms.verify import (
     SweepConfig,
+    SweepData,
     count_quadric_intersection,
     run_check,
     smooth_discriminant_identity,
+    sweep_data,
     ternary_family_check,
     verify_disc_recovery,
     verify_equiv_theorems,
@@ -198,3 +204,101 @@ def test_violation_replay():
     for v in r.expected_exceptions[:3]:
         form = form_from_string(F13, v.witness["form"])
         assert class_number(form) == v.observed
+
+
+# -- eager oracle for the lazy refinement in SweepData ------------------------
+
+
+class EagerOracle:
+    """V_kmax per record, hashed into per-degree prefix digests."""
+
+    def __init__(self, records, kmax, q):
+        self.q = q
+        self.keys = {}
+        self.digests = {}
+        for rec in records:
+            keys = repset_upto(rec.rep, kmax).keys
+            h = hashlib.blake2b(digest_size=16)
+            out = []
+            pos = 0
+            for d in range(kmax + 1):
+                cut = int(np.searchsorted(keys, q ** (d + 1)))
+                h.update(keys[pos:cut].tobytes())
+                pos = cut
+                out.append(h.copy().digest())
+            self.keys[id(rec)] = keys
+            self.digests[id(rec)] = out
+
+    def equal_set_pairs(self, records, k):
+        buckets = {}
+        for rec in records:
+            buckets.setdefault(self.digests[id(rec)][k], []).append(rec)
+        limit = self.q ** (k + 1)
+        out = []
+        for members in buckets.values():
+            for r1, r2 in combinations(members, 2):
+                v1, v2 = self.keys[id(r1)], self.keys[id(r2)]
+                if np.array_equal(v1[v1 < limit], v2[v2 < limit]):
+                    out.append((r1, r2))
+        return out
+
+    def distinguishing_histogram(self, records, k):
+        hist = {}
+        undistinguished = 0
+        for r1, r2 in combinations(records, 2):
+            d1, d2 = self.digests[id(r1)], self.digests[id(r2)]
+            first = next((d for d in range(k + 1) if d1[d] != d2[d]), None)
+            if first is None:
+                undistinguished += 1
+            else:
+                hist[first] = hist.get(first, 0) + 1
+        return hist, undistinguished
+
+
+def _pair_ids(pairs):
+    return [(id(r1), id(r2)) for r1, r2 in pairs]
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_lazy_refinement_matches_eager_oracle(q, max_deg, monkeypatch):
+    cfg = small_cfg(q=q, max_deg=max_deg)
+    data = sweep_data(cfg)
+    oracle = EagerOracle(data.records, data.kmax, q)
+    calls = []
+    lazy_pairs = SweepData.equal_set_pairs
+
+    def recording(self, records, k):
+        out = lazy_pairs(self, records, k)
+        calls.append((list(records), k, out))
+        return out
+
+    monkeypatch.setattr(SweepData, "equal_set_pairs", recording)
+    for check in (verify_minima_recovery, verify_disc_recovery, verify_equiv_theorems):
+        check(cfg)
+    assert calls
+    for records, k, pairs in calls:
+        assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(records, k))
+    assert oracle.distinguishing_histogram(data.records, data.kmax) == (
+        data.distinguishing_histogram,
+        data.undistinguished_pairs,
+    )
+
+
+def test_lazy_refinement_repeated_representative():
+    # copies of a class tie with it up to V_kmax: they count as
+    # undistinguished, and every equal_set_pairs call re-verifies them exactly
+    cfg = small_cfg(q=3, max_deg=2)
+    classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
+    data = SweepData(cfg, classes[:6] + [classes[2], classes[4], classes[2]])
+    oracle = EagerOracle(data.records, data.kmax, cfg.q)
+    assert data.undistinguished_pairs == 4
+    assert oracle.distinguishing_histogram(data.records, data.kmax) == (
+        data.distinguishing_histogram,
+        data.undistinguished_pairs,
+    )
+    tied = [data.records[i] for i in (2, 4, 6, 7, 8)]
+    assert all(rec.resolved_at == data.kmax + 1 for rec in tied)
+    for k in range(data.kmax + 1):
+        pairs = data.equal_set_pairs(data.records, k)
+        assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(data.records, k))
+        assert len(pairs) >= 4
