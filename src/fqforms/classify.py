@@ -2,14 +2,18 @@
 
 Every reduced definite binary form (a, b, c) with b^2 - ac = D has
 deg a <= deg D / 2 and deg b < deg a, so the forms of discriminant
-exactly D come from a finite enumeration with c = (b^2 - D)/a.
+exactly D come from a finite enumeration with c = (b^2 - D)/a.  The
+congruence b^2 = D (mod a) depends only on the ideal (a), so it is solved
+once per monic a and each solution is scaled by the q - 1 units.
 
 Reduced forms in one GL_2(A)-class differ by a constant transformation,
 and equal exact discriminants force its determinant to be +-1, so the
 class partition is the orbit partition under {U in GL_2(F_q) :
 det U = +-1}, computed vectorized, and proper classes are SL_2(F_q)
-orbits.  Genera group classes by their local data (Jordan invariants at
-the divisors of D, Hasse symbol at infinity).
+orbits.  One orbit pass per class gives both: the images reached by a
+determinant-1 transformation form the proper class of the seed.  Genera
+group classes by their local data (Jordan invariants at the divisors of
+D, Hasse symbol at infinity); D is factored once per table.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -38,24 +42,38 @@ def is_definite_disc(d):
 
 
 def enumerate_forms(field, disc, primitive_only=False):
-    """All reduced definite binary forms with discriminant exactly `disc`."""
+    """All reduced definite binary forms with discriminant exactly `disc`.
+
+    b^2 = disc (mod a) is solved once per monic a: the solutions (b, c)
+    for a monic give (u a, b, c / u) for every unit u, and all of these
+    share one content.  Forms come out ordered by (deg a, lead a, key of
+    the low part of a, key of b).
+    """
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
-    m = disc.degree
+    q = field.q
     out = []
-    for deg_a in range(m // 2 + 1):
-        for lead in range(1, field.q):
-            for low in range(field.q**deg_a):
-                a = field.poly_from_key(low + lead * field.q**deg_a)
-                for bkey in range(field.q**deg_a):
-                    b = field.poly_from_key(bkey)
-                    c, rem = divmod(b * b - disc, a)
-                    if not rem.is_zero():
-                        continue
-                    form = Form.binary(a, b, c)
-                    if primitive_only and not form.is_primitive():
-                        continue
-                    out.append(form)
+    for deg_a in range(disc.degree // 2 + 1):
+        size = q**deg_a
+        # solutions[low]: (b, c) with b^2 - disc = a c for a = t^deg_a + low
+        solutions = []
+        for low in range(size):
+            a = field.poly_from_key(low + size)
+            found = []
+            for bkey in range(size):
+                b = field.poly_from_key(bkey)
+                c, rem = divmod(b * b - disc, a)
+                if rem.is_zero() and (
+                    not primitive_only or Form.binary(a, b, c).is_primitive()
+                ):
+                    found.append((b, c))
+            solutions.append(found)
+        for lead in range(1, q):
+            inv = field.constant(field.inv(lead))
+            for low in range(size):
+                a = field.poly_from_key(low + lead * size)
+                for b, c in solutions[a.monic().key() - size]:
+                    out.append(Form.binary(a, b, c * inv))
     return out
 
 
@@ -76,16 +94,19 @@ def _unit_actions(q, dets):
     return grid[keep], w_a, w_b, w_c
 
 
-def _reduced_orbit(form, q, dets):
+def _reduced_orbit(form, q):
     """Keys (a', b', c') of the reduced images of `form` under constant
-    transformations with determinant in `dets`."""
+    transformations with determinant +-1, and the subset reached by
+    determinant 1."""
     a, b, c = form.binary_coeffs()
     length = max(len(p.coeffs) for p in (a, b, c))
     rows = np.array(
         [list(p.coeffs) + [0] * (length - len(p.coeffs)) for p in (a, b, c)],
         dtype=np.int64,
     )
-    _, w_a, w_b, w_c = _unit_actions(q, dets)
+    units, w_a, w_b, w_c = _unit_actions(q, (1, -1))
+    al, be, ga, de = units.T
+    det_one = (al * de - be * ga) % q == 1
     im_a = w_a @ rows % q
     im_b = w_b @ rows % q
     im_c = w_c @ rows % q
@@ -96,7 +117,9 @@ def _reduced_orbit(form, q, dets):
     ok = (deg_b < deg_a) & (deg_a <= deg_c)
     powers = q ** np.arange(length, dtype=np.int64)
     keys = np.stack([im_a[ok] @ powers, im_b[ok] @ powers, im_c[ok] @ powers], axis=1)
-    return {tuple(int(v) for v in row) for row in keys}
+    orbit = {tuple(row) for row in keys.tolist()}
+    proper = {tuple(row) for row in keys[det_one[ok]].tolist()}
+    return orbit, proper
 
 
 def _form_key(form):
@@ -173,9 +196,8 @@ def _class_table_cached(field, disc, primitive_only):
     proper_classes = []
     while unassigned:
         seed = min(unassigned)
-        orbit = _reduced_orbit(forms[seed], q, (1, -1))
+        orbit, sl_orbit = _reduced_orbit(forms[seed], q)
         members = sorted(index[k] for k in orbit if k in index)
-        sl_orbit = _reduced_orbit(forms[seed], q, (1,))
         proper = sorted(index[k] for k in sl_orbit if k in index)
         rest = sorted(set(members) - set(proper))
         classes.append(members)
@@ -185,9 +207,10 @@ def _class_table_cached(field, disc, primitive_only):
         unassigned -= set(members)
     classes.sort(key=lambda cls: cls[0])
     proper_classes.sort(key=lambda cls: cls[0])
+    places = factor(disc)[1]
     by_symbol = {}
     for ci, cls in enumerate(classes):
-        sym = genus_symbol(forms[cls[0]])
+        sym = genus_symbol(forms[cls[0]], places)
         by_symbol.setdefault(sym, []).append(ci)
     genera = sorted(by_symbol.values(), key=lambda g: g[0])
     return ClassTable(

@@ -543,8 +543,13 @@ def powmod(f, n, m):
 
 # -- irreducibility and factorization -----------------------------------
 
+@functools.lru_cache(maxsize=4096)
 def is_irreducible(f):
-    """Rabin's test; constants are not irreducible."""
+    """Rabin's test; constants are not irreducible.
+
+    Results are cached: a `Poly` is immutable and its hash and equality
+    include the field, so each distinct place is tested once.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
     n = f.degree
@@ -619,7 +624,8 @@ def _squarefree_rec(f, mult, parts):
         c = c // y
         i += 1
     if c.degree > 0:
-        _squarefree_rec(c, mult * F.p, parts)
+        # what is left has zero derivative: a p-th power
+        _squarefree_rec(_pth_root(c), mult * F.p, parts)
 
 
 def _pth_root(f):
@@ -711,10 +717,14 @@ def residue_char(f, p):
     """Quadratic character of f in the residue field A/(p): +1, -1, or 0.
 
     0 iff p divides f; otherwise (f mod p)^((q^d - 1)/2) mapped to +/-1.
+    At a place of degree 1 the residue of f is its value at the root.
     """
     if not is_irreducible(p):
         raise ValueError("place must be a monic irreducible polynomial")
     F = f.field
+    if p.degree == 1:
+        root = F.neg(F.mul(p.coeffs[0], F.inv(p.coeffs[1])))
+        return F.char(f(root))
     r = f % p
     if r.is_zero():
         return 0

@@ -5,6 +5,11 @@ Places are the monic irreducible polynomials plus INFINITY (uniformizer
 Hilbert symbol formula applies everywhere and Jordan splittings need no
 dyadic cases.
 
+Genus symbols of binary forms need no diagonalization at a place p with
+v_p(disc) = 1: the Jordan data there is fixed by one assigned character,
+chi_p(a), or chi_p(c) when p divides a.  The p-adic Jordan splitting is
+computed where p^2 divides disc and for ranks 3 and 4.
+
 Local representability over the completion A_p is decided from the Jordan
 diagonalization: a unit is represented iff the scale-0 residue form
 represents it over the residue field, and p f descends to a recursion on
@@ -116,11 +121,16 @@ def _jordan_diagonal(form, p):
     out = []
     while active:
         vals = {(i, j): val(m[i][j]) for i in active for j in active if i <= j}
-        (bi, bj), best = min(vals.items(), key=lambda kv: (kv[1], kv[0]))
+        # a diagonal entry wins a tie: adding row and column j to i when
+        # v(m_ij) equals v(m_ii) or v(m_jj) can cancel m_ii + 2 m_ij + m_jj
+        (bi, bj), best = min(
+            vals.items(), key=lambda kv: (kv[1], kv[0][0] != kv[0][1], kv[0])
+        )
         if best >= prec:
             raise AssertionError("insufficient p-adic precision")
         if bi != bj:
-            # push the minimum onto the diagonal: row/col add, odd residue char
+            # push the minimum onto the diagonal: row/col add, odd residue char;
+            # v(m_ij) is below both diagonal valuations, so the sum keeps it
             for k in active:
                 m[bi][k] = (m[bi][k] + m[bj][k]) % pn
             for k in active:
@@ -164,15 +174,37 @@ class GenusSymbol:
     infinity: tuple
 
 
-def genus_symbol(form):
+def genus_symbol(form, places=None):
+    """The genus symbol of a form.
+
+    `places` is `factor(disc)[1]`, the (place, multiplicity) pairs of the
+    discriminant; it is factored here when not given.
+    """
     d = form.discriminant()
-    places = [p for p, _ in factor(d)[1]]
+    if places is None:
+        places = factor(d)[1]
     finite = tuple(
-        sorted((p.key(), jordan_invariants(form, p)) for p in places)
+        sorted((p.key(), _jordan_at_place(form, d, p, v)) for p, v in places)
     )
     F = form.field
     inf = (d.degree % 2, F.char(d.lc()), hasse_invariant(form, INFINITY))
     return GenusSymbol(d.key(), finite, inf)
+
+
+def _jordan_at_place(form, disc, p, v):
+    """Jordan invariants at a divisor p of disc with v = v_p(disc).
+
+    For a binary form with v = 1 they follow from one assigned character:
+    p cannot divide all of a, b and c (then p^2 | disc), so the form
+    represents a unit u (a, or c when p | a) and is <u> + <p u'> with
+    -u u' = disc/p, giving chi_p(u) and chi_p(u) chi_p(-disc/p).
+    """
+    if form.n != 2 or v != 1:
+        return jordan_invariants(form, p)
+    a, _, c = form.binary_coeffs()
+    chi = residue_char(a, p) or residue_char(c, p)
+    chi_rest = chi * residue_char(-(disc // p), p)
+    return JordanInvariant(((0, 1, chi), (1, 1, chi_rest)))
 
 
 def same_genus(q1, q2):

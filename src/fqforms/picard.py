@@ -23,6 +23,7 @@ is |Pic B| itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,12 @@ class MumfordDivisor:
         return f"MumfordDivisor(({self.u}, {self.v}))"
 
 
+@functools.lru_cache(maxsize=1024)
 def _check_curve(d0):
+    """Genus of y^2 = d0; errors unless d0 is square-free of odd degree.
+
+    Cached, since `cantor_add` validates its curve on every addition.
+    """
     if d0.degree % 2 == 0 or d0.degree < 1:
         raise ValueError("curve polynomial must have odd degree")
     f0, g, _ = squarefree_decompose(d0)

@@ -1,0 +1,144 @@
+"""The fast class-table paths against the slow, independent ones.
+
+- `enumerate_forms` (one square-root scan per monic a) against the scan
+  over every pair (a, b) with a of any leading coefficient;
+- the assigned-character Jordan data at places with v_p(D) = 1 against the
+  p-adic Jordan diagonalization;
+- `class_table` (one orbit pass, places factored once) against two orbit
+  passes, for det +-1 and det 1, with genera from Jordan data only.
+"""
+
+import numpy as np
+import pytest
+
+from fqforms.classify import (
+    _form_key,
+    _unit_actions,
+    canonical_discs,
+    class_table,
+    enumerate_forms,
+)
+from fqforms.ffpoly import factor, prime_field
+from fqforms.localgenus import (
+    INFINITY,
+    GenusSymbol,
+    _jordan_at_place,
+    genus_symbol,
+    hasse_invariant,
+    jordan_invariants,
+)
+from fqforms.qform import Form
+
+SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
+TABLE_CASES = [(3, 4), (5, 3), (7, 2)]
+
+
+def brute_force_forms(field, disc):
+    """Every (a, b) with deg b < deg a <= deg disc / 2 and b^2 = disc mod a."""
+    out = []
+    for deg_a in range(disc.degree // 2 + 1):
+        for lead in range(1, field.q):
+            for low in range(field.q**deg_a):
+                a = field.poly_from_key(low + lead * field.q**deg_a)
+                for bkey in range(field.q**deg_a):
+                    b = field.poly_from_key(bkey)
+                    c, rem = divmod(b * b - disc, a)
+                    if rem.is_zero():
+                        out.append(Form.binary(a, b, c))
+    return out
+
+
+def jordan_genus_symbol(form):
+    """The genus symbol with Jordan diagonalization at every divisor of D."""
+    d = form.discriminant()
+    finite = tuple(
+        sorted((p.key(), jordan_invariants(form, p)) for p, _ in factor(d)[1])
+    )
+    inf = (d.degree % 2, form.field.char(d.lc()), hasse_invariant(form, INFINITY))
+    return GenusSymbol(d.key(), finite, inf)
+
+
+def orbit_keys(form, q, dets):
+    """Keys of the reduced images of `form` under det in `dets`."""
+    rows = np.array(
+        [[p[i] for i in range(form.gram[1][1].degree + 1)]
+         for p in form.binary_coeffs()],
+        dtype=np.int64,
+    )
+    _, w_a, w_b, w_c = _unit_actions(q, dets)
+    images = [w @ rows % q for w in (w_a, w_b, w_c)]
+    idx = np.arange(rows.shape[1])
+    deg_a, deg_b, deg_c = (np.where(m != 0, idx, -1).max(axis=1) for m in images)
+    ok = (deg_b < deg_a) & (deg_a <= deg_c)
+    powers = q ** np.arange(rows.shape[1], dtype=np.int64)
+    keys = np.stack([m[ok] @ powers for m in images], axis=1)
+    return {tuple(row) for row in keys.tolist()}
+
+
+def two_orbit_table(field, disc):
+    """(classes, proper classes, genera) of primitive forms, the slow way."""
+    forms = [f for f in brute_force_forms(field, disc) if f.is_primitive()]
+    index = {_form_key(f): i for i, f in enumerate(forms)}
+    unassigned = set(range(len(forms)))
+    classes, proper_classes = [], []
+    while unassigned:
+        seed = forms[min(unassigned)]
+        orbit = orbit_keys(seed, field.q, (1, -1))
+        members = sorted(index[k] for k in orbit if k in index)
+        proper = sorted(index[k] for k in orbit_keys(seed, field.q, (1,)) if k in index)
+        classes.append(members)
+        proper_classes.append(proper)
+        if len(proper) < len(members):
+            proper_classes.append(sorted(set(members) - set(proper)))
+        unassigned -= set(members)
+    classes.sort()
+    proper_classes.sort()
+    by_symbol = {}
+    for ci, cls in enumerate(classes):
+        by_symbol.setdefault(jordan_genus_symbol(forms[cls[0]]), []).append(ci)
+    return classes, proper_classes, sorted(by_symbol.values())
+
+
+@pytest.mark.parametrize("q,deg", SCAN_CASES)
+def test_enumerate_forms_matches_brute_force(q, deg):
+    F = prime_field(q)
+    for d in canonical_discs(F, deg):
+        oracle = brute_force_forms(F, d)
+        primitive = [f.binary_coeffs() for f in oracle if f.is_primitive()]
+        assert [f.binary_coeffs() for f in enumerate_forms(F, d)] == [
+            f.binary_coeffs() for f in oracle
+        ]
+        assert [f.binary_coeffs() for f in enumerate_forms(F, d, True)] == primitive
+
+
+@pytest.mark.parametrize("q,deg", SCAN_CASES)
+def test_assigned_characters_match_jordan(q, deg):
+    F = prime_field(q)
+    checked = 0
+    for d in canonical_discs(F, deg):
+        simple = [(p, v) for p, v in factor(d)[1] if v == 1]
+        for form in enumerate_forms(F, d, True):
+            for p, v in simple:
+                assert _jordan_at_place(form, d, p, v) == jordan_invariants(form, p)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("q,deg", [(3, 3), (5, 2)])
+def test_genus_symbol_matches_jordan_path(q, deg):
+    F = prime_field(q)
+    for d in canonical_discs(F, deg):
+        places = factor(d)[1]
+        for form in enumerate_forms(F, d, True):
+            expected = jordan_genus_symbol(form)
+            assert genus_symbol(form) == expected
+            assert genus_symbol(form, places) == expected
+
+
+@pytest.mark.parametrize("q,deg", TABLE_CASES)
+def test_class_table_matches_two_orbit_jordan_path(q, deg):
+    F = prime_field(q)
+    for d in canonical_discs(F, deg):
+        table = class_table(F, d, primitive_only=True)
+        got = (table.classes, table.proper_classes, table.genera)
+        assert got == two_orbit_table(F, d), str(d)

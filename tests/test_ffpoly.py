@@ -230,6 +230,43 @@ def test_squarefree_decompose_char_p_power():
     assert unit == 1 and f0 == t + 1 and g == (t + 1) ** 2
 
 
+def test_multiplicity_divisible_by_p():
+    # (t+1)^3 (t+2) over F_3: f' != 0, but (t+1) has multiplicity p
+    F3 = prime_field(3)
+    t = F3.t
+    assert factor((t + 1) ** 3 * (t + 2))[1] == [(t + 1, 3), (t + 2, 1)]
+    # t^4 + 2t = t (t+2)^3
+    assert squarefree_decompose(t**4 + 2 * t) == (t * (t + 2), t + 2, 1)
+
+
+def test_factor_and_squarefree_match_galoistools():
+    # every monic polynomial of degree <= 6 over F_3, against sympy
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_sqf_list
+
+    from fqforms.ffpoly import squarefree_part_decomposition
+
+    F3 = prime_field(3)
+
+    def dense(f):
+        return tuple(reversed(f.coeffs))
+
+    for deg in range(7):
+        for low in range(3**deg):
+            f = F3.poly_from_key(low + 3**deg)
+            _, expected = gf_factor(list(dense(f)), 3, ZZ)
+            unit, got = factor(f)
+            assert unit == 1
+            assert sorted((dense(g), k) for g, k in got) == sorted(
+                (tuple(g), k) for g, k in expected
+            ), str(f)
+            _, expected = gf_sqf_list(list(dense(f)), 3, ZZ)
+            _, parts = squarefree_part_decomposition(f)
+            assert {k: dense(g) for k, g in parts.items()} == {
+                k: tuple(g) for g, k in expected
+            }, str(f)
+
+
 def test_residue_char_examples():
     squares_mod5 = {(a * a) % 5 for a in range(1, 5)}
     assert 2 not in squares_mod5

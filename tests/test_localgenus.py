@@ -120,6 +120,27 @@ def test_jordan_invariants_off_diagonal_minimum():
     assert sum(b[1] for b in ji.blocks) == 2
 
 
+def test_jordan_scales_sum_to_disc_valuation_non_primitive():
+    # the scales of the blocks add up to v_p(D), also for forms with content
+    from fqforms.classify import canonical_discs, enumerate_forms
+
+    F3 = prime_field(3)
+    t = F3.t
+    # (t+1) ((t+1), 2, t): v_p(b) = v_p(c) = 1 at p = t+1, a + 2b + c = 0
+    # mod p^2; the unit determinant -4 of the primitive part is a non-square
+    q = Form.binary(t**2 + 2 * t + 1, 2 * t + 2, t**2 + t)
+    assert jordan_invariants(q, t + 1).blocks == ((1, 2, -1),)
+    checked = 0
+    for d in canonical_discs(F3, 4):
+        for p, v in factor(d)[1]:
+            for form in enumerate_forms(F3, d, False):
+                blocks = jordan_invariants(form, p).blocks
+                assert sum(s * r for s, r, _ in blocks) == v
+                assert sum(r for _, r, _ in blocks) == 2
+                checked += 1
+    assert checked > 1000
+
+
 def test_jordan_equivalence_invariant():
     rng = random.Random(53)
     t5 = F5.t

@@ -185,3 +185,14 @@ def test_comp_sequence_conductor_disc():
     assert report.pic_order == 4
     assert report.proper_classes == 8
     assert report.passed
+
+
+def test_comp_sequence_conductor_with_multiplicity_p():
+    # D = delta t (t+1)^3 over F_3: conductor t+1 has multiplicity 1 in g,
+    # not 4 as a double p-th root step would give
+    F3 = prime_field(3)
+    t = F3.t
+    report = comp_sequence_check(F3.constant(F3.delta) * t * (t + 1) ** 3)
+    assert report.proper_classes == 12
+    assert report.pic_order == 6
+    assert report.passed
