@@ -20,7 +20,13 @@ from .localgenus import (
     local_represents,
     same_genus,
 )
-from .picard import MumfordDivisor, cantor_add, pic_group, pic_order_with_conductor
+from .picard import (
+    MumfordDivisor,
+    cantor_add,
+    pic_group,
+    pic_order,
+    pic_order_with_conductor,
+)
 from .qform import (
     Form,
     Transformation,
@@ -62,6 +68,7 @@ __all__ = [
     "local_represents",
     "norm_form",
     "pic_group",
+    "pic_order",
     "pic_order_with_conductor",
     "prime_field",
     "properly_equivalent",

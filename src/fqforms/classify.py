@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DEFAULT_BUDGET, BudgetError
 from .ffpoly import SquareClass, factor, is_irreducible
 from .localgenus import genus_symbol
 from .qform import Form, Transformation, reduce, successive_minima
@@ -81,6 +82,10 @@ def enumerate_forms(field, disc, primitive_only=False):
 def _unit_actions(q, dets):
     """Rows (alpha, beta, gamma, delta) over F_q with det in `dets`, plus the
     coefficient matrices acting on stacked (a, b, c) coefficient rows."""
+    if q**4 > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"constant transformations need {q**4} rows (budget {DEFAULT_BUDGET})"
+        )
     grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
     al, be, ga, de = grid.T
     det = (al * de - be * ga) % q

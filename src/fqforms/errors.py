@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default work budget."""
+
+# cap on the entries one enumeration or table may allocate
+DEFAULT_BUDGET = 10**8
 
 
 class BudgetError(RuntimeError):

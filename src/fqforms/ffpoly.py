@@ -21,6 +21,8 @@ import functools
 import itertools
 import random
 
+from .errors import DEFAULT_BUDGET, BudgetError
+
 NEG_INF = float("-inf")
 
 
@@ -466,6 +468,10 @@ def poly_from_string(field, text):
     coeffs = {}
     for sign, term in terms:
         coeff, exp = _parse_term(term)
+        if exp >= DEFAULT_BUDGET:
+            raise BudgetError(
+                f"degree {exp} needs {exp + 1} coefficients (budget {DEFAULT_BUDGET})"
+            )
         coeff = coeff % field.p if sign > 0 else (-coeff) % field.p
         coeffs[exp] = field.add(coeffs.get(exp, 0), coeff)
     out = [0] * (max(coeffs) + 1)

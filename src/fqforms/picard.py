@@ -3,8 +3,14 @@
 For square-free D0 of odd degree 2g+1 the order A[sqrt(D0)] is maximal
 and its Picard group is the group of reduced Mumford divisors (u, v) on
 y^2 = D0(t): u monic of degree <= g, deg v < deg u, u | v^2 - D0, with
-the usual composition-and-reduction group law.  Non-maximal orders
-B = A[sqrt(f^2 D0)] get their order from the conductor exact sequence:
+the usual composition-and-reduction group law (Cantor).  Orders come at
+any genus from an Euler product (`pic_order`): the number of reduced
+divisors is a truncated product of local factors over the monic
+irreducibles of degree <= g.  Group structure (`pic_group`) enumerates
+the divisors and the order of each, at genus <= 2.
+
+Non-maximal orders B = A[sqrt(f^2 D0)] get their order from the conductor
+exact sequence:
 
     |Pic B| = |Pic O| * |(O/fO)^x| / (|(A/fA)^x| * |O^x : B^x|)
 
@@ -28,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-from .ffpoly import factor, residue_char, squarefree_decompose, xgcd
+from .ffpoly import factor, is_irreducible, residue_char, squarefree_decompose, xgcd
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,48 @@ def pic_group(d0):
     return PicGroup(order=order, structure=structure, elements=elements)
 
 
+def pic_order(d0):
+    """|Pic(A[sqrt(D0)])| for square-free D0 of odd degree 2g+1, any genus.
+
+    The reduced divisors number sum N(u) over monic u of degree <= g, with
+    N(u) = #{v mod u : v^2 = D0 mod u}.  N is multiplicative; at a monic
+    irreducible p, with x = T^deg p, its local series is (1+x)/(1-x),
+    1 or 1+x as D0 is a square, a non-square or zero mod p.  The product
+    is truncated at T^g, so only places of degree <= g are visited.
+    """
+    genus = _check_curve(d0)
+    F = d0.field
+    series = [1] + [0] * genus  # coefficients of T^0 .. T^g
+    for d in range(1, genus + 1):
+        size = F.q**d
+        for low in range(size):
+            p = F.poly_from_key(low + size)
+            if not is_irreducible(p):
+                continue
+            sym = residue_char(d0, p)
+            if sym == -1:
+                continue
+            if sym == 1:  # 1/(1-x), ascending
+                for n in range(d, genus + 1):
+                    series[n] += series[n - d]
+            for n in range(genus, d - 1, -1):  # (1+x), descending
+                series[n] += series[n - d]
+    return sum(series)
+
+
+def weil_interval(q, genus):
+    """The integers h with (sqrt(q)-1)^(2g) <= h <= (sqrt(q)+1)^(2g).
+
+    (q + 1 +- 2 sqrt(q))^g = A +- B sqrt(q), so the interval is
+    |h - A| <= B sqrt(q), that is |h - A| <= isqrt(q B^2), in integers.
+    """
+    a, b = 1, 0
+    for _ in range(genus):
+        a, b = a * (q + 1) + 2 * b * q, 2 * a + b * (q + 1)
+    r = math.isqrt(q * b * b)
+    return a - r, a + r
+
+
 def _abelian_structure(elements, order):
     if order == 1:
         return AbelianStructure(())
@@ -221,16 +269,16 @@ def pic_order_with_conductor(d0, f):
         # B = A[f sqrt(D0)] has constant units only once deg f >= 1; for
         # f = 1 it is the maximal order F_{q^2}[t] itself
         unit_index = q + 1 if f.degree >= 1 else 1
+    elif d0.degree % 2:
+        base = pic_order(d0)  # `_check_curve` rejects a D0 with a square factor
+        unit_index = 1
     else:
         f0, g, _ = squarefree_decompose(d0)
         if g.degree > 0:
             raise ValueError("D0 must be square-free")
-        if d0.degree % 2:
-            base = pic_group(d0).order
-        else:
-            if F.is_square(d0.lc()):
-                raise ValueError("even-degree D0 needs a non-square leading coefficient")
-            base = 2  # rational curve, inert infinite place of degree 2
+        if F.is_square(d0.lc()):
+            raise ValueError("even-degree D0 needs a non-square leading coefficient")
+        base = 2  # rational curve, inert infinite place of degree 2
         unit_index = 1
     numerator = base
     denominator = unit_index
@@ -262,13 +310,15 @@ class CompReport:
     passed: bool
 
 
-def comp_sequence_check(disc):
+def comp_sequence_check(disc, decomposition=None):
+    """Check the bridge for `disc`; `decomposition` is its
+    `squarefree_decompose` (f0, g, unit) when the caller has it."""
     from .classify import is_definite_disc, proper_class_count
 
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     F = disc.field
-    f0, g, unit = squarefree_decompose(disc)
+    f0, g, unit = decomposition or squarefree_decompose(disc)
     d0 = F.constant(unit) * f0
     pic = pic_order_with_conductor(d0, g)
     gd = proper_class_count(F, disc, primitive_only=True)

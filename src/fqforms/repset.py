@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import DEFAULT_BUDGET, BudgetError
 from .qform import reduce
-
-DEFAULT_BUDGET = 10**8
 
 
 def coordinate_degree_bounds(minima, k, slack=0):

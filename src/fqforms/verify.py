@@ -36,7 +36,7 @@ from .classify import (
 )
 from .ffpoly import SquareClass, prime_field, squarefree_decompose
 from .localgenus import LocalRepDecider, represented_at_infinity
-from .picard import comp_sequence_check
+from .picard import comp_sequence_check, weil_interval
 from .qform import Form, form_to_string, _mat_det, successive_minima
 from .repset import DEFAULT_BUDGET, repset_upto
 
@@ -777,16 +777,28 @@ def cn1_survey(cfg):
 def comp_bridge_sweep(cfg):
     """Composition bridge |G_D| = 2 |Pic(B)| (deg D >= 1) for all square-free
     definite discriminants up to the configured degree, plus genus counts
-    2^r for the square-free tables."""
+    2^r for the square-free tables and, at odd degree 2g+1, the Weil bound
+    (sqrt(q)-1)^(2g) <= |Pic O| <= (sqrt(q)+1)^(2g)."""
     F = prime_field(cfg.q)
     violations = []
     instances = 0
     for disc in canonical_discs(F, cfg.max_disc_degree):
-        f0, g, _ = squarefree_decompose(disc)
-        if g.degree > 0:
+        decomposition = squarefree_decompose(disc)
+        if decomposition[1].degree > 0:
             continue
         instances += 1
-        report = comp_sequence_check(disc)
+        report = comp_sequence_check(disc, decomposition)
+        if disc.degree % 2:
+            lo, hi = weil_interval(cfg.q, disc.degree // 2)
+            if not lo <= report.pic_order <= hi:
+                violations.append(
+                    Violation(
+                        "comp",
+                        {"disc": str(disc)},
+                        observed={"pic_order": report.pic_order},
+                        expected={"weil_interval": [lo, hi]},
+                    )
+                )
         if not report.passed:
             violations.append(
                 Violation(

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fqforms.classify import (
+    _unit_actions,
     canonical_disc,
     canonical_discs,
     class_number,
@@ -14,6 +15,7 @@ from fqforms.classify import (
     proper_class_count,
     rescale_to_canonical_disc,
 )
+from fqforms.errors import BudgetError
 from fqforms.ffpoly import poly_from_string, prime_field
 from fqforms.qform import Form, equivalent, properly_equivalent, successive_minima
 from tests.test_qform import rand_definite_reduced, rand_gl2, remark_form
@@ -214,3 +216,11 @@ def test_remark_form_string_parse():
         poly_from_string(F13, "4"),
         poly_from_string(F13, "12*t^2+8*t+2"),
     )
+
+
+def test_unit_actions_budget():
+    # q^4 rows: 1.04e8 at q = 101 is over the default budget of 1e8
+    with pytest.raises(BudgetError):
+        _unit_actions(101, (1, -1))
+    units, *_ = _unit_actions(3, (1, -1))
+    assert len(units) == 2 * 24  # |SL_2(F_3)| = 24 per determinant

@@ -5,6 +5,7 @@ import pytest
 
 import fqforms.cli
 from fqforms.cli import main
+from fqforms.picard import weil_interval
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +108,25 @@ def test_picard_conductor(capsys):
     )
     assert code == 0
     assert json.loads(out)["order"] == 4
+
+
+def test_picard_conductor_genus_three(capsys):
+    code, out = run_cli(
+        capsys, "picard", "--q", "13", "--d0", "t^7+t+3", "--conductor", "1"
+    )
+    assert code == 0
+    lo, hi = weil_interval(13, 3)
+    assert lo <= json.loads(out)["order"] <= hi
+    # the group structure stays at genus <= 2
+    assert main(["picard", "--q", "13", "--d0", "t^7+t+3"]) == 2
+
+
+def test_budget_errors_exit_two(capsys):
+    # a literal of degree 1e8 would allocate 1e8 coefficients
+    assert main(["picard", "--q", "5", "--d0", "t^100000000"]) == 2
+    # q^4 constant transformations exceed the budget at q = 101
+    assert main(["classify", "--q", "101", "--disc", "t"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_verify_exit_codes_and_tsv(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fqforms.errors import BudgetError
 from fqforms.ffpoly import (
     NEG_INF,
     Field,
@@ -334,3 +335,12 @@ def test_poly_key_round_trip():
     for _ in range(100):
         f = rand_poly(F13, 6, rng)
         assert F13.poly_from_key(f.key()) == f
+
+
+def test_poly_from_string_degree_budget():
+    # t^100000000 would allocate 1e8 + 1 coefficients
+    with pytest.raises(BudgetError):
+        poly_from_string(F13, "t^100000000")
+    with pytest.raises(BudgetError):
+        poly_from_string(F13, "1+3*t^100000000")
+    assert poly_from_string(F13, "t^1000").degree == 1000

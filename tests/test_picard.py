@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import fqforms.picard
+from fqforms.classify import canonical_discs
 from fqforms.errors import CapabilityError
-from fqforms.ffpoly import prime_field
+from fqforms.ffpoly import prime_field, squarefree_decompose
 from fqforms.picard import (
     AbelianStructure,
     MumfordDivisor,
@@ -15,8 +17,11 @@ from fqforms.picard import (
     divisor_order,
     enumerate_reduced_divisors,
     pic_group,
+    pic_order,
     pic_order_with_conductor,
+    weil_interval,
 )
+from fqforms.verify import SweepConfig, run_check
 
 F5 = prime_field(5)
 F13 = prime_field(13)
@@ -140,10 +145,11 @@ def test_non_monic_curve_supported():
 
 def test_curve_validation():
     t = F5.t
-    with pytest.raises(ValueError):
-        pic_group(t * t)  # even degree
-    with pytest.raises(ValueError):
-        pic_group(t * t * (t + 1))  # not square-free
+    for count in (pic_group, pic_order):
+        with pytest.raises(ValueError):
+            count(t * t)  # even degree
+        with pytest.raises(ValueError):
+            count(t * t * (t + 1))  # not square-free
     with pytest.raises(CapabilityError):
         pic_group(F5.poly_from_key(5**7) + 1)  # degree 7, genus 3
 
@@ -196,3 +202,84 @@ def test_comp_sequence_conductor_with_multiplicity_p():
     assert report.proper_classes == 12
     assert report.pic_order == 6
     assert report.passed
+
+
+def squarefree_curves(F, deg):
+    """Every square-free polynomial of degree `deg` over F, any leading
+    coefficient, in key order."""
+    for key in range(F.q**deg, F.q ** (deg + 1)):
+        d0 = F.poly_from_key(key)
+        if squarefree_decompose(d0)[1].degree == 0:
+            yield d0
+
+
+def sampled_curves(F, deg, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d0 = F.poly_from_key(rng.randrange(F.q**deg, F.q ** (deg + 1)))
+        if squarefree_decompose(d0)[1].degree == 0:
+            out.append(d0)
+    return out
+
+
+@pytest.mark.parametrize("q,deg,total", [(3, 3, 36), (5, 3, 400), (7, 3, 1764), (3, 5, 324)])
+def test_pic_order_matches_pic_group_exhaustive(q, deg, total):
+    F = prime_field(q)
+    curves = list(squarefree_curves(F, deg))
+    assert len(curves) == total
+    for d0 in curves:
+        assert pic_order(d0) == pic_group(d0).order, str(d0)
+
+
+def test_pic_order_matches_pic_group_sampled_quintics():
+    for d0 in sampled_curves(F5, 5, 8, seed=501):
+        assert pic_order(d0) == pic_group(d0).order, str(d0)
+
+
+def test_pic_order_genus_three_matches_divisor_count():
+    F3 = prime_field(3)
+    for d0 in sampled_curves(F3, 7, 12, seed=703):
+        assert pic_order(d0) == len(enumerate_reduced_divisors(d0)), str(d0)
+
+
+def test_weil_interval_exact():
+    # genus 1: Hasse, q + 1 +- floor(2 sqrt(q))
+    assert weil_interval(13, 1) == (7, 21)
+    assert weil_interval(9, 1) == (4, 16)  # (sqrt 9 -+ 1)^2, endpoints included
+    assert weil_interval(9, 2) == (16, 256)
+    assert weil_interval(5, 0) == (1, 1)
+    for q in (3, 5, 7, 11, 13):
+        for g in range(1, 5):
+            lo, hi = weil_interval(q, g)
+            # the float bounds are irrational, so the integers sit strictly inside
+            assert lo - 1 < (q**0.5 - 1) ** (2 * g) < lo
+            assert hi < (q**0.5 + 1) ** (2 * g) < hi + 1
+
+
+def test_comp_sweep_never_builds_group_structure(monkeypatch):
+    # the sweep reads only |Pic|, which the Euler product gives
+    def refuse(*args):
+        raise AssertionError("comp must not build the Picard group")
+
+    monkeypatch.setattr(fqforms.picard, "pic_group", refuse)
+    monkeypatch.setattr(fqforms.picard, "cantor_add", refuse)
+    report = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
+    assert report.passed
+    assert report.instances_checked > 0
+
+
+def test_comp_sweep_flags_order_outside_weil_interval(monkeypatch):
+    true_order = fqforms.picard.pic_order
+    monkeypatch.setattr(fqforms.picard, "pic_order", lambda d0: 10 * true_order(d0))
+    report = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
+    weil = [v for v in report.violations if "weil_interval" in str(v.expected)]
+    # 10 |Pic O| is above (sqrt(3) + 1)^(2g) for g = 0 and 1
+    odd = [
+        d
+        for d in canonical_discs(prime_field(3), 3)
+        if d.degree % 2 and squarefree_decompose(d)[1].degree == 0
+    ]
+    assert [v.witness["disc"] for v in weil] == [str(d) for d in odd]
+    for v in weil:
+        assert v.observed["pic_order"] > v.expected["weil_interval"][1]
