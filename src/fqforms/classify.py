@@ -82,9 +82,9 @@ def enumerate_forms(field, disc, primitive_only=False):
 def _unit_actions(q, dets):
     """Rows (alpha, beta, gamma, delta) over F_q with det in `dets`, plus the
     coefficient matrices acting on stacked (a, b, c) coefficient rows."""
-    if q**4 > DEFAULT_BUDGET:
+    if 4 * q**4 > DEFAULT_BUDGET:  # the (q^4, 4) grid of all four entries
         raise BudgetError(
-            f"constant transformations need {q**4} rows (budget {DEFAULT_BUDGET})"
+            f"constant transformations need {4 * q**4} entries (budget {DEFAULT_BUDGET})"
         )
     grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
     al, be, ga, de = grid.T

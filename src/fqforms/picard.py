@@ -6,7 +6,8 @@ y^2 = D0(t): u monic of degree <= g, deg v < deg u, u | v^2 - D0, with
 the usual composition-and-reduction group law (Cantor).  Orders come at
 any genus from an Euler product (`pic_order`): the number of reduced
 divisors is a truncated product of local factors over the monic
-irreducibles of degree <= g.  Group structure (`pic_group`) enumerates
+irreducibles of degree <= g, a scan of about q^g polynomials that the
+default budget caps.  Group structure (`pic_group`) enumerates
 the divisors and the order of each, at genus <= 2.
 
 Non-maximal orders B = A[sqrt(f^2 D0)] get their order from the conductor
@@ -33,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import CapabilityError
+from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import factor, is_irreducible, residue_char, squarefree_decompose, xgcd
 
 
@@ -170,10 +171,16 @@ def pic_order(d0):
     N(u) = #{v mod u : v^2 = D0 mod u}.  N is multiplicative; at a monic
     irreducible p, with x = T^deg p, its local series is (1+x)/(1-x),
     1 or 1+x as D0 is a square, a non-square or zero mod p.  The product
-    is truncated at T^g, so only places of degree <= g are visited.
+    is truncated at T^g, so only places of degree <= g are visited;
+    BudgetError once q^g exceeds the default budget.
     """
     genus = _check_curve(d0)
     F = d0.field
+    if F.q**genus > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"genus {genus} scans the {F.q}^{genus} monic polynomials of "
+            f"degree {genus} (budget {DEFAULT_BUDGET})"
+        )
     series = [1] + [0] * genus  # coefficients of T^0 .. T^g
     for d in range(1, genus + 1):
         size = F.q**d
@@ -310,15 +317,13 @@ class CompReport:
     passed: bool
 
 
-def comp_sequence_check(disc, decomposition=None):
-    """Check the bridge for `disc`; `decomposition` is its
-    `squarefree_decompose` (f0, g, unit) when the caller has it."""
+def comp_sequence_check(disc):
     from .classify import is_definite_disc, proper_class_count
 
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     F = disc.field
-    f0, g, unit = decomposition or squarefree_decompose(disc)
+    f0, g, unit = squarefree_decompose(disc)
     d0 = F.constant(unit) * f0
     pic = pic_order_with_conductor(d0, g)
     gd = proper_class_count(F, disc, primitive_only=True)

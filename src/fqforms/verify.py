@@ -783,11 +783,11 @@ def comp_bridge_sweep(cfg):
     violations = []
     instances = 0
     for disc in canonical_discs(F, cfg.max_disc_degree):
-        decomposition = squarefree_decompose(disc)
-        if decomposition[1].degree > 0:
+        f0, g, _ = squarefree_decompose(disc)
+        if g.degree > 0:
             continue
         instances += 1
-        report = comp_sequence_check(disc, decomposition)
+        report = comp_sequence_check(disc)
         if disc.degree % 2:
             lo, hi = weil_interval(cfg.q, disc.degree // 2)
             if not lo <= report.pic_order <= hi:

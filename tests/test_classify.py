@@ -219,8 +219,10 @@ def test_remark_form_string_parse():
 
 
 def test_unit_actions_budget():
-    # q^4 rows: 1.04e8 at q = 101 is over the default budget of 1e8
-    with pytest.raises(BudgetError):
-        _unit_actions(101, (1, -1))
+    # the grid holds 4 q^4 entries: 3.5e8 at q = 97, 1.02e8 at q = 71, over
+    # the default budget of 1e8; q = 67 (8.1e7) would still pass the check
+    for q in (71, 97, 101):
+        with pytest.raises(BudgetError):
+            _unit_actions(q, (1, -1))
     units, *_ = _unit_actions(3, (1, -1))
     assert len(units) == 2 * 24  # |SL_2(F_3)| = 24 per determinant

@@ -127,6 +127,10 @@ def test_budget_errors_exit_two(capsys):
     # q^4 constant transformations exceed the budget at q = 101
     assert main(["classify", "--q", "101", "--disc", "t"]) == 2
     assert "budget" in capsys.readouterr().err
+    # genus 10 would scan the 13^10 monic polynomials of degree 10
+    code = main(["picard", "--q", "13", "--d0", "t^21+t+3", "--conductor", "1"])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_verify_exit_codes_and_tsv(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 import fqforms.picard
 from fqforms.classify import canonical_discs
-from fqforms.errors import CapabilityError
+from fqforms.errors import BudgetError, CapabilityError
 from fqforms.ffpoly import prime_field, squarefree_decompose
 from fqforms.picard import (
     AbelianStructure,
@@ -223,13 +223,21 @@ def sampled_curves(F, deg, count, seed):
     return out
 
 
-@pytest.mark.parametrize("q,deg,total", [(3, 3, 36), (5, 3, 400), (7, 3, 1764), (3, 5, 324)])
+@pytest.mark.parametrize("q,deg,total", [(3, 3, 36), (5, 3, 400), (3, 5, 324)])
 def test_pic_order_matches_pic_group_exhaustive(q, deg, total):
     F = prime_field(q)
     curves = list(squarefree_curves(F, deg))
     assert len(curves) == total
     for d0 in curves:
         assert pic_order(d0) == pic_group(d0).order, str(d0)
+
+
+def test_pic_order_matches_point_count_q7_cubics():
+    # genus 1: |Pic| = |E(F_7)|, the affine points plus the one at infinity
+    curves = list(squarefree_curves(prime_field(7), 3))
+    assert len(curves) == 1764
+    for d0 in curves:
+        assert pic_order(d0) == affine_point_count(d0) + 1, str(d0)
 
 
 def test_pic_order_matches_pic_group_sampled_quintics():
@@ -241,6 +249,13 @@ def test_pic_order_genus_three_matches_divisor_count():
     F3 = prime_field(3)
     for d0 in sampled_curves(F3, 7, 12, seed=703):
         assert pic_order(d0) == len(enumerate_reduced_divisors(d0)), str(d0)
+
+
+def test_pic_order_budget():
+    t = F13.t
+    # genus 10: the scan would visit the 13^10 monic polynomials of degree 10
+    with pytest.raises(BudgetError):
+        pic_order(t**21 + t + 3)
 
 
 def test_weil_interval_exact():
