@@ -1,7 +1,7 @@
 """Definite quadratic forms over F_q[t].
 
 Exact arithmetic for binary (and small-rank) quadratic forms over the
-polynomial ring A = F_q[t], q odd: reduction and successive minima,
+polynomial ring A = F_q[t], q an odd prime: reduction and successive minima,
 representation sets, local invariants and genera, class-number tables,
 and Picard-group arithmetic on the associated quadratic orders, together
 with exhaustive empirical verification sweeps and a CLI.

@@ -27,10 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetError
 from .ffpoly import SquareClass, factor, is_irreducible
 from .localgenus import genus_symbol
-from .qform import Form, Transformation, reduce, successive_minima
+from .qform import (
+    Form,
+    Transformation,
+    key_powers,
+    reduce,
+    reduced_images,
+    successive_minima,
+)
 
 
 def is_definite_disc(d):
@@ -78,52 +84,17 @@ def enumerate_forms(field, disc, primitive_only=False):
     return out
 
 
-@functools.cache
-def _unit_actions(q, dets):
-    """Rows (alpha, beta, gamma, delta) over F_q with det in `dets`, plus the
-    coefficient matrices acting on stacked (a, b, c) coefficient rows."""
-    if 4 * q**4 > DEFAULT_BUDGET:  # the (q^4, 4) grid of all four entries
-        raise BudgetError(
-            f"constant transformations need {4 * q**4} entries (budget {DEFAULT_BUDGET})"
-        )
-    grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
-    al, be, ga, de = grid.T
-    det = (al * de - be * ga) % q
-    keep = np.zeros(len(grid), dtype=bool)
-    for d in dets:
-        keep |= det == d % q
-    al, be, ga, de = grid[keep].T
-    w_a = np.stack([al * al, 2 * al * ga, ga * ga], axis=1) % q
-    w_b = np.stack([al * be, al * de + be * ga, ga * de], axis=1) % q
-    w_c = np.stack([be * be, 2 * be * de, de * de], axis=1) % q
-    return grid[keep], w_a, w_b, w_c
-
-
 def _reduced_orbit(form, q):
     """Keys (a', b', c') of the reduced images of `form` under constant
     transformations with determinant +-1, and the subset reached by
     determinant 1."""
-    a, b, c = form.binary_coeffs()
-    length = max(len(p.coeffs) for p in (a, b, c))
-    rows = np.array(
-        [list(p.coeffs) + [0] * (length - len(p.coeffs)) for p in (a, b, c)],
-        dtype=np.int64,
-    )
-    units, w_a, w_b, w_c = _unit_actions(q, (1, -1))
+    units, images, _ = reduced_images(form, (1, -1))
     al, be, ga, de = units.T
     det_one = (al * de - be * ga) % q == 1
-    im_a = w_a @ rows % q
-    im_b = w_b @ rows % q
-    im_c = w_c @ rows % q
-    idx = np.arange(length, dtype=np.int64)
-    deg_a = np.where(im_a != 0, idx, -1).max(axis=1)
-    deg_b = np.where(im_b != 0, idx, -1).max(axis=1)
-    deg_c = np.where(im_c != 0, idx, -1).max(axis=1)
-    ok = (deg_b < deg_a) & (deg_a <= deg_c)
-    powers = q ** np.arange(length, dtype=np.int64)
-    keys = np.stack([im_a[ok] @ powers, im_b[ok] @ powers, im_c[ok] @ powers], axis=1)
+    powers = key_powers(q, images[0].shape[1])
+    keys = np.stack([m @ powers for m in images], axis=1)
     orbit = {tuple(row) for row in keys.tolist()}
-    proper = {tuple(row) for row in keys[det_one[ok]].tolist()}
+    proper = {tuple(row) for row in keys[det_one].tolist()}
     return orbit, proper
 
 
@@ -191,8 +162,6 @@ def class_table(field, disc, primitive_only=False):
 
 @functools.cache
 def _class_table_cached(field, disc, primitive_only):
-    if field.e != 1:
-        raise NotImplementedError("class tables are computed over prime fields")
     forms = enumerate_forms(field, disc, primitive_only)
     index = {_form_key(f): i for i, f in enumerate(forms)}
     q = field.q

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-All subcommands take --q (an odd prime; extension fields are reachable
-through the library API only) and print JSON by default.  Polynomials use
-the grammar `coeff ['*' t ['^' exp]]` joined by '+'/'-'; binary forms are
-`(a, b, c)` literals and rank-3 forms `(a11,a22,a33;a12,a13,a23)`.
+All subcommands take --q (an odd prime) and print JSON by default.
+Polynomials use the grammar `coeff ['*' t ['^' exp]]` joined by '+'/'-';
+binary forms are `(a, b, c)` literals and rank-3 forms
+`(a11,a22,a33;a12,a13,a23)`.
 
 Exit codes: 0 success (and no violations), 1 a verification check found
 violations, 2 usage, parse, or budget errors, 3 an internal error (the
@@ -19,7 +19,7 @@ import traceback
 
 from .classify import class_number, class_table
 from .errors import BudgetError, CapabilityError
-from .ffpoly import Field, _is_prime, poly_from_string, poly_to_string
+from .ffpoly import Field, poly_from_string, poly_to_string
 from .localgenus import (
     INFINITY,
     genus_symbol,
@@ -40,9 +40,7 @@ from .verify import CHECKS, SweepConfig, run_check
 
 
 def _field(args):
-    if not _is_prime(args.q) or args.q == 2:
-        raise ValueError(f"--q must be an odd prime, got {args.q}")
-    return Field(args.q, delta=args.delta) if args.delta else Field(args.q)
+    return Field(args.q, delta=args.delta)
 
 
 def _transformation_rows(tr):

@@ -1,10 +1,8 @@
-"""Exact arithmetic in F_q (q odd) and the polynomial ring A = F_q[t].
+"""Exact arithmetic in F_q (q an odd prime) and the polynomial ring A = F_q[t].
 
-Field elements are plain Python ints.  For a prime field F_p the element
-is its residue in {0, ..., p-1}.  For an extension F_{p^e} the element is
-the base-p packing c_0 + c_1*p + ... + c_{e-1}*p^{e-1} of its coordinate
-vector over F_p, so 0 and 1 always denote the additive and multiplicative
-identities.  All arithmetic goes through a `Field` instance.
+Field elements are plain Python ints, the residues {0, ..., q-1}.  `Field`
+holds q and the fixed non-square delta; `Poly` methods reduce their
+coefficients mod q inline.
 
 Polynomials over F_q are immutable `Poly` values holding a tuple of field
 elements, lowest degree first, with no trailing zeros ([] is the zero
@@ -18,7 +16,6 @@ enumeration-heavy modules to store large sets of polynomials compactly.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 
 from .errors import DEFAULT_BUDGET, BudgetError
@@ -38,36 +35,21 @@ def _is_prime(n):
 
 
 class Field:
-    """The finite field F_q with q = p^e odd, plus its fixed non-square delta.
+    """The prime field F_p (p odd), plus its fixed non-square delta.
 
-    `modulus` is the coefficient tuple (lowest first, monic) of the degree-e
-    irreducible polynomial over F_p used for e > 1; ignored when e = 1.
+    `q` and `p` are the same number; `q` is the name used for counting
+    (q^n polynomials of degree < n), `p` for reducing residues.
     `delta` defaults to the first non-square in the ascending element order.
     """
 
-    def __init__(self, p, e=1, modulus=None, delta=None):
+    def __init__(self, p, delta=None):
         if not _is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        if e == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = self._find_modulus()
-            modulus = tuple(c % p for c in modulus)
-            self.modulus = modulus
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree e")
-            if not self._modulus_irreducible():
-                raise ValueError("modulus is not irreducible over F_p")
+            raise ValueError(f"q must be an odd prime, got {p}")
+        self.p = self.q = p
         if delta is None:
             delta = self._first_nonsquare()
-        if delta == 0 or self.is_square(delta):
-            raise ValueError(f"delta={delta} is not a non-square")
+        if not 0 < delta < p or self.is_square(delta):
+            raise ValueError(f"delta={delta} is not a non-square in 1..{p - 1}")
         self.delta = delta
         self.zero = self.poly(())
         self.one = self.poly((1,))
@@ -76,57 +58,26 @@ class Field:
     # -- element arithmetic (ints) ------------------------------------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return (a + b) % self.p
 
     def neg(self, a):
-        if self.e == 1:
-            return -a % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return -a % self.p
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return (a - b) % self.p
 
     def mul(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._from_vec(self._vec_mulmod(self._to_vec(a), self._to_vec(b)))
+        return (a * b) % self.p
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return pow(a, self.p - 2, self.p)
 
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        if self.e == 1:
-            return pow(a, n, self.p)
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
+        return pow(a, n, self.p)
 
     def is_square(self, a):
         """Whether a is a nonzero square; errors on zero."""
@@ -142,49 +93,6 @@ class Field:
 
     def elements(self):
         return range(self.q)
-
-    # -- extension-field internals ------------------------------------
-
-    def _to_vec(self, a):
-        p = self.p
-        v = []
-        for _ in range(self.e):
-            v.append(a % p)
-            a //= p
-        return v
-
-    def _from_vec(self, v):
-        out = 0
-        for c in reversed(v):
-            out = out * self.p + c
-        return out
-
-    def _vec_mulmod(self, u, v):
-        p = self.p
-        prod = [0] * (2 * self.e - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    prod[i + j] = (prod[i + j] + ui * vj) % p
-        m = self.modulus
-        for i in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.e):
-                    prod[i - self.e + j] = (prod[i - self.e + j] - c * m[j]) % p
-        return prod[: self.e]
-
-    def _find_modulus(self):
-        base = Field(self.p)
-        for tail in itertools.product(range(self.p), repeat=self.e):
-            cand = base.poly(tail + (1,))
-            if is_irreducible(cand):
-                return cand.coeffs
-        raise AssertionError("no irreducible modulus found")
-
-    def _modulus_irreducible(self):
-        return is_irreducible(Field(self.p).poly(self.modulus))
 
     def _first_nonsquare(self):
         for a in range(1, self.q):
@@ -206,22 +114,19 @@ class Field:
         return Poly(self, coeffs)
 
     def constant(self, c):
-        return Poly(self, (c % self.p,) if self.e == 1 else (c,))
+        return Poly(self, (c % self.p,))
 
     def __eq__(self, other):
         return (
             isinstance(other, Field)
-            and (self.p, self.e, self.modulus, self.delta)
-            == (other.p, other.e, other.modulus, other.delta)
+            and (self.p, self.delta) == (other.p, other.delta)
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus, self.delta))
+        return hash((self.p, self.delta))
 
     def __repr__(self):
-        if self.e == 1:
-            return f"Field({self.p})"
-        return f"Field({self.p}, {self.e})"
+        return f"Field({self.p})"
 
 
 @functools.cache
@@ -280,25 +185,33 @@ class Poly:
         if other is NotImplemented:
             return other
         F = self.field
+        p = F.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
+            out[i] = (out[i] + c) % p
         return Poly(F, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        p = F.p
+        return Poly(F, [-c % p for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self + (-other)
+        F = self.field
+        p = F.p
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = (out[i] - c) % p
+        return Poly(F, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -311,20 +224,13 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return F.zero
-        if F.e == 1:
-            p = F.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly(F, [c % p for c in out])
+        p = F.p
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, out)
+                    out[i + j] += ai * bj
+        return Poly(F, [c % p for c in out])
 
     __rmul__ = __mul__
 
@@ -347,21 +253,24 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         F = self.field
-        dg = len(other.coeffs) - 1
+        p = F.p
+        g = other.coeffs
+        dg = len(g) - 1
         r = list(self.coeffs)
         if len(r) - 1 < dg:
             return F.zero, self
-        inv_lc = F.inv(other.coeffs[-1])
+        inv_lc = pow(g[-1], p - 2, p)
         quo = [0] * (len(r) - dg)
-        g = other.coeffs
+        # r is reduced mod p only where it is read; the top coefficient
+        # r[i + dg] is cancelled by construction and never written
         for i in range(len(r) - 1 - dg, -1, -1):
-            c = r[i + dg]
+            c = r[i + dg] % p
             if c:
-                qc = F.mul(c, inv_lc)
+                qc = c * inv_lc % p
                 quo[i] = qc
-                for j in range(dg + 1):
-                    r[i + j] = F.sub(r[i + j], F.mul(qc, g[j]))
-        return Poly(F, quo), Poly(F, r[:dg])
+                for j in range(dg):
+                    r[i + j] -= qc * g[j]
+        return Poly(F, quo), Poly(F, [c % p for c in r[:dg]])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -376,23 +285,21 @@ class Poly:
         if self.is_zero():
             return self
         F = self.field
-        inv = F.inv(self.coeffs[-1])
-        return Poly(F, [F.mul(c, inv) for c in self.coeffs])
+        p = F.p
+        inv = pow(self.coeffs[-1], p - 2, p)
+        return Poly(F, [c * inv % p for c in self.coeffs])
 
     def derivative(self):
         F = self.field
         p = F.p
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(F.mul(c, i % p) if F.e > 1 else (c * i) % p)
-        return Poly(F, out)
+        return Poly(F, [c * i % p for i, c in enumerate(self.coeffs[1:], start=1)])
 
     def __call__(self, x):
         """Evaluate at a field element."""
-        F = self.field
+        p = self.field.p
         out = 0
         for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, x), c)
+            out = (out * x + c) % p
         return out
 
     def __eq__(self, other):
@@ -424,8 +331,7 @@ class Poly:
 def poly_to_string(f):
     """Canonical text form: descending degree, coefficients in 0..p-1.
 
-    Examples over F_13: `t^3+12*t`, `1`, `0`.  Extension-field coefficients
-    print as their packed integer value.
+    Examples over F_13: `t^3+12*t`, `1`, `0`.
     """
     if f.is_zero():
         return "0"
@@ -635,14 +541,8 @@ def _squarefree_rec(f, mult, parts):
 
 
 def _pth_root(f):
-    F = f.field
-    p = F.p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        # p-th root of the coefficient (identity on F_p; Frobenius inverse else)
-        out.append(c if F.e == 1 else F.pow(c, F.q // p))
-    return F.poly(out)
+    # f = h(t^p), and Frobenius is the identity on F_p coefficients
+    return f.field.poly(f.coeffs[:: f.field.p])
 
 
 def squarefree_decompose(f):

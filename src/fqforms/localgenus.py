@@ -302,7 +302,7 @@ def local_represents_search(form, f, p, budget=300_000):
         raise BudgetError(
             f"local search needs {residue_count**form.n} vectors (budget {budget})"
         )
-    if p.degree == 1 and F.e == 1:
+    if p.degree == 1:
         if p != F.t:
             form, f = _shift_to_origin(form, f, p)
         return _search_at_t(form, f, cap)

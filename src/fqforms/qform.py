@@ -14,11 +14,11 @@ GL_n(F_q), which keeps the equivalence search finite.
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import SquareClass
 
 _REDUCE_CAP = 10_000
@@ -233,14 +233,6 @@ class Form:
                     return False
         return True
 
-    def key(self):
-        """Packed integer identifying the form within its field and rank."""
-        out = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                out = (out << 48) | self.gram[i][j].key()
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Form) and self.gram == other.gram
 
@@ -372,7 +364,7 @@ def successive_minima(form):
     return tuple(red.gram[i][i].degree for i in range(form.n))
 
 
-# -- equivalence ----------------------------------------------------------
+# -- constant GL_2(F_q) transformations of binary forms --------------------
 
 def _poly_rows(polys, length):
     return np.array(
@@ -380,12 +372,83 @@ def _poly_rows(polys, length):
         dtype=np.int64,
     )
 
+def key_powers(q, length):
+    """The int64 weights q^0, ..., q^(length-1) that pack a row of `length`
+    coefficients into its base-q key.
+
+    Raises CapabilityError when the largest such key, q^length - 1, does
+    not fit in int64, so that keys never wrap.
+    """
+    if q**length > 2**63:
+        raise CapabilityError(
+            f"base-{q} keys of {length} coefficients overflow 64-bit integers"
+        )
+    return q ** np.arange(length, dtype=np.int64)
+
+def _bilinear_weights(x1, y1, x2, y2, q):
+    """Rows w with w . (a, b, c) = B((x1, y1), (x2, y2)) for the binary form
+    (a, b, c), whose bilinear form is B(u, v) = a u1 v1 + b (u1 v2 + u2 v1)
+    + c u2 v2, so that Q(u) = B(u, u).  Broadcasts over its arguments."""
+    return np.stack([x1 * x2, x1 * y2 + y1 * x2, y1 * y2], axis=-1) % q
+
+@functools.cache
+def _unit_actions(q, dets):
+    """Rows (alpha, beta, gamma, delta) over F_q with det in `dets`, plus the
+    weight matrices w_a, w_b, w_c acting on stacked (a, b, c) coefficient
+    rows: U = [[alpha, beta], [gamma, delta]] carries (a, b, c) to
+    a' = Q(alpha, gamma), b' = B((alpha, gamma), (beta, delta)),
+    c' = Q(beta, delta)."""
+    if 4 * q**4 > DEFAULT_BUDGET:  # the (q^4, 4) grid of all four entries
+        raise BudgetError(
+            f"constant transformations need {4 * q**4} entries (budget {DEFAULT_BUDGET})"
+        )
+    grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
+    al, be, ga, de = grid.T
+    det = (al * de - be * ga) % q
+    keep = np.zeros(len(grid), dtype=bool)
+    for d in dets:
+        keep |= det == d % q
+    al, be, ga, de = grid[keep].T
+    w_a = _bilinear_weights(al, ga, al, ga, q)
+    w_b = _bilinear_weights(al, ga, be, de, q)
+    w_c = _bilinear_weights(be, de, be, de, q)
+    return grid[keep], w_a, w_b, w_c
+
+def reduced_images(form, dets):
+    """The reduced images of a binary form under the constant U with
+    det U in `dets`.
+
+    Returns (units, images, degrees): the rows (alpha, beta, gamma, delta)
+    of those U, the coefficient rows of a', b', c' (each padded to the
+    form's longest coefficient tuple), and their degrees (-1 for zero).
+    """
+    q = form.field.q
+    coeffs = form.binary_coeffs()
+    length = max(len(p.coeffs) for p in coeffs)
+    rows = _poly_rows(coeffs, length)
+    units, *weights = _unit_actions(q, dets)
+    images = [w @ rows % q for w in weights]
+    idx = np.arange(length, dtype=np.int64)
+    deg_a, deg_b, deg_c = (np.where(m != 0, idx, -1).max(axis=1) for m in images)
+    ok = (deg_b < deg_a) & (deg_a <= deg_c)
+    return (
+        units[ok],
+        [m[ok] for m in images],
+        [deg_a[ok], deg_b[ok], deg_c[ok]],
+    )
+
+
+# -- equivalence ----------------------------------------------------------
+
 def _constant_witnesses_binary(r1, r2):
-    """All U in GL_2(F_q) with U^t M1 U = M2, as (alpha, beta, gamma, delta)."""
+    """All U in GL_2(F_q) with U^t M1 U = M2, as (alpha, beta, gamma, delta).
+
+    The columns (alpha, gamma) and (beta, delta) are searched separately
+    over the q^2 vectors: Q1 must take the values a2 and c2 on them, and
+    then B1 the value b2 on the pair.
+    """
     F = r1.field
     q = F.q
-    if F.e != 1:
-        return _constant_witnesses_generic(r1, r2)
     a, b, c = r1.binary_coeffs()
     a2, b2, c2 = r2.binary_coeffs()
     length = max(
@@ -395,17 +458,14 @@ def _constant_witnesses_binary(r1, r2):
     targets = _poly_rows([a2, b2, c2], length)
     pairs = np.indices((q, q)).reshape(2, -1).T  # rows (x, y)
     x, y = pairs[:, 0], pairs[:, 1]
-    w = np.stack([x * x % q, 2 * x * y % q, y * y % q], axis=1)
-    vals = w @ pmat % q
+    vals = _bilinear_weights(x, y, x, y, q) @ pmat % q
     first = pairs[(vals == targets[0]).all(axis=1)]
     second = pairs[(vals == targets[2]).all(axis=1)]
     if len(first) == 0 or len(second) == 0:
         return []
     al, ga = first[:, 0][:, None], first[:, 1][:, None]
     be, de = second[:, 0][None, :], second[:, 1][None, :]
-    wb = np.stack(
-        [al * be % q, (al * de + be * ga) % q, ga * de % q], axis=2
-    ).reshape(-1, 3)
+    wb = _bilinear_weights(al, ga, be, de, q).reshape(-1, 3)
     ok = (wb @ pmat % q == targets[1]).all(axis=1)
     dets = (al * de - be * ga) % q
     ok &= (dets != 0).reshape(-1)
@@ -414,20 +474,6 @@ def _constant_witnesses_binary(r1, r2):
         (int(first[i][0]), int(second[j][0]), int(first[i][1]), int(second[j][1]))
         for i, j in zip(ii, jj)
     ]
-
-def _constant_witnesses_generic(r1, r2):
-    # plain search, used for extension fields (never on hot paths)
-    F = r1.field
-    out = []
-    for flat in itertools.product(F.elements(), repeat=r1.n * r1.n):
-        rows = [flat[i * r1.n : (i + 1) * r1.n] for i in range(r1.n)]
-        try:
-            u = Transformation.from_scalars(F, rows)
-        except ValueError:
-            continue
-        if u.apply(r1) == r2:
-            out.append(tuple(flat))
-    return out
 
 def _constant_witnesses_ternary(r1, r2):
     F = r1.field

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetError
-from .qform import reduce
+from .qform import key_powers, reduce
 
 
 def coordinate_degree_bounds(minima, k, slack=0):
@@ -57,11 +57,27 @@ def _conv(rows, coeffs, q):
     return out % q
 
 
-def _pad(arr, length):
+def _fit(arr, length):
+    """Zero-pad or cut the last axis to `length`; only zero entries are cut."""
     if arr.shape[-1] >= length:
-        return arr
+        return arr[..., :length]
     widths = [(0, 0)] * (arr.ndim - 1) + [(0, length - arr.shape[-1])]
     return np.pad(arr, widths)
+
+
+def _value_length(gram, bounds):
+    """Coefficients needed for every value: the largest
+    deg g_ij + b_i + b_j + 1 over the enumerated coordinates (b >= 0)."""
+    live = [i for i, b in enumerate(bounds) if b >= 0]
+    return max(
+        [
+            gram[i][j].degree + bounds[i] + bounds[j] + 1
+            for i in live
+            for j in live
+            if not gram[i][j].is_zero()
+        ],
+        default=1,
+    )
 
 
 def _cross_grid(x_rows, y_rows, coeffs, q):
@@ -89,10 +105,7 @@ class _Grid:
     """
 
     def __init__(self, red, bounds, budget=DEFAULT_BUDGET):
-        F = red.field
-        if F.e != 1:
-            raise NotImplementedError("vectorized enumeration needs a prime field")
-        q = F.q
+        q = red.field.q
         counts = [b + 1 for b in bounds]
         total = 1
         for c in counts:
@@ -102,6 +115,8 @@ class _Grid:
                 f"representation-set enumeration needs {total} vectors "
                 f"(budget {budget})"
             )
+        length = _value_length(red.gram, bounds)
+        self.powers = key_powers(q, length)
         self.red = red
         self.q = q
         self.bounds = bounds
@@ -115,18 +130,12 @@ class _Grid:
         )
         ax = _conv(_batch_square(self.x_rows, q), g[0][0].coeffs, q)
         cy = _conv(_batch_square(self.y_rows, q), g[1][1].coeffs, q)
-        length = max(base.shape[2], ax.shape[1], cy.shape[1])
-        if red.n > 2:
-            # every term has degree <= max gram degree + 2 * max coordinate degree
-            gmax = max(e.degree for row in g for e in row if not e.is_zero())
-            length = max(length, gmax + 2 * max(max(bounds), 0) + 2)
         self.length = length
         self.base = (
-            _pad(base, length)
-            + _pad(ax, length)[:, None, :]
-            + _pad(cy, length)[None, :, :]
+            _fit(base, length)
+            + _fit(ax, length)[:, None, :]
+            + _fit(cy, length)[None, :, :]
         ) % q
-        self.powers = q ** np.arange(length, dtype=np.int64)
 
     def tails(self):
         """All tail coordinate keys, () for binary forms."""
@@ -160,8 +169,8 @@ class _Grid:
                 const = const + 2 * g[2][3] * tail_polys[0] * tail_polys[1]
             vals = (
                 self.base
-                + _pad(_conv(self.x_rows, lin_x.coeffs, q), self.length)[:, None, :]
-                + _pad(_conv(self.y_rows, lin_y.coeffs, q), self.length)[None, :, :]
+                + _fit(_conv(self.x_rows, lin_x.coeffs, q), self.length)[:, None, :]
+                + _fit(_conv(self.y_rows, lin_y.coeffs, q), self.length)[None, :, :]
             )
             cvec = np.zeros(self.length, dtype=np.int64)
             for i, c in enumerate(const.coeffs):

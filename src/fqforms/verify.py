@@ -37,7 +37,13 @@ from .classify import (
 from .ffpoly import SquareClass, prime_field, squarefree_decompose
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import comp_sequence_check, weil_interval
-from .qform import Form, form_to_string, _mat_det, successive_minima
+from .qform import (
+    Form,
+    _mat_det,
+    form_to_string,
+    reduced_images,
+    successive_minima,
+)
 from .repset import DEFAULT_BUDGET, repset_upto
 
 CHECKS = ("minima", "disc", "equiv", "smooth", "quadric", "ternary", "cn1", "comp")
@@ -53,8 +59,7 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.q % 2 == 0 or self.q < 3:
-            raise ValueError("q must be an odd prime power >= 3")
+        prime_field(self.q)  # raises ValueError unless q is an odd prime
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 
@@ -315,30 +320,13 @@ def verify_minima_recovery(cfg):
 
 
 def _leading_coeffs_matchable(rep1, rep2):
-    from .classify import _unit_actions
-
-    F = rep1.field
-    q = F.q
+    """Whether some reduced image of rep2 under GL_2(F_q) has the diagonal
+    leading coefficients of rep1."""
     a1, _, c1 = rep1.binary_coeffs()
-    target = (a1.lc(), c1.lc())
-    a2, b2, c2 = rep2.binary_coeffs()
-    length = max(len(p.coeffs) for p in (a2, b2, c2))
-    rows = np.array(
-        [list(p.coeffs) + [0] * (length - len(p.coeffs)) for p in (a2, b2, c2)],
-        dtype=np.int64,
-    )
-    _, w_a, w_b, w_c = _unit_actions(q, tuple(range(1, q)))
-    im_a = w_a @ rows % q
-    im_b = w_b @ rows % q
-    im_c = w_c @ rows % q
-    idx = np.arange(length, dtype=np.int64)
-    deg_a = np.where(im_a != 0, idx, -1).max(axis=1)
-    deg_b = np.where(im_b != 0, idx, -1).max(axis=1)
-    deg_c = np.where(im_c != 0, idx, -1).max(axis=1)
-    reduced = (deg_b < deg_a) & (deg_a <= deg_c)
-    lead_a = im_a[np.arange(len(im_a)), np.maximum(deg_a, 0)]
-    lead_c = im_c[np.arange(len(im_c)), np.maximum(deg_c, 0)]
-    hit = reduced & (lead_a == target[0]) & (lead_c == target[1])
+    q = rep1.field.q
+    _, (im_a, _, im_c), (deg_a, _, deg_c) = reduced_images(rep2, tuple(range(1, q)))
+    rows = np.arange(len(im_a))
+    hit = (im_a[rows, deg_a] == a1.lc()) & (im_c[rows, deg_c] == c1.lc())
     return bool(hit.any())
 
 

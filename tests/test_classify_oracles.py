@@ -13,7 +13,6 @@ import pytest
 
 from fqforms.classify import (
     _form_key,
-    _unit_actions,
     canonical_discs,
     class_table,
     enumerate_forms,
@@ -27,7 +26,7 @@ from fqforms.localgenus import (
     hasse_invariant,
     jordan_invariants,
 )
-from fqforms.qform import Form
+from fqforms.qform import Form, _unit_actions
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
 TABLE_CASES = [(3, 4), (5, 3), (7, 2)]

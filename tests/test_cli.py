@@ -177,6 +177,31 @@ def test_delta_override(capsys):
     assert payload["disc"] == "3"
 
 
+@pytest.mark.parametrize("q,delta", [("5", "0"), ("5", "4"), ("5", "7"), ("9", None)])
+def test_field_validation_exit_two(capsys, q, delta):
+    # zero, a square, an out-of-range delta and a prime power are all refused
+    argv = ["disc", "--q", q, "--form", "(1, 0, 2)"]
+    if delta is not None:
+        argv += ["--delta", delta]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,det", [("equal", None), ("proper-equal", 1)])
+def test_equal_commands_large_q(capsys, command, det):
+    # the column search needs 2 q^2 vectors, not a q^4 table of GL_2(F_q)
+    code, out = run_cli(
+        capsys, command, "--q", "101", "--form", "(1, 0, 3)", "--form", "(3, 0, 1)"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["equivalent"] is True
+    assert payload["transformation"]
+    if det is not None:
+        assert payload["det"] == det
+
+
 @pytest.mark.parametrize("q,deg", [(3, 2), (7, 2), (3, 3)])
 @pytest.mark.parametrize("check", ["minima", "disc", "equiv"])
 def test_verify_report_matches_golden(capsys, check, q, deg):

@@ -41,6 +41,12 @@ def test_field_basics():
         Field(4)
     with pytest.raises(ValueError):
         Field(2)
+    with pytest.raises(ValueError):
+        Field(9)  # prime fields only
+    assert Field(5, delta=3).delta == 3
+    for bad in (0, 4, 7, -2):  # zero, a square, and out of range
+        with pytest.raises(ValueError):
+            Field(5, delta=bad)
 
 
 def test_choose_delta_matches_enumeration():
@@ -50,21 +56,6 @@ def test_choose_delta_matches_enumeration():
         squares = {F.mul(a, a) for a in range(1, p)}
         first = min(a for a in range(1, p) if a not in squares)
         assert F.delta == first
-
-
-def test_extension_field_ring_axioms():
-    F9 = Field(3, 2)
-    rng = random.Random(1)
-    for _ in range(200):
-        a, b, c = (rng.randrange(9) for _ in range(3))
-        assert F9.mul(a, F9.add(b, c)) == F9.add(F9.mul(a, b), F9.mul(a, c))
-    for a in range(1, 9):
-        assert F9.mul(a, F9.inv(a)) == 1
-    assert not F9.is_square(F9.delta)
-    # Frobenius fixed field is F_3
-    for a in range(9):
-        cubed = F9.pow(a, 3)
-        assert (F9.pow(cubed, 3) == a)
 
 
 def test_degree_sentinel():
@@ -266,6 +257,72 @@ def test_factor_and_squarefree_match_galoistools():
             assert {k: dense(g) for k, g in parts.items()} == {
                 k: tuple(g) for g, k in expected
             }, str(f)
+
+
+def _dense(f):
+    return [int(c) for c in reversed(f.coeffs)]
+
+
+def _arithmetic_pairs(q):
+    """(f, g): every pair of polynomials of degree <= 4 at q = 3, g nonzero;
+    300 seeded pairs of degree <= 8 otherwise."""
+    F = prime_field(q)
+    if q == 3:
+        polys = [F.poly_from_key(k) for k in range(3**5)]
+        return [(f, g) for f in polys for g in polys[1:]]
+    rng = random.Random(q)
+    return [
+        (rand_poly(F, rng.randrange(9), rng), rand_poly(F, rng.randrange(9), rng, True))
+        for _ in range(300)
+    ]
+
+
+@pytest.mark.parametrize("q", [3, 7, 13])
+def test_divmod_xgcd_match_galoistools(q):
+    # at q = 3 divmod sees every ordered pair and xgcd every unordered pair;
+    # xgcd(f, g) with deg f < deg g is xgcd(g, f) after one swap step
+    from sympy import ZZ
+    from sympy.polys import galoistools as gt
+
+    for f, g in _arithmetic_pairs(q):
+        quo, rem = divmod(f, g)
+        assert [_dense(quo), _dense(rem)] == list(gt.gf_div(_dense(f), _dense(g), q, ZZ))
+        if f.is_zero() or (q == 3 and f.key() > g.key()):
+            continue
+        d, s, u = xgcd(f, g)
+        es, eu, ed = gt.gf_gcdex(_dense(f), _dense(g), q, ZZ)
+        assert (_dense(d), _dense(s), _dense(u)) == (ed, es, eu), (f, g)
+
+
+@pytest.mark.parametrize("q", [3, 7, 13])
+def test_powmod_is_irreducible_match_galoistools(q):
+    # at q = 3: every monic modulus m of degree 1..4 with every residue f of
+    # degree < deg m, and every polynomial of degree <= 4 for irreducibility
+    from sympy import ZZ
+    from sympy.polys import galoistools as gt
+
+    F = prime_field(q)
+    if q == 3:
+        moduli = [F.poly_from_key(k) for d in range(1, 5) for k in range(3**d, 2 * 3**d)]
+        cases = [
+            (F.poly_from_key(r), m, (r + m.key()) % 30)
+            for m in moduli
+            for r in range(3**m.degree)
+        ]
+        polys = [F.poly_from_key(k) for k in range(1, 3**5)]
+    else:
+        rng = random.Random(q)
+        cases = [
+            (f, g.monic(), rng.randrange(200))
+            for f, g in _arithmetic_pairs(q)
+            if g.degree > 0
+        ]
+        polys = [g for _, g in _arithmetic_pairs(q)]
+    for f, m, n in cases:
+        assert _dense(powmod(f, n, m)) == gt.gf_pow_mod(_dense(f), n, _dense(m), q, ZZ)
+    for g in polys:
+        expected = g.degree > 0 and gt.gf_irreducible_p(_dense(g), q, ZZ)
+        assert is_irreducible(g) == expected, str(g)
 
 
 def test_residue_char_examples():

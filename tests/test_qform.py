@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fqforms.errors import CapabilityError
@@ -7,13 +8,18 @@ from fqforms.ffpoly import SquareClass, poly_from_string, prime_field
 from fqforms.qform import (
     Form,
     Transformation,
+    _constant_witnesses_binary,
+    _poly_rows,
+    _unit_actions,
     diagonal_square_classes,
     equivalent,
     form_from_string,
     form_to_string,
+    key_powers,
     norm_form,
     properly_equivalent,
     reduce,
+    reduced_images,
     successive_minima,
 )
 
@@ -304,6 +310,71 @@ def test_equivalence_brute_force_cross_check():
         if brute is not None:
             assert brute.apply(q1) == q2
         checked += 1
+
+
+def _padded_degree(p):
+    return max(p.degree, -1)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_constant_images_match_transformation(q):
+    # the shared GL_2(F_q) kernel against the Gram-matrix product U^t M U
+    F = prime_field(q)
+    rng = random.Random(q)
+    units, *weights = _unit_actions(q, tuple(range(1, q)))
+    index = {tuple(row): i for i, row in enumerate(units.tolist())}
+    for _ in range(8):
+        form = rand_definite_reduced(F, rng)
+        rows = _poly_rows(form.binary_coeffs(), form.gram[1][1].degree + 1)
+        red_units, images, degrees = reduced_images(form, tuple(range(1, q)))
+        reduced_at = {tuple(row): i for i, row in enumerate(red_units.tolist())}
+        for _ in range(25):
+            u = [rng.randrange(q) for _ in range(4)]
+            if (u[0] * u[3] - u[1] * u[2]) % q == 0:
+                continue
+            image = Transformation.from_scalars(F, [u[:2], u[2:]]).apply(form)
+            expected = image.binary_coeffs()
+            i = index[tuple(u)]
+            got = [F.poly((w[i] @ rows % q).tolist()) for w in weights]
+            assert tuple(got) == expected
+            # reduced_images keeps exactly the reduced images
+            assert (tuple(u) in reduced_at) == image.is_reduced()
+            if image.is_reduced():
+                j = reduced_at[tuple(u)]
+                assert tuple(F.poly(m[j].tolist()) for m in images) == expected
+                assert [int(d[j]) for d in degrees] == [
+                    _padded_degree(p) for p in expected
+                ]
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_constant_witnesses_match_unit_scan(q):
+    # the column search over q^2 vectors against every U in GL_2(F_q), whose
+    # weights the test above checks against Transformation.apply
+    F = prime_field(q)
+    rng = random.Random(100 + q)
+    units, *weights = _unit_actions(q, tuple(range(1, q)))
+    for _ in range(4):
+        r1 = rand_definite_reduced(F, rng, max_mu2=2)
+        u = units[rng.randrange(len(units))].tolist()
+        r2 = Transformation.from_scalars(F, [u[:2], u[2:]]).apply(r1)
+        length = max(len(p.coeffs) for p in r1.binary_coeffs() + r2.binary_coeffs())
+        rows = _poly_rows(r1.binary_coeffs(), length)
+        target = _poly_rows(r2.binary_coeffs(), length)
+        hit = np.ones(len(units), dtype=bool)
+        for w, row in zip(weights, target):
+            hit &= (w @ rows % q == row).all(axis=1)
+        scan = {tuple(row) for row in units[hit].tolist()}
+        assert tuple(u) in scan
+        assert set(_constant_witnesses_binary(r1, r2)) == scan
+
+
+def test_key_powers_never_wrap():
+    assert key_powers(3, 39)[-1] == 3**38  # 3^39 - 1 < 2^63
+    with pytest.raises(CapabilityError):
+        key_powers(3, 40)  # 3^40 - 1 >= 2^63
+    with pytest.raises(CapabilityError):
+        key_powers(13, 19)
 
 
 def test_ternary_equivalence_and_capability():

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from fqforms.errors import BudgetError
+from fqforms.errors import BudgetError, CapabilityError
 from fqforms.ffpoly import SquareClass, prime_field
 from fqforms.qform import Form, successive_minima
 from fqforms.repset import (
+    _Grid,
     coordinate_degree_bounds,
     distinguishing_degree,
     key_degree,
@@ -256,6 +257,22 @@ def test_budget_error():
     q = ternary_family_form(F5, 1)
     with pytest.raises(BudgetError):
         repset_upto(q, 6, budget=1000)
+
+
+def test_rank3_grid_length_counts_enumerated_coordinates():
+    # <1, t, delta t^18> at q = 13, k = 2: coordinate 3 is not enumerated
+    # (bound -1), so its t^18 must not stretch the key length past 3
+    F = F13
+    t, d = F.t, F.constant(F.delta)
+    ternary = Form.diagonal([F.one, t, d * t**18])
+    binary = Form.diagonal([F.one, t])
+    assert _Grid(ternary, coordinate_degree_bounds((0, 1, 18), 2)).length == 3
+    rs = repset_upto(ternary, 2)
+    assert len(rs) == 469
+    assert np.array_equal(rs.keys, repset_upto(binary, 2).keys)
+    # enumerating coordinate 3 needs keys of 19 base-13 digits: refused
+    with pytest.raises(CapabilityError):
+        _Grid(ternary, (0, 0, 0))
 
 
 def test_key_degree():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fqforms.ffpoly import prime_field
+from fqforms.qform import Form
 from fqforms.repset import repset_upto
 from fqforms.verify import (
+    _leading_coeffs_matchable,
     SweepConfig,
     SweepData,
     count_quadric_intersection,
@@ -30,6 +32,17 @@ def test_minima_recovery_small():
     assert r.passed
     assert r.instances_checked > 0
     assert r.stats["classes"] > 10
+
+
+def test_leading_coeffs_matchable():
+    # over F_5 the reduced images of (1, 0, t) are (u^2, 0, v^2 t): both
+    # diagonal leading coefficients are squares, and 2 is not a square
+    F = prime_field(5)
+    t = F.t
+    base = Form.binary(F.one, F.zero, t)
+    assert _leading_coeffs_matchable(Form.binary(F.constant(4), F.zero, t), base)
+    assert not _leading_coeffs_matchable(Form.binary(F.one, F.zero, 2 * t), base)
+    assert not _leading_coeffs_matchable(Form.binary(F.constant(2), F.zero, t), base)
 
 
 def test_disc_recovery_small():
