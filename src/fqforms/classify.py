@@ -6,12 +6,13 @@ exactly D come from a finite enumeration with c = (b^2 - D)/a.  The
 congruence b^2 = D (mod a) depends only on the ideal (a), so it is solved
 once per monic a and each solution is scaled by the q - 1 units.
 
-Reduced forms in one GL_2(A)-class differ by a constant transformation,
-and equal exact discriminants force its determinant to be +-1, so the
-class partition is the orbit partition under {U in GL_2(F_q) :
-det U = +-1}, computed vectorized, and proper classes are SL_2(F_q)
-orbits.  One orbit pass per class gives both: the images reached by a
-determinant-1 transformation form the proper class of the seed.  Genera
+Reduced forms in one GL_2(A)-class differ by a constant U, and equal
+exact discriminants force det U = +-1, so classes are orbits under
+det U = +-1 and proper classes under det U = 1.  `qform.reduced_images`
+writes down the U that keep a form reduced: 2(q - 1) diagonal ones if
+deg a < deg c, else 2(q^2 - 1).  One orbit pass per class gives both
+partitions: the images reached by a determinant-1 U form the proper
+class of the seed.  Genera
 group classes by their local data (Jordan invariants at the divisors of
 D, Hasse symbol at infinity); D is factored once per table.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import SquareClass, factor, is_irreducible
+from .ffpoly import SquareClass, factor, is_irreducible, square_roots_mod
 from .localgenus import genus_symbol
 from .qform import (
     Form,
@@ -64,17 +65,10 @@ def enumerate_forms(field, disc, primitive_only=False):
         size = q**deg_a
         # solutions[low]: (b, c) with b^2 - disc = a c for a = t^deg_a + low
         solutions = []
-        for low in range(size):
-            a = field.poly_from_key(low + size)
-            found = []
-            for bkey in range(size):
-                b = field.poly_from_key(bkey)
-                c, rem = divmod(b * b - disc, a)
-                if rem.is_zero() and (
-                    not primitive_only or Form.binary(a, b, c).is_primitive()
-                ):
-                    found.append((b, c))
-            solutions.append(found)
+        for a, roots in square_roots_mod(disc, deg_a):
+            if primitive_only:
+                roots = [(b, c) for b, c in roots if Form.binary(a, b, c).is_primitive()]
+            solutions.append(roots)
         for lead in range(1, q):
             inv = field.constant(field.inv(lead))
             for low in range(size):
@@ -160,7 +154,8 @@ def class_table(field, disc, primitive_only=False):
     return _class_table_cached(field, disc, primitive_only)
 
 
-@functools.cache
+# small, or a sweep keeps every table; `comp` reads each twice, back to back
+@functools.lru_cache(maxsize=16)
 def _class_table_cached(field, disc, primitive_only):
     forms = enumerate_forms(field, disc, primitive_only)
     index = {_form_key(f): i for i, f in enumerate(forms)}

@@ -271,9 +271,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, form=False, forms=False):
+    def common(p, form=False, forms=False, delta=True):
         p.add_argument("--q", type=int, required=True, help="odd prime field size")
-        p.add_argument("--delta", type=int, help="non-square override")
+        if delta:
+            p.add_argument("--delta", type=int, help="non-square override")
         p.add_argument("--budget", type=int, default=10**8)
         p.add_argument("--format", choices=("json", "lines", "tsv"), default="json")
         if form:
@@ -338,7 +339,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("check", choices=CHECKS)
-    common(p)
+    common(p, delta=False)  # sweeps use the default non-square
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

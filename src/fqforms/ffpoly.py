@@ -641,6 +641,22 @@ def residue_char(f, p):
     return -1
 
 
+def square_roots_mod(d, degree):
+    """Yield (u, [(v, w) : deg v < deg u, v^2 - d = u w]) for each monic u of
+    degree `degree`, both in key order, by a scan of q^(2 degree) pairs."""
+    F = d.field
+    size = F.q**degree
+    for low in range(size):
+        u = F.poly_from_key(low + size)
+        roots = []
+        for vkey in range(size):
+            v = F.poly_from_key(vkey)
+            w, rem = divmod(v * v - d, u)
+            if rem.is_zero():
+                roots.append((v, w))
+        yield u, roots
+
+
 class SquareClass:
     """Class of a nonzero polynomial modulo squares of constants.
 

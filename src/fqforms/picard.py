@@ -1,14 +1,15 @@
 """Picard groups of quadratic orders B = A[sqrt(D)] over A = F_q[t].
 
-For square-free D0 of odd degree 2g+1 the order A[sqrt(D0)] is maximal
-and its Picard group is the group of reduced Mumford divisors (u, v) on
+For square-free definite D0 the order O = A[sqrt(D0)] is maximal, and
+its Picard order comes at any genus from the zeta function of O
+(`pic_order`), an Euler product over the monic irreducibles of degree
+<= g, a scan of about q^g polynomials that the default budget caps.  At
+odd degree 2g+1 Pic O is the group of reduced Mumford divisors (u, v) on
 y^2 = D0(t): u monic of degree <= g, deg v < deg u, u | v^2 - D0, with
-the usual composition-and-reduction group law (Cantor).  Orders come at
-any genus from an Euler product (`pic_order`): the number of reduced
-divisors is a truncated product of local factors over the monic
-irreducibles of degree <= g, a scan of about q^g polynomials that the
-default budget caps.  Group structure (`pic_group`) enumerates
-the divisors and the order of each, at genus <= 2.
+the usual composition-and-reduction group law (Cantor); group structure
+(`pic_group`) enumerates the divisors and the order of each, at genus
+<= 2.  At even degree 2g+2 the infinite place is inert of degree 2 and
+|Pic O| = 2h, with h the class number of the genus-g curve.
 
 Non-maximal orders B = A[sqrt(f^2 D0)] get their order from the conductor
 exact sequence:
@@ -18,9 +19,6 @@ exact sequence:
 with the middle factor a product of local terms that depend only on the
 splitting of each prime divisor of f in O.  For constant D0 (= delta up
 to squares) O = F_{q^2}[t] has trivial Picard group and unit index q+1.
-For square-free D0 of even degree and non-square leading coefficient the
-curve is rational and the place at infinity is inert of degree 2, which
-pins |Pic O| = 2; group structure is not computed in that case.
 
 The composition bridge: the proper primitive classes of discriminant
 exactly D number 2 |Pic B| once deg D >= 1.  For constant D the unit norm
@@ -35,7 +33,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
-from .ffpoly import factor, is_irreducible, residue_char, squarefree_decompose, xgcd
+from .ffpoly import factor, is_irreducible, residue_char, square_roots_mod
+from .ffpoly import squarefree_decompose, xgcd
 
 
 @dataclass(frozen=True)
@@ -62,17 +61,24 @@ class MumfordDivisor:
 
 
 @functools.lru_cache(maxsize=1024)
-def _check_curve(d0):
-    """Genus of y^2 = d0; errors unless d0 is square-free of odd degree.
-
-    Cached, since `cantor_add` validates its curve on every addition.
-    """
-    if d0.degree % 2 == 0 or d0.degree < 1:
-        raise ValueError("curve polynomial must have odd degree")
+def _genus(d0):
+    """g = (deg d0 - 1) // 2; errors unless d0 is square-free, definite and
+    of degree >= 1.  Cached, since `cantor_add` checks its curve each time."""
+    if d0.degree < 1:
+        raise ValueError("curve polynomial must have degree >= 1")
+    if d0.degree % 2 == 0 and d0.field.is_square(d0.lc()):
+        raise ValueError("even-degree D0 needs a non-square leading coefficient")
     f0, g, _ = squarefree_decompose(d0)
     if g.degree > 0 or f0.degree != d0.degree:
         raise ValueError("curve polynomial must be square-free")
     return (d0.degree - 1) // 2
+
+
+def _check_curve(d0):
+    """Genus of y^2 = d0 for divisor arithmetic, which needs odd degree."""
+    if d0.degree % 2 == 0:
+        raise ValueError("curve polynomial must have odd degree")
+    return _genus(d0)
 
 
 def divisor_identity(d0):
@@ -141,15 +147,10 @@ class PicGroup:
 def enumerate_reduced_divisors(d0):
     """All reduced Mumford divisors of y^2 = D0 (deg u <= genus)."""
     genus = _check_curve(d0)
-    F = d0.field
     out = [divisor_identity(d0)]
     for du in range(1, genus + 1):
-        for low in range(F.q**du):
-            u = F.poly_from_key(low + F.q**du)  # monic of degree du
-            for vkey in range(F.q**du):
-                v = F.poly_from_key(vkey)
-                if ((v * v - d0) % u).is_zero():
-                    out.append(MumfordDivisor(u, v, d0))
+        for u, roots in square_roots_mod(d0, du):
+            out.extend(MumfordDivisor(u, v, d0) for v, _ in roots)
     return out
 
 
@@ -165,38 +166,42 @@ def pic_group(d0):
 
 
 def pic_order(d0):
-    """|Pic(A[sqrt(D0)])| for square-free D0 of odd degree 2g+1, any genus.
+    """|Pic(A[sqrt(D0)])| for square-free definite D0 of degree >= 1.
 
-    The reduced divisors number sum N(u) over monic u of degree <= g, with
-    N(u) = #{v mod u : v^2 = D0 mod u}.  N is multiplicative; at a monic
-    irreducible p, with x = T^deg p, its local series is (1+x)/(1-x),
-    1 or 1+x as D0 is a square, a non-square or zero mod p.  The product
-    is truncated at T^g, so only places of degree <= g are visited;
+    It is e h, where e = 1 (odd degree) or 2 (even) is the degree of the
+    infinite place and h = L(1) the class number of y^2 = D0, of genus g.
+    L(T) = Z_O(T) (1 - T)(1 - qT) / (1 - T^e) has degree 2g, and Z_O(T)
+    is the product over places p of 1/(1-x)^2, 1/(1-x^2) or 1/(1-x)
+    (x = T^deg p) as D0 is a square, a non-square or zero mod p.  As
+    c_(2g-i) = q^(g-i) c_i, only places of degree <= g are visited;
     BudgetError once q^g exceeds the default budget.
     """
-    genus = _check_curve(d0)
-    F = d0.field
-    if F.q**genus > DEFAULT_BUDGET:
+    genus = _genus(d0)
+    F, q = d0.field, d0.field.q
+    if q**genus > DEFAULT_BUDGET:
         raise BudgetError(
-            f"genus {genus} scans the {F.q}^{genus} monic polynomials of "
+            f"genus {genus} scans the {q}^{genus} monic polynomials of "
             f"degree {genus} (budget {DEFAULT_BUDGET})"
         )
-    series = [1] + [0] * genus  # coefficients of T^0 .. T^g
+    series = [1] + [0] * genus  # coefficients of T^0 .. T^g: Z_O, then L
     for d in range(1, genus + 1):
-        size = F.q**d
+        size = q**d
         for low in range(size):
             p = F.poly_from_key(low + size)
             if not is_irreducible(p):
                 continue
-            sym = residue_char(d0, p)
-            if sym == -1:
-                continue
-            if sym == 1:  # 1/(1-x), ascending
-                for n in range(d, genus + 1):
-                    series[n] += series[n - d]
-            for n in range(genus, d - 1, -1):  # (1+x), descending
-                series[n] += series[n - d]
-    return sum(series)
+            steps = {1: (d, d), -1: (2 * d,), 0: (d,)}[residue_char(d0, p)]
+            for step in steps:  # times 1/(1 - T^step), ascending
+                for n in range(step, genus + 1):
+                    series[n] += series[n - step]
+    for root in (1, q):  # times (1 - root T), descending
+        for n in range(genus, 0, -1):
+            series[n] -= root * series[n - 1]
+    e = 2 - d0.degree % 2
+    for n in range(e, genus + 1):  # over (1 - T^e), ascending
+        series[n] += series[n - e]
+    h = sum(series) + sum(q ** (genus - i) * c for i, c in enumerate(series[:genus]))
+    return e * h
 
 
 def weil_interval(q, genus):
@@ -272,23 +277,11 @@ def pic_order_with_conductor(d0, f):
     if d0.degree == 0:
         if F.is_square(d0.lc()):
             raise ValueError("constant D0 must be a non-square")
-        base = 1
-        # B = A[f sqrt(D0)] has constant units only once deg f >= 1; for
-        # f = 1 it is the maximal order F_{q^2}[t] itself
-        unit_index = q + 1 if f.degree >= 1 else 1
-    elif d0.degree % 2:
-        base = pic_order(d0)  # `_check_curve` rejects a D0 with a square factor
-        unit_index = 1
+        # |Pic O| = 1; B = A[f sqrt(D0)] has constant units only once
+        # deg f >= 1, as for f = 1 it is the maximal order F_{q^2}[t] itself
+        numerator, denominator = 1, (q + 1 if f.degree >= 1 else 1)
     else:
-        f0, g, _ = squarefree_decompose(d0)
-        if g.degree > 0:
-            raise ValueError("D0 must be square-free")
-        if F.is_square(d0.lc()):
-            raise ValueError("even-degree D0 needs a non-square leading coefficient")
-        base = 2  # rational curve, inert infinite place of degree 2
-        unit_index = 1
-    numerator = base
-    denominator = unit_index
+        numerator, denominator = pic_order(d0), 1
     for p, k in factor(f)[1]:
         d = p.degree
         sym = residue_char(d0, p)

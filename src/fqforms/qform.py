@@ -14,11 +14,9 @@ GL_n(F_q), which keeps the equivalence search finite.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
+from .errors import CapabilityError
 from .ffpoly import SquareClass
 
 _REDUCE_CAP = 10_000
@@ -391,32 +389,31 @@ def _bilinear_weights(x1, y1, x2, y2, q):
     + c u2 v2, so that Q(u) = B(u, u).  Broadcasts over its arguments."""
     return np.stack([x1 * x2, x1 * y2 + y1 * x2, y1 * y2], axis=-1) % q
 
-@functools.cache
-def _unit_actions(q, dets):
-    """Rows (alpha, beta, gamma, delta) over F_q with det in `dets`, plus the
-    weight matrices w_a, w_b, w_c acting on stacked (a, b, c) coefficient
-    rows: U = [[alpha, beta], [gamma, delta]] carries (a, b, c) to
-    a' = Q(alpha, gamma), b' = B((alpha, gamma), (beta, delta)),
-    c' = Q(beta, delta)."""
-    if 4 * q**4 > DEFAULT_BUDGET:  # the (q^4, 4) grid of all four entries
-        raise BudgetError(
-            f"constant transformations need {4 * q**4} entries (budget {DEFAULT_BUDGET})"
-        )
-    grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
-    al, be, ga, de = grid.T
-    det = (al * de - be * ga) % q
-    keep = np.zeros(len(grid), dtype=bool)
-    for d in dets:
-        keep |= det == d % q
-    al, be, ga, de = grid[keep].T
-    w_a = _bilinear_weights(al, ga, al, ga, q)
-    w_b = _bilinear_weights(al, ga, be, de, q)
-    w_c = _bilinear_weights(be, de, be, de, q)
-    return grid[keep], w_a, w_b, w_c
+def _reducing_units(form, dets):
+    """Rows (alpha, beta, gamma, delta), in lexicographic order, of the
+    constant U with det U = d in `dets` that keep the reduced form (a, b, c)
+    reduced: U = [[alpha, -l C gamma], [gamma, l A alpha]] with A = lc a,
+    C = lc c and l = d / (A alpha^2 + C gamma^2), whose columns are
+    orthogonal for the anisotropic A X^2 + C Y^2, and gamma = 0 when
+    deg a < deg c (else deg a' = deg c and b' or c' breaks reduction)."""
+    q = form.field.q
+    a, _, c = form.binary_coeffs()
+    A, C = a.lc(), c.lc()
+    al, ga = np.indices((q, q), dtype=np.int64).reshape(2, -1)[:, 1:]
+    if a.degree < c.degree:
+        al, ga = al[ga == 0], ga[ga == 0]
+    inverse = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    inv_norm = inverse[(A * al % q * al + C * ga % q * ga) % q]
+    units = []
+    for d in sorted({d % q for d in dets}):
+        lam = d * inv_norm % q
+        units.append(np.stack([al, -C * lam % q * ga, ga, A * lam % q * al], axis=1) % q)
+    units = np.concatenate(units)
+    return units[np.lexsort(units.T[::-1])]
 
 def reduced_images(form, dets):
-    """The reduced images of a binary form under the constant U with
-    det U in `dets`.
+    """The images of a binary form, which must be reduced, under the
+    constant U with det U in `dets` that keep it reduced.
 
     Returns (units, images, degrees): the rows (alpha, beta, gamma, delta)
     of those U, the coefficient rows of a', b', c' (each padded to the
@@ -426,16 +423,13 @@ def reduced_images(form, dets):
     coeffs = form.binary_coeffs()
     length = max(len(p.coeffs) for p in coeffs)
     rows = _poly_rows(coeffs, length)
-    units, *weights = _unit_actions(q, dets)
-    images = [w @ rows % q for w in weights]
+    units = _reducing_units(form, dets)
+    al, be, ga, de = units.T
+    columns = ((al, ga, al, ga), (al, ga, be, de), (be, de, be, de))
+    images = [_bilinear_weights(*uv, q) @ rows % q for uv in columns]
     idx = np.arange(length, dtype=np.int64)
-    deg_a, deg_b, deg_c = (np.where(m != 0, idx, -1).max(axis=1) for m in images)
-    ok = (deg_b < deg_a) & (deg_a <= deg_c)
-    return (
-        units[ok],
-        [m[ok] for m in images],
-        [deg_a[ok], deg_b[ok], deg_c[ok]],
-    )
+    degrees = [np.where(m != 0, idx, -1).max(axis=1) for m in images]
+    return units, images, degrees
 
 
 # -- equivalence ----------------------------------------------------------

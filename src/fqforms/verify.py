@@ -765,8 +765,8 @@ def cn1_survey(cfg):
 def comp_bridge_sweep(cfg):
     """Composition bridge |G_D| = 2 |Pic(B)| (deg D >= 1) for all square-free
     definite discriminants up to the configured degree, plus genus counts
-    2^r for the square-free tables and, at odd degree 2g+1, the Weil bound
-    (sqrt(q)-1)^(2g) <= |Pic O| <= (sqrt(q)+1)^(2g)."""
+    2^r for the square-free tables and, at degree 2g+1 or 2g+2, the Weil
+    bound (sqrt(q)-1)^(2g) <= h <= (sqrt(q)+1)^(2g), where |Pic O| = h or 2h."""
     F = prime_field(cfg.q)
     violations = []
     instances = 0
@@ -776,14 +776,15 @@ def comp_bridge_sweep(cfg):
             continue
         instances += 1
         report = comp_sequence_check(disc)
-        if disc.degree % 2:
-            lo, hi = weil_interval(cfg.q, disc.degree // 2)
-            if not lo <= report.pic_order <= hi:
+        if disc.degree >= 1:
+            lo, hi = weil_interval(cfg.q, (disc.degree - 1) // 2)
+            h = report.pic_order // (2 - disc.degree % 2)
+            if not lo <= h <= hi:
                 violations.append(
                     Violation(
                         "comp",
                         {"disc": str(disc)},
-                        observed={"pic_order": report.pic_order},
+                        observed={"pic_order": report.pic_order, "h": h},
                         expected={"weil_interval": [lo, hi]},
                     )
                 )

@@ -15,11 +15,9 @@ from fqforms.classify import (
     proper_class_count,
     rescale_to_canonical_disc,
 )
-from fqforms.errors import BudgetError
 from fqforms.ffpoly import poly_from_string, prime_field
 from fqforms.qform import (
     Form,
-    _unit_actions,
     equivalent,
     properly_equivalent,
     successive_minima,
@@ -221,13 +219,3 @@ def test_remark_form_string_parse():
         poly_from_string(F13, "4"),
         poly_from_string(F13, "12*t^2+8*t+2"),
     )
-
-
-def test_unit_actions_budget():
-    # the grid holds 4 q^4 entries: 3.5e8 at q = 97, 1.02e8 at q = 71, over
-    # the default budget of 1e8; q = 67 (8.1e7) would still pass the check
-    for q in (71, 97, 101):
-        with pytest.raises(BudgetError):
-            _unit_actions(q, (1, -1))
-    units, *_ = _unit_actions(3, (1, -1))
-    assert len(units) == 2 * 24  # |SL_2(F_3)| = 24 per determinant

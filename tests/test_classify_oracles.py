@@ -4,8 +4,9 @@
   over every pair (a, b) with a of any leading coefficient;
 - the assigned-character Jordan data at places with v_p(D) = 1 against the
   p-adic Jordan diagonalization;
-- `class_table` (one orbit pass, places factored once) against two orbit
-  passes, for det +-1 and det 1, with genera from Jordan data only.
+- `class_table` (one orbit pass of closed-form units, places factored
+  once) against two orbit passes over every U in GL_2(F_q), for det +-1
+  and det 1, with genera from Jordan data only.
 """
 
 import numpy as np
@@ -26,7 +27,8 @@ from fqforms.localgenus import (
     hasse_invariant,
     jordan_invariants,
 )
-from fqforms.qform import Form, _unit_actions
+from fqforms.qform import Form
+from tests.test_qform import scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
 TABLE_CASES = [(3, 4), (5, 3), (7, 2)]
@@ -58,19 +60,11 @@ def jordan_genus_symbol(form):
 
 
 def orbit_keys(form, q, dets):
-    """Keys of the reduced images of `form` under det in `dets`."""
-    rows = np.array(
-        [[p[i] for i in range(form.gram[1][1].degree + 1)]
-         for p in form.binary_coeffs()],
-        dtype=np.int64,
-    )
-    _, w_a, w_b, w_c = _unit_actions(q, dets)
-    images = [w @ rows % q for w in (w_a, w_b, w_c)]
-    idx = np.arange(rows.shape[1])
-    deg_a, deg_b, deg_c = (np.where(m != 0, idx, -1).max(axis=1) for m in images)
-    ok = (deg_b < deg_a) & (deg_a <= deg_c)
-    powers = q ** np.arange(rows.shape[1], dtype=np.int64)
-    keys = np.stack([m[ok] @ powers for m in images], axis=1)
+    """Keys of the reduced images of `form` under det in `dets`, by the
+    full scan over GL_2(F_q)."""
+    _, images, _ = scanned_reduced_images(form, dets)
+    powers = q ** np.arange(images[0].shape[1], dtype=np.int64)
+    keys = np.stack([m @ powers for m in images], axis=1)
     return {tuple(row) for row in keys.tolist()}
 
 

@@ -124,13 +124,21 @@ def test_picard_conductor_genus_three(capsys):
 def test_budget_errors_exit_two(capsys):
     # a literal of degree 1e8 would allocate 1e8 coefficients
     assert main(["picard", "--q", "5", "--d0", "t^100000000"]) == 2
-    # q^4 constant transformations exceed the budget at q = 101
-    assert main(["classify", "--q", "101", "--disc", "t"]) == 2
     assert "budget" in capsys.readouterr().err
     # genus 10 would scan the 13^10 monic polynomials of degree 10
     code = main(["picard", "--q", "13", "--d0", "t^21+t+3", "--conductor", "1"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_classify_large_q(capsys):
+    # closed-form units: (u, 0, -t/u) splits by the square class of u
+    code, out = run_cli(capsys, "classify", "--q", "101", "--disc", "t")
+    assert code == 0
+    table = json.loads(out)
+    assert len(table["forms"]) == 100
+    assert len(table["classes"]) == 2
+    assert len(table["proper_classes"]) == 2
 
 
 def test_verify_exit_codes_and_tsv(capsys):
@@ -175,6 +183,13 @@ def test_delta_override(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["disc"] == "3"
+
+
+def test_verify_refuses_delta():
+    # sweeps always use the default non-square, so the flag is not offered
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "minima", "--q", "5", "--delta", "3"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("q,delta", [("5", "0"), ("5", "4"), ("5", "7"), ("9", None)])

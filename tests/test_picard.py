@@ -5,7 +5,7 @@ import pytest
 import fqforms.picard
 from fqforms.classify import canonical_discs
 from fqforms.errors import BudgetError, CapabilityError
-from fqforms.ffpoly import prime_field, squarefree_decompose
+from fqforms.ffpoly import is_irreducible, prime_field, residue_char, squarefree_decompose
 from fqforms.picard import (
     AbelianStructure,
     MumfordDivisor,
@@ -150,6 +150,8 @@ def test_curve_validation():
             count(t * t)  # even degree
         with pytest.raises(ValueError):
             count(t * t * (t + 1))  # not square-free
+        with pytest.raises(ValueError):
+            count(t * t + 1)  # even degree, square leading coefficient
     with pytest.raises(CapabilityError):
         pic_group(F5.poly_from_key(5**7) + 1)  # degree 7, genus 3
 
@@ -251,6 +253,80 @@ def test_pic_order_genus_three_matches_divisor_count():
         assert pic_order(d0) == len(enumerate_reduced_divisors(d0)), str(d0)
 
 
+def odd_degree_pic_order(d0):
+    """|Pic| at odd degree 2g+1 as the number of reduced divisors, sum N(u)
+    over monic u of degree <= g: the product over places p of degree <= g
+    of (1+x)/(1-x), 1 or 1+x (x = T^deg p) as D0 is a square, a non-square
+    or zero mod p, truncated at T^g."""
+    genus = (d0.degree - 1) // 2
+    F = d0.field
+    series = [1] + [0] * genus
+    for d in range(1, genus + 1):
+        size = F.q**d
+        for low in range(size):
+            p = F.poly_from_key(low + size)
+            if not is_irreducible(p):
+                continue
+            sym = residue_char(d0, p)
+            if sym == -1:
+                continue
+            if sym == 1:  # 1/(1-x), ascending
+                for n in range(d, genus + 1):
+                    series[n] += series[n - d]
+            for n in range(genus, d - 1, -1):  # (1+x), descending
+                series[n] += series[n - d]
+    return sum(series)
+
+
+def definite_curves(F, deg):
+    """The square-free curves of `deg` with a non-square leading coefficient."""
+    return [d0 for d0 in squarefree_curves(F, deg) if not F.is_square(d0.lc())]
+
+
+@pytest.mark.parametrize("q,deg,count", [(3, 7, 300), (5, 5, 40), (7, 5, 40), (3, 9, 30)])
+def test_pic_order_matches_odd_degree_divisor_count(q, deg, count):
+    for d0 in sampled_curves(prime_field(q), deg, count, seed=800 + q):
+        assert pic_order(d0) == odd_degree_pic_order(d0), str(d0)
+
+
+@pytest.mark.parametrize("q,total", [(5, 1000), (7, 6174)])
+def test_pic_order_even_genus_one_matches_point_count(q, total):
+    # inert infinity: |Pic O| = 2 h, and at genus 1 h is the number of
+    # rational points of the curve, all affine, as infinity is not rational
+    curves = definite_curves(prime_field(q), 4)
+    assert len(curves) == total
+    for d0 in curves:
+        assert pic_order(d0) == 2 * affine_point_count(d0), str(d0)
+
+
+def test_pic_order_degree_two():
+    # genus 0 with inert infinity: |Pic O| = 2
+    for d0 in definite_curves(F5, 2):
+        assert pic_order(d0) == 2
+
+
+def test_comp_sweep_even_genus():
+    # deg D = 4 is genus 1 with inert infinity: the proper class counts
+    # check 2 |Pic O| = 4 h, and h against the Weil interval
+    report = run_check("comp", SweepConfig(q=3, max_disc_degree=4))
+    assert report.passed, report.violations[:3]
+    # the constant discriminant and the square-free ones of degree 1..4
+    assert report.instances_checked == 103
+
+
+def test_comp_sequence_even_degree_conductor():
+    # |Pic B| from the conductor sequence over a genus-1 and a genus-2 D0
+    # with inert infinity, against the proper classes of f^2 D0
+    F3 = prime_field(3)
+    t = F3.t
+    for d0 in definite_curves(F3, 4)[:6] + definite_curves(F3, 6)[:2]:
+        for f in (t, t + 1, t * t + 1):
+            if (d0 * f * f).degree > 8:
+                continue
+            report = comp_sequence_check(d0 * f * f)
+            assert report.passed, (str(d0), str(f))
+
+
 def test_pic_order_budget():
     t = F13.t
     # genus 10: the scan would visit the 13^10 monic polynomials of degree 10
@@ -289,12 +365,12 @@ def test_comp_sweep_flags_order_outside_weil_interval(monkeypatch):
     monkeypatch.setattr(fqforms.picard, "pic_order", lambda d0: 10 * true_order(d0))
     report = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     weil = [v for v in report.violations if "weil_interval" in str(v.expected)]
-    # 10 |Pic O| is above (sqrt(3) + 1)^(2g) for g = 0 and 1
-    odd = [
+    # 10 h is above (sqrt(3) + 1)^(2g) for g = 0 and 1, at odd and even degree
+    squarefree = [
         d
         for d in canonical_discs(prime_field(3), 3)
-        if d.degree % 2 and squarefree_decompose(d)[1].degree == 0
+        if d.degree >= 1 and squarefree_decompose(d)[1].degree == 0
     ]
-    assert [v.witness["disc"] for v in weil] == [str(d) for d in odd]
+    assert [v.witness["disc"] for v in weil] == [str(d) for d in squarefree]
     for v in weil:
-        assert v.observed["pic_order"] > v.expected["weil_interval"][1]
+        assert v.observed["h"] > v.expected["weil_interval"][1]

@@ -1,16 +1,18 @@
+import functools
 import random
 
 import numpy as np
 import pytest
 
+from fqforms.classify import canonical_discs, enumerate_forms
 from fqforms.errors import CapabilityError
 from fqforms.ffpoly import SquareClass, poly_from_string, prime_field
 from fqforms.qform import (
     Form,
     Transformation,
+    _bilinear_weights,
     _constant_witnesses_binary,
     _poly_rows,
-    _unit_actions,
     diagonal_square_classes,
     equivalent,
     form_from_string,
@@ -312,6 +314,68 @@ def test_equivalence_brute_force_cross_check():
         checked += 1
 
 
+@functools.cache
+def unit_scan(q, dets):
+    """Every U over F_q with det U in `dets`, as rows (alpha, beta, gamma,
+    delta) in lexicographic order, and the weights w_a, w_b, w_c that carry
+    stacked (a, b, c) coefficient rows to a', b', c': the full q^4 scan that
+    the closed-form units of `reduced_images` replace."""
+    grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
+    al, be, ga, de = grid.T
+    keep = np.isin((al * de - be * ga) % q, [d % q for d in dets])
+    al, be, ga, de = grid[keep].T
+    return (
+        grid[keep],
+        _bilinear_weights(al, ga, al, ga, q),
+        _bilinear_weights(al, ga, be, de, q),
+        _bilinear_weights(be, de, be, de, q),
+    )
+
+
+def scanned_reduced_images(form, dets):
+    """`reduced_images` by the full scan: every image, kept when reduced."""
+    q = form.field.q
+    coeffs = form.binary_coeffs()
+    length = max(len(p.coeffs) for p in coeffs)
+    rows = _poly_rows(coeffs, length)
+    units, *weights = unit_scan(q, dets)
+    images = [w @ rows % q for w in weights]
+    idx = np.arange(length)
+    deg_a, deg_b, deg_c = (np.where(m != 0, idx, -1).max(axis=1) for m in images)
+    ok = (deg_b < deg_a) & (deg_a <= deg_c)
+    return units[ok], [m[ok] for m in images], [deg_a[ok], deg_b[ok], deg_c[ok]]
+
+
+def assert_images_match_scan(form, q):
+    for dets in ((1, -1), tuple(range(1, q))):
+        units, images, degrees = reduced_images(form, dets)
+        want_units, want_images, want_degrees = scanned_reduced_images(form, dets)
+        assert np.array_equal(units, want_units), (str(form), dets)
+        for got, want in zip(images + degrees, want_images + want_degrees):
+            assert np.array_equal(got, want), (str(form), dets)
+
+
+@pytest.mark.parametrize("q,deg", [(3, 4), (5, 3), (7, 2)])
+def test_reducing_units_match_full_scan_exhaustive(q, deg):
+    # every form of every canonical discriminant, primitive or not
+    F = prime_field(q)
+    for d in canonical_discs(F, deg):
+        for form in enumerate_forms(F, d):
+            assert_images_match_scan(form, q)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_reducing_units_match_full_scan_sampled(q):
+    F = prime_field(q)
+    rng = random.Random(600 + q)
+    forms = [rand_definite_reduced(F, rng) for _ in range(200)]
+    # both shapes: diagonal units (deg a < deg c) and orthogonal columns
+    assert any(f.gram[0][0].degree == f.gram[1][1].degree for f in forms)
+    assert any(f.gram[0][0].degree < f.gram[1][1].degree for f in forms)
+    for form in forms:
+        assert_images_match_scan(form, q)
+
+
 def _padded_degree(p):
     return max(p.degree, -1)
 
@@ -321,7 +385,7 @@ def test_constant_images_match_transformation(q):
     # the shared GL_2(F_q) kernel against the Gram-matrix product U^t M U
     F = prime_field(q)
     rng = random.Random(q)
-    units, *weights = _unit_actions(q, tuple(range(1, q)))
+    units, *weights = unit_scan(q, tuple(range(1, q)))
     index = {tuple(row): i for i, row in enumerate(units.tolist())}
     for _ in range(8):
         form = rand_definite_reduced(F, rng)
@@ -353,7 +417,7 @@ def test_constant_witnesses_match_unit_scan(q):
     # weights the test above checks against Transformation.apply
     F = prime_field(q)
     rng = random.Random(100 + q)
-    units, *weights = _unit_actions(q, tuple(range(1, q)))
+    units, *weights = unit_scan(q, tuple(range(1, q)))
     for _ in range(4):
         r1 = rand_definite_reduced(F, rng, max_mu2=2)
         u = units[rng.randrange(len(units))].tolist()
