@@ -12,6 +12,19 @@ a sorted numpy array.  Key order is degree-compatible (every key of a
 degree-d polynomial is smaller than every key of degree d+1), so the
 ascending key order is the canonical degree-lexicographic order and
 restricting to a smaller degree bound is a prefix slice.
+
+The grid holds the values of the binary part a x^2 + 2 b x y + c y^2 of
+the first two coordinates as coefficient planes: plane i is the (Nx, Ny)
+array of coefficients of t^i, reduced mod q, in the narrowest unsigned
+type that holds 3 (q - 1).  Each plane is built by one small integer
+product, so no (Nx, Ny, length) int64 block is ever allocated.  Keys are
+folded from the planes one plane at a time (Horner's rule into int64),
+never by a tensor contraction, which would upcast the whole block.
+
+Deduplication follows the key range: when q^(k+1) is at most 4 times the
+number of grid vectors, each tail's keys are marked in a boolean array of
+length q^(k+1) and read back in ascending order; otherwise, and whenever
+representation numbers are wanted, the keys go through `np.unique`.
 """
 
 from __future__ import annotations
@@ -61,8 +74,9 @@ def _fit(arr, length):
     """Zero-pad or cut the last axis to `length`; only zero entries are cut."""
     if arr.shape[-1] >= length:
         return arr[..., :length]
-    widths = [(0, 0)] * (arr.ndim - 1) + [(0, length - arr.shape[-1])]
-    return np.pad(arr, widths)
+    out = np.zeros(arr.shape[:-1] + (length,), dtype=arr.dtype)
+    out[..., : arr.shape[-1]] = arr
+    return out
 
 
 def _value_length(gram, bounds):
@@ -80,28 +94,17 @@ def _value_length(gram, bounds):
     )
 
 
-def _cross_grid(x_rows, y_rows, coeffs, q):
-    """conv(2b, x*y) for every pair of rows: shape (Nx, Ny, L)."""
-    nx, cx = x_rows.shape
-    ny, cy = y_rows.shape
-    if not coeffs or cx == 0 or cy == 0:
-        return np.zeros((nx, ny, 1), dtype=np.int64)
-    prod = np.zeros((nx, ny, cx + cy - 1), dtype=np.int64)
-    for r in range(cx):
-        prod[:, :, r : r + cy] += x_rows[:, r, None, None] * y_rows[None, :, :]
-    prod %= q
-    out = np.zeros((nx, ny, cx + cy - 1 + len(coeffs) - 1), dtype=np.int64)
-    for i, a in enumerate(coeffs):
-        if a:
-            out[:, :, i : i + cx + cy - 1] += a * prod
-    return out % q
-
-
 class _Grid:
     """Value keys of a reduced form over the coordinate grid, rank 2..4.
 
     Coordinates 3 and 4 are looped over ("tails"), coordinates 1 and 2 are
     vectorized, so chunks stay small even for large grids.
+
+    The values of the binary part a x^2 + 2 b x y + c y^2 are held in
+    `base` as coefficient planes: plane i, of shape (Nx, Ny), holds the
+    coefficient of t^i, reduced mod q, in the narrowest unsigned type that
+    holds 3 (q - 1) (uint8 for q <= 86).  A plane plus a tail's x-part and
+    y-part, each reduced mod q, stays within that type.
     """
 
     def __init__(self, red, bounds, budget=DEFAULT_BUDGET):
@@ -116,26 +119,46 @@ class _Grid:
                 f"(budget {budget})"
             )
         length = _value_length(red.gram, bounds)
-        self.powers = key_powers(q, length)
+        key_powers(q, length)  # refuses key lengths that would wrap int64
         self.red = red
         self.q = q
         self.bounds = bounds
+        self.vectors = total
+        self.length = length
+        self.dtype = np.min_scalar_type(3 * (q - 1))
         self.x_rows = _coeff_rows(q, counts[0])
         self.y_rows = _coeff_rows(q, counts[1])
         self.tail_sizes = [q**c for c in counts[2:]]
-        g = red.gram
-        two = 2 % q
-        base = _cross_grid(
-            self.x_rows, self.y_rows, tuple(c * two % q for c in g[0][1].coeffs), q
-        )
-        ax = _conv(_batch_square(self.x_rows, q), g[0][0].coeffs, q)
-        cy = _conv(_batch_square(self.y_rows, q), g[1][1].coeffs, q)
-        self.length = length
-        self.base = (
-            _fit(base, length)
-            + _fit(ax, length)[:, None, :]
-            + _fit(cy, length)[None, :, :]
-        ) % q
+        self.base = self._planes()
+
+    def _planes(self):
+        """The (length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2.
+
+        Plane i is one integer product, [x, (a x^2)_i, 1] @ [W_i; 1; (c y^2)_i]
+        with W_i[r] = (2 b y)_(i-r), so no (Nx, Ny, length) block of int64 is
+        ever allocated.
+        """
+        g = self.red.gram
+        q, length = self.q, self.length
+        x, y = self.x_rows, self.y_rows
+        cx = x.shape[1]
+        two_b = tuple(c * 2 % q for c in g[0][1].coeffs)
+        # by[:, cx + m] = (2 b y)_m; the cx zero columns in front stand for m < 0
+        by = np.zeros((len(y), cx + length), dtype=np.int64)
+        by[:, cx:] = _fit(_conv(y, two_b, q), length)
+        shift = cx + np.arange(length)[:, None] - np.arange(cx)[None, :]
+        left = np.ones((length, len(x), cx + 2), dtype=np.int64)
+        left[:, :, :cx] = x
+        left[:, :, cx] = _fit(_conv(_batch_square(x, q), g[0][0].coeffs, q), length).T
+        right = np.ones((length, cx + 2, len(y)), dtype=np.int64)
+        right[:, :cx] = by[:, shift].transpose(1, 2, 0)
+        right[:, cx + 1] = _fit(
+            _conv(_batch_square(y, q), g[1][1].coeffs, q), length
+        ).T
+        base = np.empty((length, len(x), len(y)), dtype=self.dtype)
+        for i in range(length):
+            np.remainder(left[i] @ right[i], q, out=base[i], casting="unsafe")
+        return base
 
     def tails(self):
         """All tail coordinate keys, () for binary forms."""
@@ -149,34 +172,59 @@ class _Grid:
             for k4 in range(self.tail_sizes[1])
         ]
 
-    def keys_for_tail(self, tail):
-        """(Nx, Ny) matrix of value keys with coordinates 3.. fixed to `tail`."""
+    def _tail_parts(self, tail):
+        """(length, Nx) and (length, Ny) planes, reduced mod q, of the terms
+        a tail adds: 2 x sum_j g_1j z_j + sum_ij g_ij z_i z_j and
+        2 y sum_j g_2j z_j, over the tail coordinates z_3 (, z_4)."""
         F = self.red.field
         q = self.q
-        if not tail:
-            vals = self.base
-        else:
-            g = self.red.gram
-            tail_polys = [F.poly_from_key(k) for k in tail]
-            lin_x = F.zero
-            lin_y = F.zero
-            const = F.zero
-            for idx, z in enumerate(tail_polys, start=2):
-                lin_x = lin_x + 2 * g[0][idx] * z
-                lin_y = lin_y + 2 * g[1][idx] * z
-                const = const + g[idx][idx] * z * z
-            if len(tail_polys) == 2:
-                const = const + 2 * g[2][3] * tail_polys[0] * tail_polys[1]
-            vals = (
-                self.base
-                + _fit(_conv(self.x_rows, lin_x.coeffs, q), self.length)[:, None, :]
-                + _fit(_conv(self.y_rows, lin_y.coeffs, q), self.length)[None, :, :]
-            )
-            cvec = np.zeros(self.length, dtype=np.int64)
-            for i, c in enumerate(const.coeffs):
-                cvec[i] = c
-            vals = (vals + cvec) % q
-        return vals @ self.powers
+        g = self.red.gram
+        zs = [F.poly_from_key(k) for k in tail]
+        lin_x = lin_y = const = F.zero
+        for idx, z in enumerate(zs, start=2):
+            lin_x = lin_x + 2 * g[0][idx] * z
+            lin_y = lin_y + 2 * g[1][idx] * z
+            const = const + g[idx][idx] * z * z
+        if len(zs) == 2:
+            const = const + 2 * g[2][3] * zs[0] * zs[1]
+        cvec = _fit(np.array([const.coeffs or (0,)], dtype=np.int64), self.length)
+        xpart = (_fit(_conv(self.x_rows, lin_x.coeffs, q), self.length) + cvec) % q
+        ypart = _fit(_conv(self.y_rows, lin_y.coeffs, q), self.length)
+        return (
+            np.ascontiguousarray(xpart.T, dtype=self.dtype),
+            np.ascontiguousarray(ypart.T, dtype=self.dtype),
+        )
+
+    def keys_for_tail(self, tail):
+        """(Nx, Ny) matrix of value keys with coordinates 3.. fixed to `tail`.
+
+        For each plane i, from the top down, the tail's x-part and y-part
+        are added to base[i] and reduced mod q in the narrow plane type,
+        then folded into the int64 keys by Horner's rule (keys * q + plane).
+        """
+        q = self.q
+        shape = self.base.shape[1:]
+        keys = np.zeros(shape, dtype=np.int64)
+        if tail:
+            xpart, ypart = self._tail_parts(tail)
+            plane = np.empty(shape, dtype=self.dtype)
+            wrapped = np.empty(shape, dtype=self.dtype)
+            narrow_q = self.dtype.type(q)
+        for i in reversed(range(self.length)):
+            if tail:
+                np.add(self.base[i], xpart[i][:, None], out=plane)
+                plane += ypart[i]
+                # plane < 3 q: in unsigned arithmetic plane - q wraps above
+                # plane where plane < q, so min(plane, plane - q) takes q
+                # off each entry >= q; twice gives plane mod q
+                for _ in range(2):
+                    np.subtract(plane, narrow_q, out=wrapped)
+                    np.minimum(plane, wrapped, out=plane)
+            else:
+                plane = self.base[i]
+            keys *= q
+            keys += plane
+        return keys
 
 
 class RepSet:
@@ -235,7 +283,11 @@ def _definite_reduction(form):
 
 
 def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
-    """Exact V_k(Q), enumerated on the reduced representative of Q."""
+    """Exact V_k(Q), enumerated on the reduced representative of Q.
+
+    Without counts, a key range q^(k+1) of at most 4 grid vectors per key
+    is deduplicated in a bitset; the result equals `np.unique`'s.
+    """
     red, _ = _definite_reduction(form)
     F = form.field
     if k < 0:
@@ -244,6 +296,12 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
     minima = tuple(red.gram[i][i].degree for i in range(red.n))
     grid = _Grid(red, coordinate_degree_bounds(minima, k, slack), budget)
     limit = F.q ** (k + 1)
+    if not with_counts and limit <= 4 * grid.vectors:
+        seen = np.zeros(limit, dtype=bool)
+        for tail in grid.tails():
+            keys = grid.keys_for_tail(tail).ravel()
+            seen[keys[keys < limit]] = True
+        return RepSet(F, k, np.flatnonzero(seen))
     chunks = []
     for tail in grid.tails():
         keys = grid.keys_for_tail(tail).ravel()

@@ -35,7 +35,11 @@ from .classify import (
     irreducible_factor_count,
 )
 from .ffpoly import SquareClass, prime_field, squarefree_decompose
-from .localgenus import LocalRepDecider, represented_at_infinity
+from .localgenus import (
+    LocalRepDecider,
+    represented_at_infinity,
+    square_class_at_infinity,
+)
 from .picard import comp_sequence_check, weil_interval
 from .qform import (
     Form,
@@ -670,12 +674,17 @@ def ternary_family_check(cfg, window=6):
         other = t + F.poly((F.mul(a, a),))
         decider_other = LocalRepDecider(forms[a], other)
         member_keys = set(sets[a].restrict(lower).keys.tolist())
+        # at most five square classes at infinity: decide each once
+        at_infinity_by_class = {}
         for key in range(F.q ** (lower + 1)):
             f = F.poly_from_key(key)
             instances += 1
             in_global = key in member_keys
             in_local_t = decider_t(f)
-            at_infinity = represented_at_infinity(forms[a], f)
+            cls = square_class_at_infinity(f)
+            if cls not in at_infinity_by_class:
+                at_infinity_by_class[cls] = represented_at_infinity(forms[a], f)
+            at_infinity = at_infinity_by_class[cls]
             if in_global != (in_local_t and at_infinity):
                 violations.append(
                     Violation(

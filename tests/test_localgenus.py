@@ -10,11 +10,13 @@ from fqforms.localgenus import (
     jordan_invariants,
     local_represents,
     local_represents_search,
+    represented_at_infinity,
     same_genus,
+    square_class_at_infinity,
 )
 from fqforms.qform import Form
 from tests.test_qform import rand_definite_reduced, rand_gl2
-from tests.test_repset import ternary_family_form
+from tests.test_repset import rand_symmetric_form, ternary_family_form
 
 F5 = prime_field(5)
 F13 = prime_field(13)
@@ -265,3 +267,44 @@ def test_is_irreducible_guard():
     with pytest.raises(ValueError):
         jordan_invariants(q, t * t)
     assert is_irreducible(t)
+
+
+def infinity_answers_by_class(form, max_deg):
+    """Square class at infinity -> the set of answers of
+    represented_at_infinity over every f of degree <= max_deg."""
+    F = form.field
+    answers = {}
+    for key in range(F.q ** (max_deg + 1)):
+        f = F.poly_from_key(key)
+        cls = square_class_at_infinity(f)
+        answers.setdefault(cls, set()).add(represented_at_infinity(form, f))
+    return answers
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_represented_at_infinity_constant_on_square_classes_family(q):
+    # exhaustive for deg f <= 4; family members with equal a^2 are one form
+    F = prime_field(q)
+    forms = {F.mul(a, a): ternary_family_form(F, a) for a in range(1, q)}
+    for form in forms.values():
+        answers = infinity_answers_by_class(form, 4)
+        assert len(answers) == 5  # f = 0 and (deg f mod 2, chi(lc f))
+        assert all(len(seen) == 1 for seen in answers.values()), answers
+        assert answers[None] == {True}
+        # the infinite place excludes a square class
+        assert {False} in answers.values()
+
+
+def test_represented_at_infinity_constant_on_square_classes_seeded():
+    # every f of degree <= 3 at q = 5 and <= 2 at q = 7
+    rng = random.Random(53)
+    for F, max_deg in ((F5, 3), (prime_field(7), 2)):
+        forms = [rand_definite_reduced(F, rng, max_mu2=3) for _ in range(3)]
+        while len(forms) < 6:
+            form = rand_symmetric_form(F, 3, rng, max_deg=rng.randrange(0, 3))
+            if form.is_definite():
+                forms.append(form)
+        for form in forms:
+            answers = infinity_answers_by_class(form, max_deg)
+            assert len(answers) == 5
+            assert all(len(seen) == 1 for seen in answers.values()), (form, answers)

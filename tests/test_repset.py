@@ -6,9 +6,10 @@ import pytest
 
 from fqforms.errors import BudgetError, CapabilityError
 from fqforms.ffpoly import SquareClass, prime_field
-from fqforms.qform import Form, successive_minima
+from fqforms.qform import Form, reduce, successive_minima
 from fqforms.repset import (
     _Grid,
+    _definite_reduction,
     coordinate_degree_bounds,
     distinguishing_degree,
     key_degree,
@@ -354,3 +355,219 @@ def test_low_degree_member_coprime_to_each_divisor():
                 if k
             )
         checked += 1
+
+
+# -- the int64 block formula the coefficient planes replace -----------------
+
+
+def block_coeff_rows(q, count):
+    if count <= 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    idx = np.arange(q**count, dtype=np.int64)
+    return (idx[:, None] // (q ** np.arange(count, dtype=np.int64))) % q
+
+
+def block_conv(rows, coeffs, q):
+    n, c = rows.shape
+    if not coeffs or c == 0:
+        return np.zeros((n, 1), dtype=np.int64)
+    out = np.zeros((n, c + len(coeffs) - 1), dtype=np.int64)
+    for i, a in enumerate(coeffs):
+        if a:
+            out[:, i : i + c] += a * rows
+    return out % q
+
+
+def block_square(rows, q):
+    n, c = rows.shape
+    if c == 0:
+        return np.zeros((n, 1), dtype=np.int64)
+    out = np.zeros((n, 2 * c - 1), dtype=np.int64)
+    for r in range(c):
+        out[:, r : r + c] += rows[:, r : r + 1] * rows
+    return out % q
+
+
+def block_fit(arr, length):
+    if arr.shape[-1] >= length:
+        return arr[..., :length]
+    widths = [(0, 0)] * (arr.ndim - 1) + [(0, length - arr.shape[-1])]
+    return np.pad(arr, widths)
+
+
+def block_cross(x_rows, y_rows, coeffs, q):
+    nx, cx = x_rows.shape
+    ny, cy = y_rows.shape
+    if not coeffs or cx == 0 or cy == 0:
+        return np.zeros((nx, ny, 1), dtype=np.int64)
+    prod = np.zeros((nx, ny, cx + cy - 1), dtype=np.int64)
+    for r in range(cx):
+        prod[:, :, r : r + cy] += x_rows[:, r, None, None] * y_rows[None, :, :]
+    prod %= q
+    out = np.zeros((nx, ny, cx + cy - 1 + len(coeffs) - 1), dtype=np.int64)
+    for i, a in enumerate(coeffs):
+        if a:
+            out[:, :, i : i + cx + cy - 1] += a * prod
+    return out % q
+
+
+def block_keys(form, bounds, length, tail):
+    """Value keys by the int64 formula (base + X + Y + c) % q @ powers, with
+    base the whole (Nx, Ny, length) block of a x^2 + 2 b x y + c y^2."""
+    F = form.field
+    q = F.q
+    g = form.gram
+    x_rows = block_coeff_rows(q, bounds[0] + 1)
+    y_rows = block_coeff_rows(q, bounds[1] + 1)
+    two = 2 % q
+    base = (
+        block_fit(
+            block_cross(x_rows, y_rows, tuple(c * two % q for c in g[0][1].coeffs), q),
+            length,
+        )
+        + block_fit(block_conv(block_square(x_rows, q), g[0][0].coeffs, q), length)[
+            :, None, :
+        ]
+        + block_fit(block_conv(block_square(y_rows, q), g[1][1].coeffs, q), length)[
+            None, :, :
+        ]
+    ) % q
+    powers = q ** np.arange(length, dtype=np.int64)
+    if not tail:
+        return base @ powers
+    zs = [F.poly_from_key(k) for k in tail]
+    lin_x = lin_y = const = F.zero
+    for idx, z in enumerate(zs, start=2):
+        lin_x = lin_x + 2 * g[0][idx] * z
+        lin_y = lin_y + 2 * g[1][idx] * z
+        const = const + g[idx][idx] * z * z
+    if len(zs) == 2:
+        const = const + 2 * g[2][3] * zs[0] * zs[1]
+    vals = (
+        base
+        + block_fit(block_conv(x_rows, lin_x.coeffs, q), length)[:, None, :]
+        + block_fit(block_conv(y_rows, lin_y.coeffs, q), length)[None, :, :]
+    )
+    cvec = np.zeros(length, dtype=np.int64)
+    for i, c in enumerate(const.coeffs):
+        cvec[i] = c
+    return (vals + cvec) % q @ powers
+
+
+def rand_symmetric_form(field, n, rng, max_deg=1):
+    """A random nondegenerate symmetric Gram matrix with every entry of
+    degree <= max_deg nonzero, so every cross term is present."""
+    while True:
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                coeffs = [rng.randrange(field.q) for _ in range(max_deg)]
+                entry = field.poly(coeffs + [rng.randrange(1, field.q)])
+                gram[i][j] = gram[j][i] = entry
+        try:
+            return Form(gram)
+        except ValueError:
+            continue
+
+
+def grid_keys_match_block(form, bounds):
+    grid = _Grid(form, bounds, budget=float("inf"))
+    for tail in grid.tails():
+        got = grid.keys_for_tail(tail)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, block_keys(form, bounds, grid.length, tail)), (
+            form,
+            bounds,
+            tail,
+        )
+    return grid
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_planes_match_int64_block(q, n):
+    # non-diagonal forms: lin_x, lin_y and the two-tail term 2 g23 z3 z4 are
+    # all nonzero; bounds of -1 leave a coordinate out of the grid
+    F = prime_field(q)
+    rng = random.Random(100 * q + n)
+    choices = {2: [(1, 1), (2, 0), (1, -1), (-1, 1)],
+               3: [(1, 0, 1), (0, 1, 0), (-1, 0, 1), (1, -1, 0)],
+               4: [(0, 0, 1, 0), (1, 0, 0, 0), (0, -1, 0, 1), (0, 0, -1, 0)]}
+    max_vectors = 20_000
+    for bounds in choices[n]:
+        if q ** sum(b + 1 for b in bounds) > max_vectors:
+            continue
+        for _ in range(2):
+            form = rand_symmetric_form(F, n, rng, max_deg=rng.randrange(0, 3))
+            grid = grid_keys_match_block(form, bounds)
+            assert grid.base.dtype == np.uint8
+            assert grid.base.shape == (grid.length, len(grid.x_rows), len(grid.y_rows))
+
+
+def test_planes_match_int64_block_q101():
+    # 3 (q - 1) = 300 needs uint16 planes
+    F = prime_field(101)
+    rng = random.Random(101)
+    form = rand_symmetric_form(F, 3, rng, max_deg=2)
+    grid = grid_keys_match_block(form, (0, 0, 0))
+    assert grid.base.dtype == np.uint16
+    assert grid.length == 3
+
+
+def test_planes_match_int64_block_reduced_family():
+    # the reduced ternary family the ternary sweep enumerates, at its bounds
+    for a in (1, 2):
+        red, _ = reduce(ternary_family_form(F5, a))
+        mins = tuple(red.gram[i][i].degree for i in range(3))
+        grid_keys_match_block(red, coordinate_degree_bounds(mins, 4))
+
+
+def unique_keys(form, k, slack=0):
+    """V_k keys by np.unique over every grid key below q^(k+1)."""
+    red, _ = _definite_reduction(form)
+    mins = tuple(red.gram[i][i].degree for i in range(red.n))
+    grid = _Grid(red, coordinate_degree_bounds(mins, k, slack))
+    keys = np.concatenate([grid.keys_for_tail(t).ravel() for t in grid.tails()])
+    limit = form.field.q ** (k + 1)
+    return np.unique(keys[keys < limit]), limit, grid.vectors
+
+
+def test_bitset_dedupe_matches_unique_both_sides_of_threshold():
+    # the bitset serves key ranges of at most 4 x the grid's vectors; the
+    # same keys and dtype must come back on both sides of that threshold
+    rng = random.Random(47)
+    sides = set()
+    cases = [(rand_definite_reduced(F5, rng, max_mu2=4), rng.randrange(0, 7), 0)
+             for _ in range(40)]
+    cases += [(ternary_family_form(F5, a), k, s) for a in (1, 2) for k, s in
+              ((2, 0), (3, 1), (4, 0))]
+    for form, k, slack in cases:
+        want, limit, vectors = unique_keys(form, k, slack)
+        sides.add(limit <= 4 * vectors)
+        got = repset_upto(form, k, slack=slack, budget=10**9)
+        assert got.keys.dtype == want.dtype
+        assert np.array_equal(got.keys, want)
+        counted = repset_upto(form, k, slack=slack, budget=10**9, with_counts=True)
+        assert np.array_equal(counted.keys, want)
+        assert sorted(counted.counts) == want.tolist()
+    assert sides == {True, False}
+
+
+def naive_rep_numbers(form, coord_bounds):
+    F = form.field
+    counts = {}
+    for keys in itertools.product(*[range(F.q ** (b + 1)) for b in coord_bounds]):
+        val = form.value([F.poly_from_key(key) for key in keys])
+        counts[val] = counts.get(val, 0) + 1
+    return counts
+
+
+def test_rep_numbers_match_naive_counts():
+    rng = random.Random(49)
+    for _ in range(8):
+        form = rand_definite_reduced(F5, rng, max_mu2=3)
+        k = rng.randrange(0, 5)
+        bounds = coordinate_degree_bounds(successive_minima(form), k)
+        naive = naive_rep_numbers(form, bounds)
+        want = {f: n for f, n in naive.items() if f.is_zero() or f.degree <= k}
+        assert rep_numbers(form, k) == want

@@ -103,6 +103,27 @@ def test_ternary_family_small_window():
     assert r.stats["local_at_t_only_mismatches"] > 0
 
 
+def test_ternary_family_decides_infinity_once_per_square_class(monkeypatch):
+    # each form meets f = 0 and the four classes (deg f mod 2, chi(lc f)):
+    # at most five calls per form, the report unchanged
+    import fqforms.verify as verify_module
+
+    calls = {}
+    decide = verify_module.represented_at_infinity
+
+    def counted(form, f):
+        calls[id(form)] = calls.get(id(form), 0) + 1
+        return decide(form, f)
+
+    monkeypatch.setattr(verify_module, "represented_at_infinity", counted)
+    r = ternary_family_check(small_cfg(q=5))
+    assert r.passed
+    assert r.stats["mismatches_not_explained_by_infinity"] == 0
+    assert len(calls) == 4
+    assert all(n <= 5 for n in calls.values()), calls
+    assert sum(calls.values()) == 20
+
+
 def test_cn1_survey_q13_mode():
     r = run_check("cn1", SweepConfig(q=13, samples=3, seed=1))
     assert r.passed
