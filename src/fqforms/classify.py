@@ -5,6 +5,12 @@ deg a <= deg D / 2 and deg b < deg a, so the forms of discriminant
 exactly D come from a finite enumeration with c = (b^2 - D)/a.  The
 congruence b^2 = D (mod a) depends only on the ideal (a), so it is solved
 once per monic a and each solution is scaled by the q - 1 units.
+`ffpoly.square_roots_mod` solves it by a sieve: square roots of D at each
+place of degree <= deg a, lifted to prime powers and combined by CRT over
+the factorization of a.  Enumerated forms have b^2 - ac = D != 0 by
+construction, so they skip the checks of `Form.__init__`; and as a
+content g of a form has g^2 | D, only a D with a square factor needs the
+primitivity filter.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
@@ -14,7 +20,9 @@ deg a < deg c, else 2(q^2 - 1).  One orbit pass per class gives both
 partitions: the images reached by a determinant-1 U form the proper
 class of the seed.  Genera
 group classes by their local data (Jordan invariants at the divisors of
-D, Hasse symbol at infinity); D is factored once per table.
+D, Hasse symbol at infinity); D is factored once per table.  Residue
+characters come from quadratic reciprocity (`ffpoly.residue_char`), and
+the Hasse symbol at infinity of (a, b, c) from its diagonal <a, -a D>.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import SquareClass, factor, is_irreducible, square_roots_mod
+from .ffpoly import SquareClass, factor, gcd, is_irreducible, square_roots_mod
 from .localgenus import genus_symbol
 from .qform import (
     Form,
@@ -54,27 +62,31 @@ def enumerate_forms(field, disc, primitive_only=False):
 
     b^2 = disc (mod a) is solved once per monic a: the solutions (b, c)
     for a monic give (u a, b, c / u) for every unit u, and all of these
-    share one content.  Forms come out ordered by (deg a, lead a, key of
-    the low part of a, key of b).
+    share one content, which is checked only when disc has a square
+    factor.  Forms come out ordered by (deg a, lead a, key of the low part
+    of a, key of b).
     """
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     q = field.q
+    # a content g has g^2 | disc, so square-free discs have only primitive forms
+    filter_content = primitive_only and gcd(disc, disc.derivative()).degree > 0
+    binary = Form._trusted_binary
     out = []
     for deg_a in range(disc.degree // 2 + 1):
         size = q**deg_a
         # solutions[low]: (b, c) with b^2 - disc = a c for a = t^deg_a + low
         solutions = []
         for a, roots in square_roots_mod(disc, deg_a):
-            if primitive_only:
-                roots = [(b, c) for b, c in roots if Form.binary(a, b, c).is_primitive()]
+            if filter_content:
+                roots = [(b, c) for b, c in roots if binary(a, b, c).is_primitive()]
             solutions.append(roots)
         for lead in range(1, q):
             inv = field.constant(field.inv(lead))
             for low in range(size):
                 a = field.poly_from_key(low + lead * size)
                 for b, c in solutions[a.monic().key() - size]:
-                    out.append(Form.binary(a, b, c * inv))
+                    out.append(binary(a, b, c * inv))
     return out
 
 

@@ -16,6 +16,7 @@ enumeration-heavy modules to store large sets of polynomials compactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 from .errors import DEFAULT_BUDGET, BudgetError
@@ -622,39 +623,191 @@ def _equal_degree_split(f, d):
 def residue_char(f, p):
     """Quadratic character of f in the residue field A/(p): +1, -1, or 0.
 
-    0 iff p divides f; otherwise (f mod p)^((q^d - 1)/2) mapped to +/-1.
-    At a place of degree 1 the residue of f is its value at the root.
+    0 iff p divides f.  At a place of degree 1 the residue of f is its value
+    at the root.  Above degree 1 it is the Jacobi symbol (f/p), computed in
+    Euclid steps (Rosen, GTM 210, ch. 3): for monic a and b,
+    (a/b) = (b/a) (-1)^(((q-1)/2) deg a deg b), and a constant c has
+    (c/b) = chi(c)^(deg b).  p need not be monic: A/(p) = A/(p monic).
     """
     if not is_irreducible(p):
-        raise ValueError("place must be a monic irreducible polynomial")
+        raise ValueError("place must be an irreducible polynomial")
     F = f.field
     if p.degree == 1:
         root = F.neg(F.mul(p.coeffs[0], F.inv(p.coeffs[1])))
         return F.char(f(root))
-    r = f % p
-    if r.is_zero():
-        return 0
-    d = p.degree
-    val = powmod(r, (F.q**d - 1) // 2, p)
-    if val == F.one % p:
-        return 1
-    return -1
+    odd_half = (F.q - 1) // 2 % 2
+    a, b = f, p.monic()
+    out = 1
+    while b.degree > 0:
+        a = a % b
+        if a.is_zero():
+            return 0
+        lead = a.coeffs[-1]
+        if lead != 1:
+            if b.degree % 2 and not F.is_square(lead):
+                out = -out
+            a = a.monic()
+        if odd_half and a.degree % 2 and b.degree % 2:
+            out = -out
+        a, b = b, a
+    return out
 
 
 def square_roots_mod(d, degree):
     """Yield (u, [(v, w) : deg v < deg u, v^2 - d = u w]) for each monic u of
-    degree `degree`, both in key order, by a scan of q^(2 degree) pairs."""
+    degree `degree`, both in key order.
+
+    A sieve (Cohen, GTM 138, 1.5): the roots of x^2 = d are found once at
+    each place p of degree <= `degree` (an F_q square-root table at degree 1,
+    Tonelli-Shanks in A/(p) above), lifted to p^e one p-adic digit at a time,
+    and combined over the factorization of u by CRT.
+    """
     F = d.field
-    size = F.q**degree
-    for low in range(size):
-        u = F.poly_from_key(low + size)
-        roots = []
-        for vkey in range(size):
-            v = F.poly_from_key(vkey)
-            w, rem = divmod(v * v - d, u)
-            if rem.is_zero():
-                roots.append((v, w))
-        yield u, roots
+    roots_at = {}  # place p -> [roots of x^2 = d mod p^k for k = 1, 2, ...]
+    for u, factors in _monic_factorizations(F, degree):
+        per_factor = []
+        for p, e, _ in factors:
+            if p not in roots_at:
+                roots_at[p] = _roots_mod_powers(d, p, degree // p.degree)
+            per_factor.append(roots_at[p][e - 1])
+        if len(factors) == 1:
+            vs = per_factor[0]
+        else:
+            idempotents = [c for _, _, c in factors]
+            vs = [
+                sum((r * c for r, c in zip(combo, idempotents)), F.zero) % u
+                for combo in itertools.product(*per_factor)
+            ]
+        vs = sorted(vs, key=Poly.key)
+        yield u, [(v, (v * v - d) // u) for v in vs]
+
+
+def _roots_mod_powers(d, p, top):
+    """[roots of x^2 = d mod p^k for k = 1..top], each of degree < k deg p.
+
+    A root r mod p^k with p not dividing r lifts uniquely (Hensel):
+    r + s p^k with s = (d - r^2) / p^k / (2 r) mod p.  Otherwise p | d, and
+    since p | r, (r + s p^k)^2 = r^2 mod p^(k+1) for every s: all q^(deg p)
+    digits lift r when r^2 = d mod p^(k+1), and none does otherwise.
+    """
+    F = d.field
+    r = _sqrt_at_place(d, p)
+    out = [[] if r is None else [r] if r.is_zero() else [r, -r]]
+    pk = p
+    for _ in range(1, top):
+        pk1 = pk * p
+        lifted = []
+        for r in out[-1]:
+            if (r % p).is_zero():
+                if ((r * r - d) % pk1).is_zero():
+                    lifted.extend(
+                        r + F.poly_from_key(s) * pk for s in range(F.q**p.degree)
+                    )
+            else:
+                s = ((d - r * r) // pk) * invmod(r + r, p) % p
+                lifted.append(r + s * pk)
+        out.append(lifted)
+        pk = pk1
+    return out
+
+
+def _sqrt_at_place(d, p):
+    """A square root of d in A/(p) (p monic), of degree < deg p, or None."""
+    F = d.field
+    if p.degree == 1:
+        root = _sqrt_table(F.q).get(d(F.neg(p.coeffs[0])))
+        return None if root is None else F.constant(root)
+    a = d % p
+    if a.is_zero():
+        return a
+    if residue_char(a, p) != 1:
+        return None
+    # Tonelli-Shanks in the cyclic group (A/(p))^x of order q^n - 1 = 2^s m
+    s, m, c = _tonelli_shanks_constants(p)
+    x = powmod(a, (m - 1) // 2, p)
+    t = x * x % p * a % p
+    x = x * a % p
+    while t != F.one:
+        i, t2 = 0, t
+        while t2 != F.one:
+            t2 = t2 * t2 % p
+            i += 1
+        b = powmod(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
+
+
+@functools.lru_cache(maxsize=256)
+def _tonelli_shanks_constants(p):
+    """(s, m, z^m) with q^(deg p) - 1 = 2^s m, m odd, z a non-square mod p."""
+    F = p.field
+    order = F.q**p.degree - 1
+    s = (order & -order).bit_length() - 1
+    m = order >> s
+    z = next(
+        z
+        for z in (F.poly_from_key(k) for k in range(2, order + 1))
+        if residue_char(z, p) == -1
+    )
+    return s, m, powmod(z, m, p)
+
+
+@functools.cache
+def _sqrt_table(q):
+    """{square: one root} over F_q; 0 maps to 0."""
+    return {r * r % q: r for r in range(q)}
+
+
+@functools.lru_cache(maxsize=32)
+def _monic_factorizations(field, degree):
+    """[(u, [(p, e, CRT idempotent of p^e mod u), ...]), ...] for every monic
+    u of degree `degree`, in key order.
+
+    One pass over the places: the monic irreducibles of each degree m are
+    the monic polynomials of degree m that are not products of places of
+    lower degree, and every monic u is built once as a product of place
+    powers.  The idempotent of p^e is 1 mod p^e and 0 mod u / p^e.
+    """
+    places = []
+    for m in range(1, degree + 1):
+        reducible = {u.key() for u, _ in _products(field, places, m)}
+        places.extend(
+            field.poly_from_key(k)
+            for k in range(field.q**m, 2 * field.q**m)
+            if k not in reducible
+        )
+    out = []
+    for u, powers in sorted(_products(field, places, degree), key=lambda x: x[0].key()):
+        factors = []
+        for p, e in powers:
+            pe = p**e
+            rest = u // pe
+            factors.append((p, e, rest * invmod(rest, pe) % u))
+        out.append((u, factors))
+    return out
+
+
+def _products(field, places, degree):
+    """(u, [(p, e), ...]) for each product u of powers of `places` (sorted by
+    degree) of total degree `degree`."""
+    out = []
+
+    def extend(start, left, u, powers):
+        if left == 0:
+            out.append((u, powers))
+            return
+        for i in range(start, len(places)):
+            p = places[i]
+            if p.degree > left:
+                break
+            pe, e = p, 1
+            while pe.degree <= left:
+                extend(i + 1, left - pe.degree, u * pe, powers + [(p, e)])
+                pe, e = pe * p, e + 1
+
+    extend(0, degree, field.one, [])
+    return out
 
 
 class SquareClass:

@@ -109,7 +109,10 @@ def _jordan_diagonal(form, p):
     n = form.n
     disc_val, _ = _strip_valuation(form.discriminant(), p)
     prec = disc_val + 2
-    pn = p**prec
+    powers = [p**0]
+    for _ in range(prec):
+        powers.append(powers[-1] * p)
+    pn = powers[prec]
 
     def val(x):
         if x.is_zero():
@@ -136,13 +139,13 @@ def _jordan_diagonal(form, p):
             for k in active:
                 m[k][bi] = (m[k][bi] + m[k][bj]) % pn
         s = val(m[bi][bi])
-        unit = m[bi][bi] // p**s
-        inv_unit = invmod(unit, p ** (prec - s))
+        unit = m[bi][bi] // powers[s]
+        inv_unit = invmod(unit, powers[prec - s])
         out.append((s, residue_char(unit, p)))
         rest = [k for k in active if k != bi]
         # Schur complement m[k][l] - m[k][bi] m[bi][l] / pivot, symmetric
         for k in rest:
-            fk = ((m[k][bi] // p**s) * inv_unit) % pn
+            fk = ((m[k][bi] // powers[s]) * inv_unit) % pn
             for l in rest:
                 m[k][l] = (m[k][l] - fk * m[bi][l]) % pn
         active = rest
@@ -187,8 +190,18 @@ def genus_symbol(form, places=None):
         sorted((p.key(), _jordan_at_place(form, d, p, v)) for p, v in places)
     )
     F = form.field
-    inf = (d.degree % 2, F.char(d.lc()), hasse_invariant(form, INFINITY))
+    inf = (d.degree % 2, F.char(d.lc()), _hasse_at_infinity(form, d))
     return GenusSymbol(d.key(), finite, inf)
+
+
+def _hasse_at_infinity(form, disc):
+    """The Hasse symbol at infinity; a binary (a, b, c) with a != 0
+    diagonalizes as <a, -a disc>."""
+    if form.n == 2:
+        a = form.gram[0][0]
+        if not a.is_zero():
+            return hilbert_symbol(a, -(a * disc), INFINITY)
+    return hasse_invariant(form, INFINITY)
 
 
 def _jordan_at_place(form, disc, p, v):

@@ -147,6 +147,16 @@ class Form:
         return cls(((a, b), (b, c)))
 
     @classmethod
+    def _trusted_binary(cls, a, b, c):
+        """(a, b, c) with b^2 - ac != 0 known by construction: the symmetry
+        and determinant checks of `__init__` are skipped."""
+        form = cls.__new__(cls)
+        form.field = a.field
+        form.gram = ((a, b), (b, c))
+        form.n = 2
+        return form
+
+    @classmethod
     def diagonal(cls, entries):
         F = entries[0].field
         n = len(entries)

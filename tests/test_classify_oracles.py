@@ -105,6 +105,17 @@ def test_enumerate_forms_matches_brute_force(q, deg):
 
 
 @pytest.mark.parametrize("q,deg", SCAN_CASES)
+def test_enumerated_forms_pass_checked_constructor(q, deg):
+    # enumerate_forms builds its forms without the checks of Form.__init__
+    F = prime_field(q)
+    for d in canonical_discs(F, deg):
+        for primitive_only in (False, True):
+            for f in enumerate_forms(F, d, primitive_only):
+                assert Form(f.gram) == f
+                assert f.discriminant() == d
+
+
+@pytest.mark.parametrize("q,deg", SCAN_CASES)
 def test_assigned_characters_match_jordan(q, deg):
     F = prime_field(q)
     checked = 0

@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+from fqforms.classify import canonical_discs
 from fqforms.errors import BudgetError
 from fqforms.ffpoly import (
     NEG_INF,
@@ -16,6 +18,7 @@ from fqforms.ffpoly import (
     powmod,
     prime_field,
     residue_char,
+    square_roots_mod,
     squarefree_decompose,
     xgcd,
 )
@@ -359,6 +362,114 @@ def test_powmod_matches_naive():
     for _ in range(29):
         naive = (naive * f) % m
     assert powmod(f, 29, m) == naive
+
+
+def euler_residue_char(f, p):
+    """Euler's criterion, the oracle for `residue_char`: 0 if p | f, else
+    (f mod p)^((q^deg p - 1)/2) mapped to +1 or -1."""
+    F = f.field
+    r = f % p
+    if r.is_zero():
+        return 0
+    val = powmod(r, (F.q**p.degree - 1) // 2, p)
+    return 1 if val == F.one % p else -1
+
+
+def monic_places(F, degree):
+    return [
+        g
+        for g in (F.poly_from_key(k) for k in range(F.q**degree, 2 * F.q**degree))
+        if is_irreducible(g)
+    ]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_residue_char_matches_euler_criterion(q):
+    # every f of degree <= 4 against every place of degree 2 and 3; at q = 7
+    # (2.2M pairs, about a minute) every f against the first place of each
+    # degree, and every residue, 0 included, against every place
+    F = prime_field(q)
+    polys = [F.poly_from_key(k) for k in range(q**5)]
+    firsts = []
+    zeros = 0
+    for degree in (2, 3):
+        places = monic_places(F, degree)
+        firsts.append(places[0])
+        for p in places:
+            fs = polys if q < 7 or p in firsts else polys[: q**degree]
+            euler = {}
+            for f in fs:
+                r = f % p
+                if r.key() not in euler:
+                    euler[r.key()] = euler_residue_char(r, p)
+                assert residue_char(f, p) == euler[r.key()], (str(f), str(p))
+                zeros += r.is_zero()
+    assert zeros > len(firsts)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_residue_char_non_monic_place(q):
+    F = prime_field(q)
+    rng = random.Random(q)
+    t = F.t
+    for p in monic_places(F, 1) + monic_places(F, 2) + monic_places(F, 3):
+        fs = [rand_poly(F, 5, rng) for _ in range(4)] + [p * (t + 1)]
+        for c in range(2, q):
+            scaled = p * c
+            for f in fs:
+                expected = euler_residue_char(f, scaled)
+                assert residue_char(f, scaled) == residue_char(f, p) == expected
+    for bad in (t**2 - 1, (t**2 - 1) * 2, t**2, t**3 * 2, F.constant(2)):
+        with pytest.raises(ValueError):
+            residue_char(t + 1, bad)
+
+
+@functools.cache
+def _squares_mod_each_u(field, degree):
+    size = field.q**degree
+    vs = [field.poly_from_key(k) for k in range(size)]
+    return [
+        (u, [(v, (v * v % u).key()) for v in vs])
+        for u in (field.poly_from_key(low + size) for low in range(size))
+    ]
+
+
+def scanned_square_roots_mod(d, degree):
+    """The scan the sieve replaced: every v of degree < `degree` tried
+    against every monic u of degree `degree`, both in key order, with
+    v^2 mod u tabulated once per (field, degree) instead of once per d."""
+    for u, squares in _squares_mod_each_u(d.field, degree):
+        r = (d % u).key()
+        yield u, [(v, (v * v - d) // u) for v, s in squares if s == r]
+
+
+@pytest.mark.parametrize("q,degree", [(3, 3), (5, 2), (7, 2)])
+def test_square_roots_mod_matches_scan(q, degree):
+    # every canonical d of degree <= 2 degree (<= 3 at q = 7) against every
+    # u of degree <= `degree`, so p^k | d for k <= 3, u sharing factors
+    # with d and a leading coefficient delta all occur
+    F = prime_field(q)
+    top = 3 if q == 7 else 2 * degree
+    for d in canonical_discs(F, top):
+        for k in range(degree + 1):
+            got = list(square_roots_mod(d, k))
+            assert got == list(scanned_square_roots_mod(d, k)), (str(d), k)
+
+
+@pytest.mark.parametrize("q,degree", [(3, 3), (5, 3), (7, 2)])
+def test_square_roots_mod_high_multiplicity_any_lead(q, degree):
+    # p^k | d up to k = 6 at places of degree 1 and 2, u = p^e up to e = 3,
+    # and every leading coefficient (Picard curves need not be canonical)
+    F = prime_field(q)
+    t = F.t
+    p2 = monic_places(F, 2)[0]
+    shapes = [t**6, (t + 1) ** 4 * (t + 2), t**3 * p2, p2**2, p2**3 * t, t**2 * (t + 1) ** 2]
+    for shape in shapes:
+        for lead in range(1, q):
+            d = shape * lead
+            for k in range(degree + 1):
+                got = list(square_roots_mod(d, k))
+                assert got == list(scanned_square_roots_mod(d, k)), (str(d), k)
 
 
 def test_square_class():

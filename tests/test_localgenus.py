@@ -5,6 +5,7 @@ import pytest
 from fqforms.ffpoly import factor, is_irreducible, prime_field, residue_char
 from fqforms.localgenus import (
     INFINITY,
+    _hasse_at_infinity,
     hasse_invariant,
     hilbert_symbol,
     jordan_invariants,
@@ -93,6 +94,30 @@ def test_hasse_invariant_trivial_and_stable():
         u = rand_gl2(F5, rng)
         for v in places:
             assert hasse_invariant(form, v) == hasse_invariant(u.apply(form), v)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_hasse_at_infinity_matches_diagonalization(q):
+    # binary forms of any shape: definite or not, reduced or not, a = 0
+    # (the diagonalization path) included; and non-diagonal ternary forms
+    F = prime_field(q)
+    rng = random.Random(q)
+    seen_zero_a = 0
+    for _ in range(300):
+        a, b, c = (
+            F.poly([rng.randrange(q) for _ in range(rng.randrange(5))]) for _ in range(3)
+        )
+        if (b * b - a * c).is_zero():
+            continue
+        form = Form.binary(a, b, c)
+        seen_zero_a += a.is_zero()
+        d = form.discriminant()
+        assert _hasse_at_infinity(form, d) == hasse_invariant(form, INFINITY)
+    assert seen_zero_a
+    for _ in range(20):
+        form = rand_symmetric_form(F, 3, rng)
+        d = form.discriminant()
+        assert _hasse_at_infinity(form, d) == hasse_invariant(form, INFINITY)
 
 
 def test_jordan_invariants_examples():
