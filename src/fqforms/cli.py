@@ -1,6 +1,7 @@
 """Command-line interface.
 
-All subcommands take --q (an odd prime) and print JSON by default.
+All subcommands take --q (an odd prime) and print JSON by default;
+`repset` and `verify` alone take --budget and --format (lines, tsv).
 Polynomials use the grammar `coeff ['*' t ['^' exp]]` joined by '+'/'-';
 binary forms are `(a, b, c)` literals and rank-3 forms
 `(a11,a22,a33;a12,a13,a23)`.
@@ -26,7 +27,7 @@ from .localgenus import (
     hilbert_symbol,
     same_genus,
 )
-from .picard import divisor_order, pic_group, pic_order_with_conductor
+from .picard import pic_group, pic_order_with_conductor
 from .qform import (
     equivalent,
     form_from_string,
@@ -47,11 +48,8 @@ def _transformation_rows(tr):
     return [[poly_to_string(e) for e in row] for row in tr.matrix]
 
 
-def _emit(payload, fmt):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(payload)
+def _emit(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_reduce(args):
@@ -64,7 +62,6 @@ def _cmd_reduce(args):
             "transformation": _transformation_rows(tr),
             "det": tr.det,
         },
-        "json",
     )
     return 0
 
@@ -79,7 +76,6 @@ def _cmd_disc(args):
             "disc_class": poly_to_string(form.disc_class().rep),
             "definite": form.is_definite(),
         },
-        "json",
     )
     return 0
 
@@ -87,7 +83,7 @@ def _cmd_disc(args):
 def _cmd_minima(args):
     F = _field(args)
     form = form_from_string(F, args.form)
-    _emit({"minima": list(successive_minima(form))}, "json")
+    _emit({"minima": list(successive_minima(form))})
     return 0
 
 
@@ -103,12 +99,12 @@ def _cmd_repset(args):
             for s, n in payload.items():
                 print(f"{s}\t{n}")
         else:
-            _emit({"k": args.max_degree, "counts": payload}, "json")
+            _emit({"k": args.max_degree, "counts": payload})
     elif args.format == "lines":
         for s in polys:
             print(s)
     else:
-        _emit({"k": args.max_degree, "values": polys}, "json")
+        _emit({"k": args.max_degree, "values": polys})
     return 0
 
 
@@ -123,7 +119,7 @@ def _equal_command(args, finder):
     if w is not None:
         payload["transformation"] = _transformation_rows(w)
         payload["det"] = w.det
-    _emit(payload, "json")
+    _emit(payload)
     return 0
 
 
@@ -164,7 +160,6 @@ def _cmd_genus(args):
             "same_genus": same_genus(q1, q2),
             "symbols": [_symbol_payload(genus_symbol(q)) for q in (q1, q2)],
         },
-        "json",
     )
     return 0
 
@@ -174,7 +169,7 @@ def _cmd_symbol(args):
     f = poly_from_string(F, args.f)
     g = poly_from_string(F, args.g)
     place = INFINITY if args.place == "inf" else poly_from_string(F, args.place)
-    _emit({"symbol": hilbert_symbol(f, g, place)}, "json")
+    _emit({"symbol": hilbert_symbol(f, g, place)})
     return 0
 
 
@@ -195,7 +190,7 @@ def _cmd_classify(args):
             for cls in table.classes
         ],
     }
-    _emit(payload, "json")
+    _emit(payload)
     return 0
 
 
@@ -209,34 +204,22 @@ def _cmd_classnumber(args):
 def _cmd_picard(args):
     F = _field(args)
     d0 = poly_from_string(F, args.d0)
+    payload = {"d0": poly_to_string(d0)}
     if args.conductor:
         conductor = poly_from_string(F, args.conductor)
-        order = pic_order_with_conductor(d0, conductor)
-        _emit(
-            {
-                "d0": poly_to_string(d0),
-                "conductor": poly_to_string(conductor),
-                "order": order,
-            },
-            "json",
-        )
-        return 0
-    group = pic_group(d0)
-    top = max(group.structure.factors, default=1)
-    generators = [
-        {"u": poly_to_string(p.u), "v": poly_to_string(p.v)}
-        for p in group.elements
-        if not p.is_identity() and divisor_order(p) == top
-    ][:2]
-    _emit(
-        {
-            "d0": poly_to_string(d0),
-            "order": group.order,
-            "structure": list(group.structure.factors),
-            "sample_generators": generators,
-        },
-        "json",
-    )
+        payload["conductor"] = poly_to_string(conductor)
+        payload["order"] = pic_order_with_conductor(d0, conductor)
+    else:
+        group = pic_group(d0)
+        top = max(group.structure.factors, default=1)
+        payload["order"] = group.order
+        payload["structure"] = list(group.structure.factors)
+        payload["sample_generators"] = [
+            {"u": poly_to_string(p.u), "v": poly_to_string(p.v)}
+            for p, n in zip(group.elements, group.orders)
+            if not p.is_identity() and n == top
+        ][:2]
+    _emit(payload)
     return 0
 
 
@@ -260,7 +243,7 @@ def _cmd_verify(args):
         for v in report.violations:
             print(f"violation\t{json.dumps(v.as_dict(), sort_keys=True)}")
     else:
-        _emit(report.as_dict(), "json")
+        _emit(report.as_dict())
     return 0 if report.passed else 1
 
 
@@ -271,12 +254,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p, formats):
+        p.add_argument("--budget", type=int, default=10**8)
+        p.add_argument("--format", choices=formats, default="json")
+
     def common(p, form=False, forms=False, delta=True):
         p.add_argument("--q", type=int, required=True, help="odd prime field size")
         if delta:
             p.add_argument("--delta", type=int, help="non-square override")
-        p.add_argument("--budget", type=int, default=10**8)
-        p.add_argument("--format", choices=("json", "lines", "tsv"), default="json")
         if form:
             p.add_argument("--form", required=True, help="form literal, e.g. '(t, 0, t^3)'")
         if forms:
@@ -298,6 +283,7 @@ def build_parser():
 
     p = sub.add_parser("repset", help="representation set up to a degree")
     common(p, form=True)
+    output(p, ("json", "lines"))
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--counts", action="store_true")
     p.set_defaults(func=_cmd_repset)
@@ -340,6 +326,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("check", choices=CHECKS)
     common(p, delta=False)  # sweeps use the default non-square
+    output(p, ("json", "tsv"))
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -6,10 +6,12 @@ its Picard order comes at any genus from the zeta function of O
 <= g, a scan of about q^g polynomials that the default budget caps.  At
 odd degree 2g+1 Pic O is the group of reduced Mumford divisors (u, v) on
 y^2 = D0(t): u monic of degree <= g, deg v < deg u, u | v^2 - D0, with
-the usual composition-and-reduction group law (Cantor); group structure
-(`pic_group`) enumerates the divisors and the order of each, at genus
-<= 2.  At even degree 2g+2 the infinite place is inert of degree 2 and
-|Pic O| = 2h, with h the class number of the genus-g curve.
+the usual composition-and-reduction group law (Cantor).  At genus <= 2
+`pic_group` enumerates the divisors.  Each order divides N = |Pic O| and
+is found by stripping the primes of N; the invariant factors are read
+off the counts of elements of order dividing l^k.  At even degree 2g+2
+the infinite place is inert of degree 2 and |Pic O| = 2h, with h the
+class number of the genus-g curve.
 
 Non-maximal orders B = A[sqrt(f^2 D0)] get their order from the conductor
 exact sequence:
@@ -33,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
-from .ffpoly import factor, is_irreducible, residue_char, square_roots_mod
-from .ffpoly import squarefree_decompose, xgcd
+from .ffpoly import _prime_divisors, factor, is_irreducible, residue_char
+from .ffpoly import square_roots_mod, squarefree_decompose, xgcd
 
 
 @dataclass(frozen=True)
@@ -116,15 +118,31 @@ def cantor_add(p1, p2):
     return MumfordDivisor(u, v % u, d0)
 
 
-def divisor_order(p):
-    acc = p
-    n = 1
-    while not acc.is_identity():
-        acc = cantor_add(acc, p)
-        n += 1
-        if n > 10**6:
-            raise AssertionError("runaway divisor order")
+def _multiple(p, n):
+    """[n]p for n >= 1, by double-and-add."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = p if acc is None else cantor_add(acc, p)
+        n >>= 1
+        if not n:
+            return acc
+        p = cantor_add(p, p)
+
+
+def _order_dividing(p, n, primes):
+    """Order of p, given that it divides n with prime divisors `primes`:
+    each prime l is stripped from n while [n/l]p is still the identity."""
+    for ell in primes:
+        while n % ell == 0 and _multiple(p, n // ell).is_identity():
+            n //= ell
     return n
+
+
+def divisor_order(p):
+    """Order of p, a divisor of |Pic| = pic_order(p.curve)."""
+    n = pic_order(p.curve)
+    return _order_dividing(p, n, _prime_divisors(n))
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,7 @@ class PicGroup:
     order: int
     structure: AbelianStructure
     elements: list
+    orders: list  # the order of each element, aligned with `elements`
 
 
 def enumerate_reduced_divisors(d0):
@@ -155,14 +174,36 @@ def enumerate_reduced_divisors(d0):
 
 
 def pic_group(d0):
-    """(order, invariant factors, elements) of Pic(A[sqrt(D0)]), genus <= 2."""
+    """(order, invariant factors, elements, element orders) of
+    Pic(A[sqrt(D0)]), genus <= 2."""
     genus = _check_curve(d0)
     if genus > 2:
         raise CapabilityError("full group enumeration supports genus <= 2")
     elements = enumerate_reduced_divisors(d0)
     order = len(elements)
-    structure = _abelian_structure(elements, order)
-    return PicGroup(order=order, structure=structure, elements=elements)
+    primes = _prime_divisors(order)
+    orders = [_order_dividing(p, order, primes) for p in elements]
+    structure = AbelianStructure(_invariant_factors(orders, primes))
+    return PicGroup(order, structure, elements, orders)
+
+
+def _invariant_factors(orders, primes):
+    """Invariant factors d_1 | d_2 | ... of the abelian group with these
+    element orders and these prime divisors of its order.
+
+    With G[m] the elements of order dividing m, exactly
+    log_l |G[l^k]| / |G[l^(k-1)]| invariant factors are divisible by l^k.
+    """
+    factors = []  # largest first
+    for ell in primes:
+        below, power = 1, ell  # |G[l^(k-1)]|, l^k
+        while (size := sum(1 for n in orders if power % n == 0)) > below:
+            rank = round(math.log(size // below, ell))
+            factors += [1] * (rank - len(factors))
+            for i in range(rank):
+                factors[i] *= ell
+            below, power = size, power * ell
+    return tuple(reversed(factors))
 
 
 def pic_order(d0):
@@ -215,47 +256,6 @@ def weil_interval(q, genus):
         a, b = a * (q + 1) + 2 * b * q, 2 * a + b * (q + 1)
     r = math.isqrt(q * b * b)
     return a - r, a + r
-
-
-def _abelian_structure(elements, order):
-    if order == 1:
-        return AbelianStructure(())
-    orders = [divisor_order(p) for p in elements if not p.is_identity()]
-    exponent = 1
-    for n in orders:
-        exponent = exponent * n // math.gcd(exponent, n)
-    counts = {}
-    for m in _divisors(exponent):
-        counts[m] = 1 + sum(1 for n in orders if m % n == 0)
-    for chain in _invariant_factor_chains(order, exponent):
-        if all(
-            counts[m] == math.prod(math.gcd(d, m) for d in chain)
-            for m in counts
-        ):
-            return AbelianStructure(chain)
-    raise AssertionError("no abelian group matches the order statistics")
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _invariant_factor_chains(order, exponent):
-    """All chains d_1 | d_2 | ... | d_k = exponent with product = order."""
-    chains = []
-
-    def extend(remaining, cap, acc):
-        if remaining == 1:
-            chains.append(tuple(reversed(acc)))
-            return
-        for d in _divisors(cap):
-            if d > 1 and remaining % d == 0:
-                extend(remaining // d, d, acc + [d])
-
-    if order % exponent == 0:
-        extend(order // exponent, exponent, [exponent])
-    return chains
 
 
 def affine_point_count(d0):

@@ -285,40 +285,53 @@ def _finish(check, cfg, instances, violations, stats, expect_exceptions):
 # -- representation-set theorems --------------------------------------------
 
 
+def _levelled_pairs(data, disc_window):
+    """(instances, pairs) over levels m = 0..max disc degree: level m holds
+    the records of disc degree <= m, and a pair (r1, r2, k) with equal V_k,
+    k = m or max(3m - 2, 0) with `disc_window`, is reported at its larger
+    disc degree."""
+    instances, pairs = 0, []
+    for m in range(data.cfg.max_disc_degree + 1):
+        level = [r for r in data.records if r.disc_degree <= m]
+        instances += comb(len(level), 2)
+        k = max(3 * m - 2, 0) if disc_window else m
+        pairs.extend(
+            (r1, r2, k)
+            for r1, r2 in data.equal_set_pairs(level, k)
+            if max(r1.disc_degree, r2.disc_degree) == m
+        )
+    return instances, pairs
+
+
 def verify_minima_recovery(cfg):
     """Equal V_m (m = max disc degree of the pair) forces equal minima,
     equal disc degree, and reduced bases with matching diagonal leading
     coefficients."""
     data = sweep_data(cfg)
     violations = []
-    instances = 0
-    for m in range(cfg.max_disc_degree + 1):
-        level = [r for r in data.records if r.disc_degree <= m]
-        instances += len(level) * (len(level) - 1) // 2
-        for r1, r2 in data.equal_set_pairs(level, m):
-            if max(r1.disc_degree, r2.disc_degree) != m:
-                continue  # pair handled at its own level
-            if r1.minima != r2.minima or r1.disc_degree != r2.disc_degree:
-                violations.append(
-                    Violation(
-                        "minima",
-                        _witness_pair(r1, r2),
-                        observed={
-                            "minima": [list(r1.minima), list(r2.minima)],
-                            "disc_degrees": [r1.disc_degree, r2.disc_degree],
-                        },
-                        expected="equal minima and disc degrees",
-                    )
+    instances, pairs = _levelled_pairs(data, disc_window=False)
+    for r1, r2, _ in pairs:
+        if r1.minima != r2.minima or r1.disc_degree != r2.disc_degree:
+            violations.append(
+                Violation(
+                    "minima",
+                    _witness_pair(r1, r2),
+                    observed={
+                        "minima": [list(r1.minima), list(r2.minima)],
+                        "disc_degrees": [r1.disc_degree, r2.disc_degree],
+                    },
+                    expected="equal minima and disc degrees",
                 )
-            elif not _leading_coeffs_matchable(r1.rep, r2.rep):
-                violations.append(
-                    Violation(
-                        "minima",
-                        _witness_pair(r1, r2),
-                        observed="no reduced basis matches diagonal leading coefficients",
-                        expected="matchable leading coefficients",
-                    )
+            )
+        elif not _leading_coeffs_matchable(r1.rep, r2.rep):
+            violations.append(
+                Violation(
+                    "minima",
+                    _witness_pair(r1, r2),
+                    observed="no reduced basis matches diagonal leading coefficients",
+                    expected="matchable leading coefficients",
                 )
+            )
     stats = {"classes": len(data.records)}
     return _finish("minima", cfg, instances, violations, stats, cfg.q <= 3)
 
@@ -338,23 +351,17 @@ def verify_disc_recovery(cfg):
     """V_(3m-2)-equal pairs share their discriminant square class."""
     data = sweep_data(cfg)
     violations = []
-    instances = 0
-    for m in range(cfg.max_disc_degree + 1):
-        window = max(3 * m - 2, 0)
-        level = [r for r in data.records if r.disc_degree <= m]
-        instances += len(level) * (len(level) - 1) // 2
-        for r1, r2 in data.equal_set_pairs(level, window):
-            if max(r1.disc_degree, r2.disc_degree) != m:
-                continue
-            if r1.disc != r2.disc:  # canonical discs: equality iff same class
-                violations.append(
-                    Violation(
-                        "disc",
-                        _witness_pair(r1, r2),
-                        observed="equal V_%d but distinct disc classes" % window,
-                        expected="equal disc square classes",
-                    )
+    instances, pairs = _levelled_pairs(data, disc_window=True)
+    for r1, r2, window in pairs:
+        if r1.disc != r2.disc:  # canonical discs: equality iff same class
+            violations.append(
+                Violation(
+                    "disc",
+                    _witness_pair(r1, r2),
+                    observed="equal V_%d but distinct disc classes" % window,
+                    expected="equal disc square classes",
                 )
+            )
     stats = {"classes": len(data.records)}
     return _finish("disc", cfg, instances, violations, stats, cfg.q <= 3)
 
@@ -387,21 +394,17 @@ def verify_equiv_theorems(cfg):
                     )
                 )
     # (ii): all pairs at the 3m-2 window, levelled by max disc degree
-    for m in range(cfg.max_disc_degree + 1):
-        window = max(3 * m - 2, 0)
-        level = [r for r in data.records if r.disc_degree <= m]
-        instances += len(level) * (len(level) - 1) // 2
-        for r1, r2 in data.equal_set_pairs(level, window):
-            if max(r1.disc_degree, r2.disc_degree) != m:
-                continue
-            violations.append(
-                Violation(
-                    "equiv",
-                    _witness_pair(r1, r2),
-                    observed="equal V_%d, inequivalent" % window,
-                    expected="equivalent forms",
-                )
+    level_instances, pairs = _levelled_pairs(data, disc_window=True)
+    instances += level_instances
+    for r1, r2, window in pairs:
+        violations.append(
+            Violation(
+                "equiv",
+                _witness_pair(r1, r2),
+                observed="equal V_%d, inequivalent" % window,
+                expected="equivalent forms",
             )
+        )
     hist = sorted(data.distinguishing_histogram.items())
     stats = {
         "classes": len(data.records),

@@ -121,6 +121,37 @@ def test_picard_conductor_genus_three(capsys):
     assert main(["picard", "--q", "13", "--d0", "t^7+t+3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "d0,order,structure,generators",
+    [
+        ("t^3+12*t", 8, [2, 4], [("t+5", "6"), ("t+5", "7")]),
+        ("t^5+t+3", 126, [3, 42], [("t", "4"), ("t", "9")]),
+    ],
+)
+def test_picard_group_golden(capsys, d0, order, structure, generators):
+    # the remark curve t^3 - t and a genus-2 curve, Pic = Z/2 x Z/4 and Z/3 x Z/42
+    code, out = run_cli(capsys, "picard", "--q", "13", "--d0", d0)
+    assert code == 0
+    expected = {
+        "d0": d0,
+        "order": order,
+        "structure": structure,
+        "sample_generators": [{"u": u, "v": v} for u, v in generators],
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_options_only_where_read(capsys):
+    # --budget and --format are offered by repset and verify alone, each
+    # with the formats it prints
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--q", "5", "--disc", "t", "--budget", "5"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "minima", "--q", "5", "--format", "lines"])
+    assert exc.value.code == 2
+
+
 def test_budget_errors_exit_two(capsys):
     # a literal of degree 1e8 would allocate 1e8 coefficients
     assert main(["picard", "--q", "5", "--d0", "t^100000000"]) == 2

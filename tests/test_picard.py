@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -225,13 +226,72 @@ def sampled_curves(F, deg, count, seed):
     return out
 
 
+def repeated_addition_order(p):
+    """Order of p by adding p to itself until the identity: the oracle
+    for the prime descent over |Pic|."""
+    acc = p
+    n = 1
+    while not acc.is_identity():
+        acc = cantor_add(acc, p)
+        n += 1
+    return n
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def invariant_factor_chains(order, exponent):
+    """All chains d_1 | d_2 | ... | d_k = exponent with product = order."""
+    chains = []
+
+    def extend(remaining, cap, acc):
+        if remaining == 1:
+            chains.append(tuple(reversed(acc)))
+            return
+        for d in divisors(cap):
+            if d > 1 and remaining % d == 0:
+                extend(remaining // d, d, acc + [d])
+
+    if order % exponent == 0:
+        extend(order // exponent, exponent, [exponent])
+    return chains
+
+
+def chain_search_structure(orders):
+    """The invariant factors of the abelian group with these element orders,
+    by searching every chain for the one whose torsion counts match: the
+    oracle for the counts read off in closed form."""
+    order = len(orders)
+    if order == 1:
+        return AbelianStructure(())
+    exponent = math.lcm(*orders)
+    counts = {m: sum(1 for n in orders if m % n == 0) for m in divisors(exponent)}
+    for chain in invariant_factor_chains(order, exponent):
+        if all(
+            counts[m] == math.prod(math.gcd(d, m) for d in chain) for m in counts
+        ):
+            return AbelianStructure(chain)
+    raise AssertionError("no abelian group matches the order statistics")
+
+
+def assert_group_matches_oracles(d0):
+    group = pic_group(d0)
+    assert pic_order(d0) == group.order, str(d0)
+    orders = [repeated_addition_order(p) for p in group.elements]
+    assert group.orders == orders, str(d0)
+    assert group.structure == chain_search_structure(orders), str(d0)
+
+
 @pytest.mark.parametrize("q,deg,total", [(3, 3, 36), (5, 3, 400), (3, 5, 324)])
 def test_pic_order_matches_pic_group_exhaustive(q, deg, total):
+    # |Pic| from the Euler product, and the element orders and invariant
+    # factors of pic_group against repeated addition and a chain search
     F = prime_field(q)
     curves = list(squarefree_curves(F, deg))
     assert len(curves) == total
     for d0 in curves:
-        assert pic_order(d0) == pic_group(d0).order, str(d0)
+        assert_group_matches_oracles(d0)
 
 
 def test_pic_order_matches_point_count_q7_cubics():
@@ -244,7 +304,7 @@ def test_pic_order_matches_point_count_q7_cubics():
 
 def test_pic_order_matches_pic_group_sampled_quintics():
     for d0 in sampled_curves(F5, 5, 8, seed=501):
-        assert pic_order(d0) == pic_group(d0).order, str(d0)
+        assert_group_matches_oracles(d0)
 
 
 def test_pic_order_genus_three_matches_divisor_count():
