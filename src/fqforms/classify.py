@@ -36,25 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import SquareClass, factor, gcd, is_irreducible, square_roots_mod
+from .ffpoly import SquareClass, _sqrt_table, factor, gcd, is_irreducible
+from .ffpoly import square_roots_mod
 from .localgenus import genus_symbol
 from .qform import (
     Form,
     Transformation,
+    is_definite_disc,
     key_powers,
     reduce,
     reduced_images,
     successive_minima,
 )
-
-
-def is_definite_disc(d):
-    """Whether a discriminant value belongs to definite forms."""
-    if d.is_zero():
-        return False
-    if d.degree % 2 == 1:
-        return True
-    return not d.field.is_square(d.lc())
 
 
 def enumerate_forms(field, disc, primitive_only=False):
@@ -94,7 +87,7 @@ def _reduced_orbit(form, q):
     """Keys (a', b', c') of the reduced images of `form` under constant
     transformations with determinant +-1, and the subset reached by
     determinant 1."""
-    units, images, _ = reduced_images(form, (1, -1))
+    units, images = reduced_images(form, (1, -1))
     al, be, ga, de = units.T
     det_one = (al * de - be * ga) % q == 1
     powers = key_powers(q, images[0].shape[1])
@@ -244,10 +237,11 @@ def rescale_to_canonical_disc(form):
 
 
 def _field_sqrt(field, a):
-    for r in range(1, field.q):
-        if field.mul(r, r) == a:
-            return r
-    raise ValueError("element is not a square")
+    """The smaller square root r in 1..q-1 of a nonzero square a."""
+    r = _sqrt_table(field.q).get(a)
+    if not r:
+        raise ValueError("element is not a square")
+    return min(r, field.q - r)
 
 
 def class_number(form):

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import _prime_divisors, factor, is_irreducible, residue_char
 from .ffpoly import square_roots_mod, squarefree_decompose, xgcd
+from .qform import is_definite_disc
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def _genus(d0):
     of degree >= 1.  Cached, since `cantor_add` checks its curve each time."""
     if d0.degree < 1:
         raise ValueError("curve polynomial must have degree >= 1")
-    if d0.degree % 2 == 0 and d0.field.is_square(d0.lc()):
+    if not is_definite_disc(d0):
         raise ValueError("even-degree D0 needs a non-square leading coefficient")
     f0, g, _ = squarefree_decompose(d0)
     if g.degree > 0 or f0.degree != d0.degree:
@@ -311,7 +312,7 @@ class CompReport:
 
 
 def comp_sequence_check(disc):
-    from .classify import is_definite_disc, proper_class_count
+    from .classify import proper_class_count
 
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")

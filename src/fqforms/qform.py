@@ -9,7 +9,12 @@ Reduction follows the degree-based analogue of Gauss reduction: a form is
 reduced when deg m_ii <= deg m_jj for i <= j and deg m_ij < deg m_ii for
 i < j.  Every definite form is equivalent to a reduced one, and two
 reduced forms in one GL_n(A)-class differ by a constant transformation in
-GL_n(F_q), which keeps the equivalence search finite.
+GL_n(F_q), which keeps the equivalence search finite.  `reduce` reaches
+the reduced form by one loop for every rank, of diagonal sorts and
+shears on the Gram entries.
+
+A binary form is definite exactly when its discriminant D has odd degree
+or a non-square leading coefficient (`is_definite_disc`).
 """
 
 from __future__ import annotations
@@ -201,10 +206,7 @@ class Form:
     def is_definite(self):
         """Anisotropy over F_q((1/t)), decided at the infinite place."""
         if self.n == 2:
-            d = self.discriminant()
-            if d.degree % 2 == 1:
-                return True
-            return not self.field.is_square(d.lc())
+            return is_definite_disc(self.discriminant())
         groups = {0: [], 1: []}
         for d in diagonal_square_classes(self):
             groups[d.degree % 2].append(d.lc())
@@ -249,6 +251,15 @@ class Form:
 
     def __repr__(self):
         return f"Form({form_to_string(self)!r})"
+
+
+def is_definite_disc(d):
+    """Whether a discriminant value belongs to definite binary forms."""
+    if d.is_zero():
+        return False
+    if d.degree % 2 == 1:
+        return True
+    return not d.field.is_square(d.lc())
 
 
 def _residue_anisotropic(field, lcs):
@@ -305,65 +316,45 @@ def diagonal_square_classes(form):
 def reduce(form):
     """(R, T) with R reduced, T in GL_n(A) and Q o T = R exactly.
 
-    Requires a definite form; the shear loop need not terminate otherwise.
+    One loop for ranks 2..4 works on the Gram entries m and the columns
+    of T in place.  It sorts the diagonal by degree, keeping ties in
+    place, by permuting rows and columns alike; once sorted, it shears at
+    the first i < j with deg m_ij >= deg m_ii: column j -= k column i and
+    then row j -= k row i, with k = m_ij // m_ii.  T is built once, at
+    the end; an input that is already reduced comes back itself, with the
+    identity.  Requires a definite form (ValueError otherwise), for which
+    the loop terminates.
     """
     if not form.is_definite():
         raise ValueError("reduction requires a definite form")
-    if form.n == 2:
-        return _reduce_binary(form)
-    return _reduce_higher(form)
-
-
-def _reduce_binary(form):
-    F = form.field
-    a, b, c = form.binary_coeffs()
-    t = Transformation.identity(F, 2)
-    swap = Transformation.from_scalars(F, [[0, 1], [1, 0]])
-    for _ in range(_REDUCE_CAP):
-        if b.degree < a.degree <= c.degree:
-            red = Form.binary(a, b, c)
-            return red, t
-        if a.degree > c.degree:
-            a, c = c, a
-            t = t @ swap
-        elif b.degree >= a.degree:
-            k, r = divmod(b, a)
-            c = c - k * (b + r)  # c - k(2b - ka)
-            b = r
-            t = t @ Transformation(F, ((F.one, -k), (F.zero, F.one)))
-    raise AssertionError("binary reduction did not terminate")
-
-def _reduce_higher(form):
-    F = form.field
-    n = form.n
+    F, n = form.field, form.n
     m = [list(row) for row in form.gram]
-    t = Transformation.identity(F, n)
-    for _ in range(_REDUCE_CAP):
-        order = sorted(range(n), key=lambda i: (m[i][i].degree, i))
+    t = [list(row) for row in _mat_identity(F, n)]
+    for step in range(_REDUCE_CAP):
+        order = sorted(range(n), key=lambda i: m[i][i].degree)
         if order != list(range(n)):
-            perm = [[F.one if order[j] == i else F.zero for j in range(n)] for i in range(n)]
-            pt = Transformation(F, perm)
-            t = t @ pt
-            m = [list(row) for row in pt.apply(Form(tuple(map(tuple, m)))).gram]
+            m = [[m[r][c] for c in order] for r in order]
+            t = [[row[c] for c in order] for row in t]
             continue
-        sheared = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i][j].degree >= m[i][i].degree:
-                    k = m[i][j] // m[i][i]
-                    el = [[F.one if r == c else F.zero for c in range(n)] for r in range(n)]
-                    el[i][j] = -k
-                    et = Transformation(F, el)
-                    t = t @ et
-                    m = [list(row) for row in et.apply(Form(tuple(map(tuple, m)))).gram]
-                    sheared = True
-                    break
-            if sheared:
-                break
-        if not sheared:
-            red = Form(tuple(map(tuple, m)))
-            return red, t
-    raise AssertionError("reduction did not terminate; non-definite input?")
+        shear = next(
+            (
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if m[i][j].degree >= m[i][i].degree
+            ),
+            None,
+        )
+        if shear is None:
+            if not step:
+                return form, Transformation.identity(F, n)
+            return Form(m), Transformation(F, t)
+        i, j = shear
+        k = m[i][j] // m[i][i]
+        for row in m + t:
+            row[j] = row[j] - k * row[i]
+        m[j] = [x - k * y for x, y in zip(m[j], m[i])]
+    raise AssertionError("reduction did not terminate")
 
 
 def successive_minima(form):
@@ -425,9 +416,10 @@ def reduced_images(form, dets):
     """The images of a binary form, which must be reduced, under the
     constant U with det U in `dets` that keep it reduced.
 
-    Returns (units, images, degrees): the rows (alpha, beta, gamma, delta)
-    of those U, the coefficient rows of a', b', c' (each padded to the
-    form's longest coefficient tuple), and their degrees (-1 for zero).
+    Returns (units, images): the rows (alpha, beta, gamma, delta) of those
+    U and the coefficient rows of a', b', c', each padded to the form's
+    longest coefficient tuple.  The minima are class invariants, so every
+    such image has deg a' = deg a and deg c' = deg c.
     """
     q = form.field.q
     coeffs = form.binary_coeffs()
@@ -437,9 +429,7 @@ def reduced_images(form, dets):
     al, be, ga, de = units.T
     columns = ((al, ga, al, ga), (al, ga, be, de), (be, de, be, de))
     images = [_bilinear_weights(*uv, q) @ rows % q for uv in columns]
-    idx = np.arange(length, dtype=np.int64)
-    degrees = [np.where(m != 0, idx, -1).max(axis=1) for m in images]
-    return units, images, degrees
+    return units, images
 
 
 # -- equivalence ----------------------------------------------------------

@@ -276,19 +276,13 @@ class RepSet:
         return f"RepSet(k={self.k}, size={len(self.keys)})"
 
 
-def _definite_reduction(form):
-    if not form.is_definite():
-        raise ValueError("representation sets require a definite form")
-    return reduce(form)
-
-
 def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
     """Exact V_k(Q), enumerated on the reduced representative of Q.
 
     Without counts, a key range q^(k+1) of at most 4 grid vectors per key
     is deduplicated in a bitset; the result equals `np.unique`'s.
     """
-    red, _ = _definite_reduction(form)
+    red, _ = reduce(form)
     F = form.field
     if k < 0:
         keys = np.zeros(1, dtype=np.int64)
@@ -327,7 +321,7 @@ def represents(form, f, *, slack=0, budget=DEFAULT_BUDGET):
     through the reduction transformation.
     """
     F = form.field
-    red, tr = _definite_reduction(form)
+    red, tr = reduce(form)
     if f.is_zero():
         return tuple(F.zero for _ in range(form.n))
     k = f.degree

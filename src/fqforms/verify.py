@@ -340,10 +340,10 @@ def _leading_coeffs_matchable(rep1, rep2):
     """Whether some reduced image of rep2 under GL_2(F_q) has the diagonal
     leading coefficients of rep1."""
     a1, _, c1 = rep1.binary_coeffs()
+    a2, _, c2 = rep2.binary_coeffs()
     q = rep1.field.q
-    _, (im_a, _, im_c), (deg_a, _, deg_c) = reduced_images(rep2, tuple(range(1, q)))
-    rows = np.arange(len(im_a))
-    hit = (im_a[rows, deg_a] == a1.lc()) & (im_c[rows, deg_c] == c1.lc())
+    _, (im_a, _, im_c) = reduced_images(rep2, tuple(range(1, q)))
+    hit = (im_a[:, a2.degree] == a1.lc()) & (im_c[:, c2.degree] == c1.lc())
     return bool(hit.any())
 
 

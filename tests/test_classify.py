@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fqforms.classify import (
+    _field_sqrt,
     _form_key,
     canonical_disc,
     canonical_discs,
@@ -165,6 +166,19 @@ def test_scaling_representative_completeness():
         assert d == canonical_disc(moved.discriminant())
         table = class_table(F5, d)
         table.class_index_of(scaled)  # raises if missing
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_field_sqrt_matches_scan(q):
+    # the table lookup against the scan it replaced: the smallest root
+    F = prime_field(q)
+    for a in range(q):
+        roots = [r for r in range(1, q) if F.mul(r, r) == a]
+        if roots:
+            assert _field_sqrt(F, a) == roots[0]
+        else:
+            with pytest.raises(ValueError):
+                _field_sqrt(F, a)
 
 
 def test_class_number_constant_disc():

@@ -213,6 +213,121 @@ def test_reduce_ternary():
         assert mins == [0, 1, 1]
 
 
+def reduce_binary_by_steps(form):
+    """The former binary reduction, kept as an oracle for `reduce`: swap a
+    and c, or shear b by a, one validated Transformation per step."""
+    F = form.field
+    a, b, c = form.binary_coeffs()
+    t = Transformation.identity(F, 2)
+    swap = Transformation.from_scalars(F, [[0, 1], [1, 0]])
+    for _ in range(10_000):
+        if b.degree < a.degree <= c.degree:
+            return Form.binary(a, b, c), t
+        if a.degree > c.degree:
+            a, c = c, a
+            t = t @ swap
+        elif b.degree >= a.degree:
+            k, r = divmod(b, a)
+            c = c - k * (b + r)  # c - k(2b - ka)
+            b = r
+            t = t @ Transformation(F, ((F.one, -k), (F.zero, F.one)))
+    raise AssertionError("binary reduction did not terminate")
+
+
+def reduce_higher_by_steps(form):
+    """The former reduction of rank 2..4, kept as an oracle for `reduce`:
+    each sort or shear is a validated Transformation applied to a rebuilt
+    Form."""
+    F = form.field
+    n = form.n
+    m = [list(row) for row in form.gram]
+    t = Transformation.identity(F, n)
+    for _ in range(10_000):
+        order = sorted(range(n), key=lambda i: (m[i][i].degree, i))
+        if order != list(range(n)):
+            perm = [[F.one if order[j] == i else F.zero for j in range(n)] for i in range(n)]
+            pt = Transformation(F, perm)
+            t = t @ pt
+            m = [list(row) for row in pt.apply(Form(tuple(map(tuple, m)))).gram]
+            continue
+        sheared = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                if m[i][j].degree >= m[i][i].degree:
+                    k = m[i][j] // m[i][i]
+                    el = [[F.one if r == c else F.zero for c in range(n)] for r in range(n)]
+                    el[i][j] = -k
+                    et = Transformation(F, el)
+                    t = t @ et
+                    m = [list(row) for row in et.apply(Form(tuple(map(tuple, m)))).gram]
+                    sheared = True
+                    break
+            if sheared:
+                break
+        if not sheared:
+            return Form(tuple(map(tuple, m))), t
+    raise AssertionError("reduction did not terminate")
+
+
+def rand_definite_form(field, n, rng, max_deg=3):
+    """A random definite form of rank n, seldom reduced.
+
+    Diagonal degrees fall into two parity classes of at most two entries,
+    and a pair in one class has leading coefficients u, v with -uv a
+    non-square, so the diagonal is anisotropic at infinity.  Off-diagonal
+    entries have degree below (deg m_ii + deg m_jj) / 2, which keeps the
+    form definite; it is then moved by up to three random shears.
+    """
+    F = field
+
+    def rand_poly(deg, lead=None):
+        low = [rng.randrange(F.q) for _ in range(deg)]
+        return F.poly(low + [lead if lead is not None else rng.randrange(F.q)])
+
+    parities = rng.sample([0, 0, 1, 1], n)
+    degs = [rng.randrange(p, max_deg + 1, 2) for p in parities]
+    leads = [rng.randrange(1, F.q) for _ in range(n)]
+    for p in (0, 1):
+        pair = [i for i in range(n) if parities[i] == p]
+        if len(pair) == 2:
+            u, s = leads[pair[0]], rng.randrange(1, F.q)
+            leads[pair[1]] = F.mul(F.neg(F.delta), F.mul(F.mul(s, s), F.inv(u)))
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = rand_poly(degs[i], leads[i])
+        for j in range(i + 1, n):
+            top = -(-(degs[i] + degs[j]) // 2) - 1
+            gram[i][j] = gram[j][i] = rand_poly(top) if top >= 0 else F.zero
+    form = Form(gram)
+    assert form.is_definite()
+    g = Transformation.identity(F, n)
+    for _ in range(rng.randrange(4)):
+        i, j = rng.sample(range(n), 2)
+        el = [[F.one if r == c else F.zero for c in range(n)] for r in range(n)]
+        el[i][j] = rand_poly(rng.randrange(3))
+        g = g @ Transformation(F, el)
+    return g.apply(form)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_reduce_matches_stepwise_oracles(q):
+    # 45 seeded definite forms per rank; rank 4 is reduced nowhere else
+    F = prime_field(q)
+    rng = random.Random(900 + q)
+    for n in (2, 3, 4):
+        for _ in range(45):
+            form = rand_definite_form(F, n, rng)
+            red, tr = reduce(form)
+            want = reduce_higher_by_steps(form)
+            if n == 2:
+                assert reduce_binary_by_steps(form) == want, str(form)
+            assert (red, tr) == want, str(form)
+            assert red.is_reduced() and tr.apply(form) == red
+            # an already reduced input comes back itself, with the identity
+            again, t2 = reduce(red)
+            assert again is red and t2 == Transformation.identity(F, n)
+
+
 def test_successive_minima():
     d = F5.constant(F5.delta)
     assert successive_minima(Form.binary(F5.one, F5.zero, -d)) == (0, 0)
@@ -347,12 +462,15 @@ def scanned_reduced_images(form, dets):
 
 
 def assert_images_match_scan(form, q):
+    a, _, c = form.binary_coeffs()
     for dets in ((1, -1), tuple(range(1, q))):
-        units, images, degrees = reduced_images(form, dets)
-        want_units, want_images, want_degrees = scanned_reduced_images(form, dets)
+        units, images = reduced_images(form, dets)
+        want_units, want_images, (deg_a, _, deg_c) = scanned_reduced_images(form, dets)
         assert np.array_equal(units, want_units), (str(form), dets)
-        for got, want in zip(images + degrees, want_images + want_degrees):
+        for got, want in zip(images, want_images):
             assert np.array_equal(got, want), (str(form), dets)
+        # the minima are class invariants: every reduced image keeps them
+        assert (deg_a == a.degree).all() and (deg_c == c.degree).all(), str(form)
 
 
 @pytest.mark.parametrize("q,deg", [(3, 4), (5, 3), (7, 2)])
@@ -376,10 +494,6 @@ def test_reducing_units_match_full_scan_sampled(q):
         assert_images_match_scan(form, q)
 
 
-def _padded_degree(p):
-    return max(p.degree, -1)
-
-
 @pytest.mark.parametrize("q", [5, 7, 13])
 def test_constant_images_match_transformation(q):
     # the shared GL_2(F_q) kernel against the Gram-matrix product U^t M U
@@ -390,7 +504,7 @@ def test_constant_images_match_transformation(q):
     for _ in range(8):
         form = rand_definite_reduced(F, rng)
         rows = _poly_rows(form.binary_coeffs(), form.gram[1][1].degree + 1)
-        red_units, images, degrees = reduced_images(form, tuple(range(1, q)))
+        red_units, images = reduced_images(form, tuple(range(1, q)))
         reduced_at = {tuple(row): i for i, row in enumerate(red_units.tolist())}
         for _ in range(25):
             u = [rng.randrange(q) for _ in range(4)]
@@ -406,9 +520,10 @@ def test_constant_images_match_transformation(q):
             if image.is_reduced():
                 j = reduced_at[tuple(u)]
                 assert tuple(F.poly(m[j].tolist()) for m in images) == expected
-                assert [int(d[j]) for d in degrees] == [
-                    _padded_degree(p) for p in expected
-                ]
+                assert (expected[0].degree, expected[2].degree) == (
+                    form.gram[0][0].degree,
+                    form.gram[1][1].degree,
+                )
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])

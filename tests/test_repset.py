@@ -9,7 +9,6 @@ from fqforms.ffpoly import SquareClass, prime_field
 from fqforms.qform import Form, reduce, successive_minima
 from fqforms.repset import (
     _Grid,
-    _definite_reduction,
     coordinate_degree_bounds,
     distinguishing_degree,
     key_degree,
@@ -524,7 +523,7 @@ def test_planes_match_int64_block_reduced_family():
 
 def unique_keys(form, k, slack=0):
     """V_k keys by np.unique over every grid key below q^(k+1)."""
-    red, _ = _definite_reduction(form)
+    red, _ = reduce(form)
     mins = tuple(red.gram[i][i].degree for i in range(red.n))
     grid = _Grid(red, coordinate_degree_bounds(mins, k, slack))
     keys = np.concatenate([grid.keys_for_tail(t).ravel() for t in grid.tails()])
