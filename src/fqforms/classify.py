@@ -4,25 +4,42 @@ Every reduced definite binary form (a, b, c) with b^2 - ac = D has
 deg a <= deg D / 2 and deg b < deg a, so the forms of discriminant
 exactly D come from a finite enumeration with c = (b^2 - D)/a.  The
 congruence b^2 = D (mod a) depends only on the ideal (a), so it is solved
-once per monic a and each solution is scaled by the q - 1 units.
-`ffpoly.square_roots_mod` solves it by a sieve: square roots of D at each
-place of degree <= deg a, lifted to prime powers and combined by CRT over
-the factorization of a.  Enumerated forms have b^2 - ac = D != 0 by
-construction, so they skip the checks of `Form.__init__`; and as a
-content g of a form has g^2 | D, only a D with a square factor needs the
+once per monic a_m: `ffpoly.square_roots_mod` solves it by a sieve (square
+roots of D at each place of degree <= deg a, lifted to prime powers and
+combined by CRT over the factorization of a_m), and the form (u a_m, b,
+c / u) is reduced for every unit u.  Such forms have b^2 - ac = D != 0 by
+construction, so they skip the checks of `Form.__init__`; and as a content
+g of a form has g^2 | D, only a D with a square factor needs the
 primitivity filter.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
 det U = +-1 and proper classes under det U = 1.  `qform.reduced_images`
-writes down the U that keep a form reduced: 2(q - 1) diagonal ones if
-deg a < deg c, else 2(q^2 - 1).  One orbit pass per class gives both
-partitions: the images reached by a determinant-1 U form the proper
-class of the seed.  Genera
-group classes by their local data (Jordan invariants at the divisors of
-D, Hasse symbol at infinity); D is factored once per table.  Residue
-characters come from quadratic reciprocity (`ffpoly.residue_char`), and
-the Hasse symbol at infinity of (a, b, c) from its diagonal <a, -a D>.
+writes down the U that keep a form reduced.  If deg a < deg c they are
+diag(alpha, +-1/alpha), so the proper class of (a, b, c) is
+{(alpha^2 a, b, c / alpha^2)} and its class adds b -> -b.  A table is
+therefore read off the monic solutions there, without listing its forms:
+with a = u a_m, a proper class is (a_m, u mod squares, b), it holds
+(q - 1)/2 forms, and a class is (a_m, u mod squares, +-b), two proper
+classes when b != 0 and one when b = 0.  Orbits are computed only for
+the forms with deg a = deg c, which exist only at even deg D: there U
+runs over 2(q^2 - 1) constant matrices, and one orbit pass per class
+gives both partitions, the images reached by a determinant-1 U forming
+the proper class of the seed.  The representative of a class is its
+first form in `enumerate_forms` order, (l a_m, b) with l the least lead
+in the square class of u and b the first of +-b, and classes are ordered
+by it.
+
+Genera group classes by their local data (Jordan invariants at the
+divisors of D, Hasse symbol at infinity); D is factored once per table.
+For square-free D the Jordan data at p is one assigned character,
+chi_p(a), or chi_p(c) when p | a, and it is computed once per monic a_m:
+chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and where p | a_m every root b
+gives the same chi_p(c), since c = -(D/p) / (a_m/p) mod p.  The Hasse
+symbol at infinity of (a, b, c) comes from its diagonal <a, -a D> and so
+depends only on deg a and the square class of lc a.  A D with a square
+factor takes a full `genus_symbol` per class.  Residue characters come
+from quadratic reciprocity (`ffpoly.residue_char`).
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -37,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffpoly import SquareClass, _sqrt_table, factor, gcd, is_irreducible
-from .ffpoly import square_roots_mod
-from .localgenus import genus_symbol
+from .ffpoly import residue_char, square_roots_mod
+from .localgenus import _hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
     Transformation,
@@ -48,6 +65,36 @@ from .qform import (
     reduced_images,
     successive_minima,
 )
+
+
+def _monic_solutions(disc, deg_a, filter_content):
+    """[(a_m, [(b, c), ...])] for every monic a_m of degree `deg_a`, in key
+    order: b^2 - disc = a_m c with deg b < deg a_m, b in key order, and
+    only primitive (a_m, b, c) when `filter_content`."""
+    binary = Form._trusted_binary
+    out = []
+    for a, roots in square_roots_mod(disc, deg_a):
+        if filter_content:
+            roots = [(b, c) for b, c in roots if binary(a, b, c).is_primitive()]
+        out.append((a, roots))
+    return out
+
+
+def _scaled_forms(field, solutions, deg_a):
+    """The forms (u a_m, b, c / u) for every unit u, ordered by (lead a,
+    key of the low part of a, key of b); `solutions` from
+    `_monic_solutions` at degree `deg_a`."""
+    q = field.q
+    size = q**deg_a
+    binary = Form._trusted_binary
+    out = []
+    for lead in range(1, q):
+        inv = field.constant(field.inv(lead))
+        for low in range(size):
+            a = field.poly_from_key(low + lead * size)
+            for b, c in solutions[a.monic().key() - size][1]:
+                out.append(binary(a, b, c * inv))
+    return out
 
 
 def enumerate_forms(field, disc, primitive_only=False):
@@ -61,25 +108,12 @@ def enumerate_forms(field, disc, primitive_only=False):
     """
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
-    q = field.q
     # a content g has g^2 | disc, so square-free discs have only primitive forms
     filter_content = primitive_only and gcd(disc, disc.derivative()).degree > 0
-    binary = Form._trusted_binary
     out = []
     for deg_a in range(disc.degree // 2 + 1):
-        size = q**deg_a
-        # solutions[low]: (b, c) with b^2 - disc = a c for a = t^deg_a + low
-        solutions = []
-        for a, roots in square_roots_mod(disc, deg_a):
-            if filter_content:
-                roots = [(b, c) for b, c in roots if binary(a, b, c).is_primitive()]
-            solutions.append(roots)
-        for lead in range(1, q):
-            inv = field.constant(field.inv(lead))
-            for low in range(size):
-                a = field.poly_from_key(low + lead * size)
-                for b, c in solutions[a.monic().key() - size]:
-                    out.append(binary(a, b, c * inv))
+        solutions = _monic_solutions(disc, deg_a, filter_content)
+        out.extend(_scaled_forms(field, solutions, deg_a))
     return out
 
 
@@ -97,61 +131,123 @@ def _reduced_orbit(form, q):
     return orbit, proper
 
 
+def _orbit_partition(forms, q):
+    """[(class, [proper classes])] of reduced forms with deg a = deg c, as
+    sorted index lists into `forms`, which holds whole orbits in
+    `enumerate_forms` order; classes come in order of first member."""
+    index = {_form_key(f): i for i, f in enumerate(forms)}
+    unassigned = set(range(len(forms)))
+    out = []
+    while unassigned:
+        seed = min(unassigned)
+        orbit, sl_orbit = _reduced_orbit(forms[seed], q)
+        members = sorted(index[k] for k in orbit if k in index)
+        proper = sorted(index[k] for k in sl_orbit if k in index)
+        rest = sorted(set(members) - set(proper))
+        out.append((members, [proper, rest] if rest else [proper]))
+        unassigned -= set(members)
+    return out
+
+
 def _form_key(form):
     a, b, c = form.binary_coeffs()
     return (a.key(), b.key(), c.key())
 
 
+def _closed_form_keys(form, nonsquare):
+    """(class key, proper class key) of a reduced form with deg a < deg c:
+    the (a, b) keys of the first form of each, (l a_m, +-b) and (l a_m, b),
+    where l is the least lead in the square class of lc a."""
+    F = form.field
+    a, b, _ = form.binary_coeffs()
+    lead = a.lc()
+    least = 1 if F.is_square(lead) else nonsquare
+    a_key = (a * F.constant(F.mul(least, F.inv(lead)))).key()
+    b_key = b.key()
+    return (a_key, min(b_key, (-b).key())), (a_key, b_key)
+
+
 @dataclass
 class ClassTable:
-    """Forms of one exact discriminant with their class partitions.
+    """The classes of one exact discriminant, with their genera.
 
-    `classes` and `proper_classes` are lists of sorted form-index lists;
-    `genera` is a list of sorted class-index lists.  Orderings are
-    canonical (by smallest member), so tables are deterministic.
+    `class_representatives` holds the first form of each class in
+    `enumerate_forms` order, and classes are ordered by it;
+    `proper_counts[i]` is the number of proper classes (1 or 2) in class i;
+    `genera` is a list of sorted class-index lists, ordered by first
+    member.  `forms`, `classes` and `proper_classes` (sorted form-index
+    lists, ordered by first member) list every form and are built on
+    first use.
     """
 
     field: object
     disc: object
     primitive_only: bool
-    forms: list
-    classes: list
-    proper_classes: list
+    class_representatives: list
+    proper_counts: list
     genera: list
-
-    @property
-    def class_representatives(self):
-        return [self.forms[cls[0]] for cls in self.classes]
+    _class_of_key: dict  # (a, b) keys of a class's first form -> class index
+    _genus_of_class: list
 
     def class_index_of(self, form):
-        """Index of the class containing a (definite, same-disc) form."""
+        """Index of the class containing a definite form of this disc."""
+        if form.discriminant() != self.disc:
+            raise ValueError("form does not belong to this table")
         red, _ = reduce(form)
-        key = _form_key(red)
-        for i, cls in enumerate(self.classes):
-            if any(_form_key(self.forms[j]) == key for j in cls):
-                return i
-        raise ValueError("form does not belong to this table")
+        a, _, c = red.binary_coeffs()
+        if a.degree < c.degree:
+            key = _closed_form_keys(red, self.field._first_nonsquare())[0]
+        else:
+            orbit, _ = _reduced_orbit(red, self.field.q)
+            key = min(orbit)[:2]
+        if key not in self._class_of_key:
+            raise ValueError("form does not belong to this table")
+        return self._class_of_key[key]
 
     def genus_index_of_class(self, class_index):
-        for g, members in enumerate(self.genera):
-            if class_index in members:
-                return g
-        raise AssertionError("class missing from genus partition")
+        return self._genus_of_class[class_index]
 
     def class_count_in_genus_of(self, form):
         g = self.genus_index_of_class(self.class_index_of(form))
         return len(self.genera[g])
 
     def proper_counts_per_genus(self):
-        class_to_proper = {}
-        for pi, pcls in enumerate(self.proper_classes):
-            for ci, cls in enumerate(self.classes):
-                if pcls[0] in cls:
-                    class_to_proper.setdefault(ci, []).append(pi)
-                    break
-        return [
-            sum(len(class_to_proper[ci]) for ci in genus) for genus in self.genera
-        ]
+        return [sum(self.proper_counts[ci] for ci in genus) for genus in self.genera]
+
+    @functools.cached_property
+    def forms(self):
+        return enumerate_forms(self.field, self.disc, self.primitive_only)
+
+    @property
+    def classes(self):
+        return self._partitions[0]
+
+    @property
+    def proper_classes(self):
+        return self._partitions[1]
+
+    @functools.cached_property
+    def _partitions(self):
+        forms = self.forms
+        nonsquare = self.field._first_nonsquare()
+        # forms with deg a = deg c, so 2 deg a = deg D, come last, in whole orbits
+        deg_d = self.disc.degree
+        top = next(
+            (i for i, f in enumerate(forms) if 2 * f.gram[0][0].degree == deg_d),
+            len(forms),
+        )
+        classes = [[] for _ in self.class_representatives]
+        proper = {}
+        for i, form in enumerate(forms[:top]):
+            key, proper_key = _closed_form_keys(form, nonsquare)
+            classes[self._class_of_key[key]].append(i)
+            proper.setdefault(proper_key, []).append(i)
+        proper_classes = list(proper.values())
+        for members, propers in _orbit_partition(forms[top:], self.field.q):
+            key = _form_key(forms[top + members[0]])[:2]
+            classes[self._class_of_key[key]] = [top + i for i in members]
+            proper_classes.extend([top + i for i in p] for p in propers)
+        return classes, sorted(proper_classes)
 
 
 def class_table(field, disc, primitive_only=False):
@@ -162,40 +258,83 @@ def class_table(field, disc, primitive_only=False):
 # small, or a sweep keeps every table; `comp` reads each twice, back to back
 @functools.lru_cache(maxsize=16)
 def _class_table_cached(field, disc, primitive_only):
-    forms = enumerate_forms(field, disc, primitive_only)
-    index = {_form_key(f): i for i, f in enumerate(forms)}
-    q = field.q
-    unassigned = set(range(len(forms)))
-    classes = []
-    proper_classes = []
-    while unassigned:
-        seed = min(unassigned)
-        orbit, sl_orbit = _reduced_orbit(forms[seed], q)
-        members = sorted(index[k] for k in orbit if k in index)
-        proper = sorted(index[k] for k in sl_orbit if k in index)
-        rest = sorted(set(members) - set(proper))
-        classes.append(members)
-        proper_classes.append(proper)
-        if rest:
-            proper_classes.append(rest)
-        unassigned -= set(members)
-    classes.sort(key=lambda cls: cls[0])
-    proper_classes.sort(key=lambda cls: cls[0])
+    if not is_definite_disc(disc):
+        raise ValueError("discriminant is not definite-shaped")
+    nonsquare = field._first_nonsquare()
     places = factor(disc)[1]
-    by_symbol = {}
-    for ci, cls in enumerate(classes):
-        sym = genus_symbol(forms[cls[0]], places)
-        by_symbol.setdefault(sym, []).append(ci)
-    genera = sorted(by_symbol.values(), key=lambda g: g[0])
+    square_free = all(v == 1 for _, v in places)
+    # a content g has g^2 | disc, so square-free discs have only primitive forms
+    filter_content = primitive_only and not square_free
+    classes = []  # (representative, proper class count, genus key)
+    for deg_a in range(disc.degree // 2 + 1):
+        solutions = _monic_solutions(disc, deg_a, filter_content)
+        if 2 * deg_a == disc.degree:
+            forms = _scaled_forms(field, solutions, deg_a)
+            for members, propers in _orbit_partition(forms, field.q):
+                rep = forms[members[0]]
+                if square_free:
+                    a, _, c = rep.binary_coeffs()
+                    genus = (_characters(a, c, places), _hasse_at_infinity(rep, disc))
+                else:
+                    genus = genus_symbol(rep, places)
+                classes.append((rep, len(propers), genus))
+            continue
+        found = []
+        hasse = {}  # the symbol at infinity, by the square class of lc a
+        for a_m, roots in solutions:
+            if not roots:
+                continue
+            if square_free:
+                # chi_p(c) at a place p | a_m is one value for every root b
+                chars = _characters(a_m, roots[0][1], places)
+            for lead, chi_lead in ((1, 1), (nonsquare, -1)):
+                a = a_m * field.constant(lead)
+                inv = field.constant(field.inv(lead))
+                # each class holds (a, b) and (a, -b): keep the first of the two
+                reps = [
+                    Form._trusted_binary(a, b, c * inv)
+                    for b, c in roots
+                    if b.key() <= (-b).key()
+                ]
+                if square_free:
+                    if lead not in hasse:
+                        hasse[lead] = _hasse_at_infinity(reps[0], disc)
+                    # chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m)
+                    twisted = tuple(
+                        x * chi_lead**p.degree for x, (p, _) in zip(chars, places)
+                    )
+                    genus = (twisted, hasse[lead])
+                for rep in reps:
+                    b = rep.gram[0][1]
+                    if not square_free:
+                        genus = genus_symbol(rep, places)
+                    proper_count = 1 if b.is_zero() else 2
+                    found.append(((a.key(), b.key()), rep, proper_count, genus))
+        found.sort(key=lambda entry: entry[0])
+        classes.extend(entry[1:] for entry in found)
+    by_genus = {}
+    genus_of_class = [by_genus.setdefault(g, len(by_genus)) for _, _, g in classes]
+    genera = [[] for _ in by_genus]
+    for ci, g in enumerate(genus_of_class):
+        genera[g].append(ci)
+    reps = [rep for rep, _, _ in classes]
     return ClassTable(
         field=field,
         disc=disc,
         primitive_only=primitive_only,
-        forms=forms,
-        classes=classes,
-        proper_classes=proper_classes,
+        class_representatives=reps,
+        proper_counts=[count for _, count, _ in classes],
         genera=genera,
+        _class_of_key={_form_key(rep)[:2]: ci for ci, rep in enumerate(reps)},
+        _genus_of_class=genus_of_class,
     )
+
+
+def _characters(a, c, places):
+    """The assigned characters chi_p(a), or chi_p(c) where p | a, at the
+    places p of a square-free disc; with the Hasse symbol at infinity they
+    fix the genus symbol of (a, b, c)."""
+    return tuple(residue_char(a, p) or residue_char(c, p) for p, _ in places)
 
 
 def canonical_disc(d):
@@ -254,7 +393,7 @@ def class_number(form):
 
 def proper_class_count(field, disc, primitive_only=True):
     """|G_D|: the number of proper classes of discriminant exactly `disc`."""
-    return len(class_table(field, disc, primitive_only).proper_classes)
+    return sum(class_table(field, disc, primitive_only).proper_counts)
 
 
 def cn1_prediction(form):

@@ -14,17 +14,13 @@ Local representability over the completion A_p is decided from the Jordan
 diagonalization: a unit is represented iff the scale-0 residue form
 represents it over the residue field, and p f descends to a recursion on
 the lattice with every scale shifted down, since an anisotropic scale-0
-residue form forces the scale-0 coordinates to vanish mod p.  A direct
-search modulo p^(2N+1) with the Hensel gradient criterion is kept as a
-cross-check oracle for small instances.
+residue form forces the scale-0 coordinates to vanish mod p.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetError
 from .ffpoly import factor, invmod, is_irreducible, residue_char
 from .qform import diagonal_square_classes
 
@@ -303,92 +299,3 @@ def _descend(entries, m, chi_w, chi_m1):
     return _descend(
         [(1 if s == 0 else s - 1, ch) for s, ch in entries], m - 1, chi_w, chi_m1
     )
-
-
-def local_represents_search(form, f, p, budget=300_000):
-    """Direct decision by search modulo p^(2N+1), N = v_p(disc) + v_p(f) + 1.
-
-    Accepts iff some x has Q(x) = f mod p^(2N+1) with gradient valuation
-    <= N (a Hensel-liftable approximate solution).  Exponential in deg p
-    and N; intended as a cross-check oracle on small instances.  At the
-    place t the vector grid is evaluated with the repset machinery.
-    """
-    _check_finite_place(p)
-    F = form.field
-    if f.is_zero():
-        return True
-    disc_val, _ = _strip_valuation(form.discriminant(), p)
-    fval, _ = _strip_valuation(f, p)
-    cap = disc_val + fval + 1
-    residue_count = F.q ** (p.degree * (2 * cap + 1))
-    if residue_count**form.n > budget:
-        raise BudgetError(
-            f"local search needs {residue_count**form.n} vectors (budget {budget})"
-        )
-    if p.degree == 1:
-        if p != F.t:
-            form, f = _shift_to_origin(form, f, p)
-        return _search_at_t(form, f, cap)
-    return _search_generic(form, f, p, cap)
-
-
-def _shift_to_origin(form, f, p):
-    """Apply the automorphism t -> t + r that maps the place p = t - r to t."""
-    from .qform import Form
-
-    F = f.field
-    arg = F.t + F.poly((F.neg(p.coeffs[0]),))
-
-    def sub(g):
-        acc = F.zero
-        for c in reversed(g.coeffs):
-            acc = acc * arg + c
-        return acc
-
-    return Form(tuple(tuple(sub(e) for e in row) for row in form.gram)), sub(f)
-
-
-def _grad_valuation(form, vec, p, top):
-    vals = []
-    for i in range(form.n):
-        acc = form.field.zero
-        for j in range(form.n):
-            acc = acc + 2 * form.gram[i][j] * vec[j]
-        acc = acc % p**top
-        vals.append(top if acc.is_zero() else _strip_valuation(acc, p)[0])
-    return min(vals)
-
-
-def _search_generic(form, f, p, cap):
-    F = form.field
-    modulus = p ** (2 * cap + 1)
-    residues = [F.poly_from_key(k) for k in range(F.q ** (p.degree * (2 * cap + 1)))]
-    for vec in itertools.product(residues, repeat=form.n):
-        if (form.value(vec) - f) % modulus:
-            continue
-        if _grad_valuation(form, vec, p, 2 * cap + 1) <= cap:
-            return True
-    return False
-
-
-def _search_at_t(form, f, cap):
-    import numpy as np
-
-    from .repset import _Grid
-
-    F = form.field
-    q = F.q
-    length = 2 * cap + 1
-    modkey = q**length
-    target = f.key() % modkey
-    grid = _Grid(form, (length - 1,) * form.n, budget=float("inf"))
-    t = F.t
-    for tail in grid.tails():
-        keys = grid.keys_for_tail(tail) % modkey
-        for ix, iy in np.argwhere(keys == target):
-            vec = [F.poly_from_key(int(ix)), F.poly_from_key(int(iy))] + [
-                F.poly_from_key(z) for z in tail
-            ]
-            if _grad_valuation(form, vec, t, length) <= cap:
-                return True
-    return False

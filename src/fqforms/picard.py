@@ -259,16 +259,6 @@ def weil_interval(q, genus):
     return a - r, a + r
 
 
-def affine_point_count(d0):
-    """|{(x, y) in F_q^2 : y^2 = D0(x)}|, the genus-1 order oracle."""
-    F = d0.field
-    total = 0
-    for x in F.elements():
-        c = F.char(d0(x))
-        total += 1 + c if c >= 0 else 0
-    return total
-
-
 def pic_order_with_conductor(d0, f):
     """|Pic(A[sqrt(f^2 D0)])| from the conductor exact sequence."""
     if f.is_zero() or f.lc() != 1:

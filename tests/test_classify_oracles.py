@@ -6,14 +6,20 @@
   p-adic Jordan diagonalization;
 - `class_table` (one orbit pass of closed-form units, places factored
   once) against two orbit passes over every U in GL_2(F_q), for det +-1
-  and det 1, with genera from Jordan data only.
+  and det 1, with genera from Jordan data only;
+- `class_table` (classes read off the monic square roots, orbits only
+  where deg a = deg c, genus characters once per monic a) against one
+  orbit pass over every enumerated form and one `genus_symbol` per class.
 """
+
+import random
 
 import numpy as np
 import pytest
 
 from fqforms.classify import (
     _form_key,
+    _reduced_orbit,
     canonical_discs,
     class_table,
     enumerate_forms,
@@ -32,6 +38,7 @@ from tests.test_qform import scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
 TABLE_CASES = [(3, 4), (5, 3), (7, 2)]
+ORBIT_CASES = [(3, 4), (5, 4), (7, 3)]
 
 
 def brute_force_forms(field, disc):
@@ -146,3 +153,92 @@ def test_class_table_matches_two_orbit_jordan_path(q, deg):
         table = class_table(F, d, primitive_only=True)
         got = (table.classes, table.proper_classes, table.genera)
         assert got == two_orbit_table(F, d), str(d)
+
+
+def orbit_table(field, disc, primitive_only):
+    """(forms, classes, proper classes, genera) with every form enumerated,
+    one orbit pass per class over all of them and one `genus_symbol` per
+    class: the class tables before they were read off the monic roots."""
+    forms = enumerate_forms(field, disc, primitive_only)
+    index = {_form_key(f): i for i, f in enumerate(forms)}
+    unassigned = set(range(len(forms)))
+    classes, proper_classes = [], []
+    while unassigned:
+        seed = min(unassigned)
+        orbit, sl_orbit = _reduced_orbit(forms[seed], field.q)
+        members = sorted(index[k] for k in orbit if k in index)
+        proper = sorted(index[k] for k in sl_orbit if k in index)
+        rest = sorted(set(members) - set(proper))
+        classes.append(members)
+        proper_classes.append(proper)
+        if rest:
+            proper_classes.append(rest)
+        unassigned -= set(members)
+    classes.sort(key=lambda cls: cls[0])
+    proper_classes.sort(key=lambda cls: cls[0])
+    places = factor(disc)[1]
+    by_symbol = {}
+    for ci, cls in enumerate(classes):
+        by_symbol.setdefault(genus_symbol(forms[cls[0]], places), []).append(ci)
+    genera = sorted(by_symbol.values(), key=lambda g: g[0])
+    return forms, classes, proper_classes, genera
+
+
+def assert_table_matches_orbit_oracle(field, disc):
+    """Both tables of `disc` equal the orbit oracle, and `class_index_of`
+    finds the class of the first and the last form of each class."""
+    for primitive_only in (False, True):
+        forms, classes, proper_classes, genera = orbit_table(
+            field, disc, primitive_only
+        )
+        table = class_table(field, disc, primitive_only)
+        where = (str(disc), primitive_only)
+        assert [f.gram for f in table.forms] == [f.gram for f in forms], where
+        assert table.classes == classes, where
+        assert table.proper_classes == proper_classes, where
+        assert table.genera == genera, where
+        assert [f.gram for f in table.class_representatives] == [
+            forms[cls[0]].gram for cls in classes
+        ], where
+        # the nested scans over the index lists that the per-class data replaced
+        for ci in range(len(classes)):
+            assert ci in genera[table.genus_index_of_class(ci)], where
+        assert table.proper_counts_per_genus() == [
+            sum(1 for p in proper_classes for ci in genus if p[0] in classes[ci])
+            for genus in genera
+        ], where
+        for ci, cls in enumerate(classes):
+            for i in (cls[0], cls[-1]):
+                assert table.class_index_of(forms[i]) == ci, where
+
+
+@pytest.mark.parametrize("q,deg", ORBIT_CASES)
+def test_class_table_matches_orbit_oracle(q, deg):
+    F = prime_field(q)
+    for d in canonical_discs(F, deg):
+        assert_table_matches_orbit_oracle(F, d)
+
+
+def test_class_table_matches_orbit_oracle_sampled_q7_deg4():
+    # every (7, 4) table would take about 35 s in the oracle
+    F = prime_field(7)
+    discs = canonical_discs(F, 4, exact_degree=4)
+    for d in random.Random(7004).sample(discs, 100):
+        assert_table_matches_orbit_oracle(F, d)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_character_genera_match_genus_symbols(q):
+    # for square-free D, genera come from characters shared per monic a
+    F = prime_field(q)
+    tables = 0
+    for d in canonical_discs(F, 3):
+        if any(v > 1 for _, v in factor(d)[1]):
+            continue
+        table = class_table(F, d, primitive_only=True)
+        by_symbol = {}
+        for ci, rep in enumerate(table.class_representatives):
+            by_symbol.setdefault(genus_symbol(rep), []).append(ci)
+        assert table.genera == list(by_symbol.values()), str(d)
+        tables += 1
+    assert tables > 100

@@ -1,21 +1,26 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
+from fqforms.errors import BudgetError
 from fqforms.ffpoly import factor, is_irreducible, prime_field, residue_char
 from fqforms.localgenus import (
     INFINITY,
+    _check_finite_place,
     _hasse_at_infinity,
+    _strip_valuation,
     hasse_invariant,
     hilbert_symbol,
     jordan_invariants,
     local_represents,
-    local_represents_search,
     represented_at_infinity,
     same_genus,
     square_class_at_infinity,
 )
 from fqforms.qform import Form
+from fqforms.repset import _Grid
 from tests.test_qform import rand_definite_reduced, rand_gl2
 from tests.test_repset import rand_symmetric_form, ternary_family_form
 
@@ -226,6 +231,89 @@ def test_local_represents_family_regression():
     # t*delta is not represented at t: residue form <1, -delta> is
     # anisotropic and the descent lands on <t> with chi(delta) = -1
     assert local_represents(q, d * t, t) is False
+
+
+def local_represents_search(form, f, p, budget=300_000):
+    """Direct decision by search modulo p^(2N+1), N = v_p(disc) + v_p(f) + 1.
+
+    Accepts iff some x has Q(x) = f mod p^(2N+1) with gradient valuation
+    <= N (a Hensel-liftable approximate solution).  Exponential in deg p
+    and N; the cross-check oracle of `local_represents` on small instances.
+    At the place t the vector grid is evaluated with the repset machinery.
+    """
+    _check_finite_place(p)
+    F = form.field
+    if f.is_zero():
+        return True
+    disc_val, _ = _strip_valuation(form.discriminant(), p)
+    fval, _ = _strip_valuation(f, p)
+    cap = disc_val + fval + 1
+    residue_count = F.q ** (p.degree * (2 * cap + 1))
+    if residue_count**form.n > budget:
+        raise BudgetError(
+            f"local search needs {residue_count**form.n} vectors (budget {budget})"
+        )
+    if p.degree == 1:
+        if p != F.t:
+            form, f = _shift_to_origin(form, f, p)
+        return _search_at_t(form, f, cap)
+    return _search_generic(form, f, p, cap)
+
+
+def _shift_to_origin(form, f, p):
+    """Apply the automorphism t -> t + r that maps the place p = t - r to t."""
+    F = f.field
+    arg = F.t + F.poly((F.neg(p.coeffs[0]),))
+
+    def sub(g):
+        acc = F.zero
+        for c in reversed(g.coeffs):
+            acc = acc * arg + c
+        return acc
+
+    return Form(tuple(tuple(sub(e) for e in row) for row in form.gram)), sub(f)
+
+
+def _grad_valuation(form, vec, p, top):
+    vals = []
+    for i in range(form.n):
+        acc = form.field.zero
+        for j in range(form.n):
+            acc = acc + 2 * form.gram[i][j] * vec[j]
+        acc = acc % p**top
+        vals.append(top if acc.is_zero() else _strip_valuation(acc, p)[0])
+    return min(vals)
+
+
+def _search_generic(form, f, p, cap):
+    F = form.field
+    modulus = p ** (2 * cap + 1)
+    residues = [F.poly_from_key(k) for k in range(F.q ** (p.degree * (2 * cap + 1)))]
+    for vec in itertools.product(residues, repeat=form.n):
+        if (form.value(vec) - f) % modulus:
+            continue
+        if _grad_valuation(form, vec, p, 2 * cap + 1) <= cap:
+            return True
+    return False
+
+
+def _search_at_t(form, f, cap):
+    F = form.field
+    q = F.q
+    length = 2 * cap + 1
+    modkey = q**length
+    target = f.key() % modkey
+    grid = _Grid(form, (length - 1,) * form.n, budget=float("inf"))
+    t = F.t
+    for tail in grid.tails():
+        keys = grid.keys_for_tail(tail) % modkey
+        for ix, iy in np.argwhere(keys == target):
+            vec = [F.poly_from_key(int(ix)), F.poly_from_key(int(iy))] + [
+                F.poly_from_key(z) for z in tail
+            ]
+            if _grad_valuation(form, vec, t, length) <= cap:
+                return True
+    return False
 
 
 def test_local_represents_matches_search_binary():
