@@ -175,14 +175,16 @@ class ClassTable:
     `enumerate_forms` order, and classes are ordered by it;
     `proper_counts[i]` is the number of proper classes (1 or 2) in class i;
     `genera` is a list of sorted class-index lists, ordered by first
-    member.  `forms`, `classes` and `proper_classes` (sorted form-index
-    lists, ordered by first member) list every form and are built on
-    first use.
+    member.  `places` holds the (place, multiplicity) pairs of `disc`, as
+    `factor(disc)[1]` gives them.  `forms`, `classes` and `proper_classes`
+    (sorted form-index lists, ordered by first member) list every form and
+    are built on first use.
     """
 
     field: object
     disc: object
     primitive_only: bool
+    places: list
     class_representatives: list
     proper_counts: list
     genera: list
@@ -322,6 +324,7 @@ def _class_table_cached(field, disc, primitive_only):
         field=field,
         disc=disc,
         primitive_only=primitive_only,
+        places=places,
         class_representatives=reps,
         proper_counts=[count for _, count, _ in classes],
         genera=genera,

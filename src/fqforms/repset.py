@@ -25,6 +25,17 @@ Deduplication follows the key range: when q^(k+1) is at most 4 times the
 number of grid vectors, each tail's keys are marked in a boolean array of
 length q^(k+1) and read back in ascending order; otherwise, and whenever
 representation numbers are wanted, the keys go through `np.unique`.
+
+An orthogonal tail is summed, not looped over.  When the reduced Gram
+matrix has g_1j = g_2j = 0 for every tail coordinate j >= 3 (the ternary
+family X^2 + t Y^2 - delta (t + a^2) Z^2 is diagonal), a grid value is a
+binary-block value plus a tail-block value, so the grid's keys are the
+digit-wise sums mod q of the block's distinct keys and the tail's
+distinct values.  The sums of the full keys are taken first and cut to
+degree <= k after, so the result equals the tail loop's at every slack.
+The budget then counts the block's grid vectors, the tail's vectors and
+the (block key, tail value) pairs summed.  Representation numbers, witness
+search and non-orthogonal tails keep the tail loop.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetError
-from .qform import key_powers, reduce
+from .qform import Form, key_powers, reduce
 
 
 def coordinate_degree_bounds(minima, k, slack=0):
@@ -113,11 +124,7 @@ class _Grid:
         total = 1
         for c in counts:
             total *= q**c
-        if total > budget:
-            raise BudgetError(
-                f"representation-set enumeration needs {total} vectors "
-                f"(budget {budget})"
-            )
+        _check_budget(total, budget, "vectors")
         length = _value_length(red.gram, bounds)
         key_powers(q, length)  # refuses key lengths that would wrap int64
         self.red = red
@@ -227,6 +234,105 @@ class _Grid:
         return keys
 
 
+def _orthogonal_tail(gram):
+    """Whether a rank >= 3 Gram matrix has g_1j = g_2j = 0 for j >= 3."""
+    return len(gram) > 2 and all(
+        gram[i][j].is_zero() for i in (0, 1) for j in range(2, len(gram))
+    )
+
+
+def _check_budget(needed, budget, what):
+    if needed > budget:
+        raise BudgetError(
+            f"representation-set enumeration needs {needed} {what} "
+            f"(budget {budget})"
+        )
+
+
+def _block_keys(gram, bounds, budget):
+    """Sorted distinct value keys of a rank-1 or rank-2 Gram block over
+    the coordinate grid `bounds`, uncut."""
+    q = gram[0][0].field.q
+    if len(gram) == 2:
+        grid = _Grid(Form.binary(gram[0][0], gram[0][1], gram[1][1]), bounds, budget)
+        return _distinct(grid.keys_for_tail(()).ravel(), q**grid.length)
+    _check_budget(q ** (bounds[0] + 1), budget, "vectors")
+    length = _value_length(gram, bounds)
+    squares = _batch_square(_coeff_rows(q, bounds[0] + 1), q)
+    values = _fit(_conv(squares, gram[0][0].coeffs, q), length)
+    return _distinct(values @ key_powers(q, length), q**length)
+
+
+def _distinct(keys, span):
+    """Sorted distinct keys, all below `span`: read back from a bitset when
+    span is at most 4 times the number of keys, else by `np.unique`."""
+    if span > 4 * len(keys):
+        return np.unique(keys)
+    seen = np.zeros(span, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
+
+
+def _digit_neg(keys, q):
+    """Keys of the negated polynomials: each base-q digit d -> -d mod q."""
+    keys = keys.copy()
+    out = np.zeros_like(keys)
+    weight = 1
+    while keys.any():
+        out += (-keys % q) * weight
+        keys //= q
+        weight *= q
+    return out
+
+
+def _sumset(q, block, tail, k, budget):
+    """Sorted keys below q^(k+1) of the digit-wise sums mod q of a block
+    key and a tail key, both sorted and distinct.
+
+    A sum lies below q^(k+1) iff the digits of the block key above k
+    negate those of the tail key, so each tail key meets only the slice
+    of block keys with that high part (with slack 0 every key is already
+    below q^(k+1)).  The low k+1 digits are added in chunks of c digits:
+    for each tail key, one table over the q^c chunk values per chunk, read
+    back at the block keys' chunks.  The sums are deduplicated as in
+    `repset_upto`: in a bitset when q^(k+1) is at most 4 times the pairs
+    summed, else by `np.unique`.
+    """
+    width = k + 1
+    cut = q**width
+    high, low = np.divmod(tail, cut)
+    need = _digit_neg(high, q) * cut
+    starts = np.searchsorted(block, need).tolist()
+    ends = np.searchsorted(block, need + cut).tolist()
+    pairs = sum(ends) - sum(starts)
+    _check_budget(pairs, budget, "key pairs")
+    chunks = 1
+    while q ** -(-width // chunks) > 2**12:
+        chunks += 1
+    c = -(-width // chunks)
+    digits = _coeff_rows(q, c)  # row x holds the c base-q digits of x
+    shifts = [q ** (c * j) for j in range(chunks)]
+    weights = key_powers(q, c)
+    block_chunks = [block % cut // s % q**c for s in shifts]
+    tail_chunks = [low // s % q**c for s in shifts]
+    seen = np.zeros(cut, dtype=bool) if cut <= 4 * pairs else None
+    sums = []
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        if start == end:
+            continue
+        keys = np.zeros(end - start, dtype=np.int64)
+        for shift, b_chunk, t_chunk in zip(shifts, block_chunks, tail_chunks):
+            table = (digits + digits[t_chunk[i]]) % q @ (weights * shift)
+            keys += table[b_chunk[start:end]]
+        if seen is None:
+            sums.append(keys)
+        else:
+            seen[keys] = True
+    if seen is None:
+        return np.unique(np.concatenate(sums))
+    return np.flatnonzero(seen)
+
+
 class RepSet:
     """The set of polynomials of degree <= k represented by a form.
 
@@ -279,8 +385,10 @@ class RepSet:
 def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
     """Exact V_k(Q), enumerated on the reduced representative of Q.
 
-    Without counts, a key range q^(k+1) of at most 4 grid vectors per key
-    is deduplicated in a bitset; the result equals `np.unique`'s.
+    Without counts, an orthogonal tail is summed onto the binary block's
+    distinct keys (see the module docstring), and otherwise a key range
+    q^(k+1) of at most 4 grid vectors per key is deduplicated in a bitset;
+    either result equals `np.unique`'s over the whole grid.
     """
     red, _ = reduce(form)
     F = form.field
@@ -288,7 +396,13 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
         keys = np.zeros(1, dtype=np.int64)
         return RepSet(F, k, keys, {0: 1} if with_counts else None)
     minima = tuple(red.gram[i][i].degree for i in range(red.n))
-    grid = _Grid(red, coordinate_degree_bounds(minima, k, slack), budget)
+    bounds = coordinate_degree_bounds(minima, k, slack)
+    g = red.gram
+    if not with_counts and _orthogonal_tail(g):
+        block = _block_keys([row[:2] for row in g[:2]], bounds[:2], budget)
+        tail = _block_keys([row[2:] for row in g[2:]], bounds[2:], budget)
+        return RepSet(F, k, _sumset(F.q, block, tail, k, budget))
+    grid = _Grid(red, bounds, budget)
     limit = F.q ** (k + 1)
     if not with_counts and limit <= 4 * grid.vectors:
         seen = np.zeros(limit, dtype=bool)

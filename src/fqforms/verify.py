@@ -28,18 +28,9 @@ from math import comb
 
 import numpy as np
 
-from .classify import (
-    canonical_discs,
-    class_table,
-    cn1_prediction,
-    irreducible_factor_count,
-)
+from .classify import canonical_discs, class_table, cn1_prediction
 from .ffpoly import SquareClass, prime_field, squarefree_decompose
-from .localgenus import (
-    LocalRepDecider,
-    represented_at_infinity,
-    square_class_at_infinity,
-)
+from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import comp_sequence_check, weil_interval
 from .qform import (
     Form,
@@ -48,7 +39,7 @@ from .qform import (
     reduced_images,
     successive_minima,
 )
-from .repset import DEFAULT_BUDGET, repset_upto
+from .repset import DEFAULT_BUDGET, _coeff_rows, repset_upto
 
 CHECKS = ("minima", "disc", "equiv", "smooth", "quadric", "ternary", "cn1", "comp")
 
@@ -624,6 +615,64 @@ def ternary_family_form(field, a):
     return Form.diagonal([field.one, t, -d * (t + aa)])
 
 
+def _linear_place_classes(field, digits, root):
+    """(valuation, residue char) of each polynomial at the place t - root.
+
+    Row f of `digits` holds the coefficients of f.  Its Taylor
+    coefficients at root, c_j = sum_i C(i, j) root^(i - j) f_i, are one
+    triangular matrix product mod q.  v is the least j with c_j != 0 and
+    the residue char is chi(c_v), since f = (t - root)^v u with
+    u(root) = c_v.  A zero row gets v = its length and char 0.
+    """
+    q = field.q
+    n = digits.shape[1]
+    taylor = np.array(
+        [
+            [comb(i, j) * pow(root, i - j, q) % q if i >= j else 0 for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    coeffs = digits @ taylor % q
+    found = coeffs != 0
+    v = np.where(found.any(axis=1), found.argmax(axis=1), n)
+    lowest = np.take_along_axis(coeffs, np.minimum(v, n - 1)[:, None], axis=1)
+    return v, _char_table(field)[lowest[:, 0]]
+
+
+def _infinity_classes(field, digits):
+    """(deg f mod 2, chi(lc f)) of each polynomial, its square class at
+    infinity (`square_class_at_infinity`); a zero row gets char 0."""
+    n = digits.shape[1]
+    deg = n - 1 - (digits[:, ::-1] != 0).argmax(axis=1)
+    lc = np.take_along_axis(digits, deg[:, None], axis=1)[:, 0]
+    return deg % 2, _char_table(field)[lc]
+
+
+def _char_table(field):
+    return np.array([field.char(c) for c in range(field.q)])
+
+
+def _class_ids(parts, chars):
+    """One integer per (part, char) class; -1 for char 0 (f = 0)."""
+    return np.where(chars == 0, -1, 2 * parts + (chars > 0))
+
+
+def _per_class(field, classes, decide, start=0):
+    """decide(f) for the keys f = start, start + 1, ..., where classes[i]
+    is the class of key start + i: called once per class, on its least
+    key, and read back for the others."""
+    _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
+    answers = [decide(field.poly_from_key(start + i)) for i in first.tolist()]
+    return np.array(answers, dtype=bool)[inverse]
+
+
+def _locally(field, classes, decider):
+    """A local decider's answer for every key f: f = 0 is represented at
+    every place, and the keys f >= 1, of classes classes[f - 1], are
+    decided once per class."""
+    return np.r_[True, _per_class(field, classes, decider, start=1)]
+
+
 def ternary_family_check(cfg, window=6):
     """The rank-3 family shares representation sets while discriminants
     differ, and membership matches local representability everywhere.
@@ -634,6 +683,15 @@ def ternary_family_check(cfg, window=6):
     square class excluded at infinity; those mismatches are recorded in
     stats rather than as violations, and each one is required to be of
     exactly that shape (local at t but excluded at infinity).
+
+    The forms are diagonal, so `repset_upto` sums their V_k over the
+    orthogonal Z-coordinate instead of looping over it.  The values f of
+    degree <= window - 2 are checked as key arrays.  At the linear places
+    t and t + a^2 the decider's answer depends on f only through its
+    (valuation, residue char) class, and at infinity only through its
+    square class; so each class is decided once, on its least key, and
+    read back for every key in it.  A polynomial is built only for a value
+    that makes a violation.
     """
     F = prime_field(cfg.q)
     violations = []
@@ -669,43 +727,46 @@ def ternary_family_check(cfg, window=6):
                         )
                     )
     lower = window - 2
-    t = F.t
+    digits = _coeff_rows(F.q, lower + 1)  # row f: the coefficients of f
+    nonzero = digits[1:]
+    at_t = _class_ids(*_linear_place_classes(F, nonzero, 0))
+    at_inf = _class_ids(*_infinity_classes(F, digits))
     t_only_mismatches = 0
     uncharacterized = 0
     for a in units:
-        decider_t = LocalRepDecider(forms[a], t)
-        other = t + F.poly((F.mul(a, a),))
-        decider_other = LocalRepDecider(forms[a], other)
-        member_keys = set(sets[a].restrict(lower).keys.tolist())
-        # at most five square classes at infinity: decide each once
-        at_infinity_by_class = {}
-        for key in range(F.q ** (lower + 1)):
+        form = forms[a]
+        aa = F.mul(a, a)
+        at_other = _class_ids(*_linear_place_classes(F, nonzero, F.neg(aa)))
+        in_local_t = _locally(F, at_t, LocalRepDecider(form, F.t))
+        in_other = _locally(F, at_other, LocalRepDecider(form, F.t + F.poly((aa,))))
+        at_infinity = _per_class(
+            F, at_inf, lambda f: represented_at_infinity(form, f)
+        )
+        in_global = np.zeros(len(digits), dtype=bool)
+        in_global[sets[a].restrict(lower).keys] = True
+        instances += len(digits)
+        biconditional = in_global != (in_local_t & at_infinity)
+        t_only = in_global != in_local_t
+        t_only_mismatches += int(t_only.sum())
+        uncharacterized += int(
+            (t_only & (in_global | ~in_local_t | at_infinity)).sum()
+        )
+        for key in np.flatnonzero(biconditional | ~in_other).tolist():
             f = F.poly_from_key(key)
-            instances += 1
-            in_global = key in member_keys
-            in_local_t = decider_t(f)
-            cls = square_class_at_infinity(f)
-            if cls not in at_infinity_by_class:
-                at_infinity_by_class[cls] = represented_at_infinity(forms[a], f)
-            at_infinity = at_infinity_by_class[cls]
-            if in_global != (in_local_t and at_infinity):
+            if biconditional[key]:
                 violations.append(
                     Violation(
                         "ternary",
                         {"a": a, "f": str(f)},
                         observed={
-                            "global": in_global,
-                            "local_at_t": in_local_t,
-                            "at_infinity": at_infinity,
+                            "global": bool(in_global[key]),
+                            "local_at_t": bool(in_local_t[key]),
+                            "at_infinity": bool(at_infinity[key]),
                         },
                         expected="global iff local at t and at infinity",
                     )
                 )
-            if in_global != in_local_t:
-                t_only_mismatches += 1
-                if in_global or not in_local_t or at_infinity:
-                    uncharacterized += 1
-            if not decider_other(f):
+            if not in_other[key]:
                 violations.append(
                     Violation(
                         "ternary",
@@ -811,7 +872,7 @@ def comp_bridge_sweep(cfg):
             )
         table = class_table(F, disc, primitive_only=True)
         genera = len(table.genera)
-        r = irreducible_factor_count(disc)
+        r = len(table.places)
         if genera != 2**r:
             violations.append(
                 Violation(

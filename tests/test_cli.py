@@ -162,6 +162,20 @@ def test_budget_errors_exit_two(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_verify_ternary_q7_within_default_budget(capsys):
+    # the four V_6 sets are sums of 823,543 binary grid vectors (107,401
+    # distinct keys) and 172 tail values: 18.5M key pairs, within 1e8
+    code, out = run_cli(capsys, "verify", "ternary", "--q", "7")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"]
+    assert report["instances_checked"] == 15 + 6 * 7**5
+    # a budget that holds the binary grid but not the key pairs
+    code = main(["verify", "ternary", "--q", "7", "--budget", "1000000"])
+    assert code == 2
+    assert "key pairs" in capsys.readouterr().err
+
+
 def test_classify_large_q(capsys):
     # closed-form units: (u, 0, -t/u) splits by the square class of u
     code, out = run_cli(capsys, "classify", "--q", "101", "--disc", "t")

@@ -9,6 +9,8 @@ from fqforms.ffpoly import SquareClass, prime_field
 from fqforms.qform import Form, reduce, successive_minima
 from fqforms.repset import (
     _Grid,
+    _orthogonal_tail,
+    _sumset,
     coordinate_degree_bounds,
     distinguishing_degree,
     key_degree,
@@ -570,3 +572,164 @@ def test_rep_numbers_match_naive_counts():
         naive = naive_rep_numbers(form, bounds)
         want = {f: n for f, n in naive.items() if f.is_zero() or f.degree <= k}
         assert rep_numbers(form, k) == want
+
+
+# -- the sumset over an orthogonal tail ------------------------------------
+
+
+def tail_loop_keys(form, k, slack=0):
+    """V_k keys by the tail loop: each tail's grid keys below q^(k+1)
+    marked in a bitset, as `repset_upto` did before orthogonal tails
+    were summed."""
+    red, _ = reduce(form)
+    mins = tuple(red.gram[i][i].degree for i in range(red.n))
+    grid = _Grid(red, coordinate_degree_bounds(mins, k, slack), budget=10**12)
+    limit = form.field.q ** (k + 1)
+    seen = np.zeros(limit, dtype=bool)
+    for tail in grid.tails():
+        keys = grid.keys_for_tail(tail).ravel()
+        seen[keys[keys < limit]] = True
+    return np.flatnonzero(seen)
+
+
+def assert_sumset_matches_tail_loop(form, k, slack):
+    red, _ = reduce(form)
+    assert _orthogonal_tail(red.gram)
+    got = repset_upto(form, k, slack=slack, budget=10**9).keys
+    want = tail_loop_keys(form, k, slack)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (form, k, slack)
+
+
+# (5, 6) and (7, 4) at slack 2 would sum block grids of 48.8M and 40.4M
+# vectors, and the tail loop would enumerate 1.5e11 and 4.7e12: slack 2 is
+# checked there at the largest k whose tail loop stays small
+@pytest.mark.parametrize(
+    "q, k, slack",
+    [(3, 6, 0), (3, 6, 2), (5, 6, 0), (5, 1, 2), (7, 4, 0), (7, 2, 1), (7, 0, 2)],
+)
+def test_sumset_matches_tail_loop_ternary_family(q, k, slack):
+    F = prime_field(q)
+    for a in range(1, q):
+        assert_sumset_matches_tail_loop(ternary_family_form(F, a), k, slack)
+
+
+def rank4_orthogonal_tail_form():
+    """<1, -delta> + [[t + 2, 1], [1, 2 t]] at q = 5: reduced as given,
+    with an orthogonal tail block that is not diagonal."""
+    t, z, d = F5.t, F5.zero, F5.constant(F5.delta)
+    one = F5.one
+    return Form(
+        (
+            (one, z, z, z),
+            (z, -d, z, z),
+            (z, z, t + 2, one),
+            (z, z, one, 2 * t),
+        )
+    )
+
+
+@pytest.mark.parametrize("k, slack", [(4, 0), (2, 1)])
+def test_sumset_matches_tail_loop_rank4_nondiagonal_tail(k, slack):
+    form = rank4_orthogonal_tail_form()
+    assert form.is_definite()
+    red, _ = reduce(form)
+    assert not red.gram[2][3].is_zero()
+    assert_sumset_matches_tail_loop(form, k, slack)
+
+
+def test_tail_loop_kept_off_the_orthogonal_path(monkeypatch):
+    # a tail coupled to the first two coordinates, representation numbers
+    # and binary forms never reach the sumset
+    import fqforms.repset as repset_module
+
+    def refuse(*args):
+        raise AssertionError("sumset taken")
+
+    monkeypatch.setattr(repset_module, "_sumset", refuse)
+    rng = random.Random(61)
+    coupled = []
+    while len(coupled) < 3:
+        form = rand_symmetric_form(F5, 3, rng, max_deg=rng.randrange(1, 3))
+        if form.is_definite() and not reduce(form)[0].gram[0][2].is_zero():
+            coupled.append(form)
+    for form in coupled:
+        assert not _orthogonal_tail(reduce(form)[0].gram)
+        for k in (2, 4):
+            assert np.array_equal(repset_upto(form, k).keys, tail_loop_keys(form, k))
+    family = ternary_family_form(F5, 1)
+    counted = repset_upto(family, 4, with_counts=True)
+    assert np.array_equal(counted.keys, tail_loop_keys(family, 4))
+    assert sorted(counted.counts) == counted.keys.tolist()
+    binary = Form.diagonal([F5.one, F5.t])
+    assert np.array_equal(repset_upto(binary, 4).keys, tail_loop_keys(binary, 4))
+    assert represents(family, F5.t**4) is not None
+
+
+def sumset_pairs(form, k):
+    """(binary block vectors, distinct block keys x distinct tail values)
+    of a diagonal rank-3 form, the tail values by polynomial arithmetic."""
+    F = form.field
+    red, _ = reduce(form)
+    g = red.gram
+    bounds = coordinate_degree_bounds(tuple(g[i][i].degree for i in range(3)), k)
+    block = Form.diagonal([g[0][0], g[1][1]])
+    grid = _Grid(block, bounds[:2])
+    block_keys = np.unique(grid.keys_for_tail(()))
+    tail = {
+        (g[2][2] * z * z).key()
+        for z in (F.poly_from_key(key) for key in range(F.q ** (bounds[2] + 1)))
+    }
+    return grid.vectors, len(block_keys) * len(tail)
+
+
+def test_sumset_budget_counts_key_pairs():
+    form = ternary_family_form(F5, 1)
+    vectors, pairs = sumset_pairs(form, 6)
+    assert (vectors, pairs) == (78125, 10893 * 63)
+    want = tail_loop_keys(form, 6)
+    assert np.array_equal(repset_upto(form, 6, budget=pairs).keys, want)
+    with pytest.raises(BudgetError, match="key pairs"):
+        repset_upto(form, 6, budget=pairs - 1)
+    # below the block's grid the grid itself refuses
+    with pytest.raises(BudgetError, match="vectors"):
+        repset_upto(form, 6, budget=vectors - 1)
+
+
+def poly_sumset(F, block, tail, k):
+    """Keys below q^(k+1) of every block + tail sum, by Poly addition."""
+    limit = F.q ** (k + 1)
+    out = set()
+    for a in block.tolist():
+        for b in tail.tolist():
+            key = (F.poly_from_key(a) + F.poly_from_key(b)).key()
+            if key < limit:
+                out.add(key)
+    return np.array(sorted(out), dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "q, k, sizes",
+    [(3, 3, (60, 30)), (3, 8, (90, 40)), (5, 5, (80, 30)), (7, 2, (120, 50))],
+)
+def test_sumset_digit_sums_match_poly_addition(q, k, sizes):
+    # keys with digits above k, half the tail keys chosen to cancel the
+    # high digits of some block key; one and two chunks of low digits,
+    # bitset and np.unique dedupe
+    from fqforms.repset import _digit_neg
+
+    F = prime_field(q)
+    rng = random.Random(q * 100 + k)
+    cut = q ** (k + 1)
+    top = q ** (k + 3)
+    block = np.unique(np.array([0] + [rng.randrange(top) for _ in range(sizes[0])]))
+    highs = block // cut
+    tail = [rng.randrange(top) for _ in range(sizes[1] // 2)]
+    tail += [
+        int(_digit_neg(np.array([rng.choice(highs.tolist())]), q)[0]) * cut
+        + rng.randrange(cut)
+        for _ in range(sizes[1] // 2)
+    ]
+    tail = np.unique(np.array([0] + tail))
+    got = _sumset(q, block, tail, k, budget=10**9)
+    assert np.array_equal(got, poly_sumset(F, block, tail, k))

@@ -1,22 +1,34 @@
 import hashlib
 import json
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from fqforms.ffpoly import prime_field
+from fqforms.ffpoly import SquareClass, prime_field, residue_char
+from fqforms.localgenus import (
+    LocalRepDecider,
+    _strip_valuation,
+    represented_at_infinity,
+    square_class_at_infinity,
+)
 from fqforms.qform import Form
-from fqforms.repset import repset_upto
+from fqforms.repset import RepSet, _coeff_rows, repset_upto
 from fqforms.verify import (
+    _finish,
+    _infinity_classes,
     _leading_coeffs_matchable,
+    _linear_place_classes,
     SweepConfig,
     SweepData,
+    Violation,
     count_quadric_intersection,
     run_check,
     smooth_discriminant_identity,
     sweep_data,
     ternary_family_check,
+    ternary_family_form,
     verify_disc_recovery,
     verify_equiv_theorems,
     verify_minima_recovery,
@@ -124,6 +136,174 @@ def test_ternary_family_decides_infinity_once_per_square_class(monkeypatch):
     assert sum(calls.values()) == 20
 
 
+def test_ternary_family_decides_locally_once_per_class(monkeypatch):
+    # f != 0 of degree <= 4 falls in ten (valuation, char) classes at each
+    # of the places t and t + a^2: 80 decisions for the four forms at q = 5
+    calls = []
+    decide = LocalRepDecider.__call__
+
+    def counted(self, f):
+        calls.append(f)
+        return decide(self, f)
+
+    monkeypatch.setattr(LocalRepDecider, "__call__", counted)
+    r = ternary_family_check(small_cfg(q=5))
+    assert r.passed
+    assert len(calls) == 80
+    assert all(not f.is_zero() for f in calls)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_key_classes_match_strip_valuation_and_square_class(q):
+    # every f of degree <= 5, at every linear place t - r and at infinity
+    F = prime_field(q)
+    digits = _coeff_rows(q, 6)
+    polys = [F.poly_from_key(key) for key in range(1, len(digits))]
+    for root in range(q):
+        place = F.t - F.constant(root)
+        v, chi = _linear_place_classes(F, digits[1:], root)
+        want = [
+            (m, residue_char(w, place))
+            for m, w in (_strip_valuation(f, place) for f in polys)
+        ]
+        assert list(zip(v.tolist(), chi.tolist())) == want, root
+    parity, chi = _infinity_classes(F, digits)
+    assert chi[0] == 0  # f = 0 has no square class
+    assert list(zip(parity[1:].tolist(), chi[1:].tolist())) == [
+        square_class_at_infinity(f) for f in polys
+    ]
+
+
+def ternary_family_oracle(cfg, window=6):
+    """`ternary_family_check` one value at a time: the per-value loop it
+    replaced, with a polynomial and a local decider call per value."""
+    F = prime_field(cfg.q)
+    violations = []
+    instances = 0
+    forms = {a: ternary_family_form(F, a) for a in range(1, cfg.q)}
+    sets = {
+        a: repset_upto(form, window, budget=cfg.budget) for a, form in forms.items()
+    }
+    units = sorted(forms)
+    for i, a in enumerate(units):
+        for b in units[i + 1 :]:
+            instances += 1
+            same = np.array_equal(sets[a].keys, sets[b].keys)
+            if not same:
+                violations.append(
+                    Violation(
+                        "ternary",
+                        {"a": a, "b": b},
+                        observed="representation sets differ up to degree %d" % window,
+                        expected="equal sets",
+                    )
+                )
+            if F.mul(a, a) != F.mul(b, b):
+                d1 = SquareClass(forms[a].discriminant())
+                d2 = SquareClass(forms[b].discriminant())
+                if d1 == d2:
+                    violations.append(
+                        Violation(
+                            "ternary",
+                            {"a": a, "b": b},
+                            observed="equal disc classes",
+                            expected="distinct disc classes when a^2 != b^2",
+                        )
+                    )
+    lower = window - 2
+    t = F.t
+    t_only_mismatches = 0
+    uncharacterized = 0
+    for a in units:
+        decider_t = LocalRepDecider(forms[a], t)
+        other = t + F.poly((F.mul(a, a),))
+        decider_other = LocalRepDecider(forms[a], other)
+        member_keys = set(sets[a].restrict(lower).keys.tolist())
+        # at most five square classes at infinity: decide each once
+        at_infinity_by_class = {}
+        for key in range(F.q ** (lower + 1)):
+            f = F.poly_from_key(key)
+            instances += 1
+            in_global = key in member_keys
+            in_local_t = decider_t(f)
+            cls = square_class_at_infinity(f)
+            if cls not in at_infinity_by_class:
+                at_infinity_by_class[cls] = represented_at_infinity(forms[a], f)
+            at_infinity = at_infinity_by_class[cls]
+            if in_global != (in_local_t and at_infinity):
+                violations.append(
+                    Violation(
+                        "ternary",
+                        {"a": a, "f": str(f)},
+                        observed={
+                            "global": in_global,
+                            "local_at_t": in_local_t,
+                            "at_infinity": at_infinity,
+                        },
+                        expected="global iff local at t and at infinity",
+                    )
+                )
+            if in_global != in_local_t:
+                t_only_mismatches += 1
+                if in_global or not in_local_t or at_infinity:
+                    uncharacterized += 1
+            if not decider_other(f):
+                violations.append(
+                    Violation(
+                        "ternary",
+                        {"a": a, "f": str(f)},
+                        observed="not represented at the place t + a^2",
+                        expected="every value is represented there",
+                    )
+                )
+    stats = {
+        "family_size": len(units),
+        "window": window,
+        "local_at_t_only_mismatches": t_only_mismatches,
+        "mismatches_not_explained_by_infinity": uncharacterized,
+    }
+    return _finish("ternary", cfg, instances, violations, stats, False)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_ternary_family_check_matches_per_value_oracle(q):
+    cfg = SweepConfig(q=q)
+    assert ternary_family_check(cfg).as_dict() == ternary_family_oracle(cfg).as_dict()
+
+
+def test_ternary_family_violations_match_per_value_oracle(monkeypatch):
+    # thinned sets (a different key dropped per form) and a decider that
+    # refuses at t + a^2 give violations of every kind; both paths must
+    # list the same ones in the same order
+    import fqforms.verify as verify_module
+
+    this = sys.modules[__name__]
+    enumerate_keys = repset_upto
+
+    def thinned(form, k, budget):
+        rs = enumerate_keys(form, k, budget=budget)
+        drop = form.gram[2][2].key() % 5
+        return RepSet(rs.field, k, rs.keys[rs.keys % 5 != drop])
+
+    class Refusing(LocalRepDecider):
+        # f = 0 stays represented, as the zero vector represents it anywhere
+        def __call__(self, f):
+            answer = super().__call__(f)
+            if f.is_zero() or self.place == self.place.field.t:
+                return answer
+            return not answer
+
+    for module in (verify_module, this):
+        monkeypatch.setattr(module, "repset_upto", thinned)
+        monkeypatch.setattr(module, "LocalRepDecider", Refusing)
+    cfg = small_cfg(q=5)
+    got = ternary_family_check(cfg, window=4)
+    want = ternary_family_oracle(cfg, window=4)
+    kinds = {json.dumps(v.observed, sort_keys=True)[:20] for v in want.violations}
+    assert len(kinds) >= 3
+    assert got.as_dict() == want.as_dict()
+
+
 def test_cn1_survey_q13_mode():
     r = run_check("cn1", SweepConfig(q=13, samples=3, seed=1))
     assert r.passed
@@ -225,6 +405,8 @@ def test_comp_bridge_q13_sampled():
         assert report.passed, str(d)
         table = class_table(F13, d, primitive_only=True)
         assert len(table.genera) == 2 ** irreducible_factor_count(d), str(d)
+        # the sweep reads r off the table's own factorization
+        assert len(table.places) == irreducible_factor_count(d), str(d)
 
 
 def test_violation_replay():
