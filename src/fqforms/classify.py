@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import SquareClass, _sqrt_table, factor, gcd, is_irreducible
+from .ffpoly import SquareClass, _sqrt_table, factor, is_irreducible, is_squarefree
 from .ffpoly import residue_char, square_roots_mod
 from .localgenus import _hasse_at_infinity, genus_symbol
 from .qform import (
@@ -109,7 +109,7 @@ def enumerate_forms(field, disc, primitive_only=False):
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     # a content g has g^2 | disc, so square-free discs have only primitive forms
-    filter_content = primitive_only and gcd(disc, disc.derivative()).degree > 0
+    filter_content = primitive_only and not is_squarefree(disc)
     out = []
     for deg_a in range(disc.degree // 2 + 1):
         solutions = _monic_solutions(disc, deg_a, filter_content)
@@ -196,12 +196,7 @@ class ClassTable:
         if form.discriminant() != self.disc:
             raise ValueError("form does not belong to this table")
         red, _ = reduce(form)
-        a, _, c = red.binary_coeffs()
-        if a.degree < c.degree:
-            key = _closed_form_keys(red, self.field._first_nonsquare())[0]
-        else:
-            orbit, _ = _reduced_orbit(red, self.field.q)
-            key = min(orbit)[:2]
+        key = min(_reduced_orbit(red, self.field.q)[0])[:2]
         if key not in self._class_of_key:
             raise ValueError("form does not belong to this table")
         return self._class_of_key[key]

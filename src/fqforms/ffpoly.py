@@ -546,6 +546,13 @@ def _pth_root(f):
     return f.field.poly(f.coeffs[:: f.field.p])
 
 
+def is_squarefree(f):
+    """Whether a nonzero f has no repeated irreducible factor, i.e.
+    gcd(f, f') is a unit.  Exact over a prime field: there f' = 0 only
+    for f = h(t^p) = h(t)^p, whose gcd with f' is f itself."""
+    return gcd(f, f.derivative()).degree == 0
+
+
 def squarefree_decompose(f):
     """(f0, g, unit) with f = unit * g^2 * f0, f0 squarefree monic, g monic."""
     unit, parts = squarefree_part_decomposition(f)

@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
-from .ffpoly import _prime_divisors, factor, is_irreducible, residue_char
-from .ffpoly import square_roots_mod, squarefree_decompose, xgcd
+from .ffpoly import _prime_divisors, factor, is_irreducible, is_squarefree
+from .ffpoly import residue_char, square_roots_mod, squarefree_decompose, xgcd
 from .qform import is_definite_disc
 
 
@@ -71,8 +71,7 @@ def _genus(d0):
         raise ValueError("curve polynomial must have degree >= 1")
     if not is_definite_disc(d0):
         raise ValueError("even-degree D0 needs a non-square leading coefficient")
-    f0, g, _ = squarefree_decompose(d0)
-    if g.degree > 0 or f0.degree != d0.degree:
+    if not is_squarefree(d0):
         raise ValueError("curve polynomial must be square-free")
     return (d0.degree - 1) // 2
 

@@ -363,7 +363,7 @@ def successive_minima(form):
     return tuple(red.gram[i][i].degree for i in range(form.n))
 
 
-# -- constant GL_2(F_q) transformations of binary forms --------------------
+# -- constant GL_n(F_q) transformations ------------------------------------
 
 def _poly_rows(polys, length):
     return np.array(
@@ -384,11 +384,21 @@ def key_powers(q, length):
         )
     return q ** np.arange(length, dtype=np.int64)
 
-def _bilinear_weights(x1, y1, x2, y2, q):
-    """Rows w with w . (a, b, c) = B((x1, y1), (x2, y2)) for the binary form
-    (a, b, c), whose bilinear form is B(u, v) = a u1 v1 + b (u1 v2 + u2 v1)
-    + c u2 v2, so that Q(u) = B(u, u).  Broadcasts over its arguments."""
-    return np.stack([x1 * x2, x1 * y2 + y1 * x2, y1 * y2], axis=-1) % q
+def _bilinear_weights(u, v, q):
+    """Rows w with w . g = B(u, v) = u^t M v, where g lists the Gram
+    entries m_ij with i <= j in row-major order ((a, b, c) for a binary
+    form): the weight of m_ij is u_i v_j + u_j v_i for i < j and u_i v_i
+    for i = j, so that Q(u) = B(u, u).  Vectors lie along the last axis;
+    broadcasts over the others."""
+    n = u.shape[-1]
+    return np.stack(
+        [
+            u[..., i] * v[..., j] + (u[..., j] * v[..., i] if i < j else 0)
+            for i in range(n)
+            for j in range(i, n)
+        ],
+        axis=-1,
+    ) % q
 
 def _reducing_units(form, dets):
     """Rows (alpha, beta, gamma, delta), in lexicographic order, of the
@@ -426,123 +436,50 @@ def reduced_images(form, dets):
     length = max(len(p.coeffs) for p in coeffs)
     rows = _poly_rows(coeffs, length)
     units = _reducing_units(form, dets)
-    al, be, ga, de = units.T
-    columns = ((al, ga, al, ga), (al, ga, be, de), (be, de, be, de))
-    images = [_bilinear_weights(*uv, q) @ rows % q for uv in columns]
+    u, v = units.reshape(-1, 2, 2).transpose(2, 0, 1)  # the columns of U
+    images = [
+        _bilinear_weights(x, y, q) @ rows % q for x, y in ((u, u), (u, v), (v, v))
+    ]
     return units, images
 
 
 # -- equivalence ----------------------------------------------------------
 
-def _constant_witnesses_binary(r1, r2):
-    """All U in GL_2(F_q) with U^t M1 U = M2, as (alpha, beta, gamma, delta).
+def _constant_witnesses(r1, r2):
+    """All U in GL_n(F_q) with U^t M1 U = M2, as row-major flat tuples in
+    lexicographic order of the columns (u_1, ..., u_n), each column in
+    `np.indices((q,) * n)` order.
 
-    The columns (alpha, gamma) and (beta, delta) are searched separately
-    over the q^2 vectors: Q1 must take the values a2 and c2 on them, and
-    then B1 the value b2 on the pair.
+    The candidates for column i are the q^n vectors u with Q1(u) = m2_ii.
+    The columns are joined one at a time: a partial tuple (u_1..u_(i-1))
+    takes a candidate u_i only when B1(u_j, u_i) = m2_ji for every j < i.
+    Singular U are dropped last, by their exact determinant mod q.
     """
-    F = r1.field
-    q = F.q
-    a, b, c = r1.binary_coeffs()
-    a2, b2, c2 = r2.binary_coeffs()
-    length = max(
-        len(p.coeffs) for p in (a, b, c, a2, b2, c2)
-    )
-    pmat = _poly_rows([a, b, c], length)
-    targets = _poly_rows([a2, b2, c2], length)
-    pairs = np.indices((q, q)).reshape(2, -1).T  # rows (x, y)
-    x, y = pairs[:, 0], pairs[:, 1]
-    vals = _bilinear_weights(x, y, x, y, q) @ pmat % q
-    first = pairs[(vals == targets[0]).all(axis=1)]
-    second = pairs[(vals == targets[2]).all(axis=1)]
-    if len(first) == 0 or len(second) == 0:
-        return []
-    al, ga = first[:, 0][:, None], first[:, 1][:, None]
-    be, de = second[:, 0][None, :], second[:, 1][None, :]
-    wb = _bilinear_weights(al, ga, be, de, q).reshape(-1, 3)
-    ok = (wb @ pmat % q == targets[1]).all(axis=1)
-    dets = (al * de - be * ga) % q
-    ok &= (dets != 0).reshape(-1)
-    ii, jj = np.nonzero(ok.reshape(len(first), len(second)))
-    return [
-        (int(first[i][0]), int(second[j][0]), int(first[i][1]), int(second[j][1]))
-        for i, j in zip(ii, jj)
-    ]
-
-def _constant_witnesses_ternary(r1, r2):
-    F = r1.field
-    q = F.q
-    if q > 7:
+    q, n = r1.field.q, r1.n
+    if n == 3 and q > 7:
         raise CapabilityError(
             f"rank-3 equivalence search is GL_3(F_q)-exhaustive (~q^9); q={q} > 7"
         )
-    g1, g2 = r1.gram, r2.gram
-    length = max(
-        max(len(e.coeffs) for e in row) for g in (g1, g2) for row in g
-    )
-    pmat = _poly_rows(
-        [g1[0][0], g1[1][1], g1[2][2], g1[0][1], g1[0][2], g1[1][2]], length
-    )
-    vecs = np.indices((q, q, q)).reshape(3, -1).T
-    x, y, z = vecs[:, 0], vecs[:, 1], vecs[:, 2]
-    w = np.stack(
-        [x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z], axis=1
-    ) % q
-    vals = w @ pmat % q
-
-    def matches(target):
-        row = _poly_rows([target], length)[0]
-        return vecs[(vals == row).all(axis=1)]
-
-    c1 = matches(g2[0][0])
-    c2 = matches(g2[1][1])
-    c3 = matches(g2[2][2])
-    tb12 = _poly_rows([g2[0][1]], length)[0]
-    tb13 = _poly_rows([g2[0][2]], length)[0]
-    tb23 = _poly_rows([g2[1][2]], length)[0]
-
-    def bil(u, v):
-        w = np.stack(
-            [
-                u[:, 0] * v[0],
-                u[:, 1] * v[1],
-                u[:, 2] * v[2],
-                u[:, 0] * v[1] + u[:, 1] * v[0],
-                u[:, 0] * v[2] + u[:, 2] * v[0],
-                u[:, 1] * v[2] + u[:, 2] * v[1],
-            ],
-            axis=1,
-        ) % q
-        return w @ pmat % q
-
-    out = []
-    for u2 in c2:
-        m12 = c1[(bil(c1, u2) == tb12).all(axis=1)]
-        if len(m12) == 0:
-            continue
-        m23 = c3[(bil(c3, u2) == tb23).all(axis=1)]
-        if len(m23) == 0:
-            continue
-        for u1 in m12:
-            ok = (bil(m23, u1) == tb13).all(axis=1)
-            for u3 in m23[ok]:
-                det = (
-                    u1[0] * (u2[1] * u3[2] - u2[2] * u3[1])
-                    - u2[0] * (u1[1] * u3[2] - u1[2] * u3[1])
-                    + u3[0] * (u1[1] * u2[2] - u1[2] * u2[1])
-                ) % q
-                if det:
-                    out.append(
-                        tuple(int(v) for v in np.stack([u1, u2, u3], axis=1).ravel())
-                    )
-    return out
-
-def _constant_witnesses(r1, r2):
-    if r1.n == 2:
-        return _constant_witnesses_binary(r1, r2)
-    if r1.n == 3:
-        return _constant_witnesses_ternary(r1, r2)
-    raise CapabilityError("rank-4 equivalence search (~q^16) is not supported")
+    if n == 4:
+        raise CapabilityError("rank-4 equivalence search (~q^16) is not supported")
+    length = max(len(e.coeffs) for g in (r1.gram, r2.gram) for row in g for e in row)
+    rows = _poly_rows([r1.gram[i][j] for i in range(n) for j in range(i, n)], length)
+    target = _poly_rows([e for row in r2.gram for e in row], length).reshape(n, n, -1)
+    vecs = np.indices((q,) * n).reshape(n, -1).T
+    values = _bilinear_weights(vecs, vecs, q) @ rows % q
+    partial = np.zeros((1, 0, n), dtype=vecs.dtype)  # (tuples, columns, n)
+    for i in range(n):
+        cand = vecs[(values == target[i, i]).all(axis=1)]
+        ok = np.ones((len(partial), len(cand)), dtype=bool)
+        for j in range(i):
+            pair = _bilinear_weights(partial[:, None, j], cand[None], q) @ rows % q
+            ok &= (pair == target[j, i]).all(axis=-1)
+        keep, take = np.nonzero(ok)
+        partial = np.concatenate([partial[keep], cand[take, None]], axis=1)
+    # det U = det U^t, whose rows are the columns: exact integer cofactors
+    det = _mat_det(tuple(map(tuple, partial.transpose(1, 2, 0)))) % q
+    mats = partial[det != 0].transpose(0, 2, 1).reshape(-1, n * n)
+    return [tuple(u) for u in mats.tolist()]
 
 def _scalar_matrix(field, n, flat):
     return Transformation.from_scalars(

@@ -21,10 +21,11 @@ product, so no (Nx, Ny, length) int64 block is ever allocated.  Keys are
 folded from the planes one plane at a time (Horner's rule into int64),
 never by a tensor contraction, which would upcast the whole block.
 
-Deduplication follows the key range: when q^(k+1) is at most 4 times the
-number of grid vectors, each tail's keys are marked in a boolean array of
-length q^(k+1) and read back in ascending order; otherwise, and whenever
-representation numbers are wanted, the keys go through `np.unique`.
+Deduplication follows the key range (`_distinct`): when q^(k+1) is at
+most 4 times the number of keys, each tail's keys are marked in a boolean
+array of length q^(k+1) and read back in ascending order; otherwise they
+are sorted together and adjacent duplicates dropped.  Representation
+numbers go through `np.unique` with counts.
 
 An orthogonal tail is summed, not looped over.  When the reduced Gram
 matrix has g_1j = g_2j = 0 for every tail coordinate j >= 3 (the ternary
@@ -253,24 +254,33 @@ def _block_keys(gram, bounds, budget):
     """Sorted distinct value keys of a rank-1 or rank-2 Gram block over
     the coordinate grid `bounds`, uncut."""
     q = gram[0][0].field.q
+    length = _value_length(gram, bounds)
     if len(gram) == 2:
         grid = _Grid(Form.binary(gram[0][0], gram[0][1], gram[1][1]), bounds, budget)
-        return _distinct(grid.keys_for_tail(()).ravel(), q**grid.length)
-    _check_budget(q ** (bounds[0] + 1), budget, "vectors")
-    length = _value_length(gram, bounds)
-    squares = _batch_square(_coeff_rows(q, bounds[0] + 1), q)
-    values = _fit(_conv(squares, gram[0][0].coeffs, q), length)
-    return _distinct(values @ key_powers(q, length), q**length)
+        keys = grid.keys_for_tail(()).ravel()
+    else:
+        _check_budget(q ** (bounds[0] + 1), budget, "vectors")
+        squares = _batch_square(_coeff_rows(q, bounds[0] + 1), q)
+        values = _fit(_conv(squares, gram[0][0].coeffs, q), length)
+        keys = values @ key_powers(q, length)
+    return _distinct([keys], q**length, len(keys))
 
 
-def _distinct(keys, span):
-    """Sorted distinct keys, all below `span`: read back from a bitset when
-    span is at most 4 times the number of keys, else by `np.unique`."""
-    if span > 4 * len(keys):
-        return np.unique(keys)
-    seen = np.zeros(span, dtype=bool)
-    seen[keys] = True
-    return np.flatnonzero(seen)
+def _distinct(chunks, span, size):
+    """Sorted distinct keys of the arrays `chunks`, `size` keys in all, each
+    below `span`: marked chunk by chunk in a bitset and read back when span
+    is at most 4 times size, else sorted together with adjacent duplicates
+    dropped (plain `np.unique` would import `numpy.ma`)."""
+    if span <= 4 * size:
+        seen = np.zeros(span, dtype=bool)
+        for keys in chunks:
+            seen[keys] = True
+        return np.flatnonzero(seen)
+    keys = np.concatenate(list(chunks))
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _digit_neg(keys, q):
@@ -294,9 +304,8 @@ def _sumset(q, block, tail, k, budget):
     of block keys with that high part (with slack 0 every key is already
     below q^(k+1)).  The low k+1 digits are added in chunks of c digits:
     for each tail key, one table over the q^c chunk values per chunk, read
-    back at the block keys' chunks.  The sums are deduplicated as in
-    `repset_upto`: in a bitset when q^(k+1) is at most 4 times the pairs
-    summed, else by `np.unique`.
+    back at the block keys' chunks.  The sums are deduplicated by
+    `_distinct`, one chunk per tail key.
     """
     width = k + 1
     cut = q**width
@@ -315,22 +324,18 @@ def _sumset(q, block, tail, k, budget):
     weights = key_powers(q, c)
     block_chunks = [block % cut // s % q**c for s in shifts]
     tail_chunks = [low // s % q**c for s in shifts]
-    seen = np.zeros(cut, dtype=bool) if cut <= 4 * pairs else None
-    sums = []
-    for i, (start, end) in enumerate(zip(starts, ends)):
-        if start == end:
-            continue
-        keys = np.zeros(end - start, dtype=np.int64)
-        for shift, b_chunk, t_chunk in zip(shifts, block_chunks, tail_chunks):
-            table = (digits + digits[t_chunk[i]]) % q @ (weights * shift)
-            keys += table[b_chunk[start:end]]
-        if seen is None:
-            sums.append(keys)
-        else:
-            seen[keys] = True
-    if seen is None:
-        return np.unique(np.concatenate(sums))
-    return np.flatnonzero(seen)
+
+    def sums():
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            if start == end:
+                continue
+            keys = np.zeros(end - start, dtype=np.int64)
+            for shift, b_chunk, t_chunk in zip(shifts, block_chunks, tail_chunks):
+                table = (digits + digits[t_chunk[i]]) % q @ (weights * shift)
+                keys += table[b_chunk[start:end]]
+            yield keys
+
+    return _distinct(sums(), cut, pairs)
 
 
 class RepSet:
@@ -386,9 +391,9 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
     """Exact V_k(Q), enumerated on the reduced representative of Q.
 
     Without counts, an orthogonal tail is summed onto the binary block's
-    distinct keys (see the module docstring), and otherwise a key range
-    q^(k+1) of at most 4 grid vectors per key is deduplicated in a bitset;
-    either result equals `np.unique`'s over the whole grid.
+    distinct keys (see the module docstring), and otherwise the tails'
+    keys are deduplicated by `_distinct`; either result equals
+    `np.unique`'s over the whole grid.
     """
     red, _ = reduce(form)
     F = form.field
@@ -404,21 +409,12 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
         return RepSet(F, k, _sumset(F.q, block, tail, k, budget))
     grid = _Grid(red, bounds, budget)
     limit = F.q ** (k + 1)
-    if not with_counts and limit <= 4 * grid.vectors:
-        seen = np.zeros(limit, dtype=bool)
-        for tail in grid.tails():
-            keys = grid.keys_for_tail(tail).ravel()
-            seen[keys[keys < limit]] = True
-        return RepSet(F, k, np.flatnonzero(seen))
-    chunks = []
-    for tail in grid.tails():
-        keys = grid.keys_for_tail(tail).ravel()
-        chunks.append(keys[keys < limit])
-    merged = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    if with_counts:
-        uniq, counts = np.unique(merged, return_counts=True)
-        return RepSet(F, k, uniq, dict(zip(uniq.tolist(), counts.tolist())))
-    return RepSet(F, k, np.unique(merged))
+    tails = (grid.keys_for_tail(tail).ravel() for tail in grid.tails())
+    chunks = (keys[keys < limit] for keys in tails)
+    if not with_counts:
+        return RepSet(F, k, _distinct(chunks, limit, grid.vectors))
+    uniq, counts = np.unique(np.concatenate(list(chunks)), return_counts=True)
+    return RepSet(F, k, uniq, dict(zip(uniq.tolist(), counts.tolist())))
 
 
 def rep_numbers(form, k, *, slack=0, budget=DEFAULT_BUDGET):

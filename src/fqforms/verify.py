@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from .classify import canonical_discs, class_table, cn1_prediction
-from .ffpoly import SquareClass, prime_field, squarefree_decompose
+from .ffpoly import SquareClass, is_squarefree, prime_field
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import comp_sequence_check, weil_interval
 from .qform import (
@@ -844,8 +844,7 @@ def comp_bridge_sweep(cfg):
     violations = []
     instances = 0
     for disc in canonical_discs(F, cfg.max_disc_degree):
-        f0, g, _ = squarefree_decompose(disc)
-        if g.degree > 0:
+        if not is_squarefree(disc):
             continue
         instances += 1
         report = comp_sequence_check(disc)

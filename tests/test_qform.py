@@ -11,7 +11,7 @@ from fqforms.qform import (
     Form,
     Transformation,
     _bilinear_weights,
-    _constant_witnesses_binary,
+    _constant_witnesses,
     _poly_rows,
     diagonal_square_classes,
     equivalent,
@@ -439,11 +439,12 @@ def unit_scan(q, dets):
     al, be, ga, de = grid.T
     keep = np.isin((al * de - be * ga) % q, [d % q for d in dets])
     al, be, ga, de = grid[keep].T
+    u, v = np.stack([al, ga], axis=1), np.stack([be, de], axis=1)
     return (
         grid[keep],
-        _bilinear_weights(al, ga, al, ga, q),
-        _bilinear_weights(al, ga, be, de, q),
-        _bilinear_weights(be, de, be, de, q),
+        _bilinear_weights(u, u, q),
+        _bilinear_weights(u, v, q),
+        _bilinear_weights(v, v, q),
     )
 
 
@@ -545,7 +546,49 @@ def test_constant_witnesses_match_unit_scan(q):
             hit &= (w @ rows % q == row).all(axis=1)
         scan = {tuple(row) for row in units[hit].tolist()}
         assert tuple(u) in scan
-        assert set(_constant_witnesses_binary(r1, r2)) == scan
+        got = _constant_witnesses(r1, r2)
+        assert len(got) == len(scan) and set(got) == scan
+        # in lexicographic order of the columns (alpha, gamma), (beta, delta)
+        assert got == sorted(got, key=lambda w: (w[0], w[2], w[1], w[3]))
+
+
+def test_constant_witnesses_rank3_match_gl3_scan():
+    # rank 3 at q = 3 against all 11,232 U in GL_3(F_3), each image
+    # U^t M1 U formed directly from the Gram matrix
+    q = 3
+    F = prime_field(q)
+    units = np.indices((q,) * 9).reshape(9, -1).T.reshape(-1, 3, 3)
+    (a, b, c), (d, e, f), (g, h, i) = units.transpose(1, 2, 0)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    units = units[det % q != 0]
+    assert len(units) == 11232
+    t, delta = F.t, F.constant(F.delta)
+    rng = random.Random(3)
+    # one reduced form with m_23 != 0, one diagonal, of equal minima (0, 1, 1)
+    seeds = [
+        form_from_string(F, "(1,2*t+1,2*t+2;0,0,2)"),
+        Form.diagonal([F.one, t, -delta * (t + 1)]),
+    ]
+    forms = seeds + [
+        reduce(Transformation.from_scalars(F, units[i].tolist()).apply(seed))[0]
+        for seed in seeds
+        for i in rng.sample(range(len(units)), 2)
+    ]
+    found = 0
+    for r1 in forms:
+        for r2 in forms:
+            entries = [[x for row in r.gram for x in row] for r in (r1, r2)]
+            length = max(len(x.coeffs) for x in entries[0] + entries[1])
+            m1, m2 = (_poly_rows(x, length).reshape(3, 3, -1) for x in entries)
+            images = np.einsum("kia,ijl,kjb->kabl", units, m1, units) % q
+            hit = (images == m2).all(axis=(1, 2, 3))
+            scan = {tuple(u) for u in units[hit].reshape(-1, 9).tolist()}
+            got = _constant_witnesses(r1, r2)
+            assert len(got) == len(scan) and set(got) == scan
+            # in lexicographic order of the columns u_1, u_2, u_3
+            assert got == sorted(got, key=lambda w: (w[0::3], w[1::3], w[2::3]))
+            found += bool(got)
+    assert 0 < found < len(forms) ** 2
 
 
 def test_key_powers_never_wrap():

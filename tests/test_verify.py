@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import fqforms
 from fqforms.ffpoly import SquareClass, prime_field, residue_char
 from fqforms.localgenus import (
     LocalRepDecider,
@@ -315,6 +318,52 @@ def test_comp_bridge_q5():
     r = run_check("comp", SweepConfig(q=5, max_disc_degree=3))
     assert r.passed
     assert r.instances_checked == 231
+
+
+def test_comp_bridge_decomposes_each_squarefree_disc_once(monkeypatch):
+    # the sweep filters by `is_squarefree`; only `comp_sequence_check`,
+    # which needs D0 and the conductor, decomposes, once per disc
+    from fqforms import ffpoly
+    from fqforms.classify import canonical_discs
+
+    F = prime_field(3)
+    square_free = [
+        d
+        for d in canonical_discs(F, 3)
+        if ffpoly.squarefree_decompose(d)[1].degree == 0
+    ]
+    calls = []
+    original = ffpoly.squarefree_decompose
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fqforms") and hasattr(module, "squarefree_decompose"):
+            monkeypatch.setattr(module, "squarefree_decompose", counted)
+    r = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
+    assert r.passed and r.instances_checked == len(square_free)
+    assert sorted(calls, key=str) == sorted(square_free, key=str)
+
+
+def test_verify_sweeps_leave_numpy_ma_unimported():
+    # plain `np.unique` imports numpy.ma lazily, an import every fresh
+    # sweep process would pay; the repset dedupe sorts instead
+    code = (
+        "import contextlib, io, sys\n"
+        "from fqforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', 'equiv', '--q', '3', '--max-degree', '2']),\n"
+        "             main(['verify', 'ternary', '--q', '3'])]\n"
+        "print(*codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fqforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0", "False"], out.stderr
 
 
 def test_reports_deterministic():
