@@ -25,10 +25,14 @@ classes when b != 0 and one when b = 0.  Orbits are computed only for
 the forms with deg a = deg c, which exist only at even deg D: there U
 runs over 2(q^2 - 1) constant matrices, and one orbit pass per class
 gives both partitions, the images reached by a determinant-1 U forming
-the proper class of the seed.  The representative of a class is its
-first form in `enumerate_forms` order, (l a_m, b) with l the least lead
-in the square class of u and b the first of +-b, and classes are ordered
-by it.
+the proper class of the seed.  A class table partitions only the forms
+with monic a there, never scaled by units: with A, C the leading
+coefficients of a, c, the form A x^2 + C y^2 is anisotropic over F_q, so
+it represents 1 and some constant U carries each form to one with monic
+a.  Monic forms come first in `enumerate_forms` order, so every class's
+first form is among them.  That first form is the representative of a
+class, (l a_m, b) with l the least lead in the square class of u and b
+the first of +-b where deg a < deg c, and classes are ordered by it.
 
 Genera group classes by their local data (Jordan invariants at the
 divisors of D, Hasse symbol at infinity); D is factored once per table.
@@ -133,8 +137,13 @@ def _reduced_orbit(form, q):
 
 def _orbit_partition(forms, q):
     """[(class, [proper classes])] of reduced forms with deg a = deg c, as
-    sorted index lists into `forms`, which holds whole orbits in
-    `enumerate_forms` order; classes come in order of first member."""
+    sorted index lists into `forms`; classes come in order of first member.
+
+    `forms` is in `enumerate_forms` order and holds, of each orbit it
+    meets, either every form or every form with monic a.  Both give the
+    same first members and proper class counts: x -> -x on one coordinate,
+    of determinant -1, keeps a, so each proper class of a split class
+    holds a monic-a form when the other does."""
     index = {_form_key(f): i for i, f in enumerate(forms)}
     unassigned = set(range(len(forms)))
     out = []
@@ -266,7 +275,12 @@ def _class_table_cached(field, disc, primitive_only):
     for deg_a in range(disc.degree // 2 + 1):
         solutions = _monic_solutions(disc, deg_a, filter_content)
         if 2 * deg_a == disc.degree:
-            forms = _scaled_forms(field, solutions, deg_a)
+            # every class holds a monic-a form, and its first form is one
+            forms = [
+                Form._trusted_binary(a_m, b, c)
+                for a_m, roots in solutions
+                for b, c in roots
+            ]
             for members, propers in _orbit_partition(forms, field.q):
                 rep = forms[members[0]]
                 if square_free:

@@ -453,7 +453,7 @@ def _constant_witnesses(r1, r2):
     The candidates for column i are the q^n vectors u with Q1(u) = m2_ii.
     The columns are joined one at a time: a partial tuple (u_1..u_(i-1))
     takes a candidate u_i only when B1(u_j, u_i) = m2_ji for every j < i.
-    Singular U are dropped last, by their exact determinant mod q.
+    Every U found is invertible: det(U)^2 det M1 = det M2 != 0.
     """
     q, n = r1.field.q, r1.n
     if n == 3 and q > 7:
@@ -476,9 +476,7 @@ def _constant_witnesses(r1, r2):
             ok &= (pair == target[j, i]).all(axis=-1)
         keep, take = np.nonzero(ok)
         partial = np.concatenate([partial[keep], cand[take, None]], axis=1)
-    # det U = det U^t, whose rows are the columns: exact integer cofactors
-    det = _mat_det(tuple(map(tuple, partial.transpose(1, 2, 0)))) % q
-    mats = partial[det != 0].transpose(0, 2, 1).reshape(-1, n * n)
+    mats = partial.transpose(0, 2, 1).reshape(-1, n * n)
     return [tuple(u) for u in mats.tolist()]
 
 def _scalar_matrix(field, n, flat):

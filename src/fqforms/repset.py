@@ -21,6 +21,15 @@ product, so no (Nx, Ny, length) int64 block is ever allocated.  Keys are
 folded from the planes one plane at a time (Horner's rule into int64),
 never by a tensor contraction, which would upcast the whole block.
 
+The plane kernel (`_binary_planes`, `_fold`) has a leading batch axis:
+it takes R binary blocks over one coordinate grid, their coefficients
+zero-padded to one length.  `_Grid` runs it with R = 1.
+`repset_keys_batch` runs it on many reduced forms that share their
+minima, and so their bounds, at once: chunks of about 2^14 int64 values
+(so the int64 blocks stay small), each deduplicated by one `_distinct`
+with the keys of form r offset by r q^L, where L bounds the value
+length, and split back per form by `searchsorted`.
+
 Deduplication follows the key range (`_distinct`): when q^(k+1) is at
 most 4 times the number of keys, each tail's keys are marked in a boolean
 array of length q^(k+1) and read back in ascending order; otherwise they
@@ -71,14 +80,16 @@ def _batch_square(rows, q):
 
 
 def _conv(rows, coeffs, q):
-    """Convolve each row with a fixed coefficient tuple."""
+    """Convolve each row with a coefficient tuple, or with each of the
+    (R, L) coefficient rows `coeffs`, giving an (R, n, c + L - 1) array."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
     n, c = rows.shape
-    if not coeffs or c == 0:
-        return np.zeros((n, 1), dtype=np.int64)
-    out = np.zeros((n, c + len(coeffs) - 1), dtype=np.int64)
-    for i, a in enumerate(coeffs):
-        if a:
-            out[:, i : i + c] += a * rows
+    length = coeffs.shape[-1]
+    if length == 0 or c == 0:
+        return np.zeros(coeffs.shape[:-1] + (n, 1), dtype=np.int64)
+    out = np.zeros(coeffs.shape[:-1] + (n, c + length - 1), dtype=np.int64)
+    for i in range(length):
+        out[..., i : i + c] += coeffs[..., i, None, None] * rows
     return out % q
 
 
@@ -106,6 +117,79 @@ def _value_length(gram, bounds):
     )
 
 
+def _binary_planes(coeffs, x, y, length, q):
+    """The (R, length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2 for R
+    binary blocks at once, over the coefficient rows x (Nx, cx) and y (Ny, cy).
+
+    `coeffs` is the (R, 3, L) array of the coefficients of a, b and c, each
+    zero-padded to one length L.  Plane i of block r is one integer product,
+    [x, (a x^2)_i, 1] @ [W_i; 1; (c y^2)_i] with W_i[s] = (2 b y)_(i-s),
+    reduced mod q into the narrowest unsigned type that holds 3 (q - 1),
+    so no (Nx, Ny, length) block of int64 is ever allocated.
+    """
+    count = len(coeffs)
+    cx = x.shape[1]
+    a, two_b, c = coeffs[:, 0], coeffs[:, 1] * 2 % q, coeffs[:, 2]
+    # by[r, :, cx + m] = (2 b y)_m; the cx zero columns in front stand for m < 0
+    by = np.zeros((count, len(y), cx + length), dtype=np.int64)
+    by[:, :, cx:] = _fit(_conv(y, two_b, q), length)
+    shift = cx + np.arange(length)[:, None] - np.arange(cx)[None, :]
+    left = np.ones((count, length, len(x), cx + 2), dtype=np.int64)
+    left[..., :cx] = x
+    left[..., cx] = _fit(_conv(_batch_square(x, q), a, q), length).transpose(0, 2, 1)
+    right = np.ones((count, length, cx + 2, len(y)), dtype=np.int64)
+    right[:, :, :cx] = by[:, :, shift].transpose(0, 2, 3, 1)
+    right[:, :, cx + 1] = _fit(_conv(_batch_square(y, q), c, q), length).transpose(
+        0, 2, 1
+    )
+    dtype = np.min_scalar_type(3 * (q - 1))
+    planes = np.empty((count, length, len(x), len(y)), dtype=dtype)
+    for i in range(length):
+        np.remainder(left[:, i] @ right[:, i], q, out=planes[:, i], casting="unsafe")
+    return planes
+
+
+def _fold(planes, q, parts=None):
+    """(R, Nx, Ny) int64 keys of the (R, length, Nx, Ny) planes, folded one
+    plane at a time from the top down by Horner's rule (keys * q + plane).
+
+    `parts` are a tail's (length, Nx) x-part and (length, Ny) y-part: each
+    is added to every plane, which is then reduced mod q in the narrow
+    plane type.
+    """
+    shape = planes.shape[:1] + planes.shape[2:]
+    keys = np.zeros(shape, dtype=np.int64)
+    if parts is not None:
+        xpart, ypart = parts
+        plane = np.empty(shape, dtype=planes.dtype)
+        wrapped = np.empty(shape, dtype=planes.dtype)
+        narrow_q = planes.dtype.type(q)
+    for i in reversed(range(planes.shape[1])):
+        if parts is not None:
+            np.add(planes[:, i], xpart[i][:, None], out=plane)
+            plane += ypart[i]
+            # plane < 3 q: in unsigned arithmetic plane - q wraps above
+            # plane where plane < q, so min(plane, plane - q) takes q
+            # off each entry >= q; twice gives plane mod q
+            for _ in range(2):
+                np.subtract(plane, narrow_q, out=wrapped)
+                np.minimum(plane, wrapped, out=plane)
+        else:
+            plane = planes[:, i]
+        keys *= q
+        keys += plane
+    return keys
+
+
+def _coeff_array(grams):
+    """The (R, 3, L) coefficients of g_11, g_12, g_22 for R Gram matrices,
+    zero-padded to the longest tuple among them."""
+    polys = [p.coeffs for g in grams for p in (g[0][0], g[0][1], g[1][1])]
+    width = max(map(len, polys))
+    rows = [list(p) + [0] * (width - len(p)) for p in polys]
+    return np.array(rows, dtype=np.int64).reshape(len(grams), 3, width)
+
+
 class _Grid:
     """Value keys of a reduced form over the coordinate grid, rank 2..4.
 
@@ -113,10 +197,11 @@ class _Grid:
     vectorized, so chunks stay small even for large grids.
 
     The values of the binary part a x^2 + 2 b x y + c y^2 are held in
-    `base` as coefficient planes: plane i, of shape (Nx, Ny), holds the
-    coefficient of t^i, reduced mod q, in the narrowest unsigned type that
-    holds 3 (q - 1) (uint8 for q <= 86).  A plane plus a tail's x-part and
-    y-part, each reduced mod q, stays within that type.
+    `base` as coefficient planes (`_binary_planes` with one block): plane
+    i, of shape (Nx, Ny), holds the coefficient of t^i, reduced mod q, in
+    the narrowest unsigned type that holds 3 (q - 1) (uint8 for q <= 86).
+    A plane plus a tail's x-part and y-part, each reduced mod q, stays
+    within that type.
     """
 
     def __init__(self, red, bounds, budget=DEFAULT_BUDGET):
@@ -133,40 +218,12 @@ class _Grid:
         self.bounds = bounds
         self.vectors = total
         self.length = length
-        self.dtype = np.min_scalar_type(3 * (q - 1))
         self.x_rows = _coeff_rows(q, counts[0])
         self.y_rows = _coeff_rows(q, counts[1])
         self.tail_sizes = [q**c for c in counts[2:]]
-        self.base = self._planes()
-
-    def _planes(self):
-        """The (length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2.
-
-        Plane i is one integer product, [x, (a x^2)_i, 1] @ [W_i; 1; (c y^2)_i]
-        with W_i[r] = (2 b y)_(i-r), so no (Nx, Ny, length) block of int64 is
-        ever allocated.
-        """
-        g = self.red.gram
-        q, length = self.q, self.length
-        x, y = self.x_rows, self.y_rows
-        cx = x.shape[1]
-        two_b = tuple(c * 2 % q for c in g[0][1].coeffs)
-        # by[:, cx + m] = (2 b y)_m; the cx zero columns in front stand for m < 0
-        by = np.zeros((len(y), cx + length), dtype=np.int64)
-        by[:, cx:] = _fit(_conv(y, two_b, q), length)
-        shift = cx + np.arange(length)[:, None] - np.arange(cx)[None, :]
-        left = np.ones((length, len(x), cx + 2), dtype=np.int64)
-        left[:, :, :cx] = x
-        left[:, :, cx] = _fit(_conv(_batch_square(x, q), g[0][0].coeffs, q), length).T
-        right = np.ones((length, cx + 2, len(y)), dtype=np.int64)
-        right[:, :cx] = by[:, shift].transpose(1, 2, 0)
-        right[:, cx + 1] = _fit(
-            _conv(_batch_square(y, q), g[1][1].coeffs, q), length
-        ).T
-        base = np.empty((length, len(x), len(y)), dtype=self.dtype)
-        for i in range(length):
-            np.remainder(left[i] @ right[i], q, out=base[i], casting="unsafe")
-        return base
+        self.base = _binary_planes(
+            _coeff_array([red.gram]), self.x_rows, self.y_rows, length, q
+        )[0]
 
     def tails(self):
         """All tail coordinate keys, () for binary forms."""
@@ -199,40 +256,15 @@ class _Grid:
         xpart = (_fit(_conv(self.x_rows, lin_x.coeffs, q), self.length) + cvec) % q
         ypart = _fit(_conv(self.y_rows, lin_y.coeffs, q), self.length)
         return (
-            np.ascontiguousarray(xpart.T, dtype=self.dtype),
-            np.ascontiguousarray(ypart.T, dtype=self.dtype),
+            np.ascontiguousarray(xpart.T, dtype=self.base.dtype),
+            np.ascontiguousarray(ypart.T, dtype=self.base.dtype),
         )
 
     def keys_for_tail(self, tail):
-        """(Nx, Ny) matrix of value keys with coordinates 3.. fixed to `tail`.
-
-        For each plane i, from the top down, the tail's x-part and y-part
-        are added to base[i] and reduced mod q in the narrow plane type,
-        then folded into the int64 keys by Horner's rule (keys * q + plane).
-        """
-        q = self.q
-        shape = self.base.shape[1:]
-        keys = np.zeros(shape, dtype=np.int64)
-        if tail:
-            xpart, ypart = self._tail_parts(tail)
-            plane = np.empty(shape, dtype=self.dtype)
-            wrapped = np.empty(shape, dtype=self.dtype)
-            narrow_q = self.dtype.type(q)
-        for i in reversed(range(self.length)):
-            if tail:
-                np.add(self.base[i], xpart[i][:, None], out=plane)
-                plane += ypart[i]
-                # plane < 3 q: in unsigned arithmetic plane - q wraps above
-                # plane where plane < q, so min(plane, plane - q) takes q
-                # off each entry >= q; twice gives plane mod q
-                for _ in range(2):
-                    np.subtract(plane, narrow_q, out=wrapped)
-                    np.minimum(plane, wrapped, out=plane)
-            else:
-                plane = self.base[i]
-            keys *= q
-            keys += plane
-        return keys
+        """(Nx, Ny) matrix of value keys with coordinates 3.. fixed to `tail`,
+        folded from the planes by `_fold`."""
+        parts = self._tail_parts(tail) if tail else None
+        return _fold(self.base[None], self.q, parts)[0]
 
 
 def _orthogonal_tail(gram):
@@ -415,6 +447,54 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
         return RepSet(F, k, _distinct(chunks, limit, grid.vectors))
     uniq, counts = np.unique(np.concatenate(list(chunks)), return_counts=True)
     return RepSet(F, k, uniq, dict(zip(uniq.tolist(), counts.tolist())))
+
+
+# int64 values per `repset_keys_batch` chunk, which bounds its blocks
+_BATCH_VALUES = 2**14
+
+
+def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
+    """The V_k keys of each of many binary forms, which must be reduced and
+    share their minima: an iterator of sorted int64 arrays, one per form in
+    order, each equal to `repset_upto(form, k).keys`.
+
+    The forms are not reduced again.  Their grids share the coordinate
+    bounds, so they are enumerated together, in chunks of about
+    `_BATCH_VALUES` int64 values (per form, the grid's keys or the
+    operands of the plane products, whichever are more): one
+    `_binary_planes` and `_fold` pass per chunk, and one `_distinct` over
+    the chunk's keys, the keys of form r offset by r q^L, where every
+    value has fewer than L coefficients.  The budget is checked on the
+    grid of each form before any is enumerated, with the error
+    `repset_upto` raises.
+    """
+    q = forms[0].field.q
+    minima = (forms[0].gram[0][0].degree, forms[0].gram[1][1].degree)
+    if any((f.gram[0][0].degree, f.gram[1][1].degree) != minima for f in forms):
+        raise ValueError("a batch of forms must share its minima")
+    bounds = coordinate_degree_bounds(minima, k)
+    vectors = q ** (bounds[0] + 1) * q ** (bounds[1] + 1)
+    _check_budget(vectors, budget, "vectors")
+    x, y = _coeff_rows(q, bounds[0] + 1), _coeff_rows(q, bounds[1] + 1)
+    length = max(_value_length(f.gram, bounds) for f in forms)
+    key_powers(q, length)  # refuses key lengths that would wrap int64
+    stride = q**length  # every key lies below it
+    size = max(vectors, length * (x.shape[1] + 2) * (len(x) + len(y)))
+    step = max(1, min(_BATCH_VALUES // size, (2**63 - 1) // stride))
+
+    def chunks():
+        for start in range(0, len(forms), step):
+            chunk = forms[start : start + step]
+            planes = _binary_planes(
+                _coeff_array([f.gram for f in chunk]), x, y, length, q
+            )
+            keys = _fold(planes, q).reshape(len(chunk), -1)
+            keys += np.arange(len(chunk), dtype=np.int64)[:, None] * stride
+            uniq = _distinct([keys.ravel()], stride * len(chunk), keys.size)
+            cuts = np.searchsorted(uniq, np.arange(1, len(chunk)) * stride)
+            yield from np.split(uniq % stride, cuts)
+
+    return chunks()
 
 
 def rep_numbers(form, k, *, slack=0, budget=DEFAULT_BUDGET):

@@ -37,9 +37,8 @@ from .qform import (
     _mat_det,
     form_to_string,
     reduced_images,
-    successive_minima,
 )
-from .repset import DEFAULT_BUDGET, _coeff_rows, repset_upto
+from .repset import DEFAULT_BUDGET, _coeff_rows, repset_keys_batch, repset_upto
 
 CHECKS = ("minima", "disc", "equiv", "smooth", "quadric", "ternary", "cn1", "comp")
 
@@ -136,12 +135,14 @@ class SweepData:
     `classes` lists (canonical disc, class index, representative) triples;
     a triple may repeat.  All records start in one group.  At each degree
     d = 0..kmax, V_d is enumerated only for records in a group of two or
-    more: each one's digest chain is extended by its keys of degree exactly
-    d, and the group is split by digest.  A record left alone is resolved
-    at d.  Since V_d = {f in V_k : deg f <= d} for every k >= d, a V_d that
-    no other record shares stays unshared at every larger k, so a resolved
-    record needs no larger V_k.  Refinement stops once no group of two or
-    more is left.  Equal digests do not prove equal sets; `equal_set_pairs`
+    more, by one `repset_keys_batch` call per minima over all of them
+    (class representatives are already reduced): each one's digest chain
+    is extended by its keys of degree exactly d, and the group is split by
+    digest.  A record left alone is resolved at d.  Since
+    V_d = {f in V_k : deg f <= d} for every k >= d, a V_d that no other
+    record shares stays unshared at every larger k, so a resolved record
+    needs no larger V_k.  Refinement stops once no group of two or more is
+    left.  Equal digests do not prove equal sets; `equal_set_pairs`
     re-verifies every tied pair exactly.
     """
 
@@ -155,7 +156,7 @@ class SweepData:
                 disc_degree=disc.degree,
                 class_index=ci,
                 rep=rep,
-                minima=successive_minima(rep),
+                minima=tuple(rep.gram[i][i].degree for i in range(rep.n)),
             )
             for disc, ci, rep in classes
         ]
@@ -174,17 +175,26 @@ class SweepData:
         hashes = [hashlib.blake2b(digest_size=16) for _ in records]
         groups = [range(len(records))] if len(records) > 1 else []
         for d in range(self.kmax + 1):
+            # V_d of every tied record, one batch per minima; buckets go in
+            # order of first member, so a grid over budget raises as the
+            # first such record's would
+            buckets = {}
+            for group in groups:
+                for i in group:
+                    buckets.setdefault(records[i].minima, []).append(i)
+            for members in buckets.values():
+                reps = [records[i].rep for i in members]
+                batch = repset_keys_batch(reps, d, budget=budget)
+                for i, keys in zip(members, batch):
+                    # keys of degree exactly d: q^d <= key < q^(d+1)
+                    lo = int(np.searchsorted(keys, q**d)) if d else 0
+                    hashes[i].update(keys[lo:].tobytes())
+                    records[i].digests += (hashes[i].digest(),)
             tied = []
             for group in groups:
                 parts = {}
                 for i in group:
-                    keys = repset_upto(records[i].rep, d, budget=budget).keys
-                    # keys of degree exactly d: q^d <= key < q^(d+1)
-                    lo = int(np.searchsorted(keys, q**d)) if d else 0
-                    hashes[i].update(keys[lo:].tobytes())
-                    digest = hashes[i].digest()
-                    records[i].digests += (digest,)
-                    parts.setdefault(digest, []).append(i)
+                    parts.setdefault(records[i].digests[-1], []).append(i)
                 split = comb(len(group), 2)
                 split -= sum(comb(len(part), 2) for part in parts.values())
                 if split:
@@ -475,8 +485,6 @@ def _resultant(f, g):
 def smooth_discriminant_identity(cfg):
     """Repeated factor of det(X M1 + Y M2) iff the closed-form invariant
     vanishes, over seeded random coefficient tuples."""
-    from .ffpoly import gcd
-
     F = prime_field(cfg.q)
     rng = random.Random(cfg.seed)
     violations = []
@@ -489,7 +497,7 @@ def smooth_discriminant_identity(cfg):
         instances += 1
         quartic = _pencil_quartic(F, a, b, bp, c)
         deriv = quartic.derivative()
-        repeated = gcd(quartic, deriv).degree > 0
+        repeated = not is_squarefree(quartic)
         disc_res = _resultant(quartic, deriv)
         lead_inv = F.inv(quartic.lc())
         disc_norm = F.mul(disc_res, lead_inv)

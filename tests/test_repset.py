@@ -16,6 +16,7 @@ from fqforms.repset import (
     key_degree,
     rep_numbers,
     represents,
+    repset_keys_batch,
     repset_upto,
     sets_equal_upto,
 )
@@ -733,3 +734,80 @@ def test_sumset_digit_sums_match_poly_addition(q, k, sizes):
     tail = np.unique(np.array([0] + tail))
     got = _sumset(q, block, tail, k, budget=10**9)
     assert np.array_equal(got, poly_sumset(F, block, tail, k))
+
+
+# -- batched V_k keys of many reduced binary forms --------------------------
+
+
+def class_representatives_by_minima(q, max_deg):
+    """The primitive class representatives of every canonical disc of
+    degree <= max_deg, bucketed by minima in table order."""
+    from fqforms.classify import canonical_discs, class_table
+
+    F = prime_field(q)
+    buckets = {}
+    for disc in canonical_discs(F, max_deg):
+        for rep in class_table(F, disc, primitive_only=True).class_representatives:
+            buckets.setdefault(successive_minima(rep), []).append(rep)
+    return buckets
+
+
+@pytest.mark.parametrize("q, max_deg", [(3, 4), (5, 3), (11, 2)])
+def test_batch_keys_match_repset_upto(q, max_deg):
+    buckets = class_representatives_by_minima(q, max_deg)
+    for k in range(max_deg + 2):
+        for forms in buckets.values():
+            got = list(repset_keys_batch(forms, k))
+            assert len(got) == len(forms)
+            for form, keys in zip(forms, got):
+                want = repset_upto(form, k).keys
+                assert keys.dtype == want.dtype
+                assert np.array_equal(keys, want), (form, k)
+
+
+def test_batch_keys_split_across_chunks(monkeypatch):
+    # a chunk of 100 int64 values holds 25 forms at k = 0 (4 values per
+    # form), 4 at k = 1 and 2 (24 values) and one at k = 3 (192 values)
+    import fqforms.repset as repset_module
+
+    monkeypatch.setattr(repset_module, "_BATCH_VALUES", 100)
+    chunks = []
+    planes = repset_module._binary_planes
+
+    def counting(coeffs, *args):
+        chunks.append(len(coeffs))
+        return planes(coeffs, *args)
+
+    monkeypatch.setattr(repset_module, "_binary_planes", counting)
+    forms = class_representatives_by_minima(3, 4)[(1, 3)]
+    for k, per_chunk in enumerate((25, 4, 4, 1)):
+        chunks.clear()
+        got = list(repset_keys_batch(forms, k))
+        assert max(chunks) == per_chunk and sum(chunks) == len(forms)
+        for form, keys in zip(forms, got):
+            assert np.array_equal(keys, repset_upto(form, k).keys), (form, k)
+
+
+def test_batch_keys_budget_matches_repset_upto():
+    forms = class_representatives_by_minima(5, 3)[(1, 2)][:30]
+    k = 5
+    vectors = _Grid(forms[0], coordinate_degree_bounds((1, 2), k)).vectors
+    for budget in (vectors - 1, vectors):
+        try:
+            want = [repset_upto(f, k, budget=budget).keys for f in forms]
+        except BudgetError as exc:
+            with pytest.raises(BudgetError) as raised:
+                repset_keys_batch(forms, k, budget=budget)
+            assert str(raised.value) == str(exc)
+            assert budget == vectors - 1
+            continue
+        got = list(repset_keys_batch(forms, k, budget=budget))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert budget == vectors
+
+
+def test_batch_keys_refuse_mixed_minima():
+    buckets = class_representatives_by_minima(5, 2)
+    with pytest.raises(ValueError, match="minima"):
+        repset_keys_batch(buckets[(0, 2)][:1] + buckets[(1, 1)][:1], 2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fqforms
+from fqforms.errors import BudgetError
 from fqforms.ffpoly import SquareClass, prime_field, residue_char
 from fqforms.localgenus import (
     LocalRepDecider,
@@ -567,3 +568,79 @@ def test_lazy_refinement_repeated_representative():
         pairs = data.equal_set_pairs(data.records, k)
         assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(data.records, k))
         assert len(pairs) >= 4
+
+
+def per_record_refinement(records, kmax, q, budget):
+    """SweepData's refinement one record at a time, by one `repset_upto`
+    per tied record and degree in group order: (digests, resolved_at,
+    histogram)."""
+    hashes = [hashlib.blake2b(digest_size=16) for _ in records]
+    digests = [() for _ in records]
+    resolved = [kmax + 1] * len(records)
+    hist = {}
+    groups = [list(range(len(records)))] if len(records) > 1 else []
+    for d in range(kmax + 1):
+        tied = []
+        for group in groups:
+            parts = {}
+            for i in group:
+                keys = repset_upto(records[i].rep, d, budget=budget).keys
+                lo = int(np.searchsorted(keys, q**d)) if d else 0
+                hashes[i].update(keys[lo:].tobytes())
+                digests[i] += (hashes[i].digest(),)
+                parts.setdefault(digests[i][-1], []).append(i)
+            split = len(group) * (len(group) - 1) // 2
+            split -= sum(len(p) * (len(p) - 1) // 2 for p in parts.values())
+            if split:
+                hist[d] = hist.get(d, 0) + split
+            for part in parts.values():
+                if len(part) == 1:
+                    resolved[part[0]] = d
+                else:
+                    tied.append(part)
+        groups = tied
+    return digests, resolved, hist
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 3), (5, 2), (7, 2)])
+def test_batched_refinement_makes_no_per_record_call(q, max_deg, monkeypatch):
+    import fqforms.verify as verify_module
+
+    cfg = small_cfg(q=q, max_deg=max_deg)
+    classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-record repset_upto in the refinement")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "repset_upto", refuse)
+        data = SweepData(cfg, classes)
+    digests, resolved, hist = per_record_refinement(
+        data.records, data.kmax, q, cfg.budget
+    )
+    assert [rec.digests for rec in data.records] == digests
+    assert [rec.resolved_at for rec in data.records] == resolved
+    assert data.distinguishing_histogram == hist
+
+
+def test_batched_refinement_budget_matches_per_record():
+    # the first tied record whose grid is over budget raises, with the
+    # message of its own repset_upto
+    cfg = small_cfg(q=3, max_deg=3)
+    records = sweep_data(cfg).records
+    classes = [(r.disc, r.class_index, r.rep) for r in records]
+    outcomes = set()
+    for budget in (3, 9, 30, 100, 300, 1000):
+        small = small_cfg(q=3, max_deg=3, budget=budget)
+        try:
+            want = per_record_refinement(records, 7, 3, budget)
+        except BudgetError as exc:
+            with pytest.raises(BudgetError) as raised:
+                SweepData(small, classes)
+            assert str(raised.value) == str(exc)
+            outcomes.add("raised")
+            continue
+        data = SweepData(small, classes)
+        assert [rec.digests for rec in data.records] == want[0]
+        outcomes.add("passed")
+    assert outcomes == {"raised", "passed"}
