@@ -5,12 +5,12 @@ deg a <= deg D / 2 and deg b < deg a, so the forms of discriminant
 exactly D come from a finite enumeration with c = (b^2 - D)/a.  The
 congruence b^2 = D (mod a) depends only on the ideal (a), so it is solved
 once per monic a_m: `ffpoly.square_roots_mod` solves it by a sieve (square
-roots of D at each place of degree <= deg a, lifted to prime powers and
-combined by CRT over the factorization of a_m), and the form (u a_m, b,
-c / u) is reduced for every unit u.  Such forms have b^2 - ac = D != 0 by
-construction, so they skip the checks of `Form.__init__`; and as a content
-g of a form has g^2 | D, only a D with a square factor needs the
-primitivity filter.
+roots of D at each place of degree <= deg D / 2, lifted to prime powers
+once per D and combined by CRT over the factorization of a_m), and the
+form (u a_m, b, c / u) is reduced for every unit u.  Such forms have
+b^2 - ac = D != 0 by construction, so they skip the checks of
+`Form.__init__`; and as a content g of a form has g^2 | D, only a D with
+a square factor needs the primitivity filter.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
@@ -35,7 +35,8 @@ class, (l a_m, b) with l the least lead in the square class of u and b
 the first of +-b where deg a < deg c, and classes are ordered by it.
 
 Genera group classes by their local data (Jordan invariants at the
-divisors of D, Hasse symbol at infinity); D is factored once per table.
+divisors of D, Hasse symbol at infinity); the divisors of D are read off
+the square-root sieve (`ffpoly.sieve_factor`) that also gives the roots.
 For square-free D the Jordan data at p is one assigned character,
 chi_p(a), or chi_p(c) when p | a, and it is computed once per monic a_m:
 chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and where p | a_m every root b
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffpoly import SquareClass, _sqrt_table, factor, is_irreducible, is_squarefree
-from .ffpoly import residue_char, square_roots_mod
+from .ffpoly import residue_char, sieve_factor, square_roots_mod
 from .localgenus import _hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
@@ -72,31 +73,34 @@ from .qform import (
 
 
 def _monic_solutions(disc, deg_a, filter_content):
-    """[(a_m, [(b, c), ...])] for every monic a_m of degree `deg_a`, in key
-    order: b^2 - disc = a_m c with deg b < deg a_m, b in key order, and
-    only primitive (a_m, b, c) when `filter_content`."""
+    """[(a_m, [b, ...])] for every monic a_m of degree `deg_a`, in key
+    order: a_m | b^2 - disc with deg b < deg a_m, b in key order, and only
+    primitive (a_m, b, (b^2 - disc) / a_m) when `filter_content`."""
     binary = Form._trusted_binary
     out = []
     for a, roots in square_roots_mod(disc, deg_a):
         if filter_content:
-            roots = [(b, c) for b, c in roots if binary(a, b, c).is_primitive()]
+            roots = [
+                b for b in roots if binary(a, b, (b * b - disc) // a).is_primitive()
+            ]
         out.append((a, roots))
     return out
 
 
-def _scaled_forms(field, solutions, deg_a):
+def _scaled_forms(field, disc, solutions, deg_a):
     """The forms (u a_m, b, c / u) for every unit u, ordered by (lead a,
     key of the low part of a, key of b); `solutions` from
     `_monic_solutions` at degree `deg_a`."""
     q = field.q
     size = q**deg_a
     binary = Form._trusted_binary
+    monic = [[(b, (b * b - disc) // a_m) for b in roots] for a_m, roots in solutions]
     out = []
     for lead in range(1, q):
         inv = field.constant(field.inv(lead))
         for low in range(size):
             a = field.poly_from_key(low + lead * size)
-            for b, c in solutions[a.monic().key() - size][1]:
+            for b, c in monic[a.monic().key() - size]:
                 out.append(binary(a, b, c * inv))
     return out
 
@@ -117,7 +121,7 @@ def enumerate_forms(field, disc, primitive_only=False):
     out = []
     for deg_a in range(disc.degree // 2 + 1):
         solutions = _monic_solutions(disc, deg_a, filter_content)
-        out.extend(_scaled_forms(field, solutions, deg_a))
+        out.extend(_scaled_forms(field, disc, solutions, deg_a))
     return out
 
 
@@ -163,6 +167,12 @@ def _form_key(form):
     return (a.key(), b.key(), c.key())
 
 
+def _class_key(form):
+    """The (a, b) keys of a class's first form, which name the class."""
+    a, b = form.gram[0]
+    return (a.key(), b.key())
+
+
 def _closed_form_keys(form, nonsquare):
     """(class key, proper class key) of a reduced form with deg a < deg c:
     the (a, b) keys of the first form of each, (l a_m, +-b) and (l a_m, b),
@@ -185,9 +195,9 @@ class ClassTable:
     `proper_counts[i]` is the number of proper classes (1 or 2) in class i;
     `genera` is a list of sorted class-index lists, ordered by first
     member.  `places` holds the (place, multiplicity) pairs of `disc`, as
-    `factor(disc)[1]` gives them.  `forms`, `classes` and `proper_classes`
-    (sorted form-index lists, ordered by first member) list every form and
-    are built on first use.
+    `factor(disc)[1]` gives them, read off the sieve (`sieve_factor`).
+    `forms`, `classes` and `proper_classes` (sorted form-index lists,
+    ordered by first member) list every form and are built on first use.
     """
 
     field: object
@@ -250,7 +260,7 @@ class ClassTable:
             proper.setdefault(proper_key, []).append(i)
         proper_classes = list(proper.values())
         for members, propers in _orbit_partition(forms[top:], self.field.q):
-            key = _form_key(forms[top + members[0]])[:2]
+            key = _class_key(forms[top + members[0]])
             classes[self._class_of_key[key]] = [top + i for i in members]
             proper_classes.extend([top + i for i in p] for p in propers)
         return classes, sorted(proper_classes)
@@ -267,19 +277,20 @@ def _class_table_cached(field, disc, primitive_only):
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     nonsquare = field._first_nonsquare()
-    places = factor(disc)[1]
+    binary = Form._trusted_binary
+    places = sieve_factor(disc)
     square_free = all(v == 1 for _, v in places)
     # a content g has g^2 | disc, so square-free discs have only primitive forms
     filter_content = primitive_only and not square_free
-    classes = []  # (representative, proper class count, genus key)
+    classes = []  # ((a, b) keys, representative, proper class count, genus key)
     for deg_a in range(disc.degree // 2 + 1):
         solutions = _monic_solutions(disc, deg_a, filter_content)
         if 2 * deg_a == disc.degree:
             # every class holds a monic-a form, and its first form is one
             forms = [
-                Form._trusted_binary(a_m, b, c)
+                binary(a_m, b, (b * b - disc) // a_m)
                 for a_m, roots in solutions
-                for b, c in roots
+                for b in roots
             ]
             for members, propers in _orbit_partition(forms, field.q):
                 rep = forms[members[0]]
@@ -288,25 +299,27 @@ def _class_table_cached(field, disc, primitive_only):
                     genus = (_characters(a, c, places), _hasse_at_infinity(rep, disc))
                 else:
                     genus = genus_symbol(rep, places)
-                classes.append((rep, len(propers), genus))
+                classes.append((_class_key(rep), rep, len(propers), genus))
             continue
         found = []
         hasse = {}  # the symbol at infinity, by the square class of lc a
         for a_m, roots in solutions:
-            if not roots:
+            # each class holds (a, b) and (a, -b): keep the first of the two
+            kept = [b for b in roots if b.key() <= (-b).key()]
+            if not kept:
                 continue
+            monic = [(b, (b * b - disc) // a_m) for b in kept]
             if square_free:
                 # chi_p(c) at a place p | a_m is one value for every root b
-                chars = _characters(a_m, roots[0][1], places)
+                chars = _characters(a_m, monic[0][1], places)
             for lead, chi_lead in ((1, 1), (nonsquare, -1)):
-                a = a_m * field.constant(lead)
-                inv = field.constant(field.inv(lead))
-                # each class holds (a, b) and (a, -b): keep the first of the two
-                reps = [
-                    Form._trusted_binary(a, b, c * inv)
-                    for b, c in roots
-                    if b.key() <= (-b).key()
-                ]
+                if lead == 1:
+                    a = a_m
+                    reps = [binary(a, b, c) for b, c in monic]
+                else:
+                    a = a_m * field.constant(lead)
+                    inv = field.constant(field.inv(lead))
+                    reps = [binary(a, b, c * inv) for b, c in monic]
                 if square_free:
                     if lead not in hasse:
                         hasse[lead] = _hasse_at_infinity(reps[0], disc)
@@ -315,29 +328,29 @@ def _class_table_cached(field, disc, primitive_only):
                         x * chi_lead**p.degree for x, (p, _) in zip(chars, places)
                     )
                     genus = (twisted, hasse[lead])
+                a_key = a.key()
                 for rep in reps:
                     b = rep.gram[0][1]
                     if not square_free:
                         genus = genus_symbol(rep, places)
                     proper_count = 1 if b.is_zero() else 2
-                    found.append(((a.key(), b.key()), rep, proper_count, genus))
+                    found.append(((a_key, b.key()), rep, proper_count, genus))
         found.sort(key=lambda entry: entry[0])
-        classes.extend(entry[1:] for entry in found)
+        classes.extend(found)
     by_genus = {}
-    genus_of_class = [by_genus.setdefault(g, len(by_genus)) for _, _, g in classes]
+    genus_of_class = [by_genus.setdefault(g, len(by_genus)) for *_, g in classes]
     genera = [[] for _ in by_genus]
     for ci, g in enumerate(genus_of_class):
         genera[g].append(ci)
-    reps = [rep for rep, _, _ in classes]
     return ClassTable(
         field=field,
         disc=disc,
         primitive_only=primitive_only,
         places=places,
-        class_representatives=reps,
-        proper_counts=[count for _, count, _ in classes],
+        class_representatives=[rep for _, rep, _, _ in classes],
+        proper_counts=[count for _, _, count, _ in classes],
         genera=genera,
-        _class_of_key={_form_key(rep)[:2]: ci for ci, rep in enumerate(reps)},
+        _class_of_key={key: ci for ci, (key, *_) in enumerate(classes)},
         _genus_of_class=genus_of_class,
     )
 

@@ -142,11 +142,13 @@ class Poly:
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        if coeffs.__class__ is not tuple:
+            coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs if n == len(coeffs) else coeffs[:n]
         self._hash = None
 
     @property
@@ -173,6 +175,8 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def _coerce(self, other):
+        if other.__class__ is Poly and other.field is self.field:
+            return other
         if isinstance(other, Poly):
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed fields")
@@ -226,6 +230,11 @@ class Poly:
         if not a or not b:
             return F.zero
         p = F.p
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # by a nonzero constant: scale
+            c = b[0]
+            return Poly(F, tuple(x * c % p for x in a))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -627,6 +636,7 @@ def _equal_degree_split(f, d):
 
 # -- characters and square classes ---------------------------------------
 
+@functools.lru_cache(maxsize=4096)
 def residue_char(f, p):
     """Quadratic character of f in the residue field A/(p): +1, -1, or 0.
 
@@ -635,9 +645,17 @@ def residue_char(f, p):
     Euclid steps (Rosen, GTM 210, ch. 3): for monic a and b,
     (a/b) = (b/a) (-1)^(((q-1)/2) deg a deg b), and a constant c has
     (c/b) = chi(c)^(deg b).  p need not be monic: A/(p) = A/(p monic).
+
+    Results are cached, as for `is_irreducible`: a class table reads the
+    same chi_p(a) for every discriminant that p divides.
     """
     if not is_irreducible(p):
         raise ValueError("place must be an irreducible polynomial")
+    return _jacobi(f, p)
+
+
+def _jacobi(f, p):
+    """`residue_char` at a p known to be irreducible (a place of `_places`)."""
     F = f.field
     if p.degree == 1:
         root = F.neg(F.mul(p.coeffs[0], F.inv(p.coeffs[1])))
@@ -661,22 +679,17 @@ def residue_char(f, p):
 
 
 def square_roots_mod(d, degree):
-    """Yield (u, [(v, w) : deg v < deg u, v^2 - d = u w]) for each monic u of
+    """Yield (u, [v : deg v < deg u, u | v^2 - d]) for each monic u of
     degree `degree`, both in key order.
 
-    A sieve (Cohen, GTM 138, 1.5): the roots of x^2 = d are found once at
-    each place p of degree <= `degree` (an F_q square-root table at degree 1,
-    Tonelli-Shanks in A/(p) above), lifted to p^e one p-adic digit at a time,
-    and combined over the factorization of u by CRT.
+    A sieve (Cohen, GTM 138, 1.5): the roots of x^2 = d at each place p and
+    each power p^k are read off `_place_roots`, built once per d for every
+    degree up to deg d / 2, and combined by CRT over the factorization of u.
     """
     F = d.field
-    roots_at = {}  # place p -> [roots of x^2 = d mod p^k for k = 1, 2, ...]
+    roots_at = _place_roots(d, max(degree, d.degree // 2))
     for u, factors in _monic_factorizations(F, degree):
-        per_factor = []
-        for p, e, _ in factors:
-            if p not in roots_at:
-                roots_at[p] = _roots_mod_powers(d, p, degree // p.degree)
-            per_factor.append(roots_at[p][e - 1])
+        per_factor = [roots_at[p][e - 1] for p, e, _ in factors]
         if len(factors) == 1:
             vs = per_factor[0]
         else:
@@ -685,8 +698,42 @@ def square_roots_mod(d, degree):
                 sum((r * c for r, c in zip(combo, idempotents)), F.zero) % u
                 for combo in itertools.product(*per_factor)
             ]
-        vs = sorted(vs, key=Poly.key)
-        yield u, [(v, (v * v - d) // u) for v in vs]
+        yield u, sorted(vs, key=Poly.key)
+
+
+def sieve_factor(d):
+    """`factor(d)[1]` read off the square-root sieve of d.
+
+    The places p of degree <= deg d / 2 that divide d are those where 0 is
+    the only root of x^2 = d mod p; each is divided out with its
+    multiplicity.  What is left has no factor of degree <= deg d / 2, so it
+    is 1 or one place, of degree above every place of the sieve.
+    """
+    if d.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    rest = d.monic()
+    out = []
+    for p, roots in _place_roots(d, d.degree // 2).items():
+        if roots[0] == [d.field.zero]:
+            e = 0
+            while True:
+                quo, rem = divmod(rest, p)
+                if rem:
+                    break
+                rest, e = quo, e + 1
+            out.append((p, e))
+    if rest.degree > 0:
+        out.append((rest, 1))
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _place_roots(d, top):
+    """{p: [roots of x^2 = d mod p^k for k = 1 .. top // deg p]} over the
+    places p of degree <= top, each root of degree < k deg p: an F_q
+    square-root table at degree 1, Tonelli-Shanks in A/(p) above, lifted to
+    p^k one p-adic digit at a time."""
+    return {p: _roots_mod_powers(d, p, top // p.degree) for p in _places(d.field, top)}
 
 
 def _roots_mod_powers(d, p, top):
@@ -727,7 +774,7 @@ def _sqrt_at_place(d, p):
     a = d % p
     if a.is_zero():
         return a
-    if residue_char(a, p) != 1:
+    if _jacobi(a, p) != 1:
         return None
     # Tonelli-Shanks in the cyclic group (A/(p))^x of order q^n - 1 = 2^s m
     s, m, c = _tonelli_shanks_constants(p)
@@ -755,7 +802,7 @@ def _tonelli_shanks_constants(p):
     z = next(
         z
         for z in (F.poly_from_key(k) for k in range(2, order + 1))
-        if residue_char(z, p) == -1
+        if _jacobi(z, p) == -1
     )
     return s, m, powmod(z, m, p)
 
@@ -767,25 +814,33 @@ def _sqrt_table(q):
 
 
 @functools.lru_cache(maxsize=32)
+def _places(field, degree):
+    """The places of degree <= `degree` (monic irreducibles), by degree,
+    then key.
+
+    A product sieve: the monic irreducibles of degree m are the monic
+    polynomials of degree m that are not products of places of lower
+    degree.
+    """
+    if degree < 1:
+        return ()
+    lower = _places(field, degree - 1)
+    reducible = {u.key() for u, _ in _products(field, lower, degree)}
+    size = field.q**degree
+    return lower + tuple(
+        field.poly_from_key(k) for k in range(size, 2 * size) if k not in reducible
+    )
+
+
+@functools.lru_cache(maxsize=32)
 def _monic_factorizations(field, degree):
     """[(u, [(p, e, CRT idempotent of p^e mod u), ...]), ...] for every monic
-    u of degree `degree`, in key order.
-
-    One pass over the places: the monic irreducibles of each degree m are
-    the monic polynomials of degree m that are not products of places of
-    lower degree, and every monic u is built once as a product of place
-    powers.  The idempotent of p^e is 1 mod p^e and 0 mod u / p^e.
+    u of degree `degree`, in key order, each built once as a product of
+    place powers.  The idempotent of p^e is 1 mod p^e and 0 mod u / p^e.
     """
-    places = []
-    for m in range(1, degree + 1):
-        reducible = {u.key() for u, _ in _products(field, places, m)}
-        places.extend(
-            field.poly_from_key(k)
-            for k in range(field.q**m, 2 * field.q**m)
-            if k not in reducible
-        )
     out = []
-    for u, powers in sorted(_products(field, places, degree), key=lambda x: x[0].key()):
+    products = _products(field, _places(field, degree), degree)
+    for u, powers in sorted(products, key=lambda x: x[0].key()):
         factors = []
         for p, e in powers:
             pe = p**e
@@ -796,13 +851,12 @@ def _monic_factorizations(field, degree):
 
 
 def _products(field, places, degree):
-    """(u, [(p, e), ...]) for each product u of powers of `places` (sorted by
-    degree) of total degree `degree`."""
-    out = []
+    """Yield (u, [(p, e), ...]) for each product u of powers of `places`
+    (sorted by degree) of total degree `degree`."""
 
     def extend(start, left, u, powers):
         if left == 0:
-            out.append((u, powers))
+            yield u, powers
             return
         for i in range(start, len(places)):
             p = places[i]
@@ -810,11 +864,10 @@ def _products(field, places, degree):
                 break
             pe, e = p, 1
             while pe.degree <= left:
-                extend(i + 1, left - pe.degree, u * pe, powers + [(p, e)])
+                yield from extend(i + 1, left - pe.degree, u * pe, powers + [(p, e)])
                 pe, e = pe * p, e + 1
 
-    extend(0, degree, field.one, [])
-    return out
+    return extend(0, degree, field.one, [])
 
 
 class SquareClass:

@@ -192,11 +192,20 @@ def genus_symbol(form, places=None):
 
 def _hasse_at_infinity(form, disc):
     """The Hasse symbol at infinity; a binary (a, b, c) with a != 0
-    diagonalizes as <a, -a disc>."""
+    diagonalizes as <a, -a disc>, and the tame symbol (a, -a disc) at
+    infinity reads only deg a, deg disc, lc a and lc disc."""
     if form.n == 2:
         a = form.gram[0][0]
         if not a.is_zero():
-            return hilbert_symbol(a, -(a * disc), INFINITY)
+            F = form.field
+            chi_a, chi_m1 = F.char(a.lc()), F.char(F.neg(1))
+            odd_a, odd_rest = a.degree % 2, (a.degree + disc.degree) % 2
+            out = chi_a if odd_rest else 1
+            if odd_a:
+                out *= chi_m1 * chi_a * F.char(disc.lc())  # chi(lc(-a disc))
+                if odd_rest:
+                    out *= chi_m1
+            return out
     return hasse_invariant(form, INFINITY)
 
 

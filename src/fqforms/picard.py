@@ -3,10 +3,11 @@
 For square-free definite D0 the order O = A[sqrt(D0)] is maximal, and
 its Picard order comes at any genus from the zeta function of O
 (`pic_order`), an Euler product over the monic irreducibles of degree
-<= g, a scan of about q^g polynomials that the default budget caps.  At
-odd degree 2g+1 Pic O is the group of reduced Mumford divisors (u, v) on
-y^2 = D0(t): u monic of degree <= g, deg v < deg u, u | v^2 - D0, with
-the usual composition-and-reduction group law (Cantor).  At genus <= 2
+<= g, found by a product sieve over the q^g monic polynomials of degree
+g, which the default budget caps.  At odd degree 2g+1 Pic O is the group
+of reduced Mumford divisors (u, v) on y^2 = D0(t): u monic of degree
+<= g, deg v < deg u, u | v^2 - D0, with the usual
+composition-and-reduction group law (Cantor).  At genus <= 2
 `pic_group` enumerates the divisors.  Each order divides N = |Pic O| and
 is found by stripping the primes of N; the invariant factors are read
 off the counts of elements of order dividing l^k.  At even degree 2g+2
@@ -35,8 +36,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
-from .ffpoly import _prime_divisors, factor, is_irreducible, is_squarefree
-from .ffpoly import residue_char, square_roots_mod, squarefree_decompose, xgcd
+from .ffpoly import _jacobi, _places, _prime_divisors, factor, is_squarefree
+from .ffpoly import residue_char, sieve_factor, square_roots_mod, xgcd
 from .qform import is_definite_disc
 
 
@@ -169,7 +170,7 @@ def enumerate_reduced_divisors(d0):
     out = [divisor_identity(d0)]
     for du in range(1, genus + 1):
         for u, roots in square_roots_mod(d0, du):
-            out.extend(MumfordDivisor(u, v, d0) for v, _ in roots)
+            out.extend(MumfordDivisor(u, v, d0) for v in roots)
     return out
 
 
@@ -214,8 +215,9 @@ def pic_order(d0):
     L(T) = Z_O(T) (1 - T)(1 - qT) / (1 - T^e) has degree 2g, and Z_O(T)
     is the product over places p of 1/(1-x)^2, 1/(1-x^2) or 1/(1-x)
     (x = T^deg p) as D0 is a square, a non-square or zero mod p.  As
-    c_(2g-i) = q^(g-i) c_i, only places of degree <= g are visited;
-    BudgetError once q^g exceeds the default budget.
+    c_(2g-i) = q^(g-i) c_i, only places of degree <= g are visited: they
+    come from the product sieve `ffpoly._places`, and (D0/p) from
+    reciprocity.  BudgetError once q^g exceeds the default budget.
     """
     genus = _genus(d0)
     F, q = d0.field, d0.field.q
@@ -225,16 +227,12 @@ def pic_order(d0):
             f"degree {genus} (budget {DEFAULT_BUDGET})"
         )
     series = [1] + [0] * genus  # coefficients of T^0 .. T^g: Z_O, then L
-    for d in range(1, genus + 1):
-        size = q**d
-        for low in range(size):
-            p = F.poly_from_key(low + size)
-            if not is_irreducible(p):
-                continue
-            steps = {1: (d, d), -1: (2 * d,), 0: (d,)}[residue_char(d0, p)]
-            for step in steps:  # times 1/(1 - T^step), ascending
-                for n in range(step, genus + 1):
-                    series[n] += series[n - step]
+    for p in _places(F, genus):
+        d = p.degree
+        steps = {1: (d, d), -1: (2 * d,), 0: (d,)}[_jacobi(d0, p)]
+        for step in steps:  # times 1/(1 - T^step), ascending
+            for n in range(step, genus + 1):
+                series[n] += series[n - step]
     for root in (1, q):  # times (1 - root T), descending
         for n in range(genus, 0, -1):
             series[n] -= root * series[n - 1]
@@ -306,9 +304,12 @@ def comp_sequence_check(disc):
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     F = disc.field
-    f0, g, unit = squarefree_decompose(disc)
-    d0 = F.constant(unit) * f0
-    pic = pic_order_with_conductor(d0, g)
+    f0, g = F.one, F.one  # disc = lc(disc) g^2 f0
+    for p, e in sieve_factor(disc):
+        if e % 2:
+            f0 = f0 * p
+        g = g * p ** (e // 2)
+    pic = pic_order_with_conductor(F.constant(disc.lc()) * f0, g)
     gd = proper_class_count(F, disc, primitive_only=True)
     expected = 2 * pic if disc.degree >= 1 else pic
     return CompReport(

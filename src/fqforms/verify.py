@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from .classify import canonical_discs, class_table, cn1_prediction
-from .ffpoly import SquareClass, is_squarefree, prime_field
+from .ffpoly import SquareClass, is_squarefree, prime_field, sieve_factor
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import comp_sequence_check, weil_interval
 from .qform import (
@@ -852,7 +852,8 @@ def comp_bridge_sweep(cfg):
     violations = []
     instances = 0
     for disc in canonical_discs(F, cfg.max_disc_degree):
-        if not is_squarefree(disc):
+        # the sieve of disc, built here, serves its class table as well
+        if any(e > 1 for _, e in sieve_factor(disc)):
             continue
         instances += 1
         report = comp_sequence_check(disc)

@@ -18,6 +18,7 @@ from fqforms.ffpoly import (
     powmod,
     prime_field,
     residue_char,
+    sieve_factor,
     square_roots_mod,
     squarefree_decompose,
     xgcd,
@@ -108,6 +109,37 @@ def test_ring_axioms_random():
         assert (f + g) * h == f * h + g * h
         if not (f.is_zero() or g.is_zero()):
             assert (f * g).degree == f.degree + g.degree
+
+
+def convolved(f, g):
+    """The schoolbook product, the oracle for `Poly.__mul__`'s fast paths."""
+    F = f.field
+    out = [0] * (len(f.coeffs) + len(g.coeffs))
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return F.poly([c % F.p for c in out])
+
+
+def test_poly_fast_paths():
+    rng = random.Random(5)
+    for _ in range(200):
+        f = rand_poly(F13, 5, rng)
+        c = F13.constant(rng.randrange(13))
+        # a constant factor on either side scales instead of convolving
+        assert f * c == c * f == convolved(f, c)
+        n = rng.randrange(-30, 30)
+        assert f * n == n * f == convolved(f, F13.constant(n))
+    # a tuple is kept as given unless it has trailing zeros to strip
+    coeffs = (1, 2, 3)
+    assert F13.poly(coeffs).coeffs is coeffs
+    assert F13.poly((1, 2, 0, 0)).coeffs == (1, 2)
+    assert F13.poly((0, 0)).is_zero() and F13.poly([]).is_zero()
+    # a Poly over an equal field that is another object still mixes
+    other = Field(13)
+    assert other is not F13 and (F13.t * other.t).coeffs == (0, 0, 1)
+    with pytest.raises(ValueError):
+        F13.t * F5.t
 
 
 def test_gcd_examples():
@@ -440,7 +472,14 @@ def scanned_square_roots_mod(d, degree):
     v^2 mod u tabulated once per (field, degree) instead of once per d."""
     for u, squares in _squares_mod_each_u(d.field, degree):
         r = (d % u).key()
-        yield u, [(v, (v * v - d) // u) for v, s in squares if s == r]
+        yield u, [v for v, s in squares if s == r]
+
+
+def assert_roots_match_scan(d, degree):
+    got = list(square_roots_mod(d, degree))
+    assert got == list(scanned_square_roots_mod(d, degree)), (str(d), degree)
+    for u, roots in got:
+        assert all(u.divides(v * v - d) for v in roots), (str(d), str(u))
 
 
 @pytest.mark.parametrize("q,degree", [(3, 3), (5, 2), (7, 2)])
@@ -452,24 +491,44 @@ def test_square_roots_mod_matches_scan(q, degree):
     top = 3 if q == 7 else 2 * degree
     for d in canonical_discs(F, top):
         for k in range(degree + 1):
-            got = list(square_roots_mod(d, k))
-            assert got == list(scanned_square_roots_mod(d, k)), (str(d), k)
+            assert_roots_match_scan(d, k)
+
+
+def high_multiplicity_discs(F):
+    """p^k | d up to k = 6 at places of degree 1 and 2, at every leading
+    coefficient (Picard curves need not be canonical)."""
+    t = F.t
+    p2 = monic_places(F, 2)[0]
+    shapes = [t**6, (t + 1) ** 4 * (t + 2), t**3 * p2, p2**2, p2**3 * t, t**2 * (t + 1) ** 2]
+    return [shape * lead for shape in shapes for lead in range(1, F.q)]
 
 
 @pytest.mark.parametrize("q,degree", [(3, 3), (5, 3), (7, 2)])
 def test_square_roots_mod_high_multiplicity_any_lead(q, degree):
-    # p^k | d up to k = 6 at places of degree 1 and 2, u = p^e up to e = 3,
-    # and every leading coefficient (Picard curves need not be canonical)
+    # u = p^e up to e = 3
+    for d in high_multiplicity_discs(prime_field(q)):
+        for k in range(degree + 1):
+            assert_roots_match_scan(d, k)
+
+
+@pytest.mark.parametrize("q,top", [(3, 6), (5, 4), (7, 3)])
+def test_sieve_factor_matches_factor(q, top):
+    # every canonical d, square-free or not, then the high-multiplicity
+    # shapes at every lead; Cantor-Zassenhaus `factor` is the oracle
     F = prime_field(q)
-    t = F.t
-    p2 = monic_places(F, 2)[0]
-    shapes = [t**6, (t + 1) ** 4 * (t + 2), t**3 * p2, p2**2, p2**3 * t, t**2 * (t + 1) ** 2]
-    for shape in shapes:
-        for lead in range(1, q):
-            d = shape * lead
-            for k in range(degree + 1):
-                got = list(square_roots_mod(d, k))
-                assert got == list(scanned_square_roots_mod(d, k)), (str(d), k)
+    for d in [*canonical_discs(F, top), *high_multiplicity_discs(F)]:
+        assert sieve_factor(d) == factor(d)[1], str(d)
+    with pytest.raises(ValueError):
+        sieve_factor(F.zero)
+
+
+def test_places_match_irreducibility_scan():
+    from fqforms.ffpoly import _places
+
+    for q, top in ((3, 4), (5, 3), (7, 2)):
+        F = prime_field(q)
+        scanned = [p for m in range(1, top + 1) for p in monic_places(F, m)]
+        assert list(_places(F, top)) == scanned
 
 
 def test_square_class():

@@ -125,6 +125,19 @@ def test_hasse_at_infinity_matches_diagonalization(q):
         assert _hasse_at_infinity(form, d) == hasse_invariant(form, INFINITY)
 
 
+@pytest.mark.parametrize("q,top", [(3, 5), (7, 3)])
+def test_hasse_at_infinity_closed_form_on_class_representatives(q, top):
+    # the closed form against the symbol of the diagonal <a, -a D> itself
+    from fqforms.classify import canonical_discs, class_table
+
+    F = prime_field(q)
+    for disc in canonical_discs(F, top):
+        for rep in class_table(F, disc).class_representatives:
+            a = rep.gram[0][0]
+            expected = hilbert_symbol(a, -(a * disc), INFINITY)
+            assert _hasse_at_infinity(rep, disc) == expected, (str(disc), str(a))
+
+
 def test_jordan_invariants_examples():
     d5 = F5.constant(F5.delta)
     t = F5.t

@@ -21,6 +21,7 @@ from fqforms.picard import (
     pic_order_with_conductor,
     weil_interval,
 )
+from fqforms.qform import is_definite_disc
 from fqforms.verify import SweepConfig, run_check
 
 F5 = prime_field(5)
@@ -345,6 +346,43 @@ def odd_degree_pic_order(d0):
             for n in range(genus, d - 1, -1):  # (1+x), descending
                 series[n] += series[n - d]
     return sum(series)
+
+
+def scanned_pic_order(d0):
+    """`pic_order` as it was before the product sieve: the Euler product over
+    the places of degree <= g, found by Rabin's test on every monic
+    polynomial of degree <= g."""
+    genus = (d0.degree - 1) // 2
+    F, q = d0.field, d0.field.q
+    series = [1] + [0] * genus
+    for d in range(1, genus + 1):
+        size = q**d
+        for low in range(size):
+            p = F.poly_from_key(low + size)
+            if not is_irreducible(p):
+                continue
+            steps = {1: (d, d), -1: (2 * d,), 0: (d,)}[residue_char(d0, p)]
+            for step in steps:
+                for n in range(step, genus + 1):
+                    series[n] += series[n - step]
+    for root in (1, q):
+        for n in range(genus, 0, -1):
+            series[n] -= root * series[n - 1]
+    e = 2 - d0.degree % 2
+    for n in range(e, genus + 1):
+        series[n] += series[n - e]
+    h = sum(series) + sum(q ** (genus - i) * c for i, c in enumerate(series[:genus]))
+    return e * h
+
+
+@pytest.mark.parametrize("q,top", [(3, 6), (5, 4)])
+def test_pic_order_matches_scanned_euler_product(q, top):
+    # every square-free definite D0 of degree 1 .. top, any leading coefficient
+    F = prime_field(q)
+    for deg in range(1, top + 1):
+        for d0 in squarefree_curves(F, deg):
+            if is_definite_disc(d0):
+                assert pic_order(d0) == scanned_pic_order(d0), str(d0)
 
 
 def definite_curves(F, deg):

@@ -321,31 +321,43 @@ def test_comp_bridge_q5():
     assert r.instances_checked == 231
 
 
-def test_comp_bridge_decomposes_each_squarefree_disc_once(monkeypatch):
-    # the sweep filters by `is_squarefree`; only `comp_sequence_check`,
-    # which needs D0 and the conductor, decomposes, once per disc
+def test_comp_bridge_sieves_each_disc_once(monkeypatch):
+    # the square-free filter builds each disc's square-root sieve, and
+    # `comp_sequence_check` and the class table read it from the cache; no
+    # disc goes through `factor` or `squarefree_decompose`
+    import functools
+
     from fqforms import ffpoly
-    from fqforms.classify import canonical_discs
+    from fqforms.classify import _class_table_cached, canonical_discs
 
     F = prime_field(3)
-    square_free = [
-        d
-        for d in canonical_discs(F, 3)
-        if ffpoly.squarefree_decompose(d)[1].degree == 0
-    ]
-    calls = []
-    original = ffpoly.squarefree_decompose
+    discs = canonical_discs(F, 3)
+    sieved = []
+    raw = ffpoly._place_roots.__wrapped__
 
-    def counted(f):
-        calls.append(f)
-        return original(f)
+    def counted(d, top):
+        sieved.append(d)
+        return raw(d, top)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fqforms") and hasattr(module, "squarefree_decompose"):
-            monkeypatch.setattr(module, "squarefree_decompose", counted)
+    monkeypatch.setattr(ffpoly, "_place_roots", functools.lru_cache(maxsize=16)(counted))
+    _class_table_cached.cache_clear()
+    passed = []
+    for name in ("factor", "squarefree_decompose"):
+        original = getattr(ffpoly, name)
+
+        def recorded(f, original=original):
+            passed.append(f)
+            return original(f)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("fqforms") and hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
     r = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
+    square_free = [d for d in discs if ffpoly.is_squarefree(d)]
     assert r.passed and r.instances_checked == len(square_free)
-    assert sorted(calls, key=str) == sorted(square_free, key=str)
+    assert sorted(sieved, key=str) == sorted(discs, key=str)
+    assert not set(passed) & set(discs)
+    _class_table_cached.cache_clear()
 
 
 def test_verify_sweeps_leave_numpy_ma_unimported():
