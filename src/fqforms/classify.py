@@ -22,21 +22,25 @@ therefore read off the monic solutions there, without listing its forms:
 with a = u a_m, a proper class is (a_m, u mod squares, b), it holds
 (q - 1)/2 forms, and a class is (a_m, u mod squares, +-b), two proper
 classes when b != 0 and one when b = 0.  Orbits are computed only for
-the forms with deg a = deg c, which exist only at even deg D: there U
-runs over 2(q^2 - 1) constant matrices, and one orbit pass per class
-gives both partitions, the images reached by a determinant-1 U forming
-the proper class of the seed.  A class table partitions only the forms
-with monic a there, never scaled by units: with A, C the leading
-coefficients of a, c, the form A x^2 + C y^2 is anisotropic over F_q, so
-it represents 1 and some constant U carries each form to one with monic
-a.  Monic forms come first in `enumerate_forms` order, so every class's
-first form is among them.  That first form is the representative of a
-class, (l a_m, b) with l the least lead in the square class of u and b
-the first of +-b where deg a < deg c, and classes are ordered by it.
+the forms with deg a = deg c, which exist only at even deg D.  There,
+with A, C the leading coefficients of a, c, the form A x^2 + C y^2 is
+anisotropic over F_q, so it represents 1 and some constant U carries each
+form to one with monic a.  The U that do so are the 2(q + 1) points of
+the norm-one torus A alpha^2 + C gamma^2 = 1 with det U = +-1, and one
+numpy pass per discriminant maps every form to the indices of its monic
+images under them: a class is named by the least such index, a proper
+class by the least reached with det U = 1.  A class table partitions
+only the forms with monic a there, never scaled by units; `forms` come
+in `enumerate_forms` order, monic forms first, so every class's first
+form is among them.  That first form is the representative of a class,
+(l a_m, b) with l the least lead in the square class of u and b the first
+of +-b where deg a < deg c, and classes are ordered by it.
 
 Genera group classes by their local data (Jordan invariants at the
-divisors of D, Hasse symbol at infinity); the divisors of D are read off
-the square-root sieve (`ffpoly.sieve_factor`) that also gives the roots.
+divisors of D, Hasse symbol at infinity) and are built on first read,
+from the class representatives alone, so a sweep that reads only the
+representatives never computes one.  The divisors of D are read off the
+square-root sieve (`ffpoly.sieve_factor`) that also gives the roots.
 For square-free D the Jordan data at p is one assigned character,
 chi_p(a), or chi_p(c) when p | a, and it is computed once per monic a_m:
 chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and where p | a_m every root b
@@ -44,7 +48,8 @@ gives the same chi_p(c), since c = -(D/p) / (a_m/p) mod p.  The Hasse
 symbol at infinity of (a, b, c) comes from its diagonal <a, -a D> and so
 depends only on deg a and the square class of lc a.  A D with a square
 factor takes a full `genus_symbol` per class.  Residue characters come
-from quadratic reciprocity (`ffpoly.residue_char`).
+from quadratic reciprocity (`ffpoly._jacobi`), at places the sieve has
+already shown irreducible.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -58,12 +63,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import SquareClass, _sqrt_table, factor, is_irreducible, is_squarefree
-from .ffpoly import residue_char, sieve_factor, square_roots_mod
+from .ffpoly import SquareClass, _jacobi, _sqrt_table, factor, is_irreducible
+from .ffpoly import is_squarefree, sieve_factor, square_roots_mod
 from .localgenus import _hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
     Transformation,
+    _bilinear_weights,
+    _poly_rows,
     is_definite_disc,
     key_powers,
     reduce,
@@ -128,7 +135,7 @@ def enumerate_forms(field, disc, primitive_only=False):
 def _reduced_orbit(form, q):
     """Keys (a', b', c') of the reduced images of `form` under constant
     transformations with determinant +-1, and the subset reached by
-    determinant 1."""
+    determinant 1: the whole orbit, kept as the oracle of the torus pass."""
     units, images = reduced_images(form, (1, -1))
     al, be, ga, de = units.T
     det_one = (al * de - be * ga) % q == 1
@@ -139,27 +146,84 @@ def _reduced_orbit(form, q):
     return orbit, proper
 
 
+@functools.lru_cache(maxsize=256)
+def _torus_weights(q, A, C):
+    """Weight rows (2(q + 1), 2, 3) that give the a' and b' of the images
+    of a reduced (a, b, c) with deg a = deg c, lc a = A and lc c = C, under
+    the constant U of det +-1 that keep it reduced and make a' monic.
+
+    Such U are [[alpha, -d C gamma], [gamma, d A alpha]] with d = det U
+    and A alpha^2 + C gamma^2 = lc a' = 1 (`qform._reducing_units`): the
+    q + 1 points of the norm-one torus of the anisotropic A X^2 + C Y^2,
+    once with d = 1 (the first q + 1 rows) and once with d = -1."""
+    al, ga = np.indices((q, q), dtype=np.int64).reshape(2, -1)
+    on = (A * al * al + C * ga * ga) % q == 1
+    al, ga = al[on], ga[on]
+    u = np.stack([al, ga], axis=1)
+    v = np.stack([-C * ga, A * al], axis=1)
+    u, v = np.concatenate([u, u]), np.concatenate([v, -v]) % q
+    out = np.stack([_bilinear_weights(u, u, q), _bilinear_weights(u, v, q)], axis=1)
+    out.flags.writeable = False  # cached: every caller shares it
+    return out
+
+
+def _coefficient_rows(forms):
+    """Coefficient rows (forms, 3, m + 1) of (a, b, c), for reduced forms
+    with deg a = deg c = m."""
+    length = forms[0].gram[0][0].degree + 1
+    rows = _poly_rows([p for f in forms for p in f.binary_coeffs()], length)
+    return rows.reshape(len(forms), 3, length)
+
+
+def _least_images(rows, q):
+    """For the forms with coefficient rows `rows`: the (a', b') keys of the
+    least image with monic a' in key order, under det U = +-1 (a list of
+    pairs) and under det U = 1 (another).
+
+    The images come from the units of `_torus_weights`, one weight block
+    per form, read from the cache by (lc a, lc c).  Each polynomial has
+    its own key, which `key_powers` keeps from wrapping, and pairs are
+    compared key by key."""
+    powers = key_powers(q, rows.shape[2])
+    top = rows.shape[2] - 1
+    leads = zip(rows[:, 0, top].tolist(), rows[:, 2, top].tolist())
+    weights = np.stack([_torus_weights(q, A, C) for A, C in leads])
+    keys = (weights @ rows[:, None] % q) @ powers  # forms, units, (a', b')
+    half = keys.shape[1] // 2
+    return _least_pairs(keys), _least_pairs(keys[:, :half])
+
+
+def _least_pairs(keys):
+    """The least (a', b') key pair of each row of `keys` (forms, units, 2)."""
+    a = keys[..., 0].min(axis=1)
+    b = np.where(keys[..., 0] == a[:, None], keys[..., 1], keys[..., 1].max())
+    return list(zip(a.tolist(), b.min(axis=1).tolist()))
+
+
 def _orbit_partition(forms, q):
     """[(class, [proper classes])] of reduced forms with deg a = deg c, as
     sorted index lists into `forms`; classes come in order of first member.
 
     `forms` is in `enumerate_forms` order and holds, of each orbit it
-    meets, either every form or every form with monic a.  Both give the
-    same first members and proper class counts: x -> -x on one coordinate,
-    of determinant -1, keeps a, so each proper class of a split class
-    holds a monic-a form when the other does."""
-    index = {_form_key(f): i for i, f in enumerate(forms)}
-    unassigned = set(range(len(forms)))
-    out = []
-    while unassigned:
-        seed = min(unassigned)
-        orbit, sl_orbit = _reduced_orbit(forms[seed], q)
-        members = sorted(index[k] for k in orbit if k in index)
-        proper = sorted(index[k] for k in sl_orbit if k in index)
-        rest = sorted(set(members) - set(proper))
-        out.append((members, [proper, rest] if rest else [proper]))
-        unassigned -= set(members)
-    return out
+    meets, either every form or every form with monic a.  One pass finds
+    the least monic-a image of every form (`_least_images`).  Every class
+    holds a monic-a form, and so does each proper class of a split class,
+    since x -> -x on one coordinate, of determinant -1, keeps a.  So the
+    least image over det U = +-1 names the class of a form, and the least
+    over det U = 1 its proper class; as monic forms come first and in key
+    order, that image is the first form of the class (`_class_key`)."""
+    if not forms:
+        return []
+    classes, propers = _least_images(_coefficient_rows(forms), q)
+    out = {}
+    for i, (key, proper_key) in enumerate(zip(classes, propers)):
+        out.setdefault(key, {}).setdefault(proper_key, []).append(i)
+    # forms are visited in order, so classes and proper classes come in
+    # order of first member
+    return [
+        (sorted(i for p in by_proper.values() for i in p), list(by_proper.values()))
+        for by_proper in out.values()
+    ]
 
 
 def _form_key(form):
@@ -192,12 +256,13 @@ class ClassTable:
 
     `class_representatives` holds the first form of each class in
     `enumerate_forms` order, and classes are ordered by it;
-    `proper_counts[i]` is the number of proper classes (1 or 2) in class i;
-    `genera` is a list of sorted class-index lists, ordered by first
-    member.  `places` holds the (place, multiplicity) pairs of `disc`, as
+    `proper_counts[i]` is the number of proper classes (1 or 2) in class i.
+    `places` holds the (place, multiplicity) pairs of `disc`, as
     `factor(disc)[1]` gives them, read off the sieve (`sieve_factor`).
-    `forms`, `classes` and `proper_classes` (sorted form-index lists,
-    ordered by first member) list every form and are built on first use.
+    `genera` (sorted class-index lists, ordered by first member) is built
+    on first use from the representatives, as are `forms`, `classes` and
+    `proper_classes` (sorted form-index lists, ordered by first member),
+    which list every form.
     """
 
     field: object
@@ -206,16 +271,18 @@ class ClassTable:
     places: list
     class_representatives: list
     proper_counts: list
-    genera: list
     _class_of_key: dict  # (a, b) keys of a class's first form -> class index
-    _genus_of_class: list
 
     def class_index_of(self, form):
         """Index of the class containing a definite form of this disc."""
         if form.discriminant() != self.disc:
             raise ValueError("form does not belong to this table")
         red, _ = reduce(form)
-        key = min(_reduced_orbit(red, self.field.q)[0])[:2]
+        a, _, c = red.binary_coeffs()
+        if a.degree < c.degree:
+            key = _closed_form_keys(red, self.field._first_nonsquare())[0]
+        else:
+            key = _least_images(_coefficient_rows([red]), self.field.q)[0][0]
         if key not in self._class_of_key:
             raise ValueError("form does not belong to this table")
         return self._class_of_key[key]
@@ -229,6 +296,22 @@ class ClassTable:
 
     def proper_counts_per_genus(self):
         return [sum(self.proper_counts[ci] for ci in genus) for genus in self.genera]
+
+    @functools.cached_property
+    def genera(self):
+        by_genus = {}
+        keys = _genus_keys(self.class_representatives, self.disc, self.places)
+        for ci, key in enumerate(keys):
+            by_genus.setdefault(key, []).append(ci)
+        return list(by_genus.values())
+
+    @functools.cached_property
+    def _genus_of_class(self):
+        out = [None] * len(self.class_representatives)
+        for g, genus in enumerate(self.genera):
+            for ci in genus:
+                out[ci] = g
+        return out
 
     @functools.cached_property
     def forms(self):
@@ -279,10 +362,9 @@ def _class_table_cached(field, disc, primitive_only):
     nonsquare = field._first_nonsquare()
     binary = Form._trusted_binary
     places = sieve_factor(disc)
-    square_free = all(v == 1 for _, v in places)
     # a content g has g^2 | disc, so square-free discs have only primitive forms
-    filter_content = primitive_only and not square_free
-    classes = []  # ((a, b) keys, representative, proper class count, genus key)
+    filter_content = primitive_only and any(v > 1 for _, v in places)
+    classes = []  # ((a, b) keys, representative, proper class count)
     for deg_a in range(disc.degree // 2 + 1):
         solutions = _monic_solutions(disc, deg_a, filter_content)
         if 2 * deg_a == disc.degree:
@@ -294,25 +376,16 @@ def _class_table_cached(field, disc, primitive_only):
             ]
             for members, propers in _orbit_partition(forms, field.q):
                 rep = forms[members[0]]
-                if square_free:
-                    a, _, c = rep.binary_coeffs()
-                    genus = (_characters(a, c, places), _hasse_at_infinity(rep, disc))
-                else:
-                    genus = genus_symbol(rep, places)
-                classes.append((_class_key(rep), rep, len(propers), genus))
+                classes.append((_class_key(rep), rep, len(propers)))
             continue
         found = []
-        hasse = {}  # the symbol at infinity, by the square class of lc a
         for a_m, roots in solutions:
             # each class holds (a, b) and (a, -b): keep the first of the two
             kept = [b for b in roots if b.key() <= (-b).key()]
             if not kept:
                 continue
             monic = [(b, (b * b - disc) // a_m) for b in kept]
-            if square_free:
-                # chi_p(c) at a place p | a_m is one value for every root b
-                chars = _characters(a_m, monic[0][1], places)
-            for lead, chi_lead in ((1, 1), (nonsquare, -1)):
+            for lead in (1, nonsquare):
                 if lead == 1:
                     a = a_m
                     reps = [binary(a, b, c) for b, c in monic]
@@ -320,46 +393,65 @@ def _class_table_cached(field, disc, primitive_only):
                     a = a_m * field.constant(lead)
                     inv = field.constant(field.inv(lead))
                     reps = [binary(a, b, c * inv) for b, c in monic]
-                if square_free:
-                    if lead not in hasse:
-                        hasse[lead] = _hasse_at_infinity(reps[0], disc)
-                    # chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m)
-                    twisted = tuple(
-                        x * chi_lead**p.degree for x, (p, _) in zip(chars, places)
-                    )
-                    genus = (twisted, hasse[lead])
                 a_key = a.key()
                 for rep in reps:
                     b = rep.gram[0][1]
-                    if not square_free:
-                        genus = genus_symbol(rep, places)
                     proper_count = 1 if b.is_zero() else 2
-                    found.append(((a_key, b.key()), rep, proper_count, genus))
+                    found.append(((a_key, b.key()), rep, proper_count))
         found.sort(key=lambda entry: entry[0])
         classes.extend(found)
-    by_genus = {}
-    genus_of_class = [by_genus.setdefault(g, len(by_genus)) for *_, g in classes]
-    genera = [[] for _ in by_genus]
-    for ci, g in enumerate(genus_of_class):
-        genera[g].append(ci)
     return ClassTable(
         field=field,
         disc=disc,
         primitive_only=primitive_only,
         places=places,
-        class_representatives=[rep for _, rep, _, _ in classes],
-        proper_counts=[count for _, _, count, _ in classes],
-        genera=genera,
-        _class_of_key={key: ci for ci, (key, *_) in enumerate(classes)},
-        _genus_of_class=genus_of_class,
+        class_representatives=[rep for _, rep, _ in classes],
+        proper_counts=[count for _, _, count in classes],
+        _class_of_key={key: ci for ci, (key, _, _) in enumerate(classes)},
     )
+
+
+def _genus_keys(reps, disc, places):
+    """One key per class, equal for two classes exactly when they share a
+    genus: the genus symbol of the representative, or for square-free
+    `disc` its assigned characters and its Hasse symbol at infinity.  These
+    are computed once per a, from those of the monic a_m, and the symbol at
+    infinity once per deg a and lc a."""
+    if any(v > 1 for _, v in places):
+        return [genus_symbol(rep, places) for rep in reps]
+    F = disc.field
+    chars_of = {}  # by the coefficients of a
+    monic_chars = {}  # the characters of (a_m, b, u c), by those of a_m
+    hasse = {}  # by deg a and lc a
+    out = []
+    for rep in reps:
+        a, _, c = rep.binary_coeffs()
+        lead = a.lc()
+        chars = chars_of.get(a.coeffs)
+        if chars is None:
+            a_m = a if lead == 1 else a.monic()
+            chars = monic_chars.get(a_m.coeffs)
+            if chars is None:
+                c_m = c if lead == 1 else c * F.constant(lead)
+                chars = monic_chars[a_m.coeffs] = _characters(a_m, c_m, places)
+            if lead != 1:
+                # chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and chi_p(c) likewise
+                chi = F.char(lead)
+                chars = tuple(x * chi**p.degree for x, (p, _) in zip(chars, places))
+            chars_of[a.coeffs] = chars
+        at_infinity = hasse.get((a.degree, lead))
+        if at_infinity is None:
+            at_infinity = hasse[a.degree, lead] = _hasse_at_infinity(rep, disc)
+        out.append((chars, at_infinity))
+    return out
 
 
 def _characters(a, c, places):
     """The assigned characters chi_p(a), or chi_p(c) where p | a, at the
     places p of a square-free disc; with the Hasse symbol at infinity they
-    fix the genus symbol of (a, b, c)."""
-    return tuple(residue_char(a, p) or residue_char(c, p) for p, _ in places)
+    fix the genus symbol of (a, b, c).  Where p | a every root b of one
+    monic a gives the same chi_p(c), as c = -(D/p) / (a/p) mod p."""
+    return tuple(_jacobi(a, p) or _jacobi(c, p) for p, _ in places)
 
 
 def canonical_disc(d):

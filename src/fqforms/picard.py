@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import _jacobi, _places, _prime_divisors, factor, is_squarefree
-from .ffpoly import residue_char, sieve_factor, square_roots_mod, xgcd
+from .ffpoly import sieve_factor, square_roots_mod, xgcd
 from .qform import is_definite_disc
 
 
@@ -260,6 +260,12 @@ def pic_order_with_conductor(d0, f):
     """|Pic(A[sqrt(f^2 D0)])| from the conductor exact sequence."""
     if f.is_zero() or f.lc() != 1:
         raise ValueError("conductor must be monic")
+    return _conductor_order(d0, factor(f)[1])
+
+
+def _conductor_order(d0, conductor):
+    """`pic_order_with_conductor` for the conductor f with the (place,
+    multiplicity) pairs `conductor`, as `factor(f)[1]` gives them."""
     F = d0.field
     q = F.q
     if d0.degree == 0:
@@ -267,12 +273,12 @@ def pic_order_with_conductor(d0, f):
             raise ValueError("constant D0 must be a non-square")
         # |Pic O| = 1; B = A[f sqrt(D0)] has constant units only once
         # deg f >= 1, as for f = 1 it is the maximal order F_{q^2}[t] itself
-        numerator, denominator = 1, (q + 1 if f.degree >= 1 else 1)
+        numerator, denominator = 1, (q + 1 if conductor else 1)
     else:
         numerator, denominator = pic_order(d0), 1
-    for p, k in factor(f)[1]:
+    for p, k in conductor:
         d = p.degree
-        sym = residue_char(d0, p)
+        sym = _jacobi(d0, p)
         if sym == 1:
             w = (q**d - 1) ** 2
         elif sym == -1:
@@ -304,12 +310,13 @@ def comp_sequence_check(disc):
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
     F = disc.field
-    f0, g = F.one, F.one  # disc = lc(disc) g^2 f0
+    f0, conductor = F.one, []  # disc = lc(disc) g^2 f0, g from `conductor`
     for p, e in sieve_factor(disc):
         if e % 2:
             f0 = f0 * p
-        g = g * p ** (e // 2)
-    pic = pic_order_with_conductor(F.constant(disc.lc()) * f0, g)
+        if e > 1:
+            conductor.append((p, e // 2))
+    pic = _conductor_order(F.constant(disc.lc()) * f0, conductor)
     gd = proper_class_count(F, disc, primitive_only=True)
     expected = 2 * pic if disc.degree >= 1 else pic
     return CompReport(

@@ -4,26 +4,38 @@
   over every pair (a, b) with a of any leading coefficient;
 - the assigned-character Jordan data at places with v_p(D) = 1 against the
   p-adic Jordan diagonalization;
-- `class_table` (one orbit pass of closed-form units, places factored
-  once) against two orbit passes over every U in GL_2(F_q), for det +-1
+- `class_table` (one torus pass per discriminant, places read off the
+  sieve) against two orbit passes over every U in GL_2(F_q), for det +-1
   and det 1, with genera from Jordan data only;
 - `class_table` (classes read off the monic square roots, orbits only
   where deg a = deg c, genus characters once per monic a) against one
-  orbit pass over every enumerated form and one `genus_symbol` per class.
+  orbit pass over every enumerated form and one `genus_symbol` per class;
+- `_orbit_partition` (the least monic image of every form under the
+  2(q + 1) units of the norm-one torus, in one pass per discriminant)
+  against one `_reduced_orbit` per class over the 2(q^2 - 1) units;
+- genera built on first read against the Jordan path, after a sweep that
+  builds none.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from fqforms import classify, verify
 from fqforms.classify import (
+    _coefficient_rows,
+    _field_sqrt,
     _form_key,
+    _least_images,
+    _orbit_partition,
     _reduced_orbit,
     canonical_discs,
     class_table,
     enumerate_forms,
 )
+from fqforms.errors import CapabilityError
 from fqforms.ffpoly import factor, prime_field
 from fqforms.localgenus import (
     INFINITY,
@@ -33,7 +45,8 @@ from fqforms.localgenus import (
     hasse_invariant,
     jordan_invariants,
 )
-from fqforms.qform import Form
+from fqforms.qform import Form, key_powers, reduced_images
+from fqforms.verify import SweepConfig
 from tests.test_qform import scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
@@ -242,3 +255,163 @@ def test_character_genera_match_genus_symbols(q):
         assert table.genera == list(by_symbol.values()), str(d)
         tables += 1
     assert tables > 100
+
+
+def reduced_orbit_partition(forms, q):
+    """`_orbit_partition` by one `_reduced_orbit` per class, each over the
+    2(q^2 - 1) units of det +-1 that keep the seed reduced."""
+    index = {_form_key(f): i for i, f in enumerate(forms)}
+    unassigned = set(range(len(forms)))
+    out = []
+    while unassigned:
+        seed = min(unassigned)
+        orbit, sl_orbit = _reduced_orbit(forms[seed], q)
+        members = sorted(index[k] for k in orbit if k in index)
+        proper = sorted(index[k] for k in sl_orbit if k in index)
+        rest = sorted(set(members) - set(proper))
+        out.append((members, [proper, rest] if rest else [proper]))
+        unassigned -= set(members)
+    return out
+
+
+def assert_partition_matches_orbit_oracle(field, disc):
+    """On the forms of `disc` with deg a = deg c, every form and those with
+    monic a, of any content and primitive."""
+    for primitive_only in (False, True):
+        forms = [
+            f
+            for f in enumerate_forms(field, disc, primitive_only)
+            if 2 * f.gram[0][0].degree == disc.degree
+        ]
+        monic = [f for f in forms if f.gram[0][0].lc() == 1]
+        for chosen in (forms, monic):
+            if chosen:
+                assert _orbit_partition(chosen, field.q) == reduced_orbit_partition(
+                    chosen, field.q
+                ), (str(disc), primitive_only, len(chosen))
+
+
+@pytest.mark.parametrize("q,deg", [(3, 6), (5, 4), (11, 2)])
+def test_orbit_partition_matches_reduced_orbits(q, deg):
+    F = prime_field(q)
+    discs = [d for d in canonical_discs(F, deg) if d.degree % 2 == 0]
+    for d in discs:
+        assert_partition_matches_orbit_oracle(F, d)
+
+
+@pytest.mark.parametrize("q,samples", [(7, 60), (17, 12)])
+def test_orbit_partition_matches_reduced_orbits_sampled_deg4(q, samples):
+    F = prime_field(q)
+    discs = canonical_discs(F, 4, exact_degree=4)
+    for d in random.Random(q * 1000 + 4).sample(discs, samples):
+        assert_partition_matches_orbit_oracle(F, d)
+
+
+def interpolate(field, points):
+    """The b of degree < len(points) with b(s) = y at each (s, y)."""
+    out = field.zero
+    for s, y in points:
+        term = field.constant(y)
+        for r, _ in points:
+            if r != s:
+                scale = field.inv((s - r) % field.q)
+                term = term * (field.t - field.constant(r)) * field.constant(scale)
+        out = out + term
+    return out
+
+
+def same_disc_forms(field, m, count, rng):
+    """Reduced forms (a, b, c) with deg a = deg c = m of one definite disc
+    of degree 2m: a random one, then ones with a split monic a, whose b
+    takes a square root of D at each root of a."""
+    q = field.q
+    while True:
+        A, C = rng.randrange(1, q), rng.randrange(1, q)
+        if not field.is_square(field.neg(field.mul(A, C))):
+            break
+    a = field.poly([rng.randrange(q) for _ in range(m)] + [A])
+    b = field.poly([rng.randrange(q) for _ in range(m)])
+    c = field.poly([rng.randrange(q) for _ in range(m)] + [C])
+    disc = b * b - a * c
+    forms = [Form.binary(a, b, c)]
+    square_at = [s for s in range(q) if field.char(disc(s)) == 1]
+    while len(forms) < count:
+        roots = rng.sample(square_at, m)
+        a2 = field.one
+        for s in roots:
+            a2 = a2 * (field.t - field.constant(s))
+        points = [(s, _field_sqrt(field, disc(s))) for s in roots]
+        b2 = interpolate(field, points)
+        c2, rem = divmod(b2 * b2 - disc, a2)
+        assert rem.is_zero()
+        forms.append(Form.binary(a2, b2, c2))
+    return disc, forms
+
+
+def orbit_forms(seeds):
+    """Every reduced image of the seeds under det +-1, in `enumerate_forms`
+    order: by the key of a, then the key of b."""
+    F = seeds[0].field
+    out = {}
+    for seed in seeds:
+        _, images = reduced_images(seed, (1, -1))
+        for rows in zip(*(m.tolist() for m in images)):
+            form = Form.binary(*(F.poly(row) for row in rows))
+            out[_form_key(form)] = form
+    return [out[k] for k in sorted(out)]
+
+
+def test_orbit_partition_keys_never_wrap():
+    # at q = 17 and deg D = 10 the key of each of a', b', c' (6
+    # coefficients) fits in int64, but the three packed into one would not
+    q, m = 17, 5
+    F = prime_field(q)
+    key_powers(q, m + 1)
+    with pytest.raises(CapabilityError):
+        key_powers(q, 3 * (m + 1))
+    rng = random.Random(1710)
+    for _ in range(3):
+        disc, seeds = same_disc_forms(F, m, 4, rng)
+        forms = orbit_forms(seeds)
+        assert all(f.discriminant() == disc for f in forms)
+        monic = [f for f in forms if f.gram[0][0].lc() == 1]
+        for chosen in (forms, monic):
+            partition = _orbit_partition(chosen, q)
+            assert partition == reduced_orbit_partition(chosen, q)
+            assert len(partition) > 1
+        # the classes are named by the true keys of their least images
+        classes, propers = _least_images(_coefficient_rows(forms), q)
+        for form, key, proper_key in zip(forms, classes, propers):
+            orbit, sl_orbit = _reduced_orbit(form, q)
+            assert key == min(orbit)[:2]
+            assert proper_key == min(sl_orbit)[:2]
+
+
+def test_sweep_data_builds_no_genus(monkeypatch):
+    # the minima, disc and equiv sweeps read only class representatives, so
+    # no genus is computed; a table's genera, read afterwards, are right
+    def refuse(*args):
+        raise AssertionError("sweep_data computed a genus")
+
+    classify._class_table_cached.cache_clear()
+    monkeypatch.setattr(verify, "_SWEEP_CACHE", {})
+    for name in ("genus_symbol", "_characters", "_hasse_at_infinity"):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("fqforms") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    data = verify.sweep_data(SweepConfig(q=5, max_disc_degree=3))
+    assert len(data.records) > 100
+    monkeypatch.undo()
+    F = prime_field(5)
+    hits = classify._class_table_cached.cache_info().hits
+    # the last 16 tables of the sweep are still cached
+    discs = canonical_discs(F, 3)[-16:]
+    for d in discs:
+        table = class_table(F, d, primitive_only=True)
+        assert "genera" not in vars(table)
+        by_symbol = {}
+        for ci, rep in enumerate(table.class_representatives):
+            by_symbol.setdefault(jordan_genus_symbol(rep), []).append(ci)
+        assert table.genera == list(by_symbol.values()), str(d)
+    assert classify._class_table_cached.cache_info().hits == hits + len(discs)
+    classify._class_table_cached.cache_clear()

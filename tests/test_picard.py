@@ -6,7 +6,8 @@ import pytest
 import fqforms.picard
 from fqforms.classify import canonical_discs
 from fqforms.errors import BudgetError, CapabilityError
-from fqforms.ffpoly import is_irreducible, prime_field, residue_char, squarefree_decompose
+from fqforms.ffpoly import factor, is_irreducible, prime_field, residue_char
+from fqforms.ffpoly import squarefree_decompose
 from fqforms.picard import (
     AbelianStructure,
     MumfordDivisor,
@@ -432,6 +433,28 @@ def test_comp_sequence_even_degree_conductor():
                 continue
             report = comp_sequence_check(d0 * f * f)
             assert report.passed, (str(d0), str(f))
+
+
+@pytest.mark.parametrize("q,deg", [(3, 5), (5, 3)])
+def test_comp_sequence_conductor_from_sieve(monkeypatch, q, deg):
+    # comp_sequence_check reads the conductor's places off the sieve of D,
+    # not by factoring it; the order equals the factored conductor formula
+    F = prime_field(q)
+    expected = {}
+    for d in canonical_discs(F, deg):
+        f0, g = F.one, F.one
+        for p, e in factor(d)[1]:
+            f0 = f0 * p if e % 2 else f0
+            g = g * p ** (e // 2)
+        expected[d] = pic_order_with_conductor(F.constant(d.lc()) * f0, g)
+
+    def refuse(*args):
+        raise AssertionError("comp_sequence_check factored a polynomial")
+
+    monkeypatch.setattr(fqforms.picard, "factor", refuse)
+    for d, order in expected.items():
+        assert comp_sequence_check(d).pic_order == order, str(d)
+    assert any(e > 1 for d in expected for _, e in factor(d)[1])
 
 
 def test_pic_order_budget():
