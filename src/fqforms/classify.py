@@ -14,27 +14,29 @@ a square factor needs the primitivity filter.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
-det U = +-1 and proper classes under det U = 1.  `qform.reduced_images`
-writes down the U that keep a form reduced.  If deg a < deg c they are
-diag(alpha, +-1/alpha), so the proper class of (a, b, c) is
-{(alpha^2 a, b, c / alpha^2)} and its class adds b -> -b.  A table is
-therefore read off the monic solutions there, without listing its forms:
-with a = u a_m, a proper class is (a_m, u mod squares, b), it holds
-(q - 1)/2 forms, and a class is (a_m, u mod squares, +-b), two proper
-classes when b != 0 and one when b = 0.  Orbits are computed only for
-the forms with deg a = deg c, which exist only at even deg D.  There,
-with A, C the leading coefficients of a, c, the form A x^2 + C y^2 is
-anisotropic over F_q, so it represents 1 and some constant U carries each
-form to one with monic a.  The U that do so are the 2(q + 1) points of
-the norm-one torus A alpha^2 + C gamma^2 = 1 with det U = +-1, and one
-numpy pass per discriminant maps every form to the indices of its monic
-images under them: a class is named by the least such index, a proper
-class by the least reached with det U = 1.  A class table partitions
-only the forms with monic a there, never scaled by units; `forms` come
-in `enumerate_forms` order, monic forms first, so every class's first
-form is among them.  That first form is the representative of a class,
-(l a_m, b) with l the least lead in the square class of u and b the first
-of +-b where deg a < deg c, and classes are ordered by it.
+det U = +-1 and proper classes under det U = 1.  If deg a < deg c the U
+that keep a form reduced are diag(alpha, +-1/alpha), so the proper class
+of (a, b, c) is {(alpha^2 a, b, c / alpha^2)} and its class adds
+b -> -b.  A table is therefore read off the monic solutions there,
+without listing its forms: with a = u a_m, a proper class is
+(a_m, u mod squares, b), it holds (q - 1)/2 forms, and a class is
+(a_m, u mod squares, +-b), two proper classes when b != 0 and one when
+b = 0.  Orbits are computed only for the forms with deg a = deg c, which
+exist only at even deg D.  There, with A, C the leading coefficients of
+a, c, the form A x^2 + C y^2 is anisotropic over F_q, so it represents 1
+and some constant U carries each form to one with monic a.  The U that
+do so are the 2(q + 1) points of the norm-one torus
+A alpha^2 + C gamma^2 = 1 with det U = +-1, and one numpy pass per
+discriminant maps every form to its monic images under them.
+`_class_keys` names the class and the proper class of every form by the
+(a, b) keys of their first forms: in closed form where deg a < deg c, by
+the least monic image under det U = +-1, and under det U = 1, where
+deg a = deg c.  A class table partitions only the forms with monic a
+there, never scaled by units; `forms` come in `enumerate_forms` order,
+monic forms first, so every class's first form is among them.  That
+first form is the representative of a class, (l a_m, b) with l the least
+lead in the square class of u and b the first of +-b where
+deg a < deg c, and classes are ordered by it.
 
 Genera group classes by their local data (Jordan invariants at the
 divisors of D, Hasse symbol at infinity) and are built on first read,
@@ -74,7 +76,6 @@ from .qform import (
     is_definite_disc,
     key_powers,
     reduce,
-    reduced_images,
     successive_minima,
 )
 
@@ -132,30 +133,17 @@ def enumerate_forms(field, disc, primitive_only=False):
     return out
 
 
-def _reduced_orbit(form, q):
-    """Keys (a', b', c') of the reduced images of `form` under constant
-    transformations with determinant +-1, and the subset reached by
-    determinant 1: the whole orbit, kept as the oracle of the torus pass."""
-    units, images = reduced_images(form, (1, -1))
-    al, be, ga, de = units.T
-    det_one = (al * de - be * ga) % q == 1
-    powers = key_powers(q, images[0].shape[1])
-    keys = np.stack([m @ powers for m in images], axis=1)
-    orbit = {tuple(row) for row in keys.tolist()}
-    proper = {tuple(row) for row in keys[det_one].tolist()}
-    return orbit, proper
-
-
 @functools.lru_cache(maxsize=256)
 def _torus_weights(q, A, C):
     """Weight rows (2(q + 1), 2, 3) that give the a' and b' of the images
     of a reduced (a, b, c) with deg a = deg c, lc a = A and lc c = C, under
     the constant U of det +-1 that keep it reduced and make a' monic.
 
-    Such U are [[alpha, -d C gamma], [gamma, d A alpha]] with d = det U
-    and A alpha^2 + C gamma^2 = lc a' = 1 (`qform._reducing_units`): the
-    q + 1 points of the norm-one torus of the anisotropic A X^2 + C Y^2,
-    once with d = 1 (the first q + 1 rows) and once with d = -1."""
+    The columns of such U are orthogonal for A X^2 + C Y^2, or b' would
+    reach the degree of a', so U = [[alpha, -d C gamma], [gamma, d A alpha]]
+    with d = det U and A alpha^2 + C gamma^2 = lc a' = 1: the q + 1 points
+    of the norm-one torus of the anisotropic A X^2 + C Y^2, once with d = 1
+    (the first q + 1 rows) and once with d = -1."""
     al, ga = np.indices((q, q), dtype=np.int64).reshape(2, -1)
     on = (A * al * al + C * ga * ga) % q == 1
     al, ga = al[on], ga[on]
@@ -200,54 +188,40 @@ def _least_pairs(keys):
     return list(zip(a.tolist(), b.min(axis=1).tolist()))
 
 
-def _orbit_partition(forms, q):
-    """[(class, [proper classes])] of reduced forms with deg a = deg c, as
-    sorted index lists into `forms`; classes come in order of first member.
+def _class_keys(forms):
+    """(class key, proper class key) of each reduced form of one
+    discriminant: the (a, b) keys of the first form of its class and of
+    its proper class, as `enumerate_forms` orders them.
 
-    `forms` is in `enumerate_forms` order and holds, of each orbit it
-    meets, either every form or every form with monic a.  One pass finds
-    the least monic-a image of every form (`_least_images`).  Every class
-    holds a monic-a form, and so does each proper class of a split class,
-    since x -> -x on one coordinate, of determinant -1, keeps a.  So the
-    least image over det U = +-1 names the class of a form, and the least
-    over det U = 1 its proper class; as monic forms come first and in key
-    order, that image is the first form of the class (`_class_key`)."""
+    Where deg a < deg c these are (l a_m, +-b) and (l a_m, b), with a_m
+    monic, l the least lead in the square class of lc a and +-b the first
+    of b and -b.  Where deg a = deg c they are the least monic-a images
+    under det U = +-1 and det U = 1, from one `_least_images` pass: every
+    class holds a monic-a form, and so does each proper class of a split
+    class, since x -> -x on one coordinate, of determinant -1, keeps a; as
+    monic forms come first and in key order, that image is the first
+    form."""
     if not forms:
         return []
-    classes, propers = _least_images(_coefficient_rows(forms), q)
-    out = {}
-    for i, (key, proper_key) in enumerate(zip(classes, propers)):
-        out.setdefault(key, {}).setdefault(proper_key, []).append(i)
-    # forms are visited in order, so classes and proper classes come in
-    # order of first member
-    return [
-        (sorted(i for p in by_proper.values() for i in p), list(by_proper.values()))
-        for by_proper in out.values()
-    ]
-
-
-def _form_key(form):
-    a, b, c = form.binary_coeffs()
-    return (a.key(), b.key(), c.key())
-
-
-def _class_key(form):
-    """The (a, b) keys of a class's first form, which name the class."""
-    a, b = form.gram[0]
-    return (a.key(), b.key())
-
-
-def _closed_form_keys(form, nonsquare):
-    """(class key, proper class key) of a reduced form with deg a < deg c:
-    the (a, b) keys of the first form of each, (l a_m, +-b) and (l a_m, b),
-    where l is the least lead in the square class of lc a."""
-    F = form.field
-    a, b, _ = form.binary_coeffs()
-    lead = a.lc()
-    least = 1 if F.is_square(lead) else nonsquare
-    a_key = (a * F.constant(F.mul(least, F.inv(lead)))).key()
-    b_key = b.key()
-    return (a_key, min(b_key, (-b).key())), (a_key, b_key)
+    F = forms[0].field
+    nonsquare = F._first_nonsquare()
+    out = [None] * len(forms)
+    torus = []  # indices of the forms with deg a = deg c
+    for i, form in enumerate(forms):
+        a, b, c = form.binary_coeffs()
+        if a.degree == c.degree:
+            torus.append(i)
+            continue
+        lead = a.lc()
+        least = 1 if F.is_square(lead) else nonsquare
+        a_key = (a * F.constant(F.mul(least, F.inv(lead)))).key()
+        b_key = b.key()
+        out[i] = (a_key, min(b_key, (-b).key())), (a_key, b_key)
+    if torus:
+        rows = _coefficient_rows([forms[i] for i in torus])
+        for i, keys in zip(torus, zip(*_least_images(rows, F.q))):
+            out[i] = keys
+    return out
 
 
 @dataclass
@@ -278,11 +252,7 @@ class ClassTable:
         if form.discriminant() != self.disc:
             raise ValueError("form does not belong to this table")
         red, _ = reduce(form)
-        a, _, c = red.binary_coeffs()
-        if a.degree < c.degree:
-            key = _closed_form_keys(red, self.field._first_nonsquare())[0]
-        else:
-            key = _least_images(_coefficient_rows([red]), self.field.q)[0][0]
+        key = _class_keys([red])[0][0]
         if key not in self._class_of_key:
             raise ValueError("form does not belong to this table")
         return self._class_of_key[key]
@@ -327,26 +297,12 @@ class ClassTable:
 
     @functools.cached_property
     def _partitions(self):
-        forms = self.forms
-        nonsquare = self.field._first_nonsquare()
-        # forms with deg a = deg c, so 2 deg a = deg D, come last, in whole orbits
-        deg_d = self.disc.degree
-        top = next(
-            (i for i, f in enumerate(forms) if 2 * f.gram[0][0].degree == deg_d),
-            len(forms),
-        )
         classes = [[] for _ in self.class_representatives]
-        proper = {}
-        for i, form in enumerate(forms[:top]):
-            key, proper_key = _closed_form_keys(form, nonsquare)
+        proper_classes = {}
+        for i, (key, proper_key) in enumerate(_class_keys(self.forms)):
             classes[self._class_of_key[key]].append(i)
-            proper.setdefault(proper_key, []).append(i)
-        proper_classes = list(proper.values())
-        for members, propers in _orbit_partition(forms[top:], self.field.q):
-            key = _class_key(forms[top + members[0]])
-            classes[self._class_of_key[key]] = [top + i for i in members]
-            proper_classes.extend([top + i for i in p] for p in propers)
-        return classes, sorted(proper_classes)
+            proper_classes.setdefault(proper_key, []).append(i)
+        return classes, sorted(proper_classes.values())
 
 
 def class_table(field, disc, primitive_only=False):
@@ -374,9 +330,11 @@ def _class_table_cached(field, disc, primitive_only):
                 for a_m, roots in solutions
                 for b in roots
             ]
-            for members, propers in _orbit_partition(forms, field.q):
-                rep = forms[members[0]]
-                classes.append((_class_key(rep), rep, len(propers)))
+            reps, propers = {}, {}
+            for form, (key, proper_key) in zip(forms, _class_keys(forms)):
+                reps.setdefault(key, form)
+                propers.setdefault(key, set()).add(proper_key)
+            classes.extend((key, rep, len(propers[key])) for key, rep in reps.items())
             continue
         found = []
         for a_m, roots in solutions:

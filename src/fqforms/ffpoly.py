@@ -636,7 +636,6 @@ def _equal_degree_split(f, d):
 
 # -- characters and square classes ---------------------------------------
 
-@functools.lru_cache(maxsize=4096)
 def residue_char(f, p):
     """Quadratic character of f in the residue field A/(p): +1, -1, or 0.
 
@@ -645,9 +644,6 @@ def residue_char(f, p):
     Euclid steps (Rosen, GTM 210, ch. 3): for monic a and b,
     (a/b) = (b/a) (-1)^(((q-1)/2) deg a deg b), and a constant c has
     (c/b) = chi(c)^(deg b).  p need not be monic: A/(p) = A/(p monic).
-
-    Results are cached, as for `is_irreducible`: a class table reads the
-    same chi_p(a) for every discriminant that p divides.
     """
     if not is_irreducible(p):
         raise ValueError("place must be an irreducible polynomial")

@@ -32,12 +32,7 @@ from .classify import canonical_discs, class_table, cn1_prediction
 from .ffpoly import SquareClass, is_squarefree, prime_field, sieve_factor
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import comp_sequence_check, weil_interval
-from .qform import (
-    Form,
-    _mat_det,
-    form_to_string,
-    reduced_images,
-)
+from .qform import Form, _mat_det, form_to_string
 from .repset import DEFAULT_BUDGET, _coeff_rows, repset_keys_batch, repset_upto
 
 CHECKS = ("minima", "disc", "equiv", "smooth", "quadric", "ternary", "cn1", "comp")
@@ -339,13 +334,21 @@ def verify_minima_recovery(cfg):
 
 def _leading_coeffs_matchable(rep1, rep2):
     """Whether some reduced image of rep2 under GL_2(F_q) has the diagonal
-    leading coefficients of rep1."""
+    leading coefficients of rep1.
+
+    With A = lc a, C = lc c, the constant U of determinant d that keep
+    rep2 reduced carry (A, C) to (alpha^2 A, (d / alpha)^2 C) where
+    deg a < deg c, and to (N, d^2 A C / N), for every N != 0, where
+    deg a = deg c (A X^2 + C Y^2 is anisotropic, so it represents every
+    N).  So the pair matches when A1 A2 and C1 C2 are squares, or where
+    deg a = deg c when A1 C1 A2 C2 is."""
+    F = rep1.field
     a1, _, c1 = rep1.binary_coeffs()
     a2, _, c2 = rep2.binary_coeffs()
-    q = rep1.field.q
-    _, (im_a, _, im_c) = reduced_images(rep2, tuple(range(1, q)))
-    hit = (im_a[:, a2.degree] == a1.lc()) & (im_c[:, c2.degree] == c1.lc())
-    return bool(hit.any())
+    a_leads, c_leads = F.mul(a1.lc(), a2.lc()), F.mul(c1.lc(), c2.lc())
+    if a2.degree < c2.degree:
+        return F.is_square(a_leads) and F.is_square(c_leads)
+    return F.is_square(F.mul(a_leads, c_leads))
 
 
 def verify_disc_recovery(cfg):

@@ -4,7 +4,6 @@ import pytest
 
 from fqforms.classify import (
     _field_sqrt,
-    _form_key,
     canonical_disc,
     canonical_discs,
     class_number,
@@ -23,6 +22,7 @@ from fqforms.qform import (
     properly_equivalent,
     successive_minima,
 )
+from tests.test_classify_oracles import form_key
 from tests.test_qform import rand_definite_reduced, rand_gl2, remark_form
 
 F5 = prime_field(5)
@@ -72,8 +72,8 @@ def test_enumerate_forms_every_entry_valid():
 def test_enumerate_forms_deterministic():
     t = F13.t
     d = t**3 - t
-    once = [_form_key(f) for f in enumerate_forms(F13, d)]
-    again = [_form_key(f) for f in enumerate_forms(F13, d)]
+    once = [form_key(f) for f in enumerate_forms(F13, d)]
+    again = [form_key(f) for f in enumerate_forms(F13, d)]
     assert once == again
 
 

@@ -10,9 +10,9 @@
 - `class_table` (classes read off the monic square roots, orbits only
   where deg a = deg c, genus characters once per monic a) against one
   orbit pass over every enumerated form and one `genus_symbol` per class;
-- `_orbit_partition` (the least monic image of every form under the
-  2(q + 1) units of the norm-one torus, in one pass per discriminant)
-  against one `_reduced_orbit` per class over the 2(q^2 - 1) units;
+- `_class_keys` (the least monic image of every form under the 2(q + 1)
+  units of the norm-one torus, in one pass per discriminant) against one
+  `reduced_orbit` per class over the 2(q^2 - 1) units;
 - genera built on first read against the Jordan path, after a sweep that
   builds none.
 """
@@ -25,12 +25,8 @@ import pytest
 
 from fqforms import classify, verify
 from fqforms.classify import (
-    _coefficient_rows,
+    _class_keys,
     _field_sqrt,
-    _form_key,
-    _least_images,
-    _orbit_partition,
-    _reduced_orbit,
     canonical_discs,
     class_table,
     enumerate_forms,
@@ -45,9 +41,9 @@ from fqforms.localgenus import (
     hasse_invariant,
     jordan_invariants,
 )
-from fqforms.qform import Form, key_powers, reduced_images
+from fqforms.qform import Form, key_powers
 from fqforms.verify import SweepConfig
-from tests.test_qform import scanned_reduced_images
+from tests.test_qform import reduced_images, scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
 TABLE_CASES = [(3, 4), (5, 3), (7, 2)]
@@ -88,24 +84,53 @@ def orbit_keys(form, q, dets):
     return {tuple(row) for row in keys.tolist()}
 
 
+def form_key(form):
+    a, b, c = form.binary_coeffs()
+    return (a.key(), b.key(), c.key())
+
+
+def reduced_orbit(form, q):
+    """Keys (a', b', c') of the reduced images of `form` under constant
+    transformations with determinant +-1, and the subset reached by
+    determinant 1, from the unit formula of `reduced_images`."""
+    units, images = reduced_images(form, (1, -1))
+    al, be, ga, de = units.T
+    det_one = (al * de - be * ga) % q == 1
+    powers = key_powers(q, images[0].shape[1])
+    keys = np.stack([m @ powers for m in images], axis=1)
+    orbit = {tuple(row) for row in keys.tolist()}
+    proper = {tuple(row) for row in keys[det_one].tolist()}
+    return orbit, proper
+
+
+def orbit_walk(forms, orbits):
+    """[(class, [proper classes])] of `forms`, as sorted index lists in
+    order of first member.  Each class is seeded at its first unassigned
+    form, and `orbits(seed)` gives the keys of the seed's reduced images
+    under det U = +-1 and under det U = 1."""
+    index = {form_key(f): i for i, f in enumerate(forms)}
+    unassigned = set(range(len(forms)))
+    out = []
+    while unassigned:
+        seed = min(unassigned)
+        orbit, sl_orbit = orbits(forms[seed])
+        members = sorted(index[k] for k in orbit if k in index)
+        proper = sorted(index[k] for k in sl_orbit if k in index)
+        rest = sorted(set(members) - set(proper))
+        out.append((members, [proper, rest] if rest else [proper]))
+        unassigned -= set(members)
+    return out
+
+
 def two_orbit_table(field, disc):
     """(classes, proper classes, genera) of primitive forms, the slow way."""
     forms = [f for f in brute_force_forms(field, disc) if f.is_primitive()]
-    index = {_form_key(f): i for i, f in enumerate(forms)}
-    unassigned = set(range(len(forms)))
-    classes, proper_classes = [], []
-    while unassigned:
-        seed = forms[min(unassigned)]
-        orbit = orbit_keys(seed, field.q, (1, -1))
-        members = sorted(index[k] for k in orbit if k in index)
-        proper = sorted(index[k] for k in orbit_keys(seed, field.q, (1,)) if k in index)
-        classes.append(members)
-        proper_classes.append(proper)
-        if len(proper) < len(members):
-            proper_classes.append(sorted(set(members) - set(proper)))
-        unassigned -= set(members)
-    classes.sort()
-    proper_classes.sort()
+    walk = orbit_walk(
+        forms,
+        lambda f: (orbit_keys(f, field.q, (1, -1)), orbit_keys(f, field.q, (1,))),
+    )
+    classes = [members for members, _ in walk]
+    proper_classes = sorted(p for _, propers in walk for p in propers)
     by_symbol = {}
     for ci, cls in enumerate(classes):
         by_symbol.setdefault(jordan_genus_symbol(forms[cls[0]]), []).append(ci)
@@ -173,22 +198,9 @@ def orbit_table(field, disc, primitive_only):
     one orbit pass per class over all of them and one `genus_symbol` per
     class: the class tables before they were read off the monic roots."""
     forms = enumerate_forms(field, disc, primitive_only)
-    index = {_form_key(f): i for i, f in enumerate(forms)}
-    unassigned = set(range(len(forms)))
-    classes, proper_classes = [], []
-    while unassigned:
-        seed = min(unassigned)
-        orbit, sl_orbit = _reduced_orbit(forms[seed], field.q)
-        members = sorted(index[k] for k in orbit if k in index)
-        proper = sorted(index[k] for k in sl_orbit if k in index)
-        rest = sorted(set(members) - set(proper))
-        classes.append(members)
-        proper_classes.append(proper)
-        if rest:
-            proper_classes.append(rest)
-        unassigned -= set(members)
-    classes.sort(key=lambda cls: cls[0])
-    proper_classes.sort(key=lambda cls: cls[0])
+    walk = reduced_orbit_partition(forms, field.q)
+    classes = [members for members, _ in walk]
+    proper_classes = sorted(p for _, propers in walk for p in propers)
     places = factor(disc)[1]
     by_symbol = {}
     for ci, cls in enumerate(classes):
@@ -258,20 +270,21 @@ def test_character_genera_match_genus_symbols(q):
 
 
 def reduced_orbit_partition(forms, q):
-    """`_orbit_partition` by one `_reduced_orbit` per class, each over the
-    2(q^2 - 1) units of det +-1 that keep the seed reduced."""
-    index = {_form_key(f): i for i, f in enumerate(forms)}
-    unassigned = set(range(len(forms)))
-    out = []
-    while unassigned:
-        seed = min(unassigned)
-        orbit, sl_orbit = _reduced_orbit(forms[seed], q)
-        members = sorted(index[k] for k in orbit if k in index)
-        proper = sorted(index[k] for k in sl_orbit if k in index)
-        rest = sorted(set(members) - set(proper))
-        out.append((members, [proper, rest] if rest else [proper]))
-        unassigned -= set(members)
-    return out
+    """[(class, [proper classes])] of `forms` by one `reduced_orbit` per
+    class, each over the 2(q^2 - 1) units of det +-1 that keep the seed
+    reduced."""
+    return orbit_walk(forms, lambda f: reduced_orbit(f, q))
+
+
+def class_key_partition(forms):
+    """The same partition grouped by `_class_keys`."""
+    out = {}
+    for i, (key, proper_key) in enumerate(_class_keys(forms)):
+        out.setdefault(key, {}).setdefault(proper_key, []).append(i)
+    return [
+        (sorted(i for p in by_proper.values() for i in p), list(by_proper.values()))
+        for by_proper in out.values()
+    ]
 
 
 def assert_partition_matches_orbit_oracle(field, disc):
@@ -286,7 +299,7 @@ def assert_partition_matches_orbit_oracle(field, disc):
         monic = [f for f in forms if f.gram[0][0].lc() == 1]
         for chosen in (forms, monic):
             if chosen:
-                assert _orbit_partition(chosen, field.q) == reduced_orbit_partition(
+                assert class_key_partition(chosen) == reduced_orbit_partition(
                     chosen, field.q
                 ), (str(disc), primitive_only, len(chosen))
 
@@ -357,7 +370,7 @@ def orbit_forms(seeds):
         _, images = reduced_images(seed, (1, -1))
         for rows in zip(*(m.tolist() for m in images)):
             form = Form.binary(*(F.poly(row) for row in rows))
-            out[_form_key(form)] = form
+            out[form_key(form)] = form
     return [out[k] for k in sorted(out)]
 
 
@@ -376,13 +389,12 @@ def test_orbit_partition_keys_never_wrap():
         assert all(f.discriminant() == disc for f in forms)
         monic = [f for f in forms if f.gram[0][0].lc() == 1]
         for chosen in (forms, monic):
-            partition = _orbit_partition(chosen, q)
+            partition = class_key_partition(chosen)
             assert partition == reduced_orbit_partition(chosen, q)
             assert len(partition) > 1
         # the classes are named by the true keys of their least images
-        classes, propers = _least_images(_coefficient_rows(forms), q)
-        for form, key, proper_key in zip(forms, classes, propers):
-            orbit, sl_orbit = _reduced_orbit(form, q)
+        for form, (key, proper_key) in zip(forms, _class_keys(forms)):
+            orbit, sl_orbit = reduced_orbit(form, q)
             assert key == min(orbit)[:2]
             assert proper_key == min(sl_orbit)[:2]
 

@@ -21,7 +21,6 @@ from fqforms.qform import (
     norm_form,
     properly_equivalent,
     reduce,
-    reduced_images,
     successive_minima,
 )
 
@@ -427,6 +426,52 @@ def test_equivalence_brute_force_cross_check():
         if brute is not None:
             assert brute.apply(q1) == q2
         checked += 1
+
+
+def reducing_units(form, dets):
+    """Rows (alpha, beta, gamma, delta), in lexicographic order, of the
+    constant U with det U = d in `dets` that keep the reduced form (a, b, c)
+    reduced: U = [[alpha, -l C gamma], [gamma, l A alpha]] with A = lc a,
+    C = lc c and l = d / (A alpha^2 + C gamma^2), whose columns are
+    orthogonal for the anisotropic A X^2 + C Y^2, and gamma = 0 when
+    deg a < deg c (else deg a' = deg c and b' or c' breaks reduction)."""
+    q = form.field.q
+    a, _, c = form.binary_coeffs()
+    A, C = a.lc(), c.lc()
+    al, ga = np.indices((q, q), dtype=np.int64).reshape(2, -1)[:, 1:]
+    if a.degree < c.degree:
+        al, ga = al[ga == 0], ga[ga == 0]
+    inverse = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    inv_norm = inverse[(A * al % q * al + C * ga % q * ga) % q]
+    units = []
+    for d in sorted({d % q for d in dets}):
+        lam = d * inv_norm % q
+        units.append(np.stack([al, -C * lam % q * ga, ga, A * lam % q * al], axis=1) % q)
+    units = np.concatenate(units)
+    return units[np.lexsort(units.T[::-1])]
+
+
+def reduced_images(form, dets):
+    """The images of a binary form, which must be reduced, under the
+    constant U with det U in `dets` that keep it reduced, from the unit
+    formula of `reducing_units`: the oracle between the norm-one torus of
+    the class tables and the full scan (`scanned_reduced_images`).
+
+    Returns (units, images): the rows (alpha, beta, gamma, delta) of those
+    U and the coefficient rows of a', b', c', each padded to the form's
+    longest coefficient tuple.  The minima are class invariants, so every
+    such image has deg a' = deg a and deg c' = deg c.
+    """
+    q = form.field.q
+    coeffs = form.binary_coeffs()
+    length = max(len(p.coeffs) for p in coeffs)
+    rows = _poly_rows(coeffs, length)
+    units = reducing_units(form, dets)
+    u, v = units.reshape(-1, 2, 2).transpose(2, 0, 1)  # the columns of U
+    images = [
+        _bilinear_weights(x, y, q) @ rows % q for x, y in ((u, u), (u, v), (v, v))
+    ]
+    return units, images
 
 
 @functools.cache

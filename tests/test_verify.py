@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fqforms
+from fqforms.classify import canonical_discs, class_table
 from fqforms.errors import BudgetError
 from fqforms.ffpoly import SquareClass, prime_field, residue_char
 from fqforms.localgenus import (
@@ -17,7 +18,7 @@ from fqforms.localgenus import (
     represented_at_infinity,
     square_class_at_infinity,
 )
-from fqforms.qform import Form
+from fqforms.qform import Form, successive_minima
 from fqforms.repset import RepSet, _coeff_rows, repset_upto
 from fqforms.verify import (
     _finish,
@@ -37,6 +38,7 @@ from fqforms.verify import (
     verify_equiv_theorems,
     verify_minima_recovery,
 )
+from tests.test_qform import reduced_images
 
 
 def small_cfg(q=5, max_deg=2, **kw):
@@ -59,6 +61,37 @@ def test_leading_coeffs_matchable():
     assert _leading_coeffs_matchable(Form.binary(F.constant(4), F.zero, t), base)
     assert not _leading_coeffs_matchable(Form.binary(F.one, F.zero, 2 * t), base)
     assert not _leading_coeffs_matchable(Form.binary(F.constant(2), F.zero, t), base)
+
+
+def reachable_leads(rep):
+    """The (lc a', lc c') of every reduced image of `rep` under GL_2(F_q),
+    from the unit formula of `reduced_images`."""
+    q = rep.field.q
+    a, _, c = rep.binary_coeffs()
+    _, (im_a, _, im_c) = reduced_images(rep, tuple(range(1, q)))
+    return set(zip(im_a[:, a.degree].tolist(), im_c[:, c.degree].tolist()))
+
+
+@pytest.mark.parametrize("q,deg", [(3, 4), (5, 3), (7, 2), (11, 2)])
+def test_leading_coeffs_matchable_matches_reduced_images(q, deg):
+    # the character test against the reduced images, on every ordered pair
+    # of class representatives with equal minima
+    F = prime_field(q)
+    by_minima = {}
+    for d in canonical_discs(F, deg):
+        for rep in class_table(F, d, primitive_only=True).class_representatives:
+            by_minima.setdefault(successive_minima(rep), []).append(rep)
+    pairs = matches = 0
+    for reps in by_minima.values():
+        leads = [reachable_leads(rep) for rep in reps]
+        for rep1 in reps:
+            a1, _, c1 = rep1.binary_coeffs()
+            for rep2, reached in zip(reps, leads):
+                expected = (a1.lc(), c1.lc()) in reached
+                assert _leading_coeffs_matchable(rep1, rep2) == expected
+                pairs += 1
+                matches += expected
+    assert 0 < matches < pairs
 
 
 def test_disc_recovery_small():
