@@ -43,15 +43,16 @@ divisors of D, Hasse symbol at infinity) and are built on first read,
 from the class representatives alone, so a sweep that reads only the
 representatives never computes one.  The divisors of D are read off the
 square-root sieve (`ffpoly.sieve_factor`) that also gives the roots.
-For square-free D the Jordan data at p is one assigned character,
-chi_p(a), or chi_p(c) when p | a, and it is computed once per monic a_m:
-chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and where p | a_m every root b
-gives the same chi_p(c), since c = -(D/p) / (a_m/p) mod p.  The Hasse
-symbol at infinity of (a, b, c) comes from its diagonal <a, -a D> and so
-depends only on deg a and the square class of lc a.  A D with a square
-factor takes a full `genus_symbol` per class.  Residue characters come
-from quadratic reciprocity (`ffpoly._jacobi`), at places the sieve has
-already shown irreducible.
+At every divisor p of D, whatever v_p(D), the Jordan data of a class
+primitive at p is one assigned character, chi_p(a), or chi_p(c) when
+p | a (`localgenus._jordan_at_place`).  chi_p(a) is computed once per
+monic a_m, as chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and chi_p(c) per
+class where p | a.  The Hasse symbol at infinity of (a, b, c) comes from
+its diagonal <a, -a D> and so depends only on deg a and the square class
+of lc a.  A class whose characters vanish at p has content divisible by p,
+and only such a class takes a full `genus_symbol`.  Residue characters
+come from quadratic reciprocity (`ffpoly._jacobi`), at places the sieve
+has already shown irreducible.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -155,14 +156,6 @@ def _torus_weights(q, A, C):
     return out
 
 
-def _coefficient_rows(forms):
-    """Coefficient rows (forms, 3, m + 1) of (a, b, c), for reduced forms
-    with deg a = deg c = m."""
-    length = forms[0].gram[0][0].degree + 1
-    rows = _poly_rows([p for f in forms for p in f.binary_coeffs()], length)
-    return rows.reshape(len(forms), 3, length)
-
-
 def _least_images(rows, q):
     """For the forms with coefficient rows `rows`: the (a', b') keys of the
     least image with monic a' in key order, under det U = +-1 (a list of
@@ -188,10 +181,10 @@ def _least_pairs(keys):
     return list(zip(a.tolist(), b.min(axis=1).tolist()))
 
 
-def _class_keys(forms):
+def _class_keys(triples):
     """(class key, proper class key) of each reduced form of one
-    discriminant: the (a, b) keys of the first form of its class and of
-    its proper class, as `enumerate_forms` orders them.
+    discriminant, given as its (a, b, c): the (a, b) keys of the first form
+    of its class and of its proper class, as `enumerate_forms` orders them.
 
     Where deg a < deg c these are (l a_m, +-b) and (l a_m, b), with a_m
     monic, l the least lead in the square class of lc a and +-b the first
@@ -201,14 +194,13 @@ def _class_keys(forms):
     class, since x -> -x on one coordinate, of determinant -1, keeps a; as
     monic forms come first and in key order, that image is the first
     form."""
-    if not forms:
+    if not triples:
         return []
-    F = forms[0].field
+    F = triples[0][0].field
     nonsquare = F._first_nonsquare()
-    out = [None] * len(forms)
+    out = [None] * len(triples)
     torus = []  # indices of the forms with deg a = deg c
-    for i, form in enumerate(forms):
-        a, b, c = form.binary_coeffs()
+    for i, (a, b, c) in enumerate(triples):
         if a.degree == c.degree:
             torus.append(i)
             continue
@@ -218,7 +210,9 @@ def _class_keys(forms):
         b_key = b.key()
         out[i] = (a_key, min(b_key, (-b).key())), (a_key, b_key)
     if torus:
-        rows = _coefficient_rows([forms[i] for i in torus])
+        length = triples[torus[0]][0].degree + 1
+        rows = _poly_rows([p for i in torus for p in triples[i]], length)
+        rows = rows.reshape(len(torus), 3, length)
         for i, keys in zip(torus, zip(*_least_images(rows, F.q))):
             out[i] = keys
     return out
@@ -252,7 +246,7 @@ class ClassTable:
         if form.discriminant() != self.disc:
             raise ValueError("form does not belong to this table")
         red, _ = reduce(form)
-        key = _class_keys([red])[0][0]
+        key = _class_keys([red.binary_coeffs()])[0][0]
         if key not in self._class_of_key:
             raise ValueError("form does not belong to this table")
         return self._class_of_key[key]
@@ -299,7 +293,9 @@ class ClassTable:
     def _partitions(self):
         classes = [[] for _ in self.class_representatives]
         proper_classes = {}
-        for i, (key, proper_key) in enumerate(_class_keys(self.forms)):
+        for i, (key, proper_key) in enumerate(
+            _class_keys([f.binary_coeffs() for f in self.forms])
+        ):
             classes[self._class_of_key[key]].append(i)
             proper_classes.setdefault(proper_key, []).append(i)
         return classes, sorted(proper_classes.values())
@@ -325,14 +321,15 @@ def _class_table_cached(field, disc, primitive_only):
         solutions = _monic_solutions(disc, deg_a, filter_content)
         if 2 * deg_a == disc.degree:
             # every class holds a monic-a form, and its first form is one
-            forms = [
-                binary(a_m, b, (b * b - disc) // a_m)
+            triples = [
+                (a_m, b, (b * b - disc) // a_m)
                 for a_m, roots in solutions
                 for b in roots
             ]
             reps, propers = {}, {}
-            for form, (key, proper_key) in zip(forms, _class_keys(forms)):
-                reps.setdefault(key, form)
+            for abc, (key, proper_key) in zip(triples, _class_keys(triples)):
+                if key not in reps:
+                    reps[key] = binary(*abc)
                 propers.setdefault(key, set()).add(proper_key)
             classes.extend((key, rep, len(propers[key])) for key, rep in reps.items())
             continue
@@ -371,45 +368,36 @@ def _class_table_cached(field, disc, primitive_only):
 
 def _genus_keys(reps, disc, places):
     """One key per class, equal for two classes exactly when they share a
-    genus: the genus symbol of the representative, or for square-free
-    `disc` its assigned characters and its Hasse symbol at infinity.  These
-    are computed once per a, from those of the monic a_m, and the symbol at
-    infinity once per deg a and lc a."""
-    if any(v > 1 for _, v in places):
-        return [genus_symbol(rep, places) for rep in reps]
+    genus: the assigned characters and the Hasse symbol at infinity of a
+    primitive representative, the genus symbol of any other.  chi_p(a) is
+    computed once per monic a_m, chi_p(c) only where p | a, and the symbol
+    at infinity once per deg a and lc a."""
     F = disc.field
-    chars_of = {}  # by the coefficients of a
-    monic_chars = {}  # the characters of (a_m, b, u c), by those of a_m
+    monic_chars = {}  # chi_p(a_m) at every place, by the coefficients of a_m
     hasse = {}  # by deg a and lc a
     out = []
     for rep in reps:
         a, _, c = rep.binary_coeffs()
         lead = a.lc()
-        chars = chars_of.get(a.coeffs)
+        a_m = a if lead == 1 else a.monic()
+        chars = monic_chars.get(a_m.coeffs)
         if chars is None:
-            a_m = a if lead == 1 else a.monic()
-            chars = monic_chars.get(a_m.coeffs)
-            if chars is None:
-                c_m = c if lead == 1 else c * F.constant(lead)
-                chars = monic_chars[a_m.coeffs] = _characters(a_m, c_m, places)
-            if lead != 1:
-                # chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and chi_p(c) likewise
-                chi = F.char(lead)
-                chars = tuple(x * chi**p.degree for x, (p, _) in zip(chars, places))
-            chars_of[a.coeffs] = chars
+            chars = tuple(_jacobi(a_m, p) for p, _ in places)
+            monic_chars[a_m.coeffs] = chars
+        # chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m)
+        chi = F.char(lead)
+        chars = tuple(
+            x * chi**p.degree or _jacobi(c, p) for x, (p, _) in zip(chars, places)
+        )
+        if 0 in chars:
+            # p divides a and c, so b^2 = disc + ac too: not primitive
+            out.append(genus_symbol(rep, places))
+            continue
         at_infinity = hasse.get((a.degree, lead))
         if at_infinity is None:
             at_infinity = hasse[a.degree, lead] = _hasse_at_infinity(rep, disc)
         out.append((chars, at_infinity))
     return out
-
-
-def _characters(a, c, places):
-    """The assigned characters chi_p(a), or chi_p(c) where p | a, at the
-    places p of a square-free disc; with the Hasse symbol at infinity they
-    fix the genus symbol of (a, b, c).  Where p | a every root b of one
-    monic a gives the same chi_p(c), as c = -(D/p) / (a/p) mod p."""
-    return tuple(_jacobi(a, p) or _jacobi(c, p) for p, _ in places)
 
 
 def canonical_disc(d):

@@ -186,7 +186,8 @@ def _cmd_classify(args):
         "class_counts_per_genus": [len(g) for g in table.genera],
         "proper_counts_per_genus": table.proper_counts_per_genus(),
         "genus_symbols": [
-            _symbol_payload(genus_symbol(rep)) for rep in table.class_representatives
+            _symbol_payload(genus_symbol(rep, table.places))
+            for rep in table.class_representatives
         ],
     }
     _emit(payload)

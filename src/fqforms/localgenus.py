@@ -5,10 +5,11 @@ Places are the monic irreducible polynomials plus INFINITY (uniformizer
 Hilbert symbol formula applies everywhere and Jordan splittings need no
 dyadic cases.
 
-Genus symbols of binary forms need no diagonalization at a place p with
-v_p(disc) = 1: the Jordan data there is fixed by one assigned character,
-chi_p(a), or chi_p(c) when p divides a.  The p-adic Jordan splitting is
-computed where p^2 divides disc and for ranks 3 and 4.
+Genus symbols of binary forms need no diagonalization at a divisor p of
+disc, whatever v_p(disc): the Jordan data there is fixed by one assigned
+character, chi_p(a), or chi_p(c) when p divides a.  The p-adic Jordan
+splitting is computed only where p divides the content of the form, and
+for ranks 3 and 4.
 
 Local representability over the completion A_p is decided from the Jordan
 diagonalization: a unit is represented iff the scale-0 residue form
@@ -210,19 +211,21 @@ def _hasse_at_infinity(form, disc):
 
 
 def _jordan_at_place(form, disc, p, v):
-    """Jordan invariants at a divisor p of disc with v = v_p(disc).
+    """Jordan invariants at a divisor p of disc with v = v_p(disc) >= 1.
 
-    For a binary form with v = 1 they follow from one assigned character:
-    p cannot divide all of a, b and c (then p^2 | disc), so the form
-    represents a unit u (a, or c when p | a) and is <u> + <p u'> with
-    -u u' = disc/p, giving chi_p(u) and chi_p(u) chi_p(-disc/p).
+    A binary form primitive at p represents a unit u (a, or c when p
+    divides a: if p divides a and c it divides b^2 = disc + ac too), so it
+    is <u> + <-disc/u>, with Jordan data (0, 1, chi_p(u)) and
+    (v, 1, chi_p(u) chi_p(-disc/p^v)).  Only a form whose content p
+    divides, and a form of rank 3 or 4, is diagonalized.
     """
-    if form.n != 2 or v != 1:
-        return jordan_invariants(form, p)
-    a, _, c = form.binary_coeffs()
-    chi = residue_char(a, p) or residue_char(c, p)
-    chi_rest = chi * residue_char(-(disc // p), p)
-    return JordanInvariant(((0, 1, chi), (1, 1, chi_rest)))
+    if form.n == 2:
+        a, _, c = form.binary_coeffs()
+        chi = residue_char(a, p) or residue_char(c, p)
+        if chi:
+            chi_rest = chi * residue_char(-(disc // p**v), p)
+            return JordanInvariant(((0, 1, chi), (v, 1, chi_rest)))
+    return jordan_invariants(form, p)
 
 
 def same_genus(q1, q2):

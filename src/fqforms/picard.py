@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import _jacobi, _places, _prime_divisors, factor, is_squarefree
-from .ffpoly import sieve_factor, square_roots_mod, xgcd
+from .ffpoly import square_roots_mod, xgcd
 from .qform import is_definite_disc
 
 
@@ -305,19 +305,18 @@ class CompReport:
 
 
 def comp_sequence_check(disc):
-    from .classify import proper_class_count
+    from .classify import class_table
 
-    if not is_definite_disc(disc):
-        raise ValueError("discriminant is not definite-shaped")
     F = disc.field
+    table = class_table(F, disc, primitive_only=True)  # checks disc is definite
     f0, conductor = F.one, []  # disc = lc(disc) g^2 f0, g from `conductor`
-    for p, e in sieve_factor(disc):
+    for p, e in table.places:
         if e % 2:
             f0 = f0 * p
         if e > 1:
             conductor.append((p, e // 2))
     pic = _conductor_order(F.constant(disc.lc()) * f0, conductor)
-    gd = proper_class_count(F, disc, primitive_only=True)
+    gd = sum(table.proper_counts)
     expected = 2 * pic if disc.degree >= 1 else pic
     return CompReport(
         disc=disc,

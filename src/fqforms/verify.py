@@ -906,7 +906,7 @@ def comp_bridge_sweep(cfg):
     return _finish("comp", cfg, instances, violations, {}, False)
 
 
-def run_check(name, cfg, **kwargs):
+def run_check(name, cfg):
     table = {
         "minima": verify_minima_recovery,
         "disc": verify_disc_recovery,
@@ -919,4 +919,4 @@ def run_check(name, cfg, **kwargs):
     }
     if name not in table:
         raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
-    return table[name](cfg, **kwargs)
+    return table[name](cfg)

@@ -2,19 +2,21 @@
 
 - `enumerate_forms` (one square-root scan per monic a) against the scan
   over every pair (a, b) with a of any leading coefficient;
-- the assigned-character Jordan data at places with v_p(D) = 1 against the
-  p-adic Jordan diagonalization;
+- the assigned-character Jordan data at every divisor p of D, of forms of
+  any content, against the p-adic Jordan diagonalization;
 - `class_table` (one torus pass per discriminant, places read off the
   sieve) against two orbit passes over every U in GL_2(F_q), for det +-1
   and det 1, with genera from Jordan data only;
 - `class_table` (classes read off the monic square roots, orbits only
-  where deg a = deg c, genus characters once per monic a) against one
-  orbit pass over every enumerated form and one `genus_symbol` per class;
+  where deg a = deg c, genera from assigned characters) against one orbit
+  pass over every enumerated form and one `genus_symbol` per class;
 - `_class_keys` (the least monic image of every form under the 2(q + 1)
   units of the norm-one torus, in one pass per discriminant) against one
   `reduced_orbit` per class over the 2(q^2 - 1) units;
-- genera built on first read against the Jordan path, after a sweep that
-  builds none.
+- genera from assigned characters against the Jordan path, at every
+  discriminant and content, with no `genus_symbol` or Jordan
+  diagonalization for a primitive table, and built on first read, after a
+  sweep that builds none.
 """
 
 import random
@@ -162,12 +164,13 @@ def test_enumerated_forms_pass_checked_constructor(q, deg):
 
 @pytest.mark.parametrize("q,deg", SCAN_CASES)
 def test_assigned_characters_match_jordan(q, deg):
+    # every place of D, at every multiplicity, and forms of every content
     F = prime_field(q)
     checked = 0
     for d in canonical_discs(F, deg):
-        simple = [(p, v) for p, v in factor(d)[1] if v == 1]
-        for form in enumerate_forms(F, d, True):
-            for p, v in simple:
+        places = factor(d)[1]
+        for form in enumerate_forms(F, d):
+            for p, v in places:
                 assert _jordan_at_place(form, d, p, v) == jordan_invariants(form, p)
                 checked += 1
     assert checked > 1000
@@ -254,19 +257,44 @@ def test_class_table_matches_orbit_oracle_sampled_q7_deg4():
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_character_genera_match_genus_symbols(q):
-    # for square-free D, genera come from characters shared per monic a
+    # genera come from characters, with chi_p(a) shared per monic a, at
+    # every D, square-free or not, and for tables of any content
     F = prime_field(q)
-    tables = 0
+    tables = square_factor = 0
     for d in canonical_discs(F, 3):
-        if any(v > 1 for _, v in factor(d)[1]):
-            continue
-        table = class_table(F, d, primitive_only=True)
-        by_symbol = {}
-        for ci, rep in enumerate(table.class_representatives):
-            by_symbol.setdefault(genus_symbol(rep), []).append(ci)
-        assert table.genera == list(by_symbol.values()), str(d)
         tables += 1
-    assert tables > 100
+        square_factor += any(v > 1 for _, v in factor(d)[1])
+        symbols = {}  # a primitive class has one representative in both tables
+        for primitive_only in (False, True):
+            table = class_table(F, d, primitive_only)
+            by_symbol = {}
+            for ci, rep in enumerate(table.class_representatives):
+                if rep.gram not in symbols:
+                    symbols[rep.gram] = jordan_genus_symbol(rep)
+                by_symbol.setdefault(symbols[rep.gram], []).append(ci)
+            assert table.genera == list(by_symbol.values()), (str(d), primitive_only)
+    assert tables > 100 and square_factor > 50
+
+
+def test_primitive_genera_need_no_jordan_splitting(monkeypatch):
+    # a primitive class is primitive at every place, so its genus is read
+    # off assigned characters even where p^2 | D
+    def refuse(*args):
+        raise AssertionError("a primitive table diagonalized a form")
+
+    classify._class_table_cached.cache_clear()
+    for name in ("genus_symbol", "jordan_invariants", "_jordan_diagonal"):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("fqforms") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    F = prime_field(5)
+    square_factor = 0
+    for d in canonical_discs(F, 4):
+        table = class_table(F, d, primitive_only=True)
+        assert sum(map(len, table.genera)) == len(table.class_representatives)
+        square_factor += any(v > 1 for _, v in table.places)
+    assert square_factor > 100
+    classify._class_table_cached.cache_clear()
 
 
 def reduced_orbit_partition(forms, q):
@@ -279,7 +307,8 @@ def reduced_orbit_partition(forms, q):
 def class_key_partition(forms):
     """The same partition grouped by `_class_keys`."""
     out = {}
-    for i, (key, proper_key) in enumerate(_class_keys(forms)):
+    triples = [f.binary_coeffs() for f in forms]
+    for i, (key, proper_key) in enumerate(_class_keys(triples)):
         out.setdefault(key, {}).setdefault(proper_key, []).append(i)
     return [
         (sorted(i for p in by_proper.values() for i in p), list(by_proper.values()))
@@ -393,7 +422,8 @@ def test_orbit_partition_keys_never_wrap():
             assert partition == reduced_orbit_partition(chosen, q)
             assert len(partition) > 1
         # the classes are named by the true keys of their least images
-        for form, (key, proper_key) in zip(forms, _class_keys(forms)):
+        triples = [f.binary_coeffs() for f in forms]
+        for form, (key, proper_key) in zip(forms, _class_keys(triples)):
             orbit, sl_orbit = reduced_orbit(form, q)
             assert key == min(orbit)[:2]
             assert proper_key == min(sl_orbit)[:2]
@@ -407,7 +437,7 @@ def test_sweep_data_builds_no_genus(monkeypatch):
 
     classify._class_table_cached.cache_clear()
     monkeypatch.setattr(verify, "_SWEEP_CACHE", {})
-    for name in ("genus_symbol", "_characters", "_hasse_at_infinity"):
+    for name in ("genus_symbol", "_jacobi", "_hasse_at_infinity"):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("fqforms") and hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

@@ -102,6 +102,34 @@ def test_classify_table(capsys):
     assert set(payload["proper_counts_per_genus"]) == {2}
 
 
+@pytest.mark.parametrize("primitive", [False, True])
+def test_classify_square_factor_disc(capsys, monkeypatch, primitive):
+    # D = t (t + 1)^2 (t + 2)^2 over F_3: each class's genus symbol reads
+    # the table's places, so D is never factored, and equals the symbol
+    # with a Jordan diagonalization at every divisor of D
+    from fqforms import ffpoly
+    from fqforms.qform import form_from_string
+    from tests.test_classify_oracles import jordan_genus_symbol
+
+    def refuse(*args):
+        raise AssertionError("classify factored the discriminant")
+
+    for module in (ffpoly, fqforms.localgenus):
+        monkeypatch.setattr(module, "factor", refuse)
+    argv = ["classify", "--q", "3", "--disc", "t^5+t^3+t"]
+    code, out = run_cli(capsys, *argv, *(["--primitive"] if primitive else []))
+    monkeypatch.undo()
+    assert code == 0
+    payload = json.loads(out)
+    F = ffpoly.prime_field(3)
+    reps = [form_from_string(F, payload["forms"][cls[0]]) for cls in payload["classes"]]
+    assert payload["genus_symbols"] == [
+        fqforms.cli._symbol_payload(jordan_genus_symbol(rep)) for rep in reps
+    ]
+    assert len(reps) == (12 if primitive else 24)
+    assert len(payload["genera"]) == (8 if primitive else 18)
+
+
 def test_picard_conductor(capsys):
     code, out = run_cli(
         capsys, "picard", "--q", "5", "--d0", "t+1", "--conductor", "t"
