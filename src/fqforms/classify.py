@@ -68,7 +68,7 @@ import numpy as np
 
 from .ffpoly import SquareClass, _jacobi, _sqrt_table, factor, is_irreducible
 from .ffpoly import is_squarefree, sieve_factor, square_roots_mod
-from .localgenus import _hasse_at_infinity, genus_symbol
+from .localgenus import GenusSymbol, _hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
     Transformation,
@@ -227,8 +227,9 @@ class ClassTable:
     `proper_counts[i]` is the number of proper classes (1 or 2) in class i.
     `places` holds the (place, multiplicity) pairs of `disc`, as
     `factor(disc)[1]` gives them, read off the sieve (`sieve_factor`).
-    `genera` (sorted class-index lists, ordered by first member) is built
-    on first use from the representatives, as are `forms`, `classes` and
+    `genus_keys` (one per class) and `genera` (sorted class-index lists,
+    ordered by first member) are built on first use from the
+    representatives, as are `forms`, `classes` and
     `proper_classes` (sorted form-index lists, ordered by first member),
     which list every form.
     """
@@ -262,12 +263,24 @@ class ClassTable:
         return [sum(self.proper_counts[ci] for ci in genus) for genus in self.genera]
 
     @functools.cached_property
+    def genus_keys(self):
+        """One key per class, equal exactly within a genus (`_genus_keys`)."""
+        return _genus_keys(self.class_representatives, self.disc, self.places)
+
+    @functools.cached_property
     def genera(self):
         by_genus = {}
-        keys = _genus_keys(self.class_representatives, self.disc, self.places)
-        for ci, key in enumerate(keys):
+        for ci, key in enumerate(self.genus_keys):
             by_genus.setdefault(key, []).append(ci)
         return list(by_genus.values())
+
+    def genus_symbols(self):
+        """The genus symbol of every class: a non-primitive class's genus
+        key is already its symbol, a primitive class's is computed here."""
+        return [
+            key if isinstance(key, GenusSymbol) else genus_symbol(rep, self.places)
+            for rep, key in zip(self.class_representatives, self.genus_keys)
+        ]
 
     @functools.cached_property
     def _genus_of_class(self):
@@ -452,11 +465,6 @@ def class_number(form):
         raise ValueError("class numbers are computed for definite binary forms")
     table = class_table(form.field, form.discriminant(), form.is_primitive())
     return table.class_count_in_genus_of(form)
-
-
-def proper_class_count(field, disc, primitive_only=True):
-    """|G_D|: the number of proper classes of discriminant exactly `disc`."""
-    return sum(class_table(field, disc, primitive_only).proper_counts)
 
 
 def cn1_prediction(form):

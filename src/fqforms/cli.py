@@ -185,10 +185,7 @@ def _cmd_classify(args):
         "genera": table.genera,
         "class_counts_per_genus": [len(g) for g in table.genera],
         "proper_counts_per_genus": table.proper_counts_per_genus(),
-        "genus_symbols": [
-            _symbol_payload(genus_symbol(rep, table.places))
-            for rep in table.class_representatives
-        ],
+        "genus_symbols": [_symbol_payload(sym) for sym in table.genus_symbols()],
     }
     _emit(payload)
     return 0

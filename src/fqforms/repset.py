@@ -44,11 +44,17 @@ digit-wise sums mod q of the block's distinct keys and the tail's
 distinct values.  The sums of the full keys are taken first and cut to
 degree <= k after, so the result equals the tail loop's at every slack.
 The budget then counts the block's grid vectors, the tail's vectors and
-the (block key, tail value) pairs summed.  Representation numbers, witness
-search and non-orthogonal tails keep the tail loop.
+the (block key, tail value) pairs summed.  The block's distinct keys are
+kept, read-only, in a small cache by the block's coefficients and bounds
+(`_binary_block_keys`), so forms that share a block, such as the ternary
+family's X^2 + t Y^2, enumerate it once; the budget is checked before the
+cache is read.  Representation numbers, witness search and non-orthogonal
+tails keep the tail loop.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -207,9 +213,7 @@ class _Grid:
     def __init__(self, red, bounds, budget=DEFAULT_BUDGET):
         q = red.field.q
         counts = [b + 1 for b in bounds]
-        total = 1
-        for c in counts:
-            total *= q**c
+        total = _grid_vectors(q, bounds)
         _check_budget(total, budget, "vectors")
         length = _value_length(red.gram, bounds)
         key_powers(q, length)  # refuses key lengths that would wrap int64
@@ -274,6 +278,14 @@ def _orthogonal_tail(gram):
     )
 
 
+def _grid_vectors(q, bounds):
+    """The number of coordinate vectors with deg x_i <= bounds[i]."""
+    total = 1
+    for b in bounds:
+        total *= q ** (b + 1)
+    return total
+
+
 def _check_budget(needed, budget, what):
     if needed > budget:
         raise BudgetError(
@@ -284,18 +296,31 @@ def _check_budget(needed, budget, what):
 
 def _block_keys(gram, bounds, budget):
     """Sorted distinct value keys of a rank-1 or rank-2 Gram block over
-    the coordinate grid `bounds`, uncut."""
+    the coordinate grid `bounds`, uncut.  The budget is checked first, so
+    a rank-2 block already in the `_binary_block_keys` cache raises as a
+    new one does."""
     q = gram[0][0].field.q
-    length = _value_length(gram, bounds)
+    _check_budget(_grid_vectors(q, bounds), budget, "vectors")
     if len(gram) == 2:
-        grid = _Grid(Form.binary(gram[0][0], gram[0][1], gram[1][1]), bounds, budget)
-        keys = grid.keys_for_tail(()).ravel()
-    else:
-        _check_budget(q ** (bounds[0] + 1), budget, "vectors")
-        squares = _batch_square(_coeff_rows(q, bounds[0] + 1), q)
-        values = _fit(_conv(squares, gram[0][0].coeffs, q), length)
-        keys = values @ key_powers(q, length)
-    return _distinct([keys], q**length, len(keys))
+        return _binary_block_keys(gram[0][0], gram[0][1], gram[1][1], bounds)
+    length = _value_length(gram, bounds)
+    squares = _batch_square(_coeff_rows(q, bounds[0] + 1), q)
+    values = _fit(_conv(squares, gram[0][0].coeffs, q), length)
+    return _distinct([values @ key_powers(q, length)], q**length, len(values))
+
+
+# the X^2 + t Y^2 block of the ternary family recurs in each of its forms
+@functools.lru_cache(maxsize=4)
+def _binary_block_keys(a, b, c, bounds):
+    """Sorted distinct value keys of a x^2 + 2 b x y + c y^2 over the
+    coordinate grid `bounds`, uncut, as a read-only array shared by every
+    caller; the caller has checked the budget."""
+    vectors = _grid_vectors(a.field.q, bounds)
+    grid = _Grid(Form.binary(a, b, c), bounds, budget=vectors)
+    keys = grid.keys_for_tail(()).ravel()
+    keys = _distinct([keys], grid.q**grid.length, vectors)
+    keys.flags.writeable = False
+    return keys
 
 
 def _distinct(chunks, span, size):
@@ -473,7 +498,7 @@ def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
     if any((f.gram[0][0].degree, f.gram[1][1].degree) != minima for f in forms):
         raise ValueError("a batch of forms must share its minima")
     bounds = coordinate_degree_bounds(minima, k)
-    vectors = q ** (bounds[0] + 1) * q ** (bounds[1] + 1)
+    vectors = _grid_vectors(q, bounds)
     _check_budget(vectors, budget, "vectors")
     x, y = _coeff_rows(q, bounds[0] + 1), _coeff_rows(q, bounds[1] + 1)
     length = max(_value_length(f.gram, bounds) for f in forms)

@@ -695,8 +695,13 @@ def ternary_family_check(cfg, window=6):
     stats rather than as violations, and each one is required to be of
     exactly that shape (local at t but excluded at infinity).
 
-    The forms are diagonal, so `repset_upto` sums their V_k over the
-    orthogonal Z-coordinate instead of looping over it.  The values f of
+    The form reads only a^2, so a and q - a give one Gram matrix: V_k and
+    the local answers are computed once per distinct form, (q - 1)/2 of
+    them, and read back for each unit a, which is still compared and
+    reported on its own.  The forms are diagonal, so `repset_upto` sums
+    their V_k over the orthogonal Z-coordinate instead of looping over it,
+    and every form shares the binary block X^2 + t Y^2, whose distinct
+    keys `repset` enumerates once and keeps.  The values f of
     degree <= window - 2 are checked as key arrays.  At the linear places
     t and t + a^2 the decider's answer depends on f only through its
     (valuation, residue char) class, and at infinity only through its
@@ -708,14 +713,20 @@ def ternary_family_check(cfg, window=6):
     violations = []
     instances = 0
     forms = {a: ternary_family_form(F, a) for a in range(1, cfg.q)}
+    distinct = {}  # Gram matrix -> the least a that gives it, and the form
+    for a, form in forms.items():
+        distinct.setdefault(form.gram, (a, form))
     sets = {
-        a: repset_upto(form, window, budget=cfg.budget) for a, form in forms.items()
+        gram: repset_upto(form, window, budget=cfg.budget)
+        for gram, (_, form) in distinct.items()
     }
     units = sorted(forms)
     for i, a in enumerate(units):
         for b in units[i + 1 :]:
             instances += 1
-            same = np.array_equal(sets[a].keys, sets[b].keys)
+            same = np.array_equal(
+                sets[forms[a].gram].keys, sets[forms[b].gram].keys
+            )
             if not same:
                 violations.append(
                     Violation(
@@ -742,19 +753,22 @@ def ternary_family_check(cfg, window=6):
     nonzero = digits[1:]
     at_t = _class_ids(*_linear_place_classes(F, nonzero, 0))
     at_inf = _class_ids(*_infinity_classes(F, digits))
+    answers = {}  # by Gram matrix: (global, local at t, at t + a^2, at infinity)
+    for gram, (a, form) in distinct.items():
+        aa = F.mul(a, a)
+        at_other = _class_ids(*_linear_place_classes(F, nonzero, F.neg(aa)))
+        in_global = np.zeros(len(digits), dtype=bool)
+        in_global[sets[gram].restrict(lower).keys] = True
+        answers[gram] = (
+            in_global,
+            _locally(F, at_t, LocalRepDecider(form, F.t)),
+            _locally(F, at_other, LocalRepDecider(form, F.t + F.poly((aa,)))),
+            _per_class(F, at_inf, lambda f: represented_at_infinity(form, f)),
+        )
     t_only_mismatches = 0
     uncharacterized = 0
     for a in units:
-        form = forms[a]
-        aa = F.mul(a, a)
-        at_other = _class_ids(*_linear_place_classes(F, nonzero, F.neg(aa)))
-        in_local_t = _locally(F, at_t, LocalRepDecider(form, F.t))
-        in_other = _locally(F, at_other, LocalRepDecider(form, F.t + F.poly((aa,))))
-        at_infinity = _per_class(
-            F, at_inf, lambda f: represented_at_infinity(form, f)
-        )
-        in_global = np.zeros(len(digits), dtype=bool)
-        in_global[sets[a].restrict(lower).keys] = True
+        in_global, in_local_t, in_other, at_infinity = answers[forms[a].gram]
         instances += len(digits)
         biconditional = in_global != (in_local_t & at_infinity)
         t_only = in_global != in_local_t

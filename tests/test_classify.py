@@ -12,7 +12,6 @@ from fqforms.classify import (
     enumerate_forms,
     irreducible_factor_count,
     is_definite_disc,
-    proper_class_count,
     rescale_to_canonical_disc,
 )
 from fqforms.ffpoly import poly_from_string, prime_field
@@ -28,6 +27,11 @@ from tests.test_qform import rand_definite_reduced, rand_gl2, remark_form
 F5 = prime_field(5)
 F13 = prime_field(13)
 F17 = prime_field(17)
+
+
+def proper_class_count(field, disc, primitive_only=True):
+    """|G_D|: the number of proper classes of discriminant exactly `disc`."""
+    return sum(class_table(field, disc, primitive_only).proper_counts)
 
 
 def test_is_definite_disc():

@@ -130,6 +130,37 @@ def test_classify_square_factor_disc(capsys, monkeypatch, primitive):
     assert len(payload["genera"]) == (8 if primitive else 18)
 
 
+def test_classify_computes_one_genus_symbol_per_class(capsys, monkeypatch):
+    # the 20 non-primitive classes of D = t^3 (t + 1)^2 at q = 7 take their
+    # symbol from the genus key, the 58 primitive ones have it computed
+    # for the payload: 78 calls, not 98
+    from fqforms import classify
+
+    calls = []
+    symbol = classify.genus_symbol
+
+    def counted(*args):
+        calls.append(args[0])
+        return symbol(*args)
+
+    for module in (classify, fqforms.cli):
+        monkeypatch.setattr(module, "genus_symbol", counted)
+    classify._class_table_cached.cache_clear()
+    code, out = run_cli(capsys, "classify", "--q", "7", "--disc", "t^5+2*t^4+t^3")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["classes"]) == len(payload["genus_symbols"]) == 78
+    assert len(calls) == 78
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_verify_ternary_report_matches_golden(capsys, q):
+    # reports recorded from the sweep that built one V_6 per unit a
+    code, out = run_cli(capsys, "verify", "ternary", "--q", str(q))
+    assert code == 0
+    assert out == (DATA / f"ternary-q{q}.json").read_text()
+
+
 def test_picard_conductor(capsys):
     code, out = run_cli(
         capsys, "picard", "--q", "5", "--d0", "t+1", "--conductor", "t"
@@ -191,8 +222,9 @@ def test_budget_errors_exit_two(capsys):
 
 
 def test_verify_ternary_q7_within_default_budget(capsys):
-    # the four V_6 sets are sums of 823,543 binary grid vectors (107,401
-    # distinct keys) and 172 tail values: 18.5M key pairs, within 1e8
+    # the three distinct V_6 sets (a and 7 - a give one form) each sum the
+    # 107,401 distinct keys of one shared 823,543-vector binary grid and
+    # 172 tail values: 18.5M key pairs, within 1e8
     code, out = run_cli(capsys, "verify", "ternary", "--q", "7")
     assert code == 0
     report = json.loads(out)

@@ -697,6 +697,50 @@ def test_sumset_budget_counts_key_pairs():
         repset_upto(form, 6, budget=vectors - 1)
 
 
+def test_shared_block_sets_match_full_grid_oracle():
+    # the counted path never takes the orthogonal tail: it loops over the
+    # whole rank-3 grid; the sets agree cold and with the block cached
+    import fqforms.repset as repset_module
+
+    for k in range(5):
+        for a in range(1, 5):
+            form = ternary_family_form(F5, a)
+            want = repset_upto(form, k, with_counts=True).keys
+            repset_module._binary_block_keys.cache_clear()
+            assert np.array_equal(repset_upto(form, k).keys, want), (a, k)
+            assert np.array_equal(repset_upto(form, k).keys, want), (a, k)
+
+
+@pytest.mark.parametrize("what", ["vectors", "key pairs"])
+def test_cached_block_raises_as_a_cold_one(what):
+    import fqforms.repset as repset_module
+
+    form = ternary_family_form(F5, 1)
+    vectors, pairs = sumset_pairs(form, 6)
+    budget = {"vectors": vectors, "key pairs": pairs}[what] - 1
+    repset_module._binary_block_keys.cache_clear()
+    with pytest.raises(BudgetError, match=what) as cold:
+        repset_upto(form, 6, budget=budget)
+    repset_upto(form, 6)
+    assert repset_module._binary_block_keys.cache_info().currsize == 1
+    with pytest.raises(BudgetError) as warm:
+        repset_upto(form, 6, budget=budget)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_cached_block_keys_are_read_only():
+    import fqforms.repset as repset_module
+
+    F = F5
+    repset_module._binary_block_keys.cache_clear()
+    repset_upto(ternary_family_form(F, 2), 4)
+    keys = repset_module._binary_block_keys(F.one, F.zero, F.t, (2, 1))
+    assert repset_module._binary_block_keys.cache_info()[:2] == (1, 1)
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 1
+
+
 def poly_sumset(F, block, tail, k):
     """Keys below q^(k+1) of every block + tail sum, by Poly addition."""
     limit = F.q ** (k + 1)

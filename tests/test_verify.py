@@ -152,9 +152,55 @@ def test_ternary_family_small_window():
     assert r.stats["local_at_t_only_mismatches"] > 0
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_ternary_family_form_reads_only_a_squared(q):
+    F = prime_field(q)
+    for a in range(1, q):
+        assert ternary_family_form(F, a).gram == ternary_family_form(F, q - a).gram
+    grams = {ternary_family_form(F, a).gram for a in range(1, q)}
+    assert len(grams) == (q - 1) // 2
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_ternary_family_computes_each_distinct_form_once(monkeypatch, q):
+    # one V_6 and two local deciders per distinct form, (q - 1)/2 forms,
+    # every V_6 summed over the one X^2 + t Y^2 block grid
+    import fqforms.repset as repset_module
+    import fqforms.verify as verify_module
+
+    counts = {"repset_upto": 0, "deciders": 0}
+    grids = []
+    enumerate_keys, grid_init = verify_module.repset_upto, repset_module._Grid.__init__
+
+    def counted_repset(*args, **kwargs):
+        counts["repset_upto"] += 1
+        return enumerate_keys(*args, **kwargs)
+
+    def counted_grid(self, red, *args, **kwargs):
+        grids.append(red.gram)
+        grid_init(self, red, *args, **kwargs)
+
+    class Counted(LocalRepDecider):
+        def __init__(self, *args):
+            counts["deciders"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify_module, "repset_upto", counted_repset)
+    monkeypatch.setattr(repset_module._Grid, "__init__", counted_grid)
+    monkeypatch.setattr(verify_module, "LocalRepDecider", Counted)
+    repset_module._binary_block_keys.cache_clear()
+    r = ternary_family_check(SweepConfig(q=q))
+    assert r.passed
+    assert r.instances_checked == (q - 1) * (q - 2) // 2 + (q - 1) * q**5
+    F = prime_field(q)
+    assert counts == {"repset_upto": (q - 1) // 2, "deciders": q - 1}
+    assert grids == [((F.one, F.zero), (F.zero, F.t))]
+
+
 def test_ternary_family_decides_infinity_once_per_square_class(monkeypatch):
-    # each form meets f = 0 and the four classes (deg f mod 2, chi(lc f)):
-    # at most five calls per form, the report unchanged
+    # each distinct form (a and q - a give one) meets f = 0 and the four
+    # classes (deg f mod 2, chi(lc f)): at most five calls per form, the
+    # report unchanged
     import fqforms.verify as verify_module
 
     calls = {}
@@ -168,14 +214,15 @@ def test_ternary_family_decides_infinity_once_per_square_class(monkeypatch):
     r = ternary_family_check(small_cfg(q=5))
     assert r.passed
     assert r.stats["mismatches_not_explained_by_infinity"] == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert all(n <= 5 for n in calls.values()), calls
-    assert sum(calls.values()) == 20
+    assert sum(calls.values()) == 10
 
 
 def test_ternary_family_decides_locally_once_per_class(monkeypatch):
     # f != 0 of degree <= 4 falls in ten (valuation, char) classes at each
-    # of the places t and t + a^2: 80 decisions for the four forms at q = 5
+    # of the places t and t + a^2: 40 decisions for the two distinct forms
+    # at q = 5
     calls = []
     decide = LocalRepDecider.__call__
 
@@ -186,7 +233,7 @@ def test_ternary_family_decides_locally_once_per_class(monkeypatch):
     monkeypatch.setattr(LocalRepDecider, "__call__", counted)
     r = ternary_family_check(small_cfg(q=5))
     assert r.passed
-    assert len(calls) == 80
+    assert len(calls) == 40
     assert all(not f.is_zero() for f in calls)
 
 
