@@ -19,13 +19,12 @@ import sys
 import traceback
 
 from .classify import class_number, class_table
-from .errors import BudgetError, CapabilityError
+from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import Field, poly_from_string, poly_to_string
 from .localgenus import (
     INFINITY,
-    genus_symbol,
+    genus_symbols,
     hilbert_symbol,
-    same_genus,
 )
 from .picard import pic_group, pic_order_with_conductor
 from .qform import (
@@ -155,10 +154,12 @@ def _cmd_genus(args):
         raise ValueError("exactly two --form literals are required")
     q1 = form_from_string(F, args.form[0])
     q2 = form_from_string(F, args.form[1])
+    symbols = genus_symbols(q1, q2)
     _emit(
         {
-            "same_genus": same_genus(q1, q2),
-            "symbols": [_symbol_payload(genus_symbol(q)) for q in (q1, q2)],
+            # a genus symbol holds the exact discriminant: this is `same_genus`
+            "same_genus": q1.n == q2.n and symbols[0] == symbols[1],
+            "symbols": [_symbol_payload(sym) for sym in symbols],
         },
     )
     return 0
@@ -252,7 +253,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def output(p, formats):
-        p.add_argument("--budget", type=int, default=10**8)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--format", choices=formats, default="json")
 
     def common(p, form=False, forms=False, delta=True):

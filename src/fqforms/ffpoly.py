@@ -11,6 +11,9 @@ every integer, so degree formulas involving max() are total.
 
 A polynomial also has a base-q integer key (`key()`), used by the
 enumeration-heavy modules to store large sets of polynomials compactly.
+
+The places (monic irreducibles) dividing a polynomial come from one
+distinct-degree pass over it, which `factor` and `is_irreducible` share.
 """
 
 from __future__ import annotations
@@ -467,92 +470,18 @@ def powmod(f, n, m):
 
 @functools.lru_cache(maxsize=4096)
 def is_irreducible(f):
-    """Rabin's test; constants are not irreducible.
+    """Whether f is a place up to a unit: the first place the
+    distinct-degree pass finds is f itself.  Constants are not irreducible.
 
     Results are cached: a `Poly` is immutable and its hash and equality
     include the field, so each distinct place is tested once.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    n = f.degree
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    F = f.field
-    f = f.monic()
-    t = F.t
-    # x^(q^n) == x mod f, and x^(q^(n/l)) - x coprime to f for primes l | n
-    frob = powmod(t, F.q**n, f)
-    if frob != t % f:
-        return False
-    for ell in _prime_divisors(n):
-        g = powmod(t, F.q ** (n // ell), f) - t
-        if gcd(g if not g.is_zero() else f, f).degree != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def squarefree_part_decomposition(f):
-    """Full squarefree decomposition: f = unit * prod_i g_i^i, g_i squarefree monic.
-
-    Returns (unit, {i: g_i}) with only nontrivial g_i present.  Handles the
-    characteristic-p collapse f' = 0 via p-th roots (Frobenius is bijective).
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    F = f.field
-    unit = f.lc()
-    f = f.monic()
-    parts = {}
-    _squarefree_rec(f, 1, parts)
-    return unit, parts
-
-
-def _squarefree_rec(f, mult, parts):
     if f.degree == 0:
-        return
-    F = f.field
-    df = f.derivative()
-    if df.is_zero():
-        # f = h(t^p); descend on the p-th root
-        root = _pth_root(f)
-        _squarefree_rec(root, mult * F.p, parts)
-        return
-    c = gcd(f, df)
-    w = f // c
-    i = 1
-    while w.degree > 0:
-        y = gcd(w, c)
-        piece = w // y
-        if piece.degree > 0:
-            key = mult * i
-            parts[key] = parts.get(key, F.one) * piece
-        w = y
-        c = c // y
-        i += 1
-    if c.degree > 0:
-        # what is left has zero derivative: a p-th power
-        _squarefree_rec(_pth_root(c), mult * F.p, parts)
-
-
-def _pth_root(f):
-    # f = h(t^p), and Frobenius is the identity on F_p coefficients
-    return f.field.poly(f.coeffs[:: f.field.p])
+        return False
+    p, _ = next(_places_dividing(f))
+    return p.degree == f.degree
 
 
 def is_squarefree(f):
@@ -562,51 +491,49 @@ def is_squarefree(f):
     return gcd(f, f.derivative()).degree == 0
 
 
-def squarefree_decompose(f):
-    """(f0, g, unit) with f = unit * g^2 * f0, f0 squarefree monic, g monic."""
-    unit, parts = squarefree_part_decomposition(f)
-    F = f.field
-    f0 = F.one
-    g = F.one
-    for i, gi in parts.items():
-        if i % 2:
-            f0 = f0 * gi
-        g = g * gi ** (i // 2)
-    return f0, g, unit
-
-
 def factor(f):
     """(unit, [(irreducible monic, multiplicity), ...]) sorted canonically."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit, parts = squarefree_part_decomposition(f)
-    found = {}
-    for mult, g in parts.items():
-        for irr in _factor_squarefree(g):
-            found[irr] = found.get(irr, 0) + mult
-    out = sorted(found.items(), key=lambda kv: (kv[0].degree, kv[0].key()))
-    return unit, out
+    # a monic key orders by degree first
+    return f.lc(), sorted(_places_dividing(f), key=lambda pe: pe[0].key())
 
 
-def _factor_squarefree(f):
-    """Distinct-degree then equal-degree splitting of a squarefree monic f."""
+def _places_dividing(f):
+    """Yield (place, multiplicity) for the places dividing a nonzero f, by
+    degree, in one distinct-degree pass over f itself.
+
+    At degree d every place of lower degree is already divided out of
+    `rest`, so gcd(t^(q^d) - t, rest) is the product of the places of
+    degree d dividing it; Cantor-Zassenhaus splits it, and each place is
+    stripped with its multiplicity.  Once deg rest < 2(d + 1), rest is 1 or
+    a single place.
+    """
     F = f.field
-    out = []
     t = F.t
-    v = f.monic()
-    h = t % v
+    rest = f.monic()
+    h = t  # t^(q^d) modulo an earlier rest, which rest divides
     d = 0
-    while v.degree >= 2 * (d + 1):
+    while rest.degree >= 2 * (d + 1):
         d += 1
-        h = powmod(h, F.q, v)
-        g = gcd_or_self(h - t, v)
+        h = powmod(h, F.q, rest)
+        g = gcd_or_self(h - t, rest)
         if g.degree > 0:
-            out.extend(_equal_degree_split(g, d))
-            v = v // g
-            h = h % v
-    if v.degree > 0:
-        out.append(v)
-    return out
+            for p in _equal_degree_split(g, d):
+                e, rest = strip_valuation(rest, p)
+                yield p, e
+    if rest.degree > 0:
+        yield rest, 1
+
+
+def strip_valuation(f, p):
+    """(v, u) with f = p^v * u and p not dividing u (f nonzero)."""
+    v = 0
+    while True:
+        quo, rem = divmod(f, p)
+        if rem:
+            return v, f
+        f, v = quo, v + 1
 
 
 def gcd_or_self(g, f):
@@ -711,12 +638,7 @@ def sieve_factor(d):
     out = []
     for p, roots in _place_roots(d, d.degree // 2).items():
         if roots[0] == [d.field.zero]:
-            e = 0
-            while True:
-                quo, rem = divmod(rest, p)
-                if rem:
-                    break
-                rest, e = quo, e + 1
+            e, rest = strip_valuation(rest, p)
             out.append((p, e))
     if rest.degree > 0:
         out.append((rest, 1))

@@ -9,7 +9,8 @@ Genus symbols of binary forms need no diagonalization at a divisor p of
 disc, whatever v_p(disc): the Jordan data there is fixed by one assigned
 character, chi_p(a), or chi_p(c) when p divides a.  The p-adic Jordan
 splitting is computed only where p divides the content of the form, and
-for ranks 3 and 4.
+for ranks 3 and 4.  Valuations v_p come from `ffpoly.strip_valuation`, and
+the places of a discriminant from `ffpoly.factor`, once per discriminant.
 
 Local representability over the completion A_p is decided from the Jordan
 diagonalization: a unit is represented iff the scale-0 residue form
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ffpoly import factor, invmod, is_irreducible, residue_char
+from .ffpoly import factor, invmod, is_irreducible, residue_char, strip_valuation
 from .qform import diagonal_square_classes
 
 
@@ -39,17 +40,6 @@ def _check_finite_place(p):
         raise ValueError("finite place must be a monic irreducible polynomial")
 
 
-def _strip_valuation(f, p):
-    """(v, u) with f = p^v * u and p not dividing u."""
-    v = 0
-    while True:
-        quo, rem = divmod(f, p)
-        if not rem.is_zero():
-            return v, f
-        f = quo
-        v += 1
-
-
 def hilbert_symbol(f, g, place):
     """Tame Hilbert symbol (f, g) at a place of F_q(t), as +1 or -1."""
     if f.is_zero() or g.is_zero():
@@ -61,8 +51,8 @@ def hilbert_symbol(f, g, place):
         cm1 = F.char(F.neg(1))
     else:
         _check_finite_place(place)
-        alpha, uf = _strip_valuation(f, place)
-        beta, ug = _strip_valuation(g, place)
+        alpha, uf = strip_valuation(f, place)
+        beta, ug = strip_valuation(g, place)
         cf = residue_char(uf, place)
         cg = residue_char(ug, place)
         cm1 = residue_char(-f.field.one, place)
@@ -104,7 +94,7 @@ def _jordan_diagonal(form, p):
     """
     F = form.field
     n = form.n
-    disc_val, _ = _strip_valuation(form.discriminant(), p)
+    disc_val, _ = strip_valuation(form.discriminant(), p)
     prec = disc_val + 2
     powers = [p**0]
     for _ in range(prec):
@@ -114,7 +104,7 @@ def _jordan_diagonal(form, p):
     def val(x):
         if x.is_zero():
             return prec
-        return _strip_valuation(x, p)[0]
+        return strip_valuation(x, p)[0]
 
     m = [[e % pn for e in row] for row in form.gram]
     active = list(range(n))
@@ -228,13 +218,21 @@ def _jordan_at_place(form, disc, p, v):
     return jordan_invariants(form, p)
 
 
+def genus_symbols(*forms):
+    """The genus symbols of forms over one field, each distinct
+    discriminant factored once."""
+    places = {d: factor(d)[1] for d in {form.discriminant() for form in forms}}
+    return [genus_symbol(form, places[form.discriminant()]) for form in forms]
+
+
 def same_genus(q1, q2):
     """Equal exact discriminant plus equal local data everywhere."""
     if q1.field != q2.field or q1.n != q2.n:
         return False
     if q1.discriminant() != q2.discriminant():
         return False
-    return genus_symbol(q1) == genus_symbol(q2)
+    s1, s2 = genus_symbols(q1, q2)
+    return s1 == s2
 
 
 # -- local representability ------------------------------------------------
@@ -251,7 +249,7 @@ class LocalRepDecider:
     def __call__(self, f):
         if f.is_zero():
             return True
-        m, w = _strip_valuation(f, self.place)
+        m, w = strip_valuation(f, self.place)
         return _descend(self.entries, m, residue_char(w, self.place), self.chi_minus1)
 
 

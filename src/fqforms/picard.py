@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
-from .ffpoly import _jacobi, _places, _prime_divisors, factor, is_squarefree
+from .ffpoly import _jacobi, _places, factor, is_squarefree
 from .ffpoly import square_roots_mod, xgcd
 from .qform import is_definite_disc
 
@@ -129,6 +129,20 @@ def _multiple(p, n):
         if not n:
             return acc
         p = cantor_add(p, p)
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _order_dividing(p, n, primes):

@@ -29,11 +29,12 @@ from math import comb
 import numpy as np
 
 from .classify import canonical_discs, class_table, cn1_prediction
+from .errors import DEFAULT_BUDGET
 from .ffpoly import SquareClass, is_squarefree, prime_field, sieve_factor
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import comp_sequence_check, weil_interval
 from .qform import Form, _mat_det, form_to_string
-from .repset import DEFAULT_BUDGET, _coeff_rows, repset_keys_batch, repset_upto
+from .repset import _coeff_rows, repset_keys_batch, repset_upto
 
 CHECKS = ("minima", "disc", "equiv", "smooth", "quadric", "ternary", "cn1", "comp")
 

@@ -85,6 +85,45 @@ def test_genus_command(capsys):
     assert len(payload["symbols"]) == 2
 
 
+@pytest.mark.parametrize(
+    "forms,calls",
+    [(("(t, 0, t^3+1)", "(2*t, 0, 3*t^3+3)"), 1), (("(1, 0, 3)", "(t, 0, t^3+1)"), 2)],
+)
+def test_genus_factors_each_discriminant_once(capsys, monkeypatch, forms, calls):
+    # both forms share D = 4 t^4 + 4 t in the first pair; `same_genus` and
+    # the two payload symbols read one factorization of it
+    from fqforms import localgenus
+    from fqforms.ffpoly import prime_field
+    from fqforms.qform import form_from_string
+
+    factored = []
+    original = localgenus.factor
+
+    def counted(f):
+        factored.append(f)
+        return original(f)
+
+    monkeypatch.setattr(localgenus, "factor", counted)
+    code, out = run_cli(capsys, "genus", "--q", "5", "--form", forms[0], "--form", forms[1])
+    assert code == 0
+    assert len(factored) == calls
+    q1, q2 = (form_from_string(prime_field(5), form) for form in forms)
+    factored.clear()
+    assert json.loads(out)["same_genus"] is localgenus.same_genus(q1, q2)
+    assert len(factored) == (1 if calls == 1 else 0)
+
+
+def test_budget_defaults_read_one_constant(monkeypatch):
+    from fqforms import errors, verify
+
+    assert verify.SweepConfig(q=3).budget == errors.DEFAULT_BUDGET
+    monkeypatch.setattr(fqforms.cli, "DEFAULT_BUDGET", 12345)
+    parser = fqforms.cli.build_parser()
+    repset = ["repset", "--q", "5", "--form", "(1, 0, 3)", "--max-degree", "0"]
+    assert parser.parse_args(repset).budget == 12345
+    assert parser.parse_args(["verify", "comp", "--q", "3"]).budget == 12345
+
+
 def test_symbol_inf(capsys):
     code, out = run_cli(capsys, "symbol", "--q", "5", "--f", "t", "--g", "2", "--place", "inf")
     assert code == 0
@@ -143,8 +182,7 @@ def test_classify_computes_one_genus_symbol_per_class(capsys, monkeypatch):
         calls.append(args[0])
         return symbol(*args)
 
-    for module in (classify, fqforms.cli):
-        monkeypatch.setattr(module, "genus_symbol", counted)
+    monkeypatch.setattr(classify, "genus_symbol", counted)
     classify._class_table_cached.cache_clear()
     code, out = run_cli(capsys, "classify", "--q", "7", "--disc", "t^5+2*t^4+t^3")
     assert code == 0

@@ -13,6 +13,7 @@ from fqforms.ffpoly import (
     gcd,
     invmod,
     is_irreducible,
+    is_squarefree,
     poly_from_string,
     poly_to_string,
     powmod,
@@ -20,7 +21,7 @@ from fqforms.ffpoly import (
     residue_char,
     sieve_factor,
     square_roots_mod,
-    squarefree_decompose,
+    strip_valuation,
     xgcd,
 )
 
@@ -228,33 +229,28 @@ def test_factor_product_identity_random():
             assert prod == f
 
 
-def test_squarefree_decompose():
+def test_factor_square_parts():
     t = F5.t
-    f0, g, unit = squarefree_decompose(t * t * (t + 1))
-    assert f0 == t + 1 and g == t and unit == 1
+    assert factor(t * t * (t + 1)) == (1, [(t, 2), (t + 1, 1)])
     f = t**2 + 2
-    f0, g, unit = squarefree_decompose(3 * f)
-    assert f0 == f and g == F5.one and unit == 3
+    assert factor(3 * f) == (3, [(f, 1)])
     d = F5.delta
-    f0, g, unit = squarefree_decompose(F5.constant(d) * t**4)
-    assert f0 == F5.one and g == t**2 and unit == d
+    assert factor(F5.constant(d) * t**4) == (d, [(t, 4)])
 
 
-def test_squarefree_decompose_random():
+def test_is_squarefree_matches_factor_random():
     rng = random.Random(5)
     for _ in range(200):
         f = rand_poly(F5, 7, rng, nonzero=True)
-        f0, g, unit = squarefree_decompose(f)
-        assert F5.constant(unit) * g * g * f0 == f
-        if f0.degree > 0:
-            assert gcd(f0, f0.derivative()).degree == 0
+        _, parts = factor(f)
+        assert is_squarefree(f) == all(e == 1 for _, e in parts), str(f)
 
 
-def test_squarefree_decompose_char_p_power():
+def test_factor_qth_power():
     # t^5 + 1 = (t+1)^5 over F_5: derivative vanishes
     t = F5.t
-    f0, g, unit = squarefree_decompose(t**5 + 1)
-    assert unit == 1 and f0 == t + 1 and g == (t + 1) ** 2
+    assert factor(t**5 + 1) == (1, [(t + 1, 5)])
+    assert factor(2 * (t**10 + 2)) == (2, [(t**2 + 2, 5)])
 
 
 def test_multiplicity_divisible_by_p():
@@ -263,15 +259,13 @@ def test_multiplicity_divisible_by_p():
     t = F3.t
     assert factor((t + 1) ** 3 * (t + 2))[1] == [(t + 1, 3), (t + 2, 1)]
     # t^4 + 2t = t (t+2)^3
-    assert squarefree_decompose(t**4 + 2 * t) == (t * (t + 2), t + 2, 1)
+    assert factor(t**4 + 2 * t) == (1, [(t, 1), (t + 2, 3)])
 
 
-def test_factor_and_squarefree_match_galoistools():
+def test_factor_matches_galoistools():
     # every monic polynomial of degree <= 6 over F_3, against sympy
     from sympy import ZZ
-    from sympy.polys.galoistools import gf_factor, gf_sqf_list
-
-    from fqforms.ffpoly import squarefree_part_decomposition
+    from sympy.polys.galoistools import gf_factor
 
     F3 = prime_field(3)
 
@@ -287,11 +281,66 @@ def test_factor_and_squarefree_match_galoistools():
             assert sorted((dense(g), k) for g, k in got) == sorted(
                 (tuple(g), k) for g, k in expected
             ), str(f)
-            _, expected = gf_sqf_list(list(dense(f)), 3, ZZ)
-            _, parts = squarefree_part_decomposition(f)
-            assert {k: dense(g) for k, g in parts.items()} == {
-                k: tuple(g) for g, k in expected
-            }, str(f)
+
+
+def products_of_powers(F, rng, count, top=40):
+    """`count` seeded products lead * prod g_i^(e_i) of degree <= `top`,
+    every lead in turn: random factors g_i of degree 1..4, some of them
+    q-th powers h(t^q), with multiplicities 1, 2, q - 1, q, q + 1 and 2q."""
+    q = F.q
+    out = []
+    for i in range(count):
+        f = F.constant(1 + i % (q - 1))
+        while True:
+            g = F.poly([rng.randrange(q) for _ in range(rng.randrange(1, 5))] + [1])
+            if rng.random() < 0.25:
+                # h(t^q) = h(t)^q over a prime field
+                g = F.poly([0 if j % q else g[j // q] for j in range(g.degree * q + 1)])
+            e = rng.choice((1, 2, q - 1, q, q + 1, 2 * q))
+            if f.degree + e * g.degree > top:
+                break
+            f = f * g**e
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_factor_matches_galoistools_on_products_of_powers(q):
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    F = prime_field(q)
+    polys = products_of_powers(F, random.Random(q), 60)
+    assert max(f.degree for f in polys) >= 30
+    assert any(e >= q for f in polys for _, e in factor(f)[1])
+    for f in polys:
+        lead, expected = gf_factor(_dense(f), q, ZZ)
+        unit, got = factor(f)
+        assert unit == lead
+        assert sorted((_dense(g), k) for g, k in got) == sorted(
+            (list(g), k) for g, k in expected
+        ), str(f)
+
+
+@pytest.mark.parametrize("q,top", [(3, 7), (5, 4)])
+def test_is_irreducible_matches_galoistools_every_lead(q, top):
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    F = prime_field(q)
+    for key in range(q, q ** (top + 1)):
+        f = F.poly_from_key(key)
+        assert is_irreducible(f) == gf_irreducible_p(_dense(f), q, ZZ), str(f)
+
+
+def test_strip_valuation():
+    t = F5.t
+    p = t**2 + 2
+    u = 3 * t**3 + t + 4
+    assert u % p
+    for v in range(4):
+        assert strip_valuation(p**v * u, p) == (v, u)
+    assert strip_valuation(F5.constant(2), t) == (0, F5.constant(2))
 
 
 def _dense(f):

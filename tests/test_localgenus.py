@@ -6,11 +6,11 @@ import pytest
 
 from fqforms.errors import BudgetError
 from fqforms.ffpoly import factor, is_irreducible, prime_field, residue_char
+from fqforms.ffpoly import strip_valuation
 from fqforms.localgenus import (
     INFINITY,
     _check_finite_place,
     _hasse_at_infinity,
-    _strip_valuation,
     hasse_invariant,
     hilbert_symbol,
     jordan_invariants,
@@ -258,8 +258,8 @@ def local_represents_search(form, f, p, budget=300_000):
     F = form.field
     if f.is_zero():
         return True
-    disc_val, _ = _strip_valuation(form.discriminant(), p)
-    fval, _ = _strip_valuation(f, p)
+    disc_val, _ = strip_valuation(form.discriminant(), p)
+    fval, _ = strip_valuation(f, p)
     cap = disc_val + fval + 1
     residue_count = F.q ** (p.degree * (2 * cap + 1))
     if residue_count**form.n > budget:
@@ -294,7 +294,7 @@ def _grad_valuation(form, vec, p, top):
         for j in range(form.n):
             acc = acc + 2 * form.gram[i][j] * vec[j]
         acc = acc % p**top
-        vals.append(top if acc.is_zero() else _strip_valuation(acc, p)[0])
+        vals.append(top if acc.is_zero() else strip_valuation(acc, p)[0])
     return min(vals)
 
 

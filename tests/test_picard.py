@@ -6,8 +6,8 @@ import pytest
 import fqforms.picard
 from fqforms.classify import canonical_discs
 from fqforms.errors import BudgetError, CapabilityError
-from fqforms.ffpoly import factor, is_irreducible, prime_field, residue_char
-from fqforms.ffpoly import squarefree_decompose
+from fqforms.ffpoly import factor, is_irreducible, is_squarefree, prime_field
+from fqforms.ffpoly import residue_char
 from fqforms.picard import (
     AbelianStructure,
     MumfordDivisor,
@@ -93,10 +93,7 @@ def test_pic_group_matches_affine_count_genus_one():
     while found < 6:
         coeffs = [rng.randrange(5) for _ in range(3)] + [rng.randrange(1, 5)]
         d0 = F5.poly(coeffs)
-        from fqforms.ffpoly import squarefree_decompose
-
-        f0, g, _ = squarefree_decompose(d0)
-        if g.degree > 0:
+        if not is_squarefree(d0):
             continue
         group = pic_group(d0)
         assert group.order == affine_point_count(d0) + 1, str(d0)
@@ -126,10 +123,7 @@ def test_cantor_associativity_sampled():
 def test_cantor_commutative_and_closed_genus_two():
     t = F5.t
     d0 = t**5 + t + 1  # square-free over F_5
-    from fqforms.ffpoly import squarefree_decompose
-
-    f0, g, _ = squarefree_decompose(d0)
-    assert g.degree == 0
+    assert is_squarefree(d0)
     group = pic_group(d0)
     keys = {(p.u.key(), p.v.key()) for p in group.elements}
     rng = random.Random(95)
@@ -223,7 +217,7 @@ def squarefree_curves(F, deg):
     coefficient, in key order."""
     for key in range(F.q**deg, F.q ** (deg + 1)):
         d0 = F.poly_from_key(key)
-        if squarefree_decompose(d0)[1].degree == 0:
+        if is_squarefree(d0):
             yield d0
 
 
@@ -232,7 +226,7 @@ def sampled_curves(F, deg, count, seed):
     out = []
     while len(out) < count:
         d0 = F.poly_from_key(rng.randrange(F.q**deg, F.q ** (deg + 1)))
-        if squarefree_decompose(d0)[1].degree == 0:
+        if is_squarefree(d0):
             out.append(d0)
     return out
 
@@ -351,8 +345,8 @@ def odd_degree_pic_order(d0):
 
 def scanned_pic_order(d0):
     """`pic_order` as it was before the product sieve: the Euler product over
-    the places of degree <= g, found by Rabin's test on every monic
-    polynomial of degree <= g."""
+    the places of degree <= g, found by testing every monic polynomial of
+    degree <= g for irreducibility."""
     genus = (d0.degree - 1) // 2
     F, q = d0.field, d0.field.q
     series = [1] + [0] * genus
@@ -499,7 +493,7 @@ def test_comp_sweep_flags_order_outside_weil_interval(monkeypatch):
     squarefree = [
         d
         for d in canonical_discs(prime_field(3), 3)
-        if d.degree >= 1 and squarefree_decompose(d)[1].degree == 0
+        if d.degree >= 1 and is_squarefree(d)
     ]
     assert [v.witness["disc"] for v in weil] == [str(d) for d in squarefree]
     for v in weil:

@@ -6,7 +6,7 @@ import pytest
 
 from fqforms.classify import canonical_discs, enumerate_forms
 from fqforms.errors import CapabilityError
-from fqforms.ffpoly import SquareClass, poly_from_string, prime_field
+from fqforms.ffpoly import SquareClass, factor, poly_from_string, prime_field
 from fqforms.qform import (
     Form,
     Transformation,
@@ -125,10 +125,10 @@ def test_is_definite_ternary_family():
 
 
 def is_square_in_A(f):
-    from fqforms.ffpoly import squarefree_decompose
-
-    f0, _, unit = squarefree_decompose(f)
-    return f0.degree == 0 and f.field.is_square(unit)
+    """Whether a nonzero f is a square in A: a square unit and every
+    multiplicity even."""
+    unit, parts = factor(f)
+    return f.field.is_square(unit) and all(e % 2 == 0 for _, e in parts)
 
 
 def test_diagonal_square_classes_matches_disc():

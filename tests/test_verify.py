@@ -11,10 +11,9 @@ import pytest
 import fqforms
 from fqforms.classify import canonical_discs, class_table
 from fqforms.errors import BudgetError
-from fqforms.ffpoly import SquareClass, prime_field, residue_char
+from fqforms.ffpoly import SquareClass, prime_field, residue_char, strip_valuation
 from fqforms.localgenus import (
     LocalRepDecider,
-    _strip_valuation,
     represented_at_infinity,
     square_class_at_infinity,
 )
@@ -248,7 +247,7 @@ def test_key_classes_match_strip_valuation_and_square_class(q):
         v, chi = _linear_place_classes(F, digits[1:], root)
         want = [
             (m, residue_char(w, place))
-            for m, w in (_strip_valuation(f, place) for f in polys)
+            for m, w in (strip_valuation(f, place) for f in polys)
         ]
         assert list(zip(v.tolist(), chi.tolist())) == want, root
     parity, chi = _infinity_classes(F, digits)
@@ -404,7 +403,7 @@ def test_comp_bridge_q5():
 def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     # the square-free filter builds each disc's square-root sieve, and
     # `comp_sequence_check` and the class table read it from the cache; no
-    # disc goes through `factor` or `squarefree_decompose`
+    # disc goes through `factor` or the distinct-degree pass `_places_dividing`
     import functools
 
     from fqforms import ffpoly
@@ -422,7 +421,7 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     monkeypatch.setattr(ffpoly, "_place_roots", functools.lru_cache(maxsize=16)(counted))
     _class_table_cached.cache_clear()
     passed = []
-    for name in ("factor", "squarefree_decompose"):
+    for name in ("factor", "_places_dividing"):
         original = getattr(ffpoly, name)
 
         def recorded(f, original=original):
@@ -526,21 +525,13 @@ def test_comp_bridge_q13_sampled():
         class_table,
         irreducible_factor_count,
     )
-    from fqforms.ffpoly import squarefree_decompose
+    from fqforms.ffpoly import is_squarefree
     from fqforms.picard import comp_sequence_check
 
     F13 = prime_field(13)
     rng = _random.Random(17)
-    discs = [
-        d
-        for d in canonical_discs(F13, 2)
-        if squarefree_decompose(d)[1].degree == 0
-    ]
-    deg3 = [
-        d
-        for d in canonical_discs(F13, 3, exact_degree=3)
-        if squarefree_decompose(d)[1].degree == 0
-    ]
+    discs = [d for d in canonical_discs(F13, 2) if is_squarefree(d)]
+    deg3 = [d for d in canonical_discs(F13, 3, exact_degree=3) if is_squarefree(d)]
     discs += [deg3[i] for i in sorted(rng.sample(range(len(deg3)), 25))]
     for d in discs:
         report = comp_sequence_check(d)
