@@ -66,12 +66,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import SquareClass, _jacobi, _sqrt_table, factor, is_irreducible
+from .ffpoly import _jacobi, factor, is_irreducible
 from .ffpoly import is_squarefree, sieve_factor, square_roots_mod
 from .localgenus import GenusSymbol, _hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
-    Transformation,
     _bilinear_weights,
     _poly_rows,
     is_definite_disc,
@@ -413,9 +412,20 @@ def _genus_keys(reps, disc, places):
     return out
 
 
-def canonical_disc(d):
-    """The square-class representative with leading coefficient 1 or delta."""
-    return SquareClass(d).rep
+def canonical_disc_count(field, m):
+    """The number of canonical definite discriminants of degree m."""
+    return 1 if m == 0 else (2 if m % 2 else 1) * field.q**m
+
+
+def canonical_disc_at(field, m, index):
+    """The canonical definite discriminant of degree m at `index` in
+    `canonical_discs` order: by leading coefficient, 1 before delta (delta
+    alone at even m), then by the key of the lower part."""
+    if m == 0:
+        return field.poly((field.delta,))
+    leads = (1, field.delta) if m % 2 else (field.delta,)
+    lead, low = divmod(index, field.q**m)
+    return field.poly_from_key(low + leads[lead] * field.q**m)
 
 
 def canonical_discs(field, max_degree, exact_degree=None):
@@ -423,40 +433,11 @@ def canonical_discs(field, max_degree, exact_degree=None):
     degrees = (
         [exact_degree] if exact_degree is not None else list(range(max_degree + 1))
     )
-    out = []
-    for m in degrees:
-        if m == 0:
-            out.append(field.poly((field.delta,)))
-            continue
-        leads = (1, field.delta) if m % 2 else (field.delta,)
-        for lead in leads:
-            for low in range(field.q**m):
-                out.append(field.poly_from_key(low + lead * field.q**m))
-    return out
-
-
-def rescale_to_canonical_disc(form):
-    """An equivalent-by-variable-scaling form whose disc is canonical.
-
-    Returns (form', scale u) with form' = form o diag(1, u); its disc is
-    u^2 disc(form), the canonical square-class representative.
-    """
-    F = form.field
-    d = form.discriminant()
-    lead = d.lc()
-    target = canonical_disc(d)
-    ratio = F.mul(target.lc(), F.inv(lead))  # u^2
-    u = _field_sqrt(F, ratio)
-    scale = Transformation.from_scalars(F, [[1, 0], [0, u]])
-    return scale.apply(form), u
-
-
-def _field_sqrt(field, a):
-    """The smaller square root r in 1..q-1 of a nonzero square a."""
-    r = _sqrt_table(field.q).get(a)
-    if not r:
-        raise ValueError("element is not a square")
-    return min(r, field.q - r)
+    return [
+        canonical_disc_at(field, m, index)
+        for m in degrees
+        for index in range(canonical_disc_count(field, m))
+    ]
 
 
 def class_number(form):
@@ -478,18 +459,6 @@ def cn1_prediction(form):
             return True
         return mu1 == 0 and not is_irreducible(d)
     return False
-
-
-def cn1_classification(form):
-    """(prediction, observed class number); prediction is None for q <= 13.
-
-    The criterion: deg D <= 1, or deg D = 2 with mu_1 = 1, or deg D = 2
-    with mu_1 = 0 and D reducible.
-    """
-    observed = class_number(form)
-    if form.field.q <= 13:
-        return None, observed
-    return cn1_prediction(form), observed
 
 
 def irreducible_factor_count(d):

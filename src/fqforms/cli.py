@@ -89,8 +89,6 @@ def _cmd_minima(args):
 def _cmd_repset(args):
     F = _field(args)
     form = form_from_string(F, args.form)
-    rs = repset_upto(form, args.max_degree, budget=args.budget)
-    polys = [poly_to_string(p) for p in rs.polys()]
     if args.counts:
         counts = rep_numbers(form, args.max_degree, budget=args.budget)
         payload = {poly_to_string(p): n for p, n in counts.items()}
@@ -99,7 +97,10 @@ def _cmd_repset(args):
                 print(f"{s}\t{n}")
         else:
             _emit({"k": args.max_degree, "counts": payload})
-    elif args.format == "lines":
+        return 0
+    rs = repset_upto(form, args.max_degree, budget=args.budget)
+    polys = [poly_to_string(p) for p in rs.polys()]
+    if args.format == "lines":
         for s in polys:
             print(s)
     else:

@@ -517,7 +517,7 @@ def _places_dividing(f):
     while rest.degree >= 2 * (d + 1):
         d += 1
         h = powmod(h, F.q, rest)
-        g = gcd_or_self(h - t, rest)
+        g = gcd(h - t, rest)
         if g.degree > 0:
             for p in _equal_degree_split(g, d):
                 e, rest = strip_valuation(rest, p)
@@ -536,10 +536,6 @@ def strip_valuation(f, p):
         f, v = quo, v + 1
 
 
-def gcd_or_self(g, f):
-    return f if g.is_zero() else gcd(g, f)
-
-
 def _equal_degree_split(f, d):
     """Cantor-Zassenhaus with a generator seeded from f, for reproducibility."""
     if f.degree == d:
@@ -552,11 +548,11 @@ def _equal_degree_split(f, d):
         a = F.poly([rng.randrange(F.q) for _ in range(n)])
         if a.degree <= 0:
             continue
-        g = gcd_or_self(a, f)
+        g = gcd(a, f)
         if 0 < g.degree < n:
             return _equal_degree_split(g, d) + _equal_degree_split(f // g, d)
         b = powmod(a, exponent, f) - 1
-        g = gcd_or_self(b, f)
+        g = gcd(b, f)
         if 0 < g.degree < n:
             return _equal_degree_split(g, d) + _equal_degree_split(f // g, d)
 

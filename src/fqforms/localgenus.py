@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ffpoly import factor, invmod, is_irreducible, residue_char, strip_valuation
-from .qform import diagonal_square_classes
+from .qform import Form, diagonal_square_classes
 
 
 class _PlaceAtInfinity:
@@ -258,25 +258,16 @@ def local_represents(form, f, p):
     return LocalRepDecider(form, p)(f)
 
 
-def square_class_at_infinity(f):
-    """The square class of f in K_inf = F_q((1/t)): None for f = 0, else
-    (deg f mod 2, chi(lc f)), since f / (lc f t^deg f) is a 1-unit and
-    1-units are squares (q odd)."""
-    if f.is_zero():
-        return None
-    return (f.degree % 2, f.field.char(f.lc()))
-
-
 def represented_at_infinity(form, f):
     """Whether f is represented by the form over K_inf = F_q((1/t)).
 
     For anisotropic Q and f != 0 this is the isotropy of Q + <-f>, i.e.
     the extended form failing to be definite.  Rank-4 anisotropic forms
     represent every class, so extending them is never needed here.  The
-    answer depends on f only through `square_class_at_infinity(f)`.
+    answer depends on f only through its square class in K_inf,
+    (deg f mod 2, chi(lc f)), since f / (lc f t^deg f) is a 1-unit and
+    1-units are squares (q odd).
     """
-    from .qform import Form
-
     if f.is_zero():
         return True
     if not form.is_definite():

@@ -35,6 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .classify import class_table
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import _jacobi, _places, factor, is_squarefree
 from .ffpoly import square_roots_mod, xgcd
@@ -87,10 +88,6 @@ def _check_curve(d0):
 def divisor_identity(d0):
     F = d0.field
     return MumfordDivisor(F.one, F.zero, d0)
-
-
-def divisor_negate(p):
-    return MumfordDivisor(p.u, (-p.v) % p.u, p.curve)
 
 
 def cantor_add(p1, p2):
@@ -152,12 +149,6 @@ def _order_dividing(p, n, primes):
         while n % ell == 0 and _multiple(p, n // ell).is_identity():
             n //= ell
     return n
-
-
-def divisor_order(p):
-    """Order of p, a divisor of |Pic| = pic_order(p.curve)."""
-    n = pic_order(p.curve)
-    return _order_dividing(p, n, _prime_divisors(n))
 
 
 @dataclass(frozen=True)
@@ -319,8 +310,6 @@ class CompReport:
 
 
 def comp_sequence_check(disc):
-    from .classify import class_table
-
     F = disc.field
     table = class_table(F, disc, primitive_only=True)  # checks disc is definite
     f0, conductor = F.one, []  # disc = lc(disc) g^2 f0, g from `conductor`

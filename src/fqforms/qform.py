@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapabilityError
-from .ffpoly import SquareClass
+from .ffpoly import SquareClass, gcd, poly_from_string, poly_to_string
 
 _REDUCE_CAP = 10_000
 
@@ -214,8 +214,6 @@ class Form:
 
     def content(self):
         """Monic gcd of all Gram entries."""
-        from .ffpoly import gcd
-
         acc = None
         for row in self.gram:
             for e in row:
@@ -496,8 +494,6 @@ def norm_form(d):
 # -- literals --------------------------------------------------------------
 
 def form_to_string(form):
-    from .ffpoly import poly_to_string
-
     g = form.gram
     if form.n == 2:
         return "({}, {}, {})".format(
@@ -517,8 +513,6 @@ def form_to_string(form):
 
 def form_from_string(field, text):
     """Parse `(a, b, c)` or `(a11,a22,a33;a12,a13,a23)` literals."""
-    from .ffpoly import poly_from_string
-
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"form literal must be parenthesized: {text!r}")

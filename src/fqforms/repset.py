@@ -400,17 +400,14 @@ class RepSet:
 
     `keys` is a sorted numpy int64 array of packed polynomials; ascending
     key order is the canonical order and a degree restriction is a prefix.
-    `counts` optionally maps each key to its number of representing vectors
-    within the enumeration grid.
     """
 
-    __slots__ = ("field", "k", "keys", "counts")
+    __slots__ = ("field", "k", "keys")
 
-    def __init__(self, field, k, keys, counts=None):
+    def __init__(self, field, k, keys):
         self.field = field
         self.k = k
         self.keys = keys
-        self.counts = counts
 
     def __len__(self):
         return len(self.keys)
@@ -444,34 +441,40 @@ class RepSet:
         return f"RepSet(k={self.k}, size={len(self.keys)})"
 
 
-def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET, with_counts=False):
+def _grid_bounds(red, k, slack):
+    """The coordinate degree bounds of V_k on a reduced form."""
+    minima = tuple(red.gram[i][i].degree for i in range(red.n))
+    return coordinate_degree_bounds(minima, k, slack)
+
+
+def _tail_values(grid, k):
+    """The grid's value keys below q^(k+1), one array per tail."""
+    limit = grid.q ** (k + 1)
+    for tail in grid.tails():
+        keys = grid.keys_for_tail(tail).ravel()
+        yield keys[keys < limit]
+
+
+def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET):
     """Exact V_k(Q), enumerated on the reduced representative of Q.
 
-    Without counts, an orthogonal tail is summed onto the binary block's
-    distinct keys (see the module docstring), and otherwise the tails'
-    keys are deduplicated by `_distinct`; either result equals
-    `np.unique`'s over the whole grid.
+    An orthogonal tail is summed onto the binary block's distinct keys (see
+    the module docstring), and otherwise the tails' keys are deduplicated
+    by `_distinct`; either result equals `np.unique`'s over the whole grid.
     """
     red, _ = reduce(form)
     F = form.field
     if k < 0:
-        keys = np.zeros(1, dtype=np.int64)
-        return RepSet(F, k, keys, {0: 1} if with_counts else None)
-    minima = tuple(red.gram[i][i].degree for i in range(red.n))
-    bounds = coordinate_degree_bounds(minima, k, slack)
+        return RepSet(F, k, np.zeros(1, dtype=np.int64))
+    bounds = _grid_bounds(red, k, slack)
     g = red.gram
-    if not with_counts and _orthogonal_tail(g):
+    if _orthogonal_tail(g):
         block = _block_keys([row[:2] for row in g[:2]], bounds[:2], budget)
         tail = _block_keys([row[2:] for row in g[2:]], bounds[2:], budget)
         return RepSet(F, k, _sumset(F.q, block, tail, k, budget))
     grid = _Grid(red, bounds, budget)
-    limit = F.q ** (k + 1)
-    tails = (grid.keys_for_tail(tail).ravel() for tail in grid.tails())
-    chunks = (keys[keys < limit] for keys in tails)
-    if not with_counts:
-        return RepSet(F, k, _distinct(chunks, limit, grid.vectors))
-    uniq, counts = np.unique(np.concatenate(list(chunks)), return_counts=True)
-    return RepSet(F, k, uniq, dict(zip(uniq.tolist(), counts.tolist())))
+    keys = _distinct(_tail_values(grid, k), F.q ** (k + 1), grid.vectors)
+    return RepSet(F, k, keys)
 
 
 # int64 values per `repset_keys_batch` chunk, which bounds its blocks
@@ -523,10 +526,17 @@ def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
 
 
 def rep_numbers(form, k, *, slack=0, budget=DEFAULT_BUDGET):
-    """Map f -> number of representing vectors, for every f in V_k(Q)."""
-    rs = repset_upto(form, k, slack=slack, budget=budget, with_counts=True)
+    """Map f -> number of representing vectors, for every f in V_k(Q), in
+    key order: counted by `np.unique` over the whole grid of the reduced
+    representative, one tail at a time."""
+    red, _ = reduce(form)
     F = form.field
-    return {F.poly_from_key(key): n for key, n in rs.counts.items()}
+    if k < 0:
+        return {F.zero: 1}
+    grid = _Grid(red, _grid_bounds(red, k, slack), budget)
+    keys = np.concatenate(list(_tail_values(grid, k)))
+    uniq, counts = np.unique(keys, return_counts=True)
+    return {F.poly_from_key(key): n for key, n in zip(uniq.tolist(), counts.tolist())}
 
 
 def represents(form, f, *, slack=0, budget=DEFAULT_BUDGET):
@@ -539,10 +549,8 @@ def represents(form, f, *, slack=0, budget=DEFAULT_BUDGET):
     red, tr = reduce(form)
     if f.is_zero():
         return tuple(F.zero for _ in range(form.n))
-    k = f.degree
     target = f.key()
-    minima = tuple(red.gram[i][i].degree for i in range(red.n))
-    grid = _Grid(red, coordinate_degree_bounds(minima, k, slack), budget)
+    grid = _Grid(red, _grid_bounds(red, f.degree, slack), budget)
     for tail in grid.tails():
         keys = grid.keys_for_tail(tail)
         hits = np.argwhere(keys == target)
@@ -561,13 +569,6 @@ def represents(form, f, *, slack=0, budget=DEFAULT_BUDGET):
             assert form.value(witness) == f
             return witness
     return None
-
-
-def sets_equal_upto(q1, q2, k, *, budget=DEFAULT_BUDGET):
-    """Whether V_k(Q1) = V_k(Q2)."""
-    a = repset_upto(q1, k, budget=budget)
-    b = repset_upto(q2, k, budget=budget)
-    return np.array_equal(a.keys, b.keys)
 
 
 def distinguishing_bound(m):
@@ -598,18 +599,3 @@ def key_degree(q, key):
     while key >= q ** (d + 1):
         d += 1
     return d
-
-
-ZERO_DEGREE_SENTINEL = -(2**40)
-
-
-def key_degrees(q, keys):
-    """Vectorized key_degree; deg(0) maps to a very negative sentinel."""
-    keys = np.asarray(keys, dtype=np.int64)
-    top = 2
-    while q**top <= keys.max(initial=0):
-        top += 1
-    powers = q ** np.arange(top + 1, dtype=np.int64)
-    out = np.searchsorted(powers, keys, side="right").astype(np.int64) - 1
-    out[keys == 0] = ZERO_DEGREE_SENTINEL
-    return out

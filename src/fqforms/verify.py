@@ -28,7 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .classify import canonical_discs, class_table, cn1_prediction
+from .classify import canonical_disc_at, canonical_disc_count, canonical_discs
+from .classify import class_table, cn1_prediction
 from .errors import DEFAULT_BUDGET
 from .ffpoly import SquareClass, is_squarefree, prime_field, sieve_factor
 from .localgenus import LocalRepDecider, represented_at_infinity
@@ -652,8 +653,9 @@ def _linear_place_classes(field, digits, root):
 
 
 def _infinity_classes(field, digits):
-    """(deg f mod 2, chi(lc f)) of each polynomial, its square class at
-    infinity (`square_class_at_infinity`); a zero row gets char 0."""
+    """(deg f mod 2, chi(lc f)) of each polynomial, its square class in
+    F_q((1/t)), since f / (lc f t^deg f) is a 1-unit and so a square (q
+    odd); a zero row gets char 0."""
     n = digits.shape[1]
     deg = n - 1 - (digits[:, ::-1] != 0).argmax(axis=1)
     lc = np.take_along_axis(digits, deg[:, None], axis=1)[:, 0]
@@ -837,13 +839,12 @@ def cn1_survey(cfg):
                         expected="class number 1" if predicted else "class number >= 2",
                     )
                 )
-    deg3 = canonical_discs(F, 3, exact_degree=3)
-    chosen = sorted(
-        rng.sample(range(len(deg3)), min(cfg.samples, len(deg3)))
-    )
+    # indices into the cubic canonical discriminants: only the chosen are built
+    count = canonical_disc_count(F, 3)
+    chosen = sorted(rng.sample(range(count), min(cfg.samples, count)))
     h_one_at_deg3 = []
     for idx in chosen:
-        disc = deg3[idx]
+        disc = canonical_disc_at(F, 3, idx)
         table = class_table(F, disc, primitive_only=True)
         for ci, rep in enumerate(table.class_representatives):
             instances += 1

@@ -3,25 +3,25 @@ import random
 import pytest
 
 from fqforms.classify import (
-    _field_sqrt,
-    canonical_disc,
+    canonical_disc_at,
+    canonical_disc_count,
     canonical_discs,
     class_number,
     class_table,
-    cn1_classification,
+    cn1_prediction,
     enumerate_forms,
     irreducible_factor_count,
     is_definite_disc,
-    rescale_to_canonical_disc,
 )
-from fqforms.ffpoly import poly_from_string, prime_field
+from fqforms.ffpoly import SquareClass, poly_from_string, prime_field
 from fqforms.qform import (
     Form,
+    Transformation,
     equivalent,
     properly_equivalent,
     successive_minima,
 )
-from tests.test_classify_oracles import form_key
+from tests.test_classify_oracles import field_sqrt, form_key
 from tests.test_qform import rand_definite_reduced, rand_gl2, remark_form
 
 F5 = prime_field(5)
@@ -32,6 +32,39 @@ F17 = prime_field(17)
 def proper_class_count(field, disc, primitive_only=True):
     """|G_D|: the number of proper classes of discriminant exactly `disc`."""
     return sum(class_table(field, disc, primitive_only).proper_counts)
+
+
+def canonical_disc(d):
+    """The square-class representative with leading coefficient 1 or delta."""
+    return SquareClass(d).rep
+
+
+def rescale_to_canonical_disc(form):
+    """An equivalent-by-variable-scaling form whose disc is canonical.
+
+    Returns (form', scale u) with form' = form o diag(1, u); its disc is
+    u^2 disc(form), the canonical square-class representative.
+    """
+    F = form.field
+    d = form.discriminant()
+    lead = d.lc()
+    target = canonical_disc(d)
+    ratio = F.mul(target.lc(), F.inv(lead))  # u^2
+    u = field_sqrt(F, ratio)
+    scale = Transformation.from_scalars(F, [[1, 0], [0, u]])
+    return scale.apply(form), u
+
+
+def cn1_classification(form):
+    """(prediction, observed class number); prediction is None for q <= 13.
+
+    The criterion: deg D <= 1, or deg D = 2 with mu_1 = 1, or deg D = 2
+    with mu_1 = 0 and D reducible.
+    """
+    observed = class_number(form)
+    if form.field.q <= 13:
+        return None, observed
+    return cn1_prediction(form), observed
 
 
 def test_is_definite_disc():
@@ -178,10 +211,10 @@ def test_field_sqrt_matches_scan(q):
     for a in range(q):
         roots = [r for r in range(1, q) if F.mul(r, r) == a]
         if roots:
-            assert _field_sqrt(F, a) == roots[0]
+            assert field_sqrt(F, a) == roots[0]
         else:
             with pytest.raises(ValueError):
-                _field_sqrt(F, a)
+                field_sqrt(F, a)
 
 
 def test_class_number_constant_disc():
@@ -227,6 +260,20 @@ def test_canonical_discs_shape():
     assert len(degree2) == 25  # delta lead only
     degree1 = [d for d in ds if d.degree == 1]
     assert len(degree1) == 10
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_canonical_disc_at_matches_key_scan(q):
+    # every polynomial of degree m led by 1 or delta (delta alone at even
+    # m), in key order, is the list that the indices run through
+    F = prime_field(q)
+    for m in range(4):
+        leads = (1, F.delta) if m % 2 else (F.delta,)
+        scan = (F.poly_from_key(key) for key in range(q**m, q ** (m + 1)))
+        want = [f for f in scan if f.lc() in leads]
+        count = canonical_disc_count(F, m)
+        assert [canonical_disc_at(F, m, i) for i in range(count)] == want
+        assert canonical_discs(F, m, exact_degree=m) == want
 
 
 def test_remark_form_string_parse():

@@ -28,13 +28,12 @@ import pytest
 from fqforms import classify, verify
 from fqforms.classify import (
     _class_keys,
-    _field_sqrt,
     canonical_discs,
     class_table,
     enumerate_forms,
 )
 from fqforms.errors import CapabilityError
-from fqforms.ffpoly import factor, prime_field
+from fqforms.ffpoly import _sqrt_table, factor, prime_field
 from fqforms.localgenus import (
     INFINITY,
     GenusSymbol,
@@ -48,6 +47,14 @@ from fqforms.verify import SweepConfig
 from tests.test_qform import reduced_images, scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
+
+
+def field_sqrt(field, a):
+    """The smaller square root r in 1..q-1 of a nonzero square a."""
+    r = _sqrt_table(field.q).get(a)
+    if not r:
+        raise ValueError("element is not a square")
+    return min(r, field.q - r)
 TABLE_CASES = [(3, 4), (5, 3), (7, 2)]
 ORBIT_CASES = [(3, 4), (5, 4), (7, 3)]
 
@@ -382,7 +389,7 @@ def same_disc_forms(field, m, count, rng):
         a2 = field.one
         for s in roots:
             a2 = a2 * (field.t - field.constant(s))
-        points = [(s, _field_sqrt(field, disc(s))) for s in roots]
+        points = [(s, field_sqrt(field, disc(s))) for s in roots]
         b2 = interpolate(field, points)
         c2, rem = divmod(b2 * b2 - disc, a2)
         assert rem.is_zero()

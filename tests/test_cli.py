@@ -5,7 +5,10 @@ import pytest
 
 import fqforms.cli
 from fqforms.cli import main
+from fqforms.ffpoly import poly_to_string, prime_field
 from fqforms.picard import weil_interval
+from fqforms.qform import form_from_string
+from fqforms.repset import rep_numbers
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,6 +61,30 @@ def test_repset_lines_and_counts(capsys):
     )
     payload = json.loads(out)
     assert payload["counts"]["0"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "lines"])
+def test_repset_counts_enumerate_once(capsys, monkeypatch, fmt):
+    # --counts reads the representation numbers alone: their keys are the
+    # set, so the set itself is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("repset_upto called")
+
+    monkeypatch.setattr(fqforms.cli, "repset_upto", refuse)
+    form = "(1,t,3*t+3;0,0,0)"
+    code, out = run_cli(
+        capsys,
+        "repset", "--q", "5", "--form", form, "--max-degree", "2", "--counts",
+        "--format", fmt,
+    )
+    assert code == 0
+    F = prime_field(5)
+    counts = rep_numbers(form_from_string(F, form), 2)
+    want = {poly_to_string(f): n for f, n in counts.items()}
+    if fmt == "json":
+        assert json.loads(out) == {"k": 2, "counts": want}
+    else:
+        assert out.splitlines() == [f"{s}\t{n}" for s, n in want.items()]
 
 
 def test_equal_and_proper_equal(capsys):

@@ -17,7 +17,6 @@ from fqforms.localgenus import (
     local_represents,
     represented_at_infinity,
     same_genus,
-    square_class_at_infinity,
 )
 from fqforms.qform import Form
 from fqforms.repset import _Grid
@@ -26,6 +25,15 @@ from tests.test_repset import rand_symmetric_form, ternary_family_form
 
 F5 = prime_field(5)
 F13 = prime_field(13)
+
+
+def square_class_at_infinity(f):
+    """The square class of f in K_inf = F_q((1/t)): None for f = 0, else
+    (deg f mod 2, chi(lc f)), since f / (lc f t^deg f) is a 1-unit and
+    1-units are squares (q odd)."""
+    if f.is_zero():
+        return None
+    return (f.degree % 2, f.field.char(f.lc()))
 
 
 def rand_poly(field, max_deg, rng):

@@ -11,11 +11,11 @@ from fqforms.ffpoly import residue_char
 from fqforms.picard import (
     AbelianStructure,
     MumfordDivisor,
+    _order_dividing,
+    _prime_divisors,
     cantor_add,
     comp_sequence_check,
     divisor_identity,
-    divisor_negate,
-    divisor_order,
     enumerate_reduced_divisors,
     pic_group,
     pic_order,
@@ -27,6 +27,16 @@ from fqforms.verify import SweepConfig, run_check
 
 F5 = prime_field(5)
 F13 = prime_field(13)
+
+
+def divisor_negate(p):
+    return MumfordDivisor(p.u, (-p.v) % p.u, p.curve)
+
+
+def divisor_order(p):
+    """Order of p, a divisor of |Pic| = pic_order(p.curve)."""
+    n = pic_order(p.curve)
+    return _order_dividing(p, n, _prime_divisors(n))
 
 
 def affine_point_count(d0):

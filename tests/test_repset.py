@@ -18,12 +18,31 @@ from fqforms.repset import (
     represents,
     repset_keys_batch,
     repset_upto,
-    sets_equal_upto,
 )
 from tests.test_qform import is_square_in_A, rand_definite_reduced, rand_gl2
 
 F5 = prime_field(5)
 F13 = prime_field(13)
+
+
+def sets_equal_upto(q1, q2, k):
+    """Whether V_k(Q1) = V_k(Q2)."""
+    return np.array_equal(repset_upto(q1, k).keys, repset_upto(q2, k).keys)
+
+
+ZERO_DEGREE_SENTINEL = -(2**40)
+
+
+def key_degrees(q, keys):
+    """Vectorized key_degree; deg(0) maps to a very negative sentinel."""
+    keys = np.asarray(keys, dtype=np.int64)
+    top = 2
+    while q**top <= keys.max(initial=0):
+        top += 1
+    powers = q ** np.arange(top + 1, dtype=np.int64)
+    out = np.searchsorted(powers, keys, side="right").astype(np.int64) - 1
+    out[keys == 0] = ZERO_DEGREE_SENTINEL
+    return out
 
 
 def ternary_family_form(field, a):
@@ -111,9 +130,6 @@ def test_ternary_degree_formula_exhaustive_small_grid():
     # deg Q(x) = max_i(2 deg x_i + mu_i), checked on every vector with
     # deg x_i <= 2; this implies the coordinate bounds lose nothing for any
     # k whose bounds stay within the grid, without inflated enumeration
-    from fqforms.qform import reduce
-    from fqforms.repset import _Grid, key_degrees
-
     for a in (1, 2):
         q = ternary_family_form(F5, a)
         red, _ = reduce(q)
@@ -546,9 +562,8 @@ def test_bitset_dedupe_matches_unique_both_sides_of_threshold():
         got = repset_upto(form, k, slack=slack, budget=10**9)
         assert got.keys.dtype == want.dtype
         assert np.array_equal(got.keys, want)
-        counted = repset_upto(form, k, slack=slack, budget=10**9, with_counts=True)
-        assert np.array_equal(counted.keys, want)
-        assert sorted(counted.counts) == want.tolist()
+        counted = rep_numbers(form, k, slack=slack, budget=10**9)
+        assert [f.key() for f in counted] == want.tolist()
     assert sides == {True, False}
 
 
@@ -656,9 +671,8 @@ def test_tail_loop_kept_off_the_orthogonal_path(monkeypatch):
         for k in (2, 4):
             assert np.array_equal(repset_upto(form, k).keys, tail_loop_keys(form, k))
     family = ternary_family_form(F5, 1)
-    counted = repset_upto(family, 4, with_counts=True)
-    assert np.array_equal(counted.keys, tail_loop_keys(family, 4))
-    assert sorted(counted.counts) == counted.keys.tolist()
+    counted = rep_numbers(family, 4)
+    assert [f.key() for f in counted] == tail_loop_keys(family, 4).tolist()
     binary = Form.diagonal([F5.one, F5.t])
     assert np.array_equal(repset_upto(binary, 4).keys, tail_loop_keys(binary, 4))
     assert represents(family, F5.t**4) is not None
@@ -695,14 +709,14 @@ def test_sumset_budget_counts_key_pairs():
 
 
 def test_shared_block_sets_match_full_grid_oracle():
-    # the counted path never takes the orthogonal tail: it loops over the
-    # whole rank-3 grid; the sets agree cold and with the block cached
+    # the tail loop over the whole rank-3 grid is the oracle; the sets
+    # agree with it cold and with the block cached
     import fqforms.repset as repset_module
 
     for k in range(5):
         for a in range(1, 5):
             form = ternary_family_form(F5, a)
-            want = repset_upto(form, k, with_counts=True).keys
+            want = tail_loop_keys(form, k)
             repset_module._binary_block_keys.cache_clear()
             assert np.array_equal(repset_upto(form, k).keys, want), (a, k)
             assert np.array_equal(repset_upto(form, k).keys, want), (a, k)

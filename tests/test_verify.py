@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -12,11 +13,7 @@ import fqforms
 from fqforms.classify import canonical_discs, class_table
 from fqforms.errors import BudgetError
 from fqforms.ffpoly import SquareClass, prime_field, residue_char, strip_valuation
-from fqforms.localgenus import (
-    LocalRepDecider,
-    represented_at_infinity,
-    square_class_at_infinity,
-)
+from fqforms.localgenus import LocalRepDecider, represented_at_infinity
 from fqforms.qform import Form, successive_minima
 from fqforms.repset import RepSet, _coeff_rows, repset_upto
 from fqforms.verify import (
@@ -37,6 +34,7 @@ from fqforms.verify import (
     verify_equiv_theorems,
     verify_minima_recovery,
 )
+from tests.test_localgenus import square_class_at_infinity
 from tests.test_qform import reduced_images
 
 
@@ -392,6 +390,33 @@ def test_cn1_survey_q13_mode():
     assert r.passed
     # failures below the q > 13 threshold are expected exceptions
     assert all(v.check == "cn1" for v in r.expected_exceptions)
+
+
+def test_cn1_survey_builds_only_the_sampled_cubic_discs(monkeypatch):
+    # the degree-3 sample is drawn as indices into the 2 q^3 cubic canonical
+    # discriminants, and only the chosen are built: the same discriminants,
+    # in the same order, as sampling from the full list
+    from fqforms import verify
+
+    asked, tabled = [], []
+    discs, table = verify.canonical_discs, verify.class_table
+
+    def listing(field, max_degree, exact_degree=None):
+        asked.append((max_degree, exact_degree))
+        return discs(field, max_degree, exact_degree)
+
+    def tabling(field, disc, primitive_only=False):
+        tabled.append(disc)
+        return table(field, disc, primitive_only)
+
+    monkeypatch.setattr(verify, "canonical_discs", listing)
+    monkeypatch.setattr(verify, "class_table", tabling)
+    r = run_check("cn1", SweepConfig(q=17, samples=12, seed=5))
+    assert asked == [(2, None)]
+    deg3 = canonical_discs(prime_field(17), 3, exact_degree=3)
+    chosen = sorted(random.Random(5).sample(range(len(deg3)), 12))
+    assert [d for d in tabled if d.degree == 3] == [deg3[i] for i in chosen]
+    assert r.stats["deg3_sampled"] == 12
 
 
 def test_comp_bridge_q5():
