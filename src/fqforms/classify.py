@@ -428,14 +428,11 @@ def canonical_disc_at(field, m, index):
     return field.poly_from_key(low + leads[lead] * field.q**m)
 
 
-def canonical_discs(field, max_degree, exact_degree=None):
+def canonical_discs(field, max_degree):
     """Canonical definite discriminants, ascending by (degree, key)."""
-    degrees = (
-        [exact_degree] if exact_degree is not None else list(range(max_degree + 1))
-    )
     return [
         canonical_disc_at(field, m, index)
-        for m in degrees
+        for m in range(max_degree + 1)
         for index in range(canonical_disc_count(field, m))
     ]
 

@@ -108,13 +108,15 @@ def _cmd_repset(args):
     return 0
 
 
-def _equal_command(args, finder):
+def _two_forms(args):
     F = _field(args)
     if len(args.form) != 2:
         raise ValueError("exactly two --form literals are required")
-    q1 = form_from_string(F, args.form[0])
-    q2 = form_from_string(F, args.form[1])
-    w = finder(q1, q2)
+    return [form_from_string(F, literal) for literal in args.form]
+
+
+def _equal_command(args, finder):
+    w = finder(*_two_forms(args))
     payload = {"equivalent": w is not None}
     if w is not None:
         payload["transformation"] = _transformation_rows(w)
@@ -150,11 +152,7 @@ def _symbol_payload(sym):
 
 
 def _cmd_genus(args):
-    F = _field(args)
-    if len(args.form) != 2:
-        raise ValueError("exactly two --form literals are required")
-    q1 = form_from_string(F, args.form[0])
-    q2 = form_from_string(F, args.form[1])
+    q1, q2 = _two_forms(args)
     symbols = genus_symbols(q1, q2)
     _emit(
         {

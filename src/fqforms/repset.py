@@ -22,8 +22,8 @@ folded from the planes one plane at a time (Horner's rule into int64),
 never by a tensor contraction, which would upcast the whole block.
 
 The plane kernel (`_binary_planes`, `_fold`) has a leading batch axis:
-it takes R binary blocks over one coordinate grid, their coefficients
-zero-padded to one length.  `_Grid` runs it with R = 1.
+it takes the binary blocks of R forms over one coordinate grid, their
+coefficients zero-padded to one length.  `_Grid` runs it with R = 1.
 `repset_keys_batch` runs it on many reduced forms that share their
 minima, and so their bounds, at once: chunks of about 2^14 int64 values
 (so the int64 blocks stay small), each deduplicated by one `_distinct`
@@ -59,7 +59,7 @@ import functools
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetError
-from .qform import Form, key_powers, reduce
+from .qform import Form, _poly_rows, key_powers, reduce
 
 
 def coordinate_degree_bounds(minima, k, slack=0):
@@ -123,17 +123,21 @@ def _value_length(gram, bounds):
     )
 
 
-def _binary_planes(coeffs, x, y, length, q):
-    """The (R, length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2 for R
-    binary blocks at once, over the coefficient rows x (Nx, cx) and y (Ny, cy).
+def _binary_planes(forms, x, y, length, q):
+    """The (R, length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2 for the
+    binary blocks (g_11, g_12, g_22) of R forms at once, over the
+    coefficient rows x (Nx, cx) and y (Ny, cy).
 
-    `coeffs` is the (R, 3, L) array of the coefficients of a, b and c, each
-    zero-padded to one length L.  Plane i of block r is one integer product,
+    The coefficients of a, b and c are zero-padded to the longest among
+    them, an (R, 3, L) array.  Plane i of block r is one integer product,
     [x, (a x^2)_i, 1] @ [W_i; 1; (c y^2)_i] with W_i[s] = (2 b y)_(i-s),
     reduced mod q into the narrowest unsigned type that holds 3 (q - 1),
     so no (Nx, Ny, length) block of int64 is ever allocated.
     """
-    count = len(coeffs)
+    polys = [p for f in forms for p in (f.gram[0][0], f.gram[0][1], f.gram[1][1])]
+    width = max(len(p.coeffs) for p in polys)
+    coeffs = _poly_rows(polys, width).reshape(len(forms), 3, width)
+    count = len(forms)
     cx = x.shape[1]
     a, two_b, c = coeffs[:, 0], coeffs[:, 1] * 2 % q, coeffs[:, 2]
     # by[r, :, cx + m] = (2 b y)_m; the cx zero columns in front stand for m < 0
@@ -187,15 +191,6 @@ def _fold(planes, q, parts=None):
     return keys
 
 
-def _coeff_array(grams):
-    """The (R, 3, L) coefficients of g_11, g_12, g_22 for R Gram matrices,
-    zero-padded to the longest tuple among them."""
-    polys = [p.coeffs for g in grams for p in (g[0][0], g[0][1], g[1][1])]
-    width = max(map(len, polys))
-    rows = [list(p) + [0] * (width - len(p)) for p in polys]
-    return np.array(rows, dtype=np.int64).reshape(len(grams), 3, width)
-
-
 class _Grid:
     """Value keys of a reduced form over the coordinate grid, rank 2..4.
 
@@ -225,9 +220,7 @@ class _Grid:
         self.x_rows = _coeff_rows(q, counts[0])
         self.y_rows = _coeff_rows(q, counts[1])
         self.tail_sizes = [q**c for c in counts[2:]]
-        self.base = _binary_planes(
-            _coeff_array([red.gram]), self.x_rows, self.y_rows, length, q
-        )[0]
+        self.base = _binary_planes([red], self.x_rows, self.y_rows, length, q)[0]
 
     def tails(self):
         """All tail coordinate keys, () for binary forms."""
@@ -513,9 +506,7 @@ def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
     def chunks():
         for start in range(0, len(forms), step):
             chunk = forms[start : start + step]
-            planes = _binary_planes(
-                _coeff_array([f.gram for f in chunk]), x, y, length, q
-            )
+            planes = _binary_planes(chunk, x, y, length, q)
             keys = _fold(planes, q).reshape(len(chunk), -1)
             keys += np.arange(len(chunk), dtype=np.int64)[:, None] * stride
             uniq = _distinct([keys.ravel()], stride * len(chunk), keys.size)

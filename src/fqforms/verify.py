@@ -10,9 +10,10 @@ Representation sets drive most checks.  V_j is the part of V_k of degree
 a prefix of those of V_k.  The class records are therefore refined one
 degree at a time: V_(d+1) is enumerated only for records whose V_d digest
 some other record shares, and a record whose V_d is unique is resolved at
-d, since its V_k is then unique for every k >= d.  Pairs with equal digests
-are re-enumerated for exact set comparison, so the comparisons stay exact
-while most classes never need their large representation sets.
+d, since its V_k is then unique for every k >= d.  Records with equal
+digests have their V_k enumerated once each for exact set comparison, so
+the comparisons stay exact while most classes never need their large
+representation sets.
 
 Checks whose hypotheses carry a lower bound on q ("q > 3", "q > 13") can
 also run just below the threshold; they then record failures as expected
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -55,14 +57,7 @@ class SweepConfig:
             raise ValueError("jobs must be positive")
 
     def as_dict(self):
-        return {
-            "q": self.q,
-            "max_disc_degree": self.max_disc_degree,
-            "samples": self.samples,
-            "seed": self.seed,
-            "budget": self.budget,
-            "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -73,12 +68,7 @@ class Violation:
     expected: object
 
     def as_dict(self):
-        return {
-            "check": self.check,
-            "witness": self.witness,
-            "observed": self.observed,
-            "expected": self.expected,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -112,7 +102,6 @@ class Report:
 @dataclass
 class ClassRecord:
     disc: object
-    disc_degree: int
     class_index: int
     rep: object
     minima: tuple
@@ -140,7 +129,7 @@ class SweepData:
     record shares stays unshared at every larger k, so a resolved record
     needs no larger V_k.  Refinement stops once no group of two or more is
     left.  Equal digests do not prove equal sets; `equal_set_pairs`
-    re-verifies every tied pair exactly.
+    compares the exact sets of every tied record.
     """
 
     def __init__(self, cfg, classes):
@@ -150,14 +139,12 @@ class SweepData:
         self.records = [
             ClassRecord(
                 disc=disc,
-                disc_degree=disc.degree,
                 class_index=ci,
                 rep=rep,
                 minima=tuple(rep.gram[i][i].degree for i in range(rep.n)),
             )
             for disc, ci, rep in classes
         ]
-        self._key_cache = {}
         # least degree at which two records differ -> number of such pairs
         self.distinguishing_histogram = {}
         # pairs still tied at V_kmax
@@ -207,26 +194,14 @@ class SweepData:
             for i in group:
                 records[i].resolved_at = self.kmax + 1
 
-    def value_keys(self, record, k):
-        """Exact V_k keys of a record, cached."""
-        cache_key = (record.disc.key(), record.class_index, k)
-        if cache_key not in self._key_cache:
-            if len(self._key_cache) > 64:
-                self._key_cache.clear()
-            self._key_cache[cache_key] = repset_upto(
-                record.rep, k, budget=self.cfg.budget
-            ).keys
-        return self._key_cache[cache_key]
-
-    def sets_equal(self, r1, r2, k):
-        """Exact equality of V_k sets (digest matches are re-verified)."""
-        return np.array_equal(self.value_keys(r1, k), self.value_keys(r2, k))
-
     def equal_set_pairs(self, records, k):
-        """Pairs (r1, r2) of distinct records with V_k(r1) = V_k(r2).
+        """Pairs (r1, r2) of distinct records with V_k(r1) = V_k(r2): by
+        bucket in order of first member, then (i < j) within a bucket.
 
         A record resolved at or below k shares its V_k with no record, so
         only records still tied at k are bucketed by their V_k digest.
+        Each record of a bucket of two or more has its V_k enumerated once,
+        and the members whose keys are equal are paired.
         """
         buckets = {}
         for rec in records:
@@ -234,10 +209,14 @@ class SweepData:
                 buckets.setdefault(rec.digests[k], []).append(rec)
         out = []
         for members in buckets.values():
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    if self.sets_equal(members[i], members[j], k):
-                        out.append((members[i], members[j]))
+            if len(members) < 2:
+                continue
+            same = {}  # exact V_k keys -> bucket positions of their records
+            for i, rec in enumerate(members):
+                keys = repset_upto(rec.rep, k, budget=self.cfg.budget).keys
+                same.setdefault(keys.tobytes(), []).append(i)
+            pairs = sorted(p for pos in same.values() for p in combinations(pos, 2))
+            out.extend((members[i], members[j]) for i, j in pairs)
         return out
 
 
@@ -290,13 +269,13 @@ def _levelled_pairs(data, disc_window):
     disc degree."""
     instances, pairs = 0, []
     for m in range(data.cfg.max_disc_degree + 1):
-        level = [r for r in data.records if r.disc_degree <= m]
+        level = [r for r in data.records if r.disc.degree <= m]
         instances += comb(len(level), 2)
         k = max(3 * m - 2, 0) if disc_window else m
         pairs.extend(
             (r1, r2, k)
             for r1, r2 in data.equal_set_pairs(level, k)
-            if max(r1.disc_degree, r2.disc_degree) == m
+            if max(r1.disc.degree, r2.disc.degree) == m
         )
     return instances, pairs
 
@@ -309,14 +288,14 @@ def verify_minima_recovery(cfg):
     violations = []
     instances, pairs = _levelled_pairs(data, disc_window=False)
     for r1, r2, _ in pairs:
-        if r1.minima != r2.minima or r1.disc_degree != r2.disc_degree:
+        if r1.minima != r2.minima or r1.disc.degree != r2.disc.degree:
             violations.append(
                 Violation(
                     "minima",
                     _witness_pair(r1, r2),
                     observed={
                         "minima": [list(r1.minima), list(r2.minima)],
-                        "disc_degrees": [r1.disc_degree, r2.disc_degree],
+                        "disc_degrees": [r1.disc.degree, r2.disc.degree],
                     },
                     expected="equal minima and disc degrees",
                 )
@@ -379,26 +358,23 @@ def verify_equiv_theorems(cfg):
     data = sweep_data(cfg)
     violations = []
     instances = 0
-    # (i): within one canonical disc and minima bucket, compare at mu_2
-    by_disc = {}
+    # (i): within one canonical disc and minima bucket, compare at mu_2;
+    # records come disc by disc, so the buckets do too
+    buckets = {}
     for rec in data.records:
-        by_disc.setdefault(rec.disc.key(), []).append(rec)
-    for members in by_disc.values():
-        by_minima = {}
-        for rec in members:
-            by_minima.setdefault(rec.minima, []).append(rec)
-        for minima, bucket in by_minima.items():
-            instances += len(bucket) * (len(bucket) - 1) // 2
-            for r1, r2 in data.equal_set_pairs(bucket, minima[1]):
-                violations.append(
-                    Violation(
-                        "equiv",
-                        _witness_pair(r1, r2),
-                        observed="same disc and minima, equal V_%d, inequivalent"
-                        % minima[1],
-                        expected="equivalent forms",
-                    )
+        buckets.setdefault((rec.disc.key(), rec.minima), []).append(rec)
+    for (_, minima), bucket in buckets.items():
+        instances += comb(len(bucket), 2)
+        for r1, r2 in data.equal_set_pairs(bucket, minima[1]):
+            violations.append(
+                Violation(
+                    "equiv",
+                    _witness_pair(r1, r2),
+                    observed="same disc and minima, equal V_%d, inequivalent"
+                    % minima[1],
+                    expected="equivalent forms",
                 )
+            )
     # (ii): all pairs at the 3m-2 window, levelled by max disc degree
     level_instances, pairs = _levelled_pairs(data, disc_window=True)
     instances += level_instances
@@ -429,15 +405,11 @@ def _pencil_quartic(field, a, b, bp, c):
     d = F.delta
     x = F.t  # the pencil variable
     zero = F.zero
-
-    def cpoly(v):
-        return F.constant(v)
-
     m = [
-        [x + cpoly(a), cpoly(b), zero, zero],
-        [cpoly(b), -cpoly(d) * x + cpoly(c), zero, zero],
-        [zero, zero, -x - cpoly(a), -cpoly(bp)],
-        [zero, zero, -cpoly(bp), cpoly(d) * x - cpoly(c)],
+        [x + F.constant(a), F.constant(b), zero, zero],
+        [F.constant(b), -F.constant(d) * x + F.constant(c), zero, zero],
+        [zero, zero, -x - F.constant(a), -F.constant(bp)],
+        [zero, zero, -F.constant(bp), F.constant(d) * x - F.constant(c)],
     ]
     return _mat_det(tuple(tuple(row) for row in m))
 
@@ -821,45 +793,36 @@ def cn1_survey(cfg):
     as expected exceptions)."""
     F = prime_field(cfg.q)
     rng = random.Random(cfg.seed)
-    violations = []
-    instances = 0
-    expect_exceptions = cfg.q <= 13
-    for disc in canonical_discs(F, 2):
-        table = class_table(F, disc, primitive_only=True)
-        for ci, rep in enumerate(table.class_representatives):
-            instances += 1
-            observed = len(table.genera[table.genus_index_of_class(ci)])
-            predicted = cn1_prediction(rep)
-            if predicted != (observed == 1):
-                violations.append(
-                    Violation(
-                        "cn1",
-                        {"form": form_to_string(rep), "disc": str(disc)},
-                        observed=observed,
-                        expected="class number 1" if predicted else "class number >= 2",
-                    )
-                )
     # indices into the cubic canonical discriminants: only the chosen are built
     count = canonical_disc_count(F, 3)
     chosen = sorted(rng.sample(range(count), min(cfg.samples, count)))
+    cubics = (canonical_disc_at(F, 3, idx) for idx in chosen)
+    violations = []
+    instances = 0
     h_one_at_deg3 = []
-    for idx in chosen:
-        disc = canonical_disc_at(F, 3, idx)
+    for disc in chain(canonical_discs(F, 2), cubics):
         table = class_table(F, disc, primitive_only=True)
         for ci, rep in enumerate(table.class_representatives):
             instances += 1
             observed = len(table.genera[table.genus_index_of_class(ci)])
-            if observed == 1:
-                v = Violation(
+            # the criterion predicts class number >= 2 at every deg D >= 3
+            predicted = disc.degree <= 2 and cn1_prediction(rep)
+            if predicted == (observed == 1):
+                continue
+            expected = "class number 1" if predicted else "class number >= 2"
+            if disc.degree > 2:
+                expected += " at disc degree %d" % disc.degree
+                h_one_at_deg3.append(form_to_string(rep))
+            violations.append(
+                Violation(
                     "cn1",
                     {"form": form_to_string(rep), "disc": str(disc)},
-                    observed=1,
-                    expected="class number >= 2 at disc degree 3",
+                    observed=observed,
+                    expected=expected,
                 )
-                violations.append(v)
-                h_one_at_deg3.append(form_to_string(rep))
+            )
     stats = {"deg3_sampled": len(chosen), "h_one_deg3_forms": h_one_at_deg3[:20]}
-    return _finish("cn1", cfg, instances, violations, stats, expect_exceptions)
+    return _finish("cn1", cfg, instances, violations, stats, cfg.q <= 13)
 
 
 def comp_bridge_sweep(cfg):

@@ -226,6 +226,24 @@ def test_verify_ternary_report_matches_golden(capsys, q):
     assert out == (DATA / f"ternary-q{q}.json").read_text()
 
 
+@pytest.mark.parametrize("q,samples", [(5, 10), (17, 40)])
+def test_verify_cn1_report_matches_golden(capsys, q, samples):
+    # reports recorded before the degree <= 2 and degree-3 passes of the
+    # survey shared one loop
+    argv = ["verify", "cn1", "--q", str(q), "--samples", str(samples)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / f"cn1-q{q}.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["equal", "proper-equal", "genus"])
+def test_two_form_commands_refuse_one_form(capsys, command):
+    code = main([command, "--q", "5", "--form", "(t, 1, t^2+2)"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: exactly two --form literals are required\n"
+
+
 def test_picard_conductor(capsys):
     code, out = run_cli(
         capsys, "picard", "--q", "5", "--d0", "t+1", "--conductor", "t"

@@ -34,6 +34,7 @@ from fqforms.verify import (
     verify_equiv_theorems,
     verify_minima_recovery,
 )
+from tests.test_classify_oracles import discs_of_degree
 from tests.test_localgenus import square_class_at_infinity
 from tests.test_qform import reduced_images
 
@@ -401,9 +402,9 @@ def test_cn1_survey_builds_only_the_sampled_cubic_discs(monkeypatch):
     asked, tabled = [], []
     discs, table = verify.canonical_discs, verify.class_table
 
-    def listing(field, max_degree, exact_degree=None):
-        asked.append((max_degree, exact_degree))
-        return discs(field, max_degree, exact_degree)
+    def listing(field, max_degree):
+        asked.append(max_degree)
+        return discs(field, max_degree)
 
     def tabling(field, disc, primitive_only=False):
         tabled.append(disc)
@@ -412,8 +413,8 @@ def test_cn1_survey_builds_only_the_sampled_cubic_discs(monkeypatch):
     monkeypatch.setattr(verify, "canonical_discs", listing)
     monkeypatch.setattr(verify, "class_table", tabling)
     r = run_check("cn1", SweepConfig(q=17, samples=12, seed=5))
-    assert asked == [(2, None)]
-    deg3 = canonical_discs(prime_field(17), 3, exact_degree=3)
+    assert asked == [2]
+    deg3 = discs_of_degree(prime_field(17), 3)
     chosen = sorted(random.Random(5).sample(range(len(deg3)), 12))
     assert [d for d in tabled if d.degree == 3] == [deg3[i] for i in chosen]
     assert r.stats["deg3_sampled"] == 12
@@ -556,7 +557,7 @@ def test_comp_bridge_q13_sampled():
     F13 = prime_field(13)
     rng = _random.Random(17)
     discs = [d for d in canonical_discs(F13, 2) if is_squarefree(d)]
-    deg3 = [d for d in canonical_discs(F13, 3, exact_degree=3) if is_squarefree(d)]
+    deg3 = [d for d in discs_of_degree(F13, 3) if is_squarefree(d)]
     discs += [deg3[i] for i in sorted(rng.sample(range(len(deg3)), 25))]
     for d in discs:
         report = comp_sequence_check(d)
@@ -656,6 +657,27 @@ def test_lazy_refinement_matches_eager_oracle(q, max_deg, monkeypatch):
         data.distinguishing_histogram,
         data.undistinguished_pairs,
     )
+
+
+def test_equal_set_pairs_enumerates_each_tied_record_once(monkeypatch):
+    # the 327 records still tied at V_0 share one digest bucket: each has
+    # its V_0 enumerated once, not once per pair it is compared in
+    from fqforms import verify
+
+    data = sweep_data(small_cfg(q=3, max_deg=3))
+    oracle = EagerOracle(data.records, data.kmax, 3)
+    calls = []
+    enumerate_set = verify.repset_upto
+
+    def counting(form, k, **kw):
+        calls.append(k)
+        return enumerate_set(form, k, **kw)
+
+    monkeypatch.setattr(verify, "repset_upto", counting)
+    pairs = data.equal_set_pairs(data.records, 0)
+    assert calls == [0] * 327
+    assert len(pairs) == 22458
+    assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(data.records, 0))
 
 
 def test_lazy_refinement_repeated_representative():
