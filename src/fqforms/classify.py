@@ -36,23 +36,29 @@ there, never scaled by units; `forms` come in `enumerate_forms` order,
 monic forms first, so every class's first form is among them.  That
 first form is the representative of a class, (l a_m, b) with l the least
 lead in the square class of u and b the first of +-b where
-deg a < deg c, and classes are ordered by it.
+deg a < deg c, and classes are ordered by it.  A table keeps, for each
+class, its monic solution (a_m, b), its lead l and, where the torus pass
+computed it, c; the representative (l a_m, b, c) is built on first read,
+with c = (b^2 - D) / a_m computed once per (a_m, b) and divided by l.
 
 Genera group classes by their local data (Jordan invariants at the
 divisors of D, Hasse symbol at infinity) and are built on first read,
-from the class representatives alone, so a sweep that reads only the
-representatives never computes one.  The divisors of D are read off the
+from the monic solutions, so a sweep that reads only the representatives
+never computes one, and a sweep that reads only genera builds no
+representative of a primitive class.  The divisors of D are read off the
 square-root sieve (`ffpoly.sieve_factor`) that also gives the roots.
 At every divisor p of D, whatever v_p(D), the Jordan data of a class
 primitive at p is one assigned character, chi_p(a), or chi_p(c) when
 p | a (`localgenus._jordan_at_place`).  chi_p(a) is computed once per
-monic a_m, as chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m), and chi_p(c) per
-class where p | a.  The Hasse symbol at infinity of (a, b, c) comes from
-its diagonal <a, -a D> and so depends only on deg a and the square class
-of lc a.  A class whose characters vanish at p has content divisible by p,
-and only such a class takes a full `genus_symbol`.  Residue characters
-come from quadratic reciprocity (`ffpoly._jacobi`), at places the sieve
-has already shown irreducible.
+monic a_m, as chi_p(l a_m) = chi(l)^(deg p) chi_p(a_m) (1 at a_m = 1),
+and chi_p(c) = chi(l)^(deg p) chi_p((b^2 - D) / a_m) per class where
+p | a_m.  The Hasse symbol at infinity of (a, b, c) comes from its
+diagonal <a, -a D> and so depends only on deg a and the square class of
+lc a (`localgenus._binary_hasse_at_infinity`).  A class whose characters
+vanish at p has content divisible by p, and only such a class builds its
+representative and takes a full `genus_symbol`.  Residue characters come
+from quadratic reciprocity (`ffpoly._jacobi`, one step at a linear a_m),
+at places the sieve has already shown irreducible.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -68,7 +74,7 @@ import numpy as np
 
 from .ffpoly import _jacobi, factor, is_irreducible
 from .ffpoly import is_squarefree, sieve_factor, square_roots_mod
-from .localgenus import GenusSymbol, _hasse_at_infinity, genus_symbol
+from .localgenus import GenusSymbol, _binary_hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
     _bilinear_weights,
@@ -221,23 +227,30 @@ def _class_keys(triples):
 class ClassTable:
     """The classes of one exact discriminant, with their genera.
 
-    `class_representatives` holds the first form of each class in
-    `enumerate_forms` order, and classes are ordered by it;
-    `proper_counts[i]` is the number of proper classes (1 or 2) in class i.
-    `places` holds the (place, multiplicity) pairs of `disc`, as
-    `factor(disc)[1]` gives them, read off the sieve (`sieve_factor`).
-    `genus_keys` (one per class) and `genera` (sorted class-index lists,
-    ordered by first member) are built on first use from the
-    representatives, as are `forms`, `classes` and
-    `proper_classes` (sorted form-index lists, ordered by first member),
-    which list every form.
+    The table keeps what its build found: `_monic` holds the monic
+    solutions (a_m, b, c) that name classes, c where the torus pass
+    computed it and None elsewhere, and `_classes` holds (index into
+    `_monic`, a) for each class, a = a_m or a_m times the first
+    non-square.  `proper_counts[i]` is the number of proper classes (1 or
+    2) in class i.  `places` holds the (place, multiplicity) pairs of
+    `disc`, as `factor(disc)[1]` gives them, read off the sieve
+    (`sieve_factor`).
+
+    The rest is built on first read.  `class_representatives` holds the
+    first form of each class in `enumerate_forms` order, and classes are
+    ordered by it.  `genus_keys` (one per class) and `genera` (sorted
+    class-index lists, ordered by first member) come from the monic
+    solutions, with no representative built for a primitive class.
+    `forms`, `classes` and `proper_classes` (sorted form-index lists,
+    ordered by first member) list every form.
     """
 
     field: object
     disc: object
     primitive_only: bool
     places: list
-    class_representatives: list
+    _monic: list  # (a_m, b, c or None)
+    _classes: list  # (index into _monic, a) per class
     proper_counts: list
     _class_of_key: dict  # (a, b) keys of a class's first form -> class index
 
@@ -262,9 +275,34 @@ class ClassTable:
         return [sum(self.proper_counts[ci] for ci in genus) for genus in self.genera]
 
     @functools.cached_property
+    def class_representatives(self):
+        """The form (a, b, c) of each class: c = (b^2 - disc) / a_m is
+        computed once per monic solution and divided by the lead of a."""
+        F, disc = self.field, self.disc
+        binary = Form._trusted_binary
+        cs = []
+        for a_m, b, c in self._monic:
+            if c is None:
+                c = b * b - disc
+                if a_m.degree:  # a_m = 1 needs no division
+                    c = c // a_m
+            cs.append(c)
+        inv = {}  # the constant 1 / lead, by lead
+        out = []
+        for i, a in self._classes:
+            b, c = self._monic[i][1], cs[i]
+            lead = a.coeffs[-1]
+            if lead != 1:
+                if lead not in inv:
+                    inv[lead] = F.constant(F.inv(lead))
+                c = c * inv[lead]
+            out.append(binary(a, b, c))
+        return out
+
+    @functools.cached_property
     def genus_keys(self):
         """One key per class, equal exactly within a genus (`_genus_keys`)."""
-        return _genus_keys(self.class_representatives, self.disc, self.places)
+        return _genus_keys(self)
 
     @functools.cached_property
     def genera(self):
@@ -283,7 +321,7 @@ class ClassTable:
 
     @functools.cached_property
     def _genus_of_class(self):
-        out = [None] * len(self.class_representatives)
+        out = [None] * len(self.proper_counts)
         for g, genus in enumerate(self.genera):
             for ci in genus:
                 out[ci] = g
@@ -303,7 +341,7 @@ class ClassTable:
 
     @functools.cached_property
     def _partitions(self):
-        classes = [[] for _ in self.class_representatives]
+        classes = [[] for _ in self.proper_counts]
         proper_classes = {}
         for i, (key, proper_key) in enumerate(
             _class_keys([f.binary_coeffs() for f in self.forms])
@@ -323,12 +361,12 @@ def class_table(field, disc, primitive_only=False):
 def _class_table_cached(field, disc, primitive_only):
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
-    nonsquare = field._first_nonsquare()
-    binary = Form._trusted_binary
+    nonsquare = field.constant(field._first_nonsquare())
     places = sieve_factor(disc)
     # a content g has g^2 | disc, so square-free discs have only primitive forms
     filter_content = primitive_only and any(v > 1 for _, v in places)
-    classes = []  # ((a, b) keys, representative, proper class count)
+    monic = []  # (a_m, b, c or None) for the classes' monic solutions
+    classes = []  # ((a, b) keys, (index into monic, a), proper class count)
     for deg_a in range(disc.degree // 2 + 1):
         solutions = _monic_solutions(disc, deg_a, filter_content)
         if 2 * deg_a == disc.degree:
@@ -341,30 +379,25 @@ def _class_table_cached(field, disc, primitive_only):
             reps, propers = {}, {}
             for abc, (key, proper_key) in zip(triples, _class_keys(triples)):
                 if key not in reps:
-                    reps[key] = binary(*abc)
+                    reps[key] = (len(monic), abc[0])
+                    monic.append(abc)
                 propers.setdefault(key, set()).add(proper_key)
             classes.extend((key, rep, len(propers[key])) for key, rep in reps.items())
             continue
         found = []
         for a_m, roots in solutions:
             # each class holds (a, b) and (a, -b): keep the first of the two
-            kept = [b for b in roots if b.key() <= (-b).key()]
+            kept = [(b, b.key()) for b in roots]
+            kept = [(b, key) for b, key in kept if key <= (-b).key()]
             if not kept:
                 continue
-            monic = [(b, (b * b - disc) // a_m) for b in kept]
-            for lead in (1, nonsquare):
-                if lead == 1:
-                    a = a_m
-                    reps = [binary(a, b, c) for b, c in monic]
-                else:
-                    a = a_m * field.constant(lead)
-                    inv = field.constant(field.inv(lead))
-                    reps = [binary(a, b, c * inv) for b, c in monic]
+            first = len(monic)
+            monic.extend((a_m, b, None) for b, _ in kept)
+            for a in (a_m, a_m * nonsquare):
                 a_key = a.key()
-                for rep in reps:
-                    b = rep.gram[0][1]
+                for i, (b, b_key) in enumerate(kept, first):
                     proper_count = 1 if b.is_zero() else 2
-                    found.append(((a_key, b.key()), rep, proper_count))
+                    found.append(((a_key, b_key), (i, a), proper_count))
         found.sort(key=lambda entry: entry[0])
         classes.extend(found)
     return ClassTable(
@@ -372,42 +405,57 @@ def _class_table_cached(field, disc, primitive_only):
         disc=disc,
         primitive_only=primitive_only,
         places=places,
-        class_representatives=[rep for _, rep, _ in classes],
+        _monic=monic,
+        _classes=[entry for _, entry, _ in classes],
         proper_counts=[count for _, _, count in classes],
         _class_of_key={key: ci for ci, (key, _, _) in enumerate(classes)},
     )
 
 
-def _genus_keys(reps, disc, places):
-    """One key per class, equal for two classes exactly when they share a
-    genus: the assigned characters and the Hasse symbol at infinity of a
-    primitive representative, the genus symbol of any other.  chi_p(a) is
-    computed once per monic a_m, chi_p(c) only where p | a, and the symbol
-    at infinity once per deg a and lc a."""
+def _genus_keys(table):
+    """One key per class of `table`, equal for two classes exactly when
+    they share a genus: the assigned characters and the Hasse symbol at
+    infinity of a primitive class, the genus symbol of any other.
+
+    With a = lead a_m, chi_p(a) = chi(lead)^(deg p) chi_p(a_m), chi_p(a_m)
+    computed once per a_m (1 at a_m = 1); where p | a_m, chi_p(c) is
+    chi(lead)^(deg p) chi_p((b^2 - disc) / a_m).  The symbol at infinity
+    is computed once per deg a and lead.  Only a class that is not
+    primitive reads its representative."""
+    disc, places = table.disc, table.places
     F = disc.field
-    monic_chars = {}  # chi_p(a_m) at every place, by the coefficients of a_m
-    hasse = {}  # by deg a and lc a
+    ones = (1,) * len(places)
+    monic_chars = {}  # chi_p(a_m) at every place, by a_m
+    twists = {}  # chi(lead)^(deg p) at every place, by lead
+    hasse = {}  # by deg a and lead
     out = []
-    for rep in reps:
-        a, _, c = rep.binary_coeffs()
-        lead = a.lc()
-        a_m = a if lead == 1 else a.monic()
-        chars = monic_chars.get(a_m.coeffs)
+    for ci, (i, a) in enumerate(table._classes):
+        a_m, b, c = table._monic[i]
+        chars = monic_chars.get(a_m)
         if chars is None:
-            chars = tuple(_jacobi(a_m, p) for p, _ in places)
-            monic_chars[a_m.coeffs] = chars
-        # chi_p(u a_m) = chi(u)^(deg p) chi_p(a_m)
-        chi = F.char(lead)
-        chars = tuple(
-            x * chi**p.degree or _jacobi(c, p) for x, (p, _) in zip(chars, places)
-        )
+            if a_m.degree == 0:
+                chars = ones
+            else:
+                chars = tuple(_jacobi(a_m, p) for p, _ in places)
+            monic_chars[a_m] = chars
+        lead = a.coeffs[-1]
+        twist = twists.get(lead)
+        if twist is None:
+            chi = F.char(lead)
+            twist = twists[lead] = tuple(chi**p.degree for p, _ in places)
+        if 0 in chars:
+            if c is None:
+                c = (b * b - disc) // a_m
+            chars = tuple(x or _jacobi(c, p) for x, (p, _) in zip(chars, places))
+        chars = tuple(x * s for x, s in zip(chars, twist))
         if 0 in chars:
             # p divides a and c, so b^2 = disc + ac too: not primitive
-            out.append(genus_symbol(rep, places))
+            out.append(genus_symbol(table.class_representatives[ci], places))
             continue
-        at_infinity = hasse.get((a.degree, lead))
+        at_infinity = hasse.get((a_m.degree, lead))
         if at_infinity is None:
-            at_infinity = hasse[a.degree, lead] = _hasse_at_infinity(rep, disc)
+            at_infinity = _binary_hasse_at_infinity(a_m.degree, lead, disc)
+            hasse[a_m.degree, lead] = at_infinity
         out.append((chars, at_infinity))
     return out
 

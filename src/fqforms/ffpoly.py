@@ -566,7 +566,8 @@ def residue_char(f, p):
     at the root.  Above degree 1 it is the Jacobi symbol (f/p), computed in
     Euclid steps (Rosen, GTM 210, ch. 3): for monic a and b,
     (a/b) = (b/a) (-1)^(((q-1)/2) deg a deg b), and a constant c has
-    (c/b) = chi(c)^(deg b).  p need not be monic: A/(p) = A/(p monic).
+    (c/b) = chi(c)^(deg b).  A linear f takes one step, (b/a) being the
+    value of b at the root of a.  p need not be monic: A/(p) = A/(p monic).
     """
     if not is_irreducible(p):
         raise ValueError("place must be an irreducible polynomial")
@@ -580,6 +581,15 @@ def _jacobi(f, p):
         root = F.neg(F.mul(p.coeffs[0], F.inv(p.coeffs[1])))
         return F.char(f(root))
     odd_half = (F.q - 1) // 2 % 2
+    if f.degree == 1:
+        # one reciprocity step for f = l (t - r): (f/p) = chi(l)^(deg p)
+        # chi(p_monic(r)) (-1)^(((q-1)/2) deg p), and p(r) != 0 as deg p > 1
+        lead = f.coeffs[1]
+        root = F.neg(F.mul(f.coeffs[0], F.inv(lead)))
+        out = F.char(p(root)) * F.char(p.coeffs[-1])
+        if p.degree % 2:
+            out *= -F.char(lead) if odd_half else F.char(lead)
+        return out
     a, b = f, p.monic()
     out = 1
     while b.degree > 0:

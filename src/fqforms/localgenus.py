@@ -183,21 +183,27 @@ def genus_symbol(form, places=None):
 
 def _hasse_at_infinity(form, disc):
     """The Hasse symbol at infinity; a binary (a, b, c) with a != 0
-    diagonalizes as <a, -a disc>, and the tame symbol (a, -a disc) at
-    infinity reads only deg a, deg disc, lc a and lc disc."""
+    diagonalizes as <a, -a disc> (`_binary_hasse_at_infinity`)."""
     if form.n == 2:
         a = form.gram[0][0]
         if not a.is_zero():
-            F = form.field
-            chi_a, chi_m1 = F.char(a.lc()), F.char(F.neg(1))
-            odd_a, odd_rest = a.degree % 2, (a.degree + disc.degree) % 2
-            out = chi_a if odd_rest else 1
-            if odd_a:
-                out *= chi_m1 * chi_a * F.char(disc.lc())  # chi(lc(-a disc))
-                if odd_rest:
-                    out *= chi_m1
-            return out
+            return _binary_hasse_at_infinity(a.degree, a.lc(), disc)
     return hasse_invariant(form, INFINITY)
+
+
+def _binary_hasse_at_infinity(deg_a, lc_a, disc):
+    """The tame symbol (a, -a disc) at infinity, the Hasse symbol of a
+    binary form with first coefficient a != 0: it reads only deg a, lc a
+    and disc."""
+    F = disc.field
+    chi_a, chi_m1 = F.char(lc_a), F.char(F.neg(1))
+    odd_a, odd_rest = deg_a % 2, (deg_a + disc.degree) % 2
+    out = chi_a if odd_rest else 1
+    if odd_a:
+        out *= chi_m1 * chi_a * F.char(disc.lc())  # chi(lc(-a disc))
+        if odd_rest:
+            out *= chi_m1
+    return out
 
 
 def _jordan_at_place(form, disc, p, v):

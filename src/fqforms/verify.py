@@ -802,13 +802,16 @@ def cn1_survey(cfg):
     h_one_at_deg3 = []
     for disc in chain(canonical_discs(F, 2), cubics):
         table = class_table(F, disc, primitive_only=True)
-        for ci, rep in enumerate(table.class_representatives):
+        for ci in range(len(table.proper_counts)):
             instances += 1
             observed = len(table.genera[table.genus_index_of_class(ci)])
             # the criterion predicts class number >= 2 at every deg D >= 3
-            predicted = disc.degree <= 2 and cn1_prediction(rep)
+            predicted = disc.degree <= 2 and cn1_prediction(
+                table.class_representatives[ci]
+            )
             if predicted == (observed == 1):
                 continue
+            rep = table.class_representatives[ci]
             expected = "class number 1" if predicted else "class number >= 2"
             if disc.degree > 2:
                 expected += " at disc degree %d" % disc.degree

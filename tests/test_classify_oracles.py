@@ -270,25 +270,37 @@ def test_class_table_matches_orbit_oracle_sampled_q7_deg4():
         assert_table_matches_orbit_oracle(F, d)
 
 
-@pytest.mark.parametrize("q", [5, 7])
+GENUS_TOP_DEGREE = {5: 3, 7: 3, 3: 5}  # q -> the largest disc degree
+
+
+@pytest.mark.parametrize("q", list(GENUS_TOP_DEGREE))
 def test_character_genera_match_genus_symbols(q):
     # genera come from characters, with chi_p(a) shared per monic a, at
-    # every D, square-free or not, and for tables of any content
+    # every D, square-free or not, and for tables of any content; they are
+    # read from fresh tables, before any representative, and a table of
+    # primitive classes builds none for them
     F = prime_field(q)
-    tables = square_factor = 0
-    for d in canonical_discs(F, 3):
+    classify._class_table_cached.cache_clear()
+    tables = square_factor = torus = 0
+    for d in canonical_discs(F, GENUS_TOP_DEGREE[q]):
         tables += 1
         square_factor += any(v > 1 for _, v in factor(d)[1])
         symbols = {}  # a primitive class has one representative in both tables
         for primitive_only in (False, True):
             table = class_table(F, d, primitive_only)
+            genera = table.genera
+            if primitive_only:
+                assert "class_representatives" not in vars(table), str(d)
             by_symbol = {}
             for ci, rep in enumerate(table.class_representatives):
                 if rep.gram not in symbols:
                     symbols[rep.gram] = jordan_genus_symbol(rep)
                 by_symbol.setdefault(symbols[rep.gram], []).append(ci)
-            assert table.genera == list(by_symbol.values()), (str(d), primitive_only)
-    assert tables > 100 and square_factor > 50
+                a, _, c = rep.binary_coeffs()
+                torus += a.degree == c.degree
+            assert genera == list(by_symbol.values()), (str(d), primitive_only)
+    assert tables > 100 and square_factor > 50 and torus > 50
+    classify._class_table_cached.cache_clear()
 
 
 def test_primitive_genera_need_no_jordan_splitting(monkeypatch):
@@ -452,7 +464,9 @@ def test_sweep_data_builds_no_genus(monkeypatch):
 
     classify._class_table_cached.cache_clear()
     monkeypatch.setattr(verify, "_SWEEP_CACHE", {})
-    for name in ("genus_symbol", "_jacobi", "_hasse_at_infinity"):
+    for name in (
+        "genus_symbol", "_jacobi", "_hasse_at_infinity", "_binary_hasse_at_infinity"
+    ):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("fqforms") and hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

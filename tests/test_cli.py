@@ -414,6 +414,28 @@ def test_verify_report_matches_golden(capsys, check, q, deg):
     assert out == (DATA / f"{check}-q{q}-d{deg}.json").read_text()
 
 
+@pytest.mark.parametrize("q,deg", [(5, 3), (3, 4)])
+def test_verify_comp_report_matches_golden(capsys, q, deg):
+    # reports recorded while every class table still built a form per class
+    argv = ["verify", "comp", "--q", str(q), "--max-degree", str(deg)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / f"comp-q{q}-d{deg}.json").read_text()
+
+
+def test_classify_square_factor_payload_matches_golden(capsys):
+    # D = 2 t^2 (t + 1)^2 (t^2 + 1) at q = 3, every content: 19 of its 39
+    # classes are not primitive and take genus symbols, 13 have
+    # deg a = deg c; recorded while every table built a form per class
+    from fqforms import classify
+
+    classify._class_table_cached.cache_clear()
+    argv = ["classify", "--q", "3", "--disc", "2*t^6+t^5+t^4+t^3+2*t^2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / "classify-q3-square-factor.json").read_text()
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def crash(check, cfg):
         raise RuntimeError("boom")

@@ -488,6 +488,23 @@ def test_residue_char_matches_euler_criterion(q):
     assert zeros > len(firsts)
 
 
+@pytest.mark.parametrize("q", [11, 13])
+def test_residue_char_linear_matches_euler_criterion(q):
+    # every linear f = l (t - r), every lead l and root r, against the first
+    # place of degree 2, 3 and 4 and a non-monic multiple of it; (q - 1)/2
+    # is odd at q = 11 and even at q = 13
+    F = prime_field(q)
+    for degree in (2, 3, 4):
+        monic = (F.poly_from_key(k) for k in range(q**degree, 2 * q**degree))
+        p = next(g for g in monic if is_irreducible(g))
+        for lead in range(1, q):
+            for r in range(q):
+                f = F.poly((F.neg(F.mul(lead, r)), lead))
+                expected = euler_residue_char(f, p)
+                assert residue_char(f, p) == expected, (str(f), str(p))
+                assert residue_char(f, p * F.delta) == expected, (str(f), str(p))
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_residue_char_non_monic_place(q):
     F = prime_field(q)

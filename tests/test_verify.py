@@ -426,6 +426,42 @@ def test_comp_bridge_q5():
     assert r.instances_checked == 231
 
 
+def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
+    # `comp` reads counts and genera alone, so no class builds its form; the
+    # cn1 survey reads the representatives of degree <= 2 tables only
+    from fqforms import classify, verify
+
+    tables = []
+    table = verify.class_table
+
+    def tabling(field, disc, primitive_only=False):
+        tables.append(table(field, disc, primitive_only))
+        return tables[-1]
+
+    built = []
+    binary = Form._trusted_binary
+
+    def counted(cls, a, b, c):
+        built.append((a, b, c))
+        return binary(a, b, c)
+
+    monkeypatch.setattr(verify, "class_table", tabling)
+    monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
+    classify._class_table_cached.cache_clear()
+    r = run_check("comp", SweepConfig(q=5, max_disc_degree=3))
+    assert r.passed and r.instances_checked == len(tables) == 231
+    assert built == []
+    assert not any("class_representatives" in vars(t) for t in tables)
+    classify._class_table_cached.cache_clear()
+    tables.clear()
+    r = run_check("cn1", SweepConfig(q=17, samples=40))
+    assert r.passed and r.stats["deg3_sampled"] == 40
+    assert {t.disc.degree for t in tables} == {0, 1, 2, 3}
+    for t in tables:
+        assert ("class_representatives" in vars(t)) == (t.disc.degree <= 2), str(t.disc)
+    classify._class_table_cached.cache_clear()
+
+
 def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     # the square-free filter builds each disc's square-root sieve, and
     # `comp_sequence_check` and the class table read it from the cache; no
