@@ -23,6 +23,7 @@ from .localgenus import (
 from .picard import (
     MumfordDivisor,
     cantor_add,
+    comp_sequence_check,
     pic_group,
     pic_order,
     pic_order_with_conductor,
@@ -59,6 +60,7 @@ __all__ = [
     "cantor_add",
     "class_number",
     "class_table",
+    "comp_sequence_check",
     "distinguishing_degree",
     "enumerate_forms",
     "equivalent",

@@ -10,7 +10,21 @@ once per D and combined by CRT over the factorization of a_m), and the
 form (u a_m, b, c / u) is reduced for every unit u.  Such forms have
 b^2 - ac = D != 0 by construction, so they skip the checks of
 `Form.__init__`; and as a content g of a form has g^2 | D, only a D with
-a square factor needs the primitivity filter.
+a square factor needs the primitivity filter, which tests p | c only at
+the places p with p^2 | D that divide a_m and b (`_is_primitive`).
+
+Class tables are built a degree at a time: `class_tables` takes many
+discriminants of one degree m, `TABLE_CHUNK` at a time, on int arrays.
+D -> D mod p is linear, so the residues of every D and D' at every place
+of degree <= m / 2 are one matmul per place degree, and the places of D,
+their multiplicities and the square-free test are read off
+"D = D' = 0 mod p".  The roots at a linear a_m are looked up in the F_q
+square-root table for the whole batch; above degree 1 they are lifted and
+combined per D, as `square_roots_mod` does, from the batch residues.
+Where deg a = deg c, c = (b^2 - D) / a_m comes from one gathered quotient
+map per monic a_m, and one torus pass (below) names the classes of every
+D of the batch; only the grouping of keys into tables is per D.
+`class_table` is a batch of one.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
@@ -27,7 +41,7 @@ a, c, the form A x^2 + C y^2 is anisotropic over F_q, so it represents 1
 and some constant U carries each form to one with monic a.  The U that
 do so are the 2(q + 1) points of the norm-one torus
 A alpha^2 + C gamma^2 = 1 with det U = +-1, and one numpy pass per
-discriminant maps every form to its monic images under them.
+batch of discriminants maps every form to its monic images under them.
 `_class_keys` names the class and the proper class of every form by the
 (a, b) keys of their first forms: in closed form where deg a < deg c, by
 the least monic image under det U = +-1, and under det U = 1, where
@@ -46,7 +60,7 @@ divisors of D, Hasse symbol at infinity) and are built on first read,
 from the monic solutions, so a sweep that reads only the representatives
 never computes one, and a sweep that reads only genera builds no
 representative of a primitive class.  The divisors of D are read off the
-square-root sieve (`ffpoly.sieve_factor`) that also gives the roots.
+batch residues that also give the roots.
 At every divisor p of D, whatever v_p(D), the Jordan data of a class
 primitive at p is one assigned character, chi_p(a), or chi_p(c) when
 p | a (`localgenus._jordan_at_place`).  chi_p(a) is computed once per
@@ -58,7 +72,7 @@ lc a (`localgenus._binary_hasse_at_infinity`).  A class whose characters
 vanish at p has content divisible by p, and only such a class builds its
 representative and takes a full `genus_symbol`.  Residue characters come
 from quadratic reciprocity (`ffpoly._jacobi`, one step at a linear a_m),
-at places the sieve has already shown irreducible.
+at places the product sieve `ffpoly._places` has shown irreducible.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -72,8 +86,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import _jacobi, factor, is_irreducible
-from .ffpoly import is_squarefree, sieve_factor, square_roots_mod
+from .ffpoly import Poly, _crt_roots, _jacobi, _places, _roots_mod_powers
+from .ffpoly import _sqrt_at_place, factor, is_irreducible
+from .ffpoly import square_roots_mod, strip_valuation
 from .localgenus import GenusSymbol, _binary_hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
@@ -86,17 +101,27 @@ from .qform import (
 )
 
 
-def _monic_solutions(disc, deg_a, filter_content):
+def _is_primitive(a_m, b, disc, square_places):
+    """Whether (a_m, b, (b^2 - disc) / a_m) is primitive, given the places p
+    with p^2 | disc, the only places a content can hold.  p divides the
+    content iff p | a_m, p | b and p | c, and with p^e || a_m, p | c iff
+    p^(e+1) | b^2 - disc."""
+    for p in square_places:
+        e, _ = strip_valuation(a_m, p)
+        if e and (b % p).is_zero() and ((b * b - disc) % p ** (e + 1)).is_zero():
+            return False
+    return True
+
+
+def _monic_solutions(disc, deg_a, square_places):
     """[(a_m, [b, ...])] for every monic a_m of degree `deg_a`, in key
     order: a_m | b^2 - disc with deg b < deg a_m, b in key order, and only
-    primitive (a_m, b, (b^2 - disc) / a_m) when `filter_content`."""
-    binary = Form._trusted_binary
+    primitive (a_m, b, (b^2 - disc) / a_m) when `square_places` (the places
+    p with p^2 | disc) is not empty."""
     out = []
     for a, roots in square_roots_mod(disc, deg_a):
-        if filter_content:
-            roots = [
-                b for b in roots if binary(a, b, (b * b - disc) // a).is_primitive()
-            ]
+        if square_places:
+            roots = [b for b in roots if _is_primitive(a, b, disc, square_places)]
         out.append((a, roots))
     return out
 
@@ -130,11 +155,15 @@ def enumerate_forms(field, disc, primitive_only=False):
     """
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
-    # a content g has g^2 | disc, so square-free discs have only primitive forms
-    filter_content = primitive_only and not is_squarefree(disc)
+    # a content g has g^2 | disc, so only a place p with p^2 | disc divides it
+    square_places = []
+    if primitive_only:
+        square = _sieve(field, [disc])[3][0].tolist()
+        places = _places(field, disc.degree // 2)
+        square_places = [p for p, s in zip(places, square) if s]
     out = []
     for deg_a in range(disc.degree // 2 + 1):
-        solutions = _monic_solutions(disc, deg_a, filter_content)
+        solutions = _monic_solutions(disc, deg_a, square_places)
         out.extend(_scaled_forms(field, disc, solutions, deg_a))
     return out
 
@@ -163,18 +192,21 @@ def _torus_weights(q, A, C):
 
 def _least_images(rows, q):
     """For the forms with coefficient rows `rows`: the (a', b') keys of the
-    least image with monic a' in key order, under det U = +-1 (a list of
-    pairs) and under det U = 1 (another).
+    least image with monic a' in key order, under det U = +-1 and under
+    det U = 1, as two (forms, 2) arrays.
 
-    The images come from the units of `_torus_weights`, one weight block
-    per form, read from the cache by (lc a, lc c).  Each polynomial has
-    its own key, which `key_powers` keeps from wrapping, and pairs are
-    compared key by key."""
+    The images come from the units of `_torus_weights`, one matmul per
+    distinct (lc a, lc c) over all forms that share it, so that no weight
+    block is copied per form.  Each polynomial has its own key, which
+    `key_powers` keeps from wrapping, and pairs are compared key by key."""
     powers = key_powers(q, rows.shape[2])
     top = rows.shape[2] - 1
-    leads = zip(rows[:, 0, top].tolist(), rows[:, 2, top].tolist())
-    weights = np.stack([_torus_weights(q, A, C) for A, C in leads])
-    keys = (weights @ rows[:, None] % q) @ powers  # forms, units, (a', b')
+    leads = rows[:, 0, top] * q + rows[:, 2, top]
+    keys = np.empty((len(rows), 2 * (q + 1), 2), dtype=np.int64)
+    for lead in set(leads.tolist()):
+        chosen = leads == lead
+        images = _torus_weights(q, *divmod(lead, q)) @ rows[chosen][:, None]
+        keys[chosen] = np.remainder(images, q, out=images) @ powers
     half = keys.shape[1] // 2
     return _least_pairs(keys), _least_pairs(keys[:, :half])
 
@@ -183,7 +215,7 @@ def _least_pairs(keys):
     """The least (a', b') key pair of each row of `keys` (forms, units, 2)."""
     a = keys[..., 0].min(axis=1)
     b = np.where(keys[..., 0] == a[:, None], keys[..., 1], keys[..., 1].max())
-    return list(zip(a.tolist(), b.min(axis=1).tolist()))
+    return np.stack([a, b.min(axis=1)], axis=1)
 
 
 def _class_keys(triples):
@@ -218,8 +250,9 @@ def _class_keys(triples):
         length = triples[torus[0]][0].degree + 1
         rows = _poly_rows([p for i in torus for p in triples[i]], length)
         rows = rows.reshape(len(torus), 3, length)
-        for i, keys in zip(torus, zip(*_least_images(rows, F.q))):
-            out[i] = keys
+        keys, proper_keys = _least_images(rows, F.q)
+        for i, key, proper_key in zip(torus, keys.tolist(), proper_keys.tolist()):
+            out[i] = tuple(key), tuple(proper_key)
     return out
 
 
@@ -233,8 +266,8 @@ class ClassTable:
     `_monic`, a) for each class, a = a_m or a_m times the first
     non-square.  `proper_counts[i]` is the number of proper classes (1 or
     2) in class i.  `places` holds the (place, multiplicity) pairs of
-    `disc`, as `factor(disc)[1]` gives them, read off the sieve
-    (`sieve_factor`).
+    `disc`, as `factor(disc)[1]` gives them, read off the residues of the
+    batch that built the table.
 
     The rest is built on first read.  `class_representatives` holds the
     first form of each class in `enumerate_forms` order, and classes are
@@ -356,60 +389,336 @@ def class_table(field, disc, primitive_only=False):
     return _class_table_cached(field, disc, primitive_only)
 
 
-# small, or a sweep keeps every table; `comp` reads each twice, back to back
+# a sweep builds its tables by `class_tables` and keeps none of them here
 @functools.lru_cache(maxsize=16)
 def _class_table_cached(field, disc, primitive_only):
-    if not is_definite_disc(disc):
+    (table,) = class_tables(field, [disc], primitive_only)
+    return table
+
+
+TABLE_CHUNK = 32  # discriminants per batch of `class_tables`
+
+
+def class_tables(field, discs, primitive_only=False):
+    """The class tables of `discs`, definite discriminants of one degree, in
+    order: an iterator that builds them `TABLE_CHUNK` at a time, so that a
+    sweep holds one batch of tables at once.  The discriminants are checked
+    before any table is built."""
+    discs = list(discs)
+    if not all(map(is_definite_disc, discs)):
         raise ValueError("discriminant is not definite-shaped")
-    nonsquare = field.constant(field._first_nonsquare())
-    places = sieve_factor(disc)
-    # a content g has g^2 | disc, so square-free discs have only primitive forms
-    filter_content = primitive_only and any(v > 1 for _, v in places)
-    monic = []  # (a_m, b, c or None) for the classes' monic solutions
-    classes = []  # ((a, b) keys, (index into monic, a), proper class count)
-    for deg_a in range(disc.degree // 2 + 1):
-        solutions = _monic_solutions(disc, deg_a, filter_content)
-        if 2 * deg_a == disc.degree:
-            # every class holds a monic-a form, and its first form is one
-            triples = [
-                (a_m, b, (b * b - disc) // a_m)
-                for a_m, roots in solutions
-                for b in roots
-            ]
-            reps, propers = {}, {}
-            for abc, (key, proper_key) in zip(triples, _class_keys(triples)):
-                if key not in reps:
-                    reps[key] = (len(monic), abc[0])
-                    monic.append(abc)
-                propers.setdefault(key, set()).add(proper_key)
-            classes.extend((key, rep, len(propers[key])) for key, rep in reps.items())
-            continue
-        found = []
-        for a_m, roots in solutions:
-            # each class holds (a, b) and (a, -b): keep the first of the two
-            kept = [(b, b.key()) for b in roots]
-            kept = [(b, key) for b, key in kept if key <= (-b).key()]
-            if not kept:
-                continue
-            first = len(monic)
-            monic.extend((a_m, b, None) for b, _ in kept)
-            for a in (a_m, a_m * nonsquare):
-                a_key = a.key()
-                for i, (b, b_key) in enumerate(kept, first):
-                    proper_count = 1 if b.is_zero() else 2
-                    found.append(((a_key, b_key), (i, a), proper_count))
-        found.sort(key=lambda entry: entry[0])
-        classes.extend(found)
-    return ClassTable(
-        field=field,
-        disc=disc,
-        primitive_only=primitive_only,
-        places=places,
-        _monic=monic,
-        _classes=[entry for _, entry, _ in classes],
-        proper_counts=[count for _, _, count in classes],
-        _class_of_key={key: ci for ci, (key, _, _) in enumerate(classes)},
+    if len({d.degree for d in discs}) > 1:
+        raise ValueError("class_tables takes discriminants of one degree")
+    return (
+        table
+        for start in range(0, len(discs), TABLE_CHUNK)
+        for table in _batch_tables(
+            field, discs[start : start + TABLE_CHUNK], primitive_only
+        )
     )
+
+
+def _batch_tables(field, discs, primitive_only):
+    """The class tables of `discs`, all of degree m, on int arrays.
+
+    The residues of every D and D' at every place of degree <= m / 2 are
+    one matmul per place degree; a place divides D where D is 0 there, and
+    its square does where D' is too.  The monic solutions (a_m, b) come as
+    arrays (disc, index of a_m in key order, b) sorted by (disc, a_m, key
+    of b): at deg a_m = 1 from the square-root table of F_q, above it by
+    CRT over roots lifted per D (`_crt_solutions`).  Where deg a < deg c
+    their classes are read off in closed form; where deg a = deg c, c comes
+    from one quotient map per a_m and one `_least_images` pass names the
+    classes of every D at once.  Only the grouping into tables is per D."""
+    q, m, n = field.q, discs[0].degree, len(discs)
+    top = m // 2
+    places = _places(field, top)
+    coeffs, residues, divides, square = _sieve(field, discs)
+
+    solutions = [(np.arange(n), np.zeros(n, np.int64), np.zeros((n, 0), np.int64))]
+    if top >= 1:
+        solutions.append(_linear_solutions(residues[0][:, :, 0], q))
+    if top >= 2:
+        solutions.extend(_crt_solutions(field, discs, places, residues))
+    if primitive_only and square.any():
+        solutions = [
+            _primitive_solutions(field, discs, k, *sols, places, square)
+            for k, sols in enumerate(solutions)
+        ]
+    parts = [
+        (_torus_part if 2 * k == m else _closed_part)(field, coeffs, k, *sols)
+        for k, sols in enumerate(solutions)
+    ]
+
+    tables = []
+    for i, disc in enumerate(discs):
+        monic, classes, keys, counts = [], [], [], []
+        for part in parts:
+            part(i, monic, classes, keys, counts)
+        tables.append(
+            ClassTable(
+                field=field,
+                disc=disc,
+                primitive_only=primitive_only,
+                places=_disc_places(disc, places, divides[i], square[i]),
+                _monic=monic,
+                _classes=classes,
+                proper_counts=counts,
+                _class_of_key=dict(zip(keys, range(len(keys)))),
+            )
+        )
+    return tables
+
+
+def _sieve(field, discs):
+    """(coefficient rows, `_residues`, divides, square) of nonzero `discs`
+    of one degree m: a place p of degree <= m / 2 divides D where D = 0
+    mod p, and p^2 divides D where D' = 0 mod p too, as places are
+    separable; both are (discs, places of `_places(field, m // 2)`) bools."""
+    m, n = discs[0].degree, len(discs)
+    coeffs = _poly_rows(discs, m + 1)
+    residues = _residues(field, m, coeffs)
+    divides = _zero_at(residues, n)
+    derivatives = coeffs[:, 1:] * np.arange(1, m + 1) % field.q
+    square = divides & _zero_at(_residues(field, m, derivatives), n)
+    return coeffs, residues, divides, square
+
+
+@functools.lru_cache(maxsize=32)
+def _residue_maps(field, m):
+    """[(places, maps)] per place degree k <= m / 2: the places of degree k
+    in key order and the (m + 1, places * k) matrix whose row j holds
+    t^j mod p for each place p, so that the residues of a polynomial of
+    degree <= m at all of them are one matmul with its coefficients."""
+    out = []
+    places = _places(field, m // 2)
+    for k in range(1, m // 2 + 1):
+        places_k = [p for p in places if p.degree == k]
+        maps = np.zeros((m + 1, len(places_k), k), dtype=np.int64)
+        for i, p in enumerate(places_k):
+            x = field.one
+            for j in range(m + 1):
+                maps[j, i, : len(x.coeffs)] = x.coeffs
+                x = x * field.t % p
+        out.append((places_k, maps.reshape(m + 1, -1)))
+    return out
+
+
+def _residues(field, m, rows):
+    """[(polynomials, places of degree k, k) residues, for k = 1 .. m / 2]
+    of the polynomials of degree <= m with coefficient rows `rows` at the
+    places of `_places(field, m // 2)`, one matmul per place degree."""
+    padded = np.zeros((len(rows), m + 1), dtype=np.int64)
+    padded[:, : rows.shape[1]] = rows
+    return [
+        (padded @ maps % field.q).reshape(len(rows), len(places_k), places_k[0].degree)
+        for places_k, maps in _residue_maps(field, m)
+    ]
+
+
+def _zero_at(residues, n):
+    """(polynomials, places) bools: whether each place divides each of the
+    n polynomials, from their `_residues`."""
+    zero = [np.zeros((n, 0), dtype=bool)] + [~r.any(axis=2) for r in residues]
+    return np.concatenate(zero, axis=1)
+
+
+def _linear_solutions(values, q):
+    """(disc, a_m index, b) arrays of the roots b of x^2 = D mod a_m for
+    a_m = t + s of index s, from `values`, the (discs, q) residues D(-s)."""
+    r = np.arange(q)
+    table = np.full(q, -1, dtype=np.int64)  # a root of each square, -1 elsewhere
+    table[r * r % q] = r
+    root = table[values]
+    roots = np.stack([np.minimum(root, -root % q), np.maximum(root, -root % q)], axis=2)
+    found = np.stack([root >= 0, root > 0], axis=2)  # 0 has one root
+    disc, s, _ = np.nonzero(found)
+    return disc, s, roots[found][:, None]
+
+
+def _crt_solutions(field, discs, places, residues):
+    """(disc, a_m index, b) arrays for every degree 2 .. deg D / 2 of a_m:
+    the root of D at each place from its batch residue, lifted to the
+    powers of the place per D, and combined by CRT (`ffpoly._crt_roots`)."""
+    top = discs[0].degree // 2
+    out = [([], [], []) for _ in range(2, top + 1)]
+    for i, disc in enumerate(discs):
+        rows = [row for residue in residues for row in residue[i].tolist()]
+        roots_at = {
+            p: _roots_mod_powers(
+                disc, p, top // p.degree, _sqrt_at_place(field.poly(row), p)
+            )
+            for p, row in zip(places, rows)
+        }
+        for k, (at, index, b_rows) in enumerate(out, 2):
+            for j, (_, roots) in enumerate(_crt_roots(field, roots_at, k)):
+                for b in roots:
+                    at.append(i)
+                    index.append(j)
+                    b_rows.append(b.coeffs + (0,) * (k - len(b.coeffs)))
+    return [
+        (
+            np.array(at, dtype=np.int64),
+            np.array(index, dtype=np.int64),
+            np.array(b_rows, dtype=np.int64).reshape(len(b_rows), k),
+        )
+        for k, (at, index, b_rows) in enumerate(out, 2)
+    ]
+
+
+def _primitive_solutions(field, discs, k, at, index, rows, places, square):
+    """The solutions of degree k whose form is primitive.  A place p
+    divides the content only if p^2 | D, p | a_m and p | b, read off their
+    residues at every place (one matmul per place degree); `_is_primitive`
+    decides the few solutions where some place does."""
+    if k == 0:  # a_m = 1
+        return at, index, rows
+    m, n = discs[0].degree, len(at)
+    monic, _, _, monic_rows = _monic_polys(field, k)
+    suspects = (
+        square[at]
+        & _zero_at(_residues(field, m, monic_rows), len(monic))[index]
+        & _zero_at(_residues(field, m, rows), n)
+    )
+    keep = np.ones(len(at), dtype=bool)
+    for s in np.flatnonzero(suspects.any(axis=1)).tolist():
+        suspected = [places[x] for x in np.flatnonzero(suspects[s]).tolist()]
+        b = field.poly(rows[s].tolist())
+        keep[s] = _is_primitive(monic[index[s]], b, discs[at[s]], suspected)
+    return at[keep], index[keep], rows[keep]
+
+
+@functools.lru_cache(maxsize=32)
+def _monic_polys(field, k):
+    """(the monic a_m of degree k in key order, each times the first
+    non-square, the keys of those, and the coefficient rows of the a_m)."""
+    size = field.q**k
+    monic = [field.poly_from_key(size + j) for j in range(size)]
+    nonsquare = field.constant(field._first_nonsquare())
+    scaled = [a * nonsquare for a in monic]
+    keys = np.array([a.key() for a in scaled], dtype=np.int64)
+    return monic, scaled, keys, _poly_rows(monic, k + 1)
+
+
+def _segments(at, n):
+    """Bounds [lo, hi) of the entries of each of n discs in `at`, sorted."""
+    return np.searchsorted(at, np.arange(n + 1)).tolist()
+
+
+def _closed_part(field, coeffs, k, at, index, rows):
+    """Where deg a < deg c: the classes (u a_m, +-b) of each D, with u = 1
+    or the first non-square and b the first of +-b in key order, sorted by
+    (key of a, key of b); one monic solution (a_m, b, None) each."""
+    q = field.q
+    powers = q ** np.arange(k, dtype=np.int64)
+    b_keys, neg_keys = rows @ powers, (-rows % q) @ powers
+    kept = b_keys <= neg_keys
+    at, index, rows, b_keys = at[kept], index[kept], rows[kept], b_keys[kept]
+    monic, scaled, scaled_keys, _ = _monic_polys(field, k)
+    # by (disc, key of the scaled a_m, key of b): lexsort is stable
+    by_scaled = np.lexsort((scaled_keys[index], at)).tolist()
+    bounds = _segments(at, len(coeffs))
+    index, b_keys, scaled_keys = index.tolist(), b_keys.tolist(), scaled_keys.tolist()
+    bs = [Poly(field, row) for row in rows.tolist()]
+    size = q**k
+
+    def extend(i, monic_out, classes, keys, counts):
+        lo, hi = bounds[i], bounds[i + 1]
+        first = len(monic_out) - lo
+        for s in range(lo, hi):
+            monic_out.append((monic[index[s]], bs[s], None))
+        for s in range(lo, hi):
+            classes.append((first + s, monic[index[s]]))
+            keys.append((size + index[s], b_keys[s]))
+            counts.append(2 if b_keys[s] else 1)
+        for s in by_scaled[lo:hi]:
+            classes.append((first + s, scaled[index[s]]))
+            keys.append((scaled_keys[index[s]], b_keys[s]))
+            counts.append(2 if b_keys[s] else 1)
+
+    return extend
+
+
+@functools.lru_cache(maxsize=16)
+def _quotient_maps(field, k):
+    """(coefficient rows of the monic a_m of degree k in key order, and
+    the (q^k, 2k + 1, k + 1) maps x -> x // a_m on polynomials of degree
+    <= 2k)."""
+    monic, _, _, rows = _monic_polys(field, k)
+    powers = [field.t**i for i in range(2 * k + 1)]
+    maps = _poly_rows([x // a for a in monic for x in powers], k + 1)
+    return rows, maps.reshape(len(monic), 2 * k + 1, k + 1)
+
+
+def _torus_part(field, coeffs, k, at, index, rows):
+    """Where deg a = deg c = k: c = (b^2 - D) / a_m for every solution, the
+    class keys of all of them from one `_least_images` pass, and the
+    classes of each D in order of their first form, which is the
+    representative (a_m, b, c) of its class."""
+    q, n = field.q, len(at)
+    if not n:
+        return lambda *lists: None
+    a_rows, maps = _quotient_maps(field, k)
+    b_rows = np.zeros((n, k + 1), dtype=np.int64)
+    b_rows[:, :k] = rows
+    b_squared = np.zeros((n, 2 * k + 1), dtype=np.int64)
+    for j in range(k):
+        b_squared[:, j : j + k] += rows[:, j : j + 1] * rows
+    numerator = (b_squared - coeffs[at]) % q
+    c_rows = np.einsum("ni,nij->nj", numerator, maps[index]) % q
+    keys, proper_keys = _least_images(
+        np.stack([a_rows[index], b_rows, c_rows], axis=1), q
+    )
+    # group by (disc, class key), then count the proper keys in each group
+    columns = np.stack([at, *keys.T, *proper_keys.T])
+    order = np.lexsort(columns[::-1])
+    ranked = columns[:, order]
+    changed = np.ones((len(columns), n), dtype=bool)  # the first form starts a group
+    changed[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    starts = np.flatnonzero(changed[:3].any(axis=0))
+    proper = changed.any(axis=0)
+    firsts = np.minimum.reduceat(order, starts)
+    counts_all = np.add.reduceat(proper, starts)
+    by_first = np.argsort(firsts)
+    firsts, counts_all = firsts[by_first], counts_all[by_first]
+    bounds = _segments(at[firsts], len(coeffs))
+    monic = _monic_polys(field, k)[0]
+    class_keys = [tuple(x) for x in keys[firsts].tolist()]
+    counts_list = counts_all.tolist()
+    reps = [
+        (monic[j], Poly(field, b), Poly(field, c))
+        for j, b, c in zip(index[firsts].tolist(), rows[firsts].tolist(),
+                           c_rows[firsts].tolist())
+    ]
+
+    def extend(i, monic_out, classes, keys_out, counts):
+        for x in range(bounds[i], bounds[i + 1]):
+            classes.append((len(monic_out), reps[x][0]))
+            monic_out.append(reps[x])
+            keys_out.append(class_keys[x])
+            counts.append(counts_list[x])
+
+    return extend
+
+
+def _disc_places(disc, places, divides, square):
+    """`factor(disc)[1]` from the batch sieve: the places of degree
+    <= deg D / 2 that divide D, each stripped to find its multiplicity
+    where its square divides D, then what is left, 1 or one place, divided
+    out only when it is not 1."""
+    out = []
+    left = disc.degree
+    for x in np.flatnonzero(divides).tolist():
+        p = places[x]
+        e = strip_valuation(disc, p)[0] if square[x] else 1
+        out.append((p, e))
+        left -= e * p.degree
+    if left:
+        rest = disc.monic()
+        for p, e in out:
+            rest = rest // p**e
+        out.append((rest, 1))
+    return out
 
 
 def _genus_keys(table):

@@ -615,40 +615,23 @@ def square_roots_mod(d, degree):
     each power p^k are read off `_place_roots`, built once per d for every
     degree up to deg d / 2, and combined by CRT over the factorization of u.
     """
-    F = d.field
-    roots_at = _place_roots(d, max(degree, d.degree // 2))
-    for u, factors in _monic_factorizations(F, degree):
+    return _crt_roots(d.field, _place_roots(d, max(degree, d.degree // 2)), degree)
+
+
+def _crt_roots(field, roots_at, degree):
+    """`square_roots_mod` from `roots_at`, {p: [roots of x^2 = d mod p^k for
+    k = 1, 2, ...]} over the places of degree <= `degree`."""
+    for u, factors in _monic_factorizations(field, degree):
         per_factor = [roots_at[p][e - 1] for p, e, _ in factors]
         if len(factors) == 1:
             vs = per_factor[0]
         else:
             idempotents = [c for _, _, c in factors]
             vs = [
-                sum((r * c for r, c in zip(combo, idempotents)), F.zero) % u
+                sum((r * c for r, c in zip(combo, idempotents)), field.zero) % u
                 for combo in itertools.product(*per_factor)
             ]
         yield u, sorted(vs, key=Poly.key)
-
-
-def sieve_factor(d):
-    """`factor(d)[1]` read off the square-root sieve of d.
-
-    The places p of degree <= deg d / 2 that divide d are those where 0 is
-    the only root of x^2 = d mod p; each is divided out with its
-    multiplicity.  What is left has no factor of degree <= deg d / 2, so it
-    is 1 or one place, of degree above every place of the sieve.
-    """
-    if d.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    rest = d.monic()
-    out = []
-    for p, roots in _place_roots(d, d.degree // 2).items():
-        if roots[0] == [d.field.zero]:
-            e, rest = strip_valuation(rest, p)
-            out.append((p, e))
-    if rest.degree > 0:
-        out.append((rest, 1))
-    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -657,11 +640,15 @@ def _place_roots(d, top):
     places p of degree <= top, each root of degree < k deg p: an F_q
     square-root table at degree 1, Tonelli-Shanks in A/(p) above, lifted to
     p^k one p-adic digit at a time."""
-    return {p: _roots_mod_powers(d, p, top // p.degree) for p in _places(d.field, top)}
+    return {
+        p: _roots_mod_powers(d, p, top // p.degree, _sqrt_at_place(d % p, p))
+        for p in _places(d.field, top)
+    }
 
 
-def _roots_mod_powers(d, p, top):
-    """[roots of x^2 = d mod p^k for k = 1..top], each of degree < k deg p.
+def _roots_mod_powers(d, p, top, r):
+    """[roots of x^2 = d mod p^k for k = 1..top], each of degree < k deg p,
+    from r, a root mod p or None.
 
     A root r mod p^k with p not dividing r lifts uniquely (Hensel):
     r + s p^k with s = (d - r^2) / p^k / (2 r) mod p.  Otherwise p | d, and
@@ -669,7 +656,6 @@ def _roots_mod_powers(d, p, top):
     digits lift r when r^2 = d mod p^(k+1), and none does otherwise.
     """
     F = d.field
-    r = _sqrt_at_place(d, p)
     out = [[] if r is None else [r] if r.is_zero() else [r, -r]]
     pk = p
     for _ in range(1, top):
@@ -689,13 +675,13 @@ def _roots_mod_powers(d, p, top):
     return out
 
 
-def _sqrt_at_place(d, p):
-    """A square root of d in A/(p) (p monic), of degree < deg p, or None."""
-    F = d.field
+def _sqrt_at_place(a, p):
+    """A square root in A/(p) (p monic) of a residue a (deg a < deg p), of
+    degree < deg p, or None."""
+    F = a.field
     if p.degree == 1:
-        root = _sqrt_table(F.q).get(d(F.neg(p.coeffs[0])))
+        root = _sqrt_table(F.q).get(a[0])
         return None if root is None else F.constant(root)
-    a = d % p
     if a.is_zero():
         return a
     if _jacobi(a, p) != 1:

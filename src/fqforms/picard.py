@@ -224,7 +224,12 @@ def pic_order(d0):
     come from the product sieve `ffpoly._places`, and (D0/p) from
     reciprocity.  BudgetError once q^g exceeds the default budget.
     """
-    genus = _genus(d0)
+    return _euler_order(d0, _genus(d0))
+
+
+def _euler_order(d0, genus):
+    """`pic_order` of a d0 known to be square-free and definite, of genus
+    `genus`, with no check of either."""
     F, q = d0.field, d0.field.q
     if q**genus > DEFAULT_BUDGET:
         raise BudgetError(
@@ -265,12 +270,15 @@ def pic_order_with_conductor(d0, f):
     """|Pic(A[sqrt(f^2 D0)])| from the conductor exact sequence."""
     if f.is_zero() or f.lc() != 1:
         raise ValueError("conductor must be monic")
+    if d0.degree != 0:
+        _genus(d0)  # raises unless d0 is square-free and definite
     return _conductor_order(d0, factor(f)[1])
 
 
 def _conductor_order(d0, conductor):
     """`pic_order_with_conductor` for the conductor f with the (place,
-    multiplicity) pairs `conductor`, as `factor(f)[1]` gives them."""
+    multiplicity) pairs `conductor`, as `factor(f)[1]` gives them, and a d0
+    known to be square-free and, above degree 0, definite."""
     F = d0.field
     q = F.q
     if d0.degree == 0:
@@ -280,7 +288,7 @@ def _conductor_order(d0, conductor):
         # deg f >= 1, as for f = 1 it is the maximal order F_{q^2}[t] itself
         numerator, denominator = 1, (q + 1 if conductor else 1)
     else:
-        numerator, denominator = pic_order(d0), 1
+        numerator, denominator = _euler_order(d0, (d0.degree - 1) // 2), 1
     for p, k in conductor:
         d = p.degree
         sym = _jacobi(d0, p)
@@ -310,9 +318,17 @@ class CompReport:
 
 
 def comp_sequence_check(disc):
-    F = disc.field
-    table = class_table(F, disc, primitive_only=True)  # checks disc is definite
-    f0, conductor = F.one, []  # disc = lc(disc) g^2 f0, g from `conductor`
+    """The composition bridge at one discriminant, from its primitive class
+    table (`class_table` raises unless disc is definite)."""
+    return _comp_report(class_table(disc.field, disc, primitive_only=True))
+
+
+def _comp_report(table):
+    """The composition bridge of a primitive class table: its places give
+    disc = lc(disc) g^2 f0, and d0 = lc(disc) f0 is square-free and definite
+    by construction."""
+    F, disc = table.field, table.disc
+    f0, conductor = F.one, []  # g from `conductor`
     for p, e in table.places:
         if e % 2:
             f0 = f0 * p

@@ -25,17 +25,17 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import asdict, dataclass, field as dataclass_field
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from math import comb
 
 import numpy as np
 
 from .classify import canonical_disc_at, canonical_disc_count, canonical_discs
-from .classify import class_table, cn1_prediction
+from .classify import class_tables, cn1_prediction
 from .errors import DEFAULT_BUDGET
-from .ffpoly import SquareClass, is_squarefree, prime_field, sieve_factor
+from .ffpoly import SquareClass, is_squarefree, prime_field
 from .localgenus import LocalRepDecider, represented_at_infinity
-from .picard import comp_sequence_check, weil_interval
+from .picard import _comp_report, weil_interval
 from .qform import Form, _mat_det, form_to_string
 from .repset import _coeff_rows, repset_keys_batch, repset_upto
 
@@ -220,6 +220,14 @@ class SweepData:
         return out
 
 
+def _primitive_tables(field, discs):
+    """(disc, primitive class table) for each of `discs`, ascending by
+    degree, the tables of each degree built together by `class_tables`."""
+    for _, group in groupby(discs, key=lambda disc: disc.degree):
+        group = list(group)
+        yield from zip(group, class_tables(field, group, primitive_only=True))
+
+
 _SWEEP_CACHE = {}
 
 
@@ -227,12 +235,11 @@ def sweep_data(cfg):
     key = (cfg.q, cfg.max_disc_degree, cfg.budget)
     if key not in _SWEEP_CACHE:
         field = prime_field(cfg.q)
+        discs = canonical_discs(field, cfg.max_disc_degree)
         classes = [
             (disc, ci, rep)
-            for disc in canonical_discs(field, cfg.max_disc_degree)
-            for ci, rep in enumerate(
-                class_table(field, disc, primitive_only=True).class_representatives
-            )
+            for disc, table in _primitive_tables(field, discs)
+            for ci, rep in enumerate(table.class_representatives)
         ]
         _SWEEP_CACHE[key] = SweepData(cfg, classes)
     return _SWEEP_CACHE[key]
@@ -800,8 +807,7 @@ def cn1_survey(cfg):
     violations = []
     instances = 0
     h_one_at_deg3 = []
-    for disc in chain(canonical_discs(F, 2), cubics):
-        table = class_table(F, disc, primitive_only=True)
+    for disc, table in _primitive_tables(F, chain(canonical_discs(F, 2), cubics)):
         for ci in range(len(table.proper_counts)):
             instances += 1
             observed = len(table.genera[table.genus_index_of_class(ci)])
@@ -836,12 +842,12 @@ def comp_bridge_sweep(cfg):
     F = prime_field(cfg.q)
     violations = []
     instances = 0
-    for disc in canonical_discs(F, cfg.max_disc_degree):
-        # the sieve of disc, built here, serves its class table as well
-        if any(e > 1 for _, e in sieve_factor(disc)):
+    for disc, table in _primitive_tables(F, canonical_discs(F, cfg.max_disc_degree)):
+        # the places come from the sieve of the batch that built the table
+        if any(e > 1 for _, e in table.places):
             continue
         instances += 1
-        report = comp_sequence_check(disc)
+        report = _comp_report(table)
         if disc.degree >= 1:
             lo, hi = weil_interval(cfg.q, (disc.degree - 1) // 2)
             h = report.pic_order // (2 - disc.degree % 2)
@@ -863,7 +869,6 @@ def comp_bridge_sweep(cfg):
                     expected=report.expected,
                 )
             )
-        table = class_table(F, disc, primitive_only=True)
         genera = len(table.genera)
         r = len(table.places)
         if genera != 2**r:

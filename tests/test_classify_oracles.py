@@ -4,6 +4,11 @@
   over every pair (a, b) with a of any leading coefficient;
 - the assigned-character Jordan data at every divisor p of D, of forms of
   any content, against the p-adic Jordan diagonalization;
+- `class_tables` (every discriminant of one degree built together on int
+  arrays, in batches) against the per-discriminant `Poly` construction that
+  it replaced, which reads the roots off `square_roots_mod`, the places off
+  `factor` and the content off `Form.is_primitive`, and against the orbit
+  oracle below;
 - `class_table` (one torus pass per discriminant, places read off the
   sieve) against two orbit passes over every U in GL_2(F_q), for det +-1
   and det 1, with genera from Jordan data only;
@@ -27,15 +32,17 @@ import pytest
 
 from fqforms import classify, verify
 from fqforms.classify import (
+    ClassTable,
     _class_keys,
     canonical_disc_at,
     canonical_disc_count,
     canonical_discs,
     class_table,
+    class_tables,
     enumerate_forms,
 )
 from fqforms.errors import CapabilityError
-from fqforms.ffpoly import _sqrt_table, factor, prime_field
+from fqforms.ffpoly import _sqrt_table, factor, prime_field, square_roots_mod
 from fqforms.localgenus import (
     INFINITY,
     GenusSymbol,
@@ -46,6 +53,7 @@ from fqforms.localgenus import (
 )
 from fqforms.qform import Form, key_powers
 from fqforms.verify import SweepConfig
+from tests.test_ffpoly import high_multiplicity_discs
 from tests.test_qform import reduced_images, scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
@@ -231,28 +239,183 @@ def assert_table_matches_orbit_oracle(field, disc):
     """Both tables of `disc` equal the orbit oracle, and `class_index_of`
     finds the class of the first and the last form of each class."""
     for primitive_only in (False, True):
-        forms, classes, proper_classes, genera = orbit_table(
-            field, disc, primitive_only
-        )
-        table = class_table(field, disc, primitive_only)
-        where = (str(disc), primitive_only)
-        assert [f.gram for f in table.forms] == [f.gram for f in forms], where
-        assert table.classes == classes, where
-        assert table.proper_classes == proper_classes, where
-        assert table.genera == genera, where
-        assert [f.gram for f in table.class_representatives] == [
-            forms[cls[0]].gram for cls in classes
-        ], where
-        # the nested scans over the index lists that the per-class data replaced
-        for ci in range(len(classes)):
-            assert ci in genera[table.genus_index_of_class(ci)], where
-        assert table.proper_counts_per_genus() == [
-            sum(1 for p in proper_classes for ci in genus if p[0] in classes[ci])
-            for genus in genera
-        ], where
-        for ci, cls in enumerate(classes):
-            for i in (cls[0], cls[-1]):
-                assert table.class_index_of(forms[i]) == ci, where
+        assert_matches_orbit_oracle(class_table(field, disc, primitive_only))
+
+
+def assert_matches_orbit_oracle(table):
+    """`table` equals the orbit oracle of its disc and content."""
+    field, disc, primitive_only = table.field, table.disc, table.primitive_only
+    forms, classes, proper_classes, genera = orbit_table(field, disc, primitive_only)
+    where = (str(disc), primitive_only)
+    assert [f.gram for f in table.forms] == [f.gram for f in forms], where
+    assert table.classes == classes, where
+    assert table.proper_classes == proper_classes, where
+    assert table.genera == genera, where
+    assert [f.gram for f in table.class_representatives] == [
+        forms[cls[0]].gram for cls in classes
+    ], where
+    # the nested scans over the index lists that the per-class data replaced
+    for ci in range(len(classes)):
+        assert ci in genera[table.genus_index_of_class(ci)], where
+    assert table.proper_counts_per_genus() == [
+        sum(1 for p in proper_classes for ci in genus if p[0] in classes[ci])
+        for genus in genera
+    ], where
+    for ci, cls in enumerate(classes):
+        for i in (cls[0], cls[-1]):
+            assert table.class_index_of(forms[i]) == ci, where
+
+
+
+
+def poly_class_table(field, disc, primitive_only):
+    """The class table of `disc` built one discriminant at a time on `Poly`
+    values, as `class_table` did before the batches: the roots of each monic
+    a_m from `square_roots_mod`, the content from `Form.is_primitive` and
+    the places from `factor`; classes in closed form where deg a < deg c,
+    by `_class_keys` where deg a = deg c."""
+    nonsquare = field.constant(field._first_nonsquare())
+    places = factor(disc)[1]
+    filter_content = primitive_only and any(e > 1 for _, e in places)
+    monic = []  # (a_m, b, c or None) for the classes' monic solutions
+    classes = []  # ((a, b) keys, (index into monic, a), proper class count)
+    for deg_a in range(disc.degree // 2 + 1):
+        solutions = []
+        for a_m, roots in square_roots_mod(disc, deg_a):
+            if filter_content:
+                binary = Form._trusted_binary
+                forms = [binary(a_m, b, (b * b - disc) // a_m) for b in roots]
+                roots = [b for b, form in zip(roots, forms) if form.is_primitive()]
+            solutions.append((a_m, roots))
+        if 2 * deg_a == disc.degree:
+            triples = [
+                (a_m, b, (b * b - disc) // a_m)
+                for a_m, roots in solutions
+                for b in roots
+            ]
+            reps, propers = {}, {}
+            for abc, (key, proper_key) in zip(triples, _class_keys(triples)):
+                if key not in reps:
+                    reps[key] = (len(monic), abc[0])
+                    monic.append(abc)
+                propers.setdefault(key, set()).add(proper_key)
+            classes.extend((key, rep, len(propers[key])) for key, rep in reps.items())
+            continue
+        found = []
+        for a_m, roots in solutions:
+            # each class holds (a, b) and (a, -b): keep the first of the two
+            kept = [(b, b.key()) for b in roots if b.key() <= (-b).key()]
+            first = len(monic)
+            monic.extend((a_m, b, None) for b, _ in kept)
+            for a in (a_m, a_m * nonsquare):
+                for i, (b, b_key) in enumerate(kept, first):
+                    found.append(((a.key(), b_key), (i, a), 1 if b.is_zero() else 2))
+        classes.extend(sorted(found, key=lambda entry: entry[0]))
+    return ClassTable(
+        field=field,
+        disc=disc,
+        primitive_only=primitive_only,
+        places=places,
+        _monic=monic,
+        _classes=[entry for _, entry, _ in classes],
+        proper_counts=[count for _, _, count in classes],
+        _class_of_key={key: ci for ci, (key, _, _) in enumerate(classes)},
+    )
+
+
+# (q, top degree, discs sampled at the top degree or None for all of them);
+# every (7, 4) table would take about 12 s in the oracle and the batch
+BATCH_CASES = [(3, 6, None), (5, 4, None), (7, 4, 80)]
+
+
+@pytest.mark.parametrize("q,top,sampled", BATCH_CASES)
+def test_class_tables_match_per_disc_oracle(monkeypatch, q, top, sampled):
+    # every degree built in batches of 7, so batch bounds fall inside it
+    monkeypatch.setattr(classify, "TABLE_CHUNK", 7)
+    F = prime_field(q)
+    square_factor = 0
+    for m in range(top + 1):
+        discs = discs_of_degree(F, m)
+        if m == top and sampled:
+            discs = sorted(random.Random(q * 100 + m).sample(discs, sampled), key=str)
+        both = [list(class_tables(F, discs, flag)) for flag in (False, True)]
+        for disc, tables in zip(discs, zip(*both)):
+            for primitive_only, table in enumerate(tables):
+                # places, monic solutions, classes, proper counts and class
+                # keys; representatives and genera are read off these alone
+                oracle = poly_class_table(F, disc, bool(primitive_only))
+                assert table == oracle, (str(disc), primitive_only)
+            square_factor += any(e > 1 for _, e in table.places)
+    assert square_factor > 100
+
+
+def test_class_tables_match_orbit_oracle(monkeypatch):
+    monkeypatch.setattr(classify, "TABLE_CHUNK", 5)
+    F = prime_field(3)
+    for m in range(5):
+        for primitive_only in (False, True):
+            for table in class_tables(F, discs_of_degree(F, m), primitive_only):
+                assert_matches_orbit_oracle(table)
+
+
+@pytest.mark.parametrize("q,top", [(3, 6), (5, 4), (7, 3)])
+def test_batch_places_match_factor(q, top):
+    # every canonical d, square-free or not, then the high-multiplicity
+    # shapes at every lead, in one sieve per degree; Cantor-Zassenhaus
+    # `factor` is the oracle
+    F = prime_field(q)
+    discs = [*canonical_discs(F, top), *high_multiplicity_discs(F)]
+    for m in sorted({d.degree for d in discs}):
+        batch = [d for d in discs if d.degree == m]
+        places = classify._places(F, m // 2)
+        _, _, divides, square = classify._sieve(F, batch)
+        for d, divides_d, square_d in zip(batch, divides, square):
+            got = classify._disc_places(d, places, divides_d, square_d)
+            assert got == factor(d)[1], str(d)
+
+
+def test_class_tables_refuse_what_class_table_refuses():
+    F = prime_field(5)
+    t = F.t
+    assert list(class_tables(F, [], True)) == []
+    for discs in (
+        [t + 1, t * t + 2],  # two degrees
+        [t * t + 2, t * t + 1],  # t^2 + 1 is indefinite (square lead)
+        [F.zero],
+    ):
+        with pytest.raises(ValueError):
+            class_tables(F, discs, True)
+    with pytest.raises(ValueError):
+        class_table(F, t * t + 1)
+    with pytest.raises(ValueError):
+        class_table(F, F.zero)
+
+
+def test_content_filter_builds_no_form(monkeypatch):
+    # the content of a solution (a_m, b) is read off the places whose square
+    # divides D, so a primitive table of a square-factor D, and its
+    # enumerated forms, build no form to test it
+    F = prime_field(3)
+    discs = [d for d in discs_of_degree(F, 5) if any(e > 1 for _, e in factor(d)[1])]
+    expected = [
+        (table.proper_counts, len(table.forms))
+        for table in (poly_class_table(F, d, True) for d in discs)
+    ]
+    built = []
+    binary = Form._trusted_binary
+
+    def counted(cls, a, b, c):
+        built.append((a, b, c))
+        return binary(a, b, c)
+
+    monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
+    tables = list(class_tables(F, discs, primitive_only=True))
+    assert [t.proper_counts for t in tables] == [e[0] for e in expected]
+    assert built == []
+    # `enumerate_forms` builds each form it returns and no other
+    assert [len(t.forms) for t in tables] == [e[1] for e in expected]
+    assert len(built) == sum(e[1] for e in expected)
+    assert len(discs) > 100
 
 
 @pytest.mark.parametrize("q,deg", ORBIT_CASES)
@@ -462,8 +625,16 @@ def test_sweep_data_builds_no_genus(monkeypatch):
     def refuse(*args):
         raise AssertionError("sweep_data computed a genus")
 
-    classify._class_table_cached.cache_clear()
+    built = []
+    built_by = verify.class_tables
+
+    def tabling(field, discs, primitive_only=False):
+        for table in built_by(field, discs, primitive_only):
+            built.append(table)
+            yield table
+
     monkeypatch.setattr(verify, "_SWEEP_CACHE", {})
+    monkeypatch.setattr(verify, "class_tables", tabling)
     for name in (
         "genus_symbol", "_jacobi", "_hasse_at_infinity", "_binary_hasse_at_infinity"
     ):
@@ -474,15 +645,11 @@ def test_sweep_data_builds_no_genus(monkeypatch):
     assert len(data.records) > 100
     monkeypatch.undo()
     F = prime_field(5)
-    hits = classify._class_table_cached.cache_info().hits
-    # the last 16 tables of the sweep are still cached
-    discs = canonical_discs(F, 3)[-16:]
-    for d in discs:
-        table = class_table(F, d, primitive_only=True)
+    # the sweep built one table per disc; read the genera of the last 16
+    assert [table.disc for table in built] == canonical_discs(F, 3)
+    for table in built[-16:]:
         assert "genera" not in vars(table)
         by_symbol = {}
         for ci, rep in enumerate(table.class_representatives):
             by_symbol.setdefault(jordan_genus_symbol(rep), []).append(ci)
-        assert table.genera == list(by_symbol.values()), str(d)
-    assert classify._class_table_cached.cache_info().hits == hits + len(discs)
-    classify._class_table_cached.cache_clear()
+        assert table.genera == list(by_symbol.values()), str(table.disc)

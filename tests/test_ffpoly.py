@@ -19,7 +19,6 @@ from fqforms.ffpoly import (
     powmod,
     prime_field,
     residue_char,
-    sieve_factor,
     square_roots_mod,
     strip_valuation,
     xgcd,
@@ -575,17 +574,6 @@ def test_square_roots_mod_high_multiplicity_any_lead(q, degree):
     for d in high_multiplicity_discs(prime_field(q)):
         for k in range(degree + 1):
             assert_roots_match_scan(d, k)
-
-
-@pytest.mark.parametrize("q,top", [(3, 6), (5, 4), (7, 3)])
-def test_sieve_factor_matches_factor(q, top):
-    # every canonical d, square-free or not, then the high-multiplicity
-    # shapes at every lead; Cantor-Zassenhaus `factor` is the oracle
-    F = prime_field(q)
-    for d in [*canonical_discs(F, top), *high_multiplicity_discs(F)]:
-        assert sieve_factor(d) == factor(d)[1], str(d)
-    with pytest.raises(ValueError):
-        sieve_factor(F.zero)
 
 
 def test_places_match_irreducibility_scan():

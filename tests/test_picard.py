@@ -495,8 +495,11 @@ def test_comp_sweep_never_builds_group_structure(monkeypatch):
 
 
 def test_comp_sweep_flags_order_outside_weil_interval(monkeypatch):
-    true_order = fqforms.picard.pic_order
-    monkeypatch.setattr(fqforms.picard, "pic_order", lambda d0: 10 * true_order(d0))
+    # the sweep takes its orders from the Euler product of `pic_order`
+    true_order = fqforms.picard._euler_order
+    monkeypatch.setattr(
+        fqforms.picard, "_euler_order", lambda d0, genus: 10 * true_order(d0, genus)
+    )
     report = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     weil = [v for v in report.violations if "weil_interval" in str(v.expected)]
     # 10 h is above (sqrt(3) + 1)^(2g) for g = 0 and 1, at odd and even degree

@@ -400,18 +400,19 @@ def test_cn1_survey_builds_only_the_sampled_cubic_discs(monkeypatch):
     from fqforms import verify
 
     asked, tabled = [], []
-    discs, table = verify.canonical_discs, verify.class_table
+    discs, tables = verify.canonical_discs, verify.class_tables
 
     def listing(field, max_degree):
         asked.append(max_degree)
         return discs(field, max_degree)
 
-    def tabling(field, disc, primitive_only=False):
-        tabled.append(disc)
-        return table(field, disc, primitive_only)
+    def tabling(field, batch, primitive_only=False):
+        batch = list(batch)
+        tabled.extend(batch)
+        return tables(field, batch, primitive_only)
 
     monkeypatch.setattr(verify, "canonical_discs", listing)
-    monkeypatch.setattr(verify, "class_table", tabling)
+    monkeypatch.setattr(verify, "class_tables", tabling)
     r = run_check("cn1", SweepConfig(q=17, samples=12, seed=5))
     assert asked == [2]
     deg3 = discs_of_degree(prime_field(17), 3)
@@ -432,11 +433,12 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
     from fqforms import classify, verify
 
     tables = []
-    table = verify.class_table
+    built_by = verify.class_tables
 
-    def tabling(field, disc, primitive_only=False):
-        tables.append(table(field, disc, primitive_only))
-        return tables[-1]
+    def tabling(field, discs, primitive_only=False):
+        for table in built_by(field, discs, primitive_only):
+            tables.append(table)
+            yield table
 
     built = []
     binary = Form._trusted_binary
@@ -445,11 +447,13 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
         built.append((a, b, c))
         return binary(a, b, c)
 
-    monkeypatch.setattr(verify, "class_table", tabling)
+    monkeypatch.setattr(verify, "class_tables", tabling)
     monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
     classify._class_table_cached.cache_clear()
     r = run_check("comp", SweepConfig(q=5, max_disc_degree=3))
-    assert r.passed and r.instances_checked == len(tables) == 231
+    # a table is built for every disc; the 231 square-free ones are checked
+    square_free = [t for t in tables if all(e == 1 for _, e in t.places)]
+    assert r.passed and r.instances_checked == len(square_free) == 231
     assert built == []
     assert not any("class_representatives" in vars(t) for t in tables)
     classify._class_table_cached.cache_clear()
@@ -463,32 +467,40 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
 
 
 def test_comp_bridge_sieves_each_disc_once(monkeypatch):
-    # the square-free filter builds each disc's square-root sieve, and
-    # `comp_sequence_check` and the class table read it from the cache; no
-    # disc goes through `factor` or the distinct-degree pass `_places_dividing`
-    import functools
-
-    from fqforms import ffpoly
+    # every disc of the sweep is sieved once, in the batch that builds its
+    # class table, and the square-free filter and `_comp_report` read the
+    # table's places; no disc goes through the per-disc sieve
+    # `_place_roots`, `factor` or the distinct-degree pass `_places_dividing`,
+    # and no d0 = lc(D) f0 through a square-free test, as the sieve makes it
+    # square-free
+    from fqforms import ffpoly, picard, verify
     from fqforms.classify import _class_table_cached, canonical_discs
+
+    def refuse(f):
+        raise AssertionError("the comp sweep tested a d0 for a square factor")
+
+    picard._genus.cache_clear()
+    monkeypatch.setattr(picard, "is_squarefree", refuse)
 
     F = prime_field(3)
     discs = canonical_discs(F, 3)
-    sieved = []
-    raw = ffpoly._place_roots.__wrapped__
+    batched = []
+    built_by = verify.class_tables
 
-    def counted(d, top):
-        sieved.append(d)
-        return raw(d, top)
+    def tabling(field, batch, primitive_only=False):
+        batch = list(batch)
+        batched.extend(batch)
+        return built_by(field, batch, primitive_only)
 
-    monkeypatch.setattr(ffpoly, "_place_roots", functools.lru_cache(maxsize=16)(counted))
+    monkeypatch.setattr(verify, "class_tables", tabling)
     _class_table_cached.cache_clear()
     passed = []
-    for name in ("factor", "_places_dividing"):
+    for name in ("factor", "_places_dividing", "_place_roots"):
         original = getattr(ffpoly, name)
 
-        def recorded(f, original=original):
+        def recorded(f, *args, original=original):
             passed.append(f)
-            return original(f)
+            return original(f, *args)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("fqforms") and hasattr(module, name):
@@ -496,7 +508,7 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     r = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     square_free = [d for d in discs if ffpoly.is_squarefree(d)]
     assert r.passed and r.instances_checked == len(square_free)
-    assert sorted(sieved, key=str) == sorted(discs, key=str)
+    assert batched == discs
     assert not set(passed) & set(discs)
     _class_table_cached.cache_clear()
 
