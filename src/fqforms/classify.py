@@ -63,16 +63,23 @@ representative of a primitive class.  The divisors of D are read off the
 batch residues that also give the roots.
 At every divisor p of D, whatever v_p(D), the Jordan data of a class
 primitive at p is one assigned character, chi_p(a), or chi_p(c) when
-p | a (`localgenus._jordan_at_place`).  chi_p(a) is computed once per
-monic a_m, as chi_p(l a_m) = chi(l)^(deg p) chi_p(a_m) (1 at a_m = 1),
-and chi_p(c) = chi(l)^(deg p) chi_p((b^2 - D) / a_m) per class where
-p | a_m.  The Hasse symbol at infinity of (a, b, c) comes from its
-diagonal <a, -a D> and so depends only on deg a and the square class of
-lc a (`localgenus._binary_hasse_at_infinity`).  A class whose characters
-vanish at p has content divisible by p, and only such a class builds its
-representative and takes a full `genus_symbol`.  Residue characters come
-from quadratic reciprocity (`ffpoly._jacobi`, one step at a linear a_m),
-at places the product sieve `ffpoly._places` has shown irreducible.
+p | a (`localgenus._jordan_at_place`), and chi_p(l a_m) =
+chi(l)^(deg p) chi_p(a_m).  The Hasse symbol at infinity of (a, b, c)
+comes from its diagonal <a, -a D> and so depends only on deg a and the
+square class of lc a (`localgenus._binary_hasse_at_infinity`).  A class
+whose characters vanish at p has content divisible by p, and only such a
+class builds its representative and takes a full `genus_symbol`.
+Residue characters are norms: in A/(p), of q^k elements,
+x^((q^k - 1)/2) = N(x)^((q - 1)/2), so chi_p(x) = chi(N(x mod p)), with
+N(x) the determinant of multiplication by x, by Gaussian elimination
+mod q (`_residue_chars`).  The first read of the genera of any table of
+a batch runs one numpy pass over all its classes (`_batch_genera`):
+chi_p(a_m) at the places p of D of degree <= m / 2 from the residues of
+a_m; where p | a_m and p || D, chi_p(c) from chi_p(D'), chi_p(p') and
+chi_p(a_m / p); at the one place R of D of degree > m / 2, if any,
+chi_R(a_m) by reciprocity from chi_p(R) at the places p of a_m.  Each
+genus key is one int of character bits.  Only a class with p | a_m and
+p^2 | D takes chi_p(c) class by class, by reciprocity (`ffpoly._jacobi`).
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -81,13 +88,13 @@ one variable, so tables over canonical discriminants (leading coefficient
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import Poly, _crt_roots, _jacobi, _places, _roots_mod_powers
-from .ffpoly import _sqrt_at_place, factor, is_irreducible
+from .ffpoly import Poly, _crt_roots, _jacobi, _monic_factorizations, _places
+from .ffpoly import _roots_mod_powers, _sqrt_at_place, factor, is_irreducible
 from .ffpoly import square_roots_mod, strip_valuation
 from .localgenus import GenusSymbol, _binary_hasse_at_infinity, genus_symbol
 from .qform import (
@@ -256,7 +263,7 @@ def _class_keys(triples):
     return out
 
 
-@dataclass
+@dataclasses.dataclass
 class ClassTable:
     """The classes of one exact discriminant, with their genera.
 
@@ -267,15 +274,18 @@ class ClassTable:
     non-square.  `proper_counts[i]` is the number of proper classes (1 or
     2) in class i.  `places` holds the (place, multiplicity) pairs of
     `disc`, as `factor(disc)[1]` gives them, read off the residues of the
-    batch that built the table.
+    batch that built the table.  `_batch` is what the tables of that batch
+    share for their characters (`_Batch`) and `_index` the place of this
+    table in it; neither takes part in comparisons.
 
     The rest is built on first read.  `class_representatives` holds the
     first form of each class in `enumerate_forms` order, and classes are
     ordered by it.  `genus_keys` (one per class) and `genera` (sorted
-    class-index lists, ordered by first member) come from the monic
-    solutions, with no representative built for a primitive class.
-    `forms`, `classes` and `proper_classes` (sorted form-index lists,
-    ordered by first member) list every form.
+    class-index lists, ordered by first member) come from one numpy pass
+    over the batch (`_batch_genera`), run when the genera of any of its
+    tables are first read, with no representative built for a primitive
+    class.  `forms`, `classes` and `proper_classes` (sorted
+    form-index lists, ordered by first member) list every form.
     """
 
     field: object
@@ -286,6 +296,8 @@ class ClassTable:
     _classes: list  # (index into _monic, a) per class
     proper_counts: list
     _class_of_key: dict  # (a, b) keys of a class's first form -> class index
+    _batch: object = dataclasses.field(default=None, compare=False, repr=False)
+    _index: int = dataclasses.field(default=0, compare=False, repr=False)
 
     def class_index_of(self, form):
         """Index of the class containing a definite form of this disc."""
@@ -334,8 +346,33 @@ class ClassTable:
 
     @functools.cached_property
     def genus_keys(self):
-        """One key per class, equal exactly within a genus (`_genus_keys`)."""
-        return _genus_keys(self)
+        """One key per class, equal exactly within a genus: an int of
+        character bits (`_batch_genera`) for a primitive class, the genus
+        symbol of any other."""
+        keys, pending = self._batch.genera[self._index]
+        keys = list(keys)
+        for ci, ranks in pending:
+            keys[ci] = self._pending_key(ci, keys[ci], ranks)
+        return keys
+
+    def _pending_key(self, ci, key, ranks):
+        """The key of class ci with the bits of the places of `places` at
+        `ranks` added, places p with p | a_m and p^2 | disc: chi_p(c), for
+        c = (b^2 - disc) / (lead a_m), by reciprocity, and the genus symbol
+        of the representative where it vanishes."""
+        i, a = self._classes[ci]
+        a_m, b, c = self._monic[i]
+        if c is None:
+            c = (b * b - self.disc) // a_m
+        chi = self.field.char(a.coeffs[-1])
+        for rank in ranks:
+            p = self.places[rank][0]
+            x = _jacobi(c, p) * chi**p.degree
+            if x == 0:  # p divides a and c, so b^2 = disc + ac too: not primitive
+                return genus_symbol(self.class_representatives[ci], self.places)
+            if x < 0:
+                key |= 1 << rank
+        return key
 
     @functools.cached_property
     def genera(self):
@@ -449,25 +486,52 @@ def _batch_tables(field, discs, primitive_only):
         (_torus_part if 2 * k == m else _closed_part)(field, coeffs, k, *sols)
         for k, sols in enumerate(solutions)
     ]
+    disc_places = [
+        _disc_places(disc, places, divides[i], square[i])
+        for i, disc in enumerate(discs)
+    ]
+    members = [part_members for _, part_members in parts]
+    batch = _Batch(field, discs, coeffs, divides, square, disc_places, members)
 
     tables = []
     for i, disc in enumerate(discs):
         monic, classes, keys, counts = [], [], [], []
-        for part in parts:
-            part(i, monic, classes, keys, counts)
+        for extend, _ in parts:
+            extend(i, monic, classes, keys, counts)
         tables.append(
             ClassTable(
                 field=field,
                 disc=disc,
                 primitive_only=primitive_only,
-                places=_disc_places(disc, places, divides[i], square[i]),
+                places=disc_places[i],
                 _monic=monic,
                 _classes=classes,
                 proper_counts=counts,
                 _class_of_key=dict(zip(keys, range(len(keys)))),
+                _batch=batch,
+                _index=i,
             )
         )
     return tables
+
+
+@dataclasses.dataclass(eq=False)
+class _Batch:
+    """What the tables of one `_batch_tables` call keep for their
+    characters, which are computed for all of them on the first read of
+    any table's genera."""
+
+    field: object
+    discs: list
+    coeffs: object  # (discs, m + 1) coefficient rows
+    divides: object  # (discs, places) bools: p | D, from `_sieve`
+    square: object  # (discs, places) bools: p^2 | D
+    places: list  # `ClassTable.places` of each disc
+    members: list  # (disc, a_m index, scaled) arrays per deg a_m, in table order
+
+    @functools.cached_property
+    def genera(self):
+        return _batch_genera(self)
 
 
 def _sieve(field, discs):
@@ -486,34 +550,102 @@ def _sieve(field, discs):
 
 @functools.lru_cache(maxsize=32)
 def _residue_maps(field, m):
-    """[(places, maps)] per place degree k <= m / 2: the places of degree k
-    in key order and the (m + 1, places * k) matrix whose row j holds
-    t^j mod p for each place p, so that the residues of a polynomial of
-    degree <= m at all of them are one matmul with its coefficients."""
+    """[(places, rows, maps)] per place degree k <= m / 2: the places of
+    degree k in key order, their (places, k + 1) coefficient rows, and the
+    (m + 1, places, k) array whose [j, i] holds t^j mod the i-th place, so
+    that the residues of a polynomial of degree <= m at all of them are one
+    matmul with its coefficients."""
     out = []
     places = _places(field, m // 2)
     for k in range(1, m // 2 + 1):
         places_k = [p for p in places if p.degree == k]
-        maps = np.zeros((m + 1, len(places_k), k), dtype=np.int64)
-        for i, p in enumerate(places_k):
-            x = field.one
-            for j in range(m + 1):
-                maps[j, i, : len(x.coeffs)] = x.coeffs
-                x = x * field.t % p
-        out.append((places_k, maps.reshape(m + 1, -1)))
+        rows = _poly_rows(places_k, k + 1)
+        power = np.zeros((len(places_k), k), dtype=np.int64)
+        power[:, 0] = 1
+        maps = [power]
+        for _ in range(m):
+            maps.append(_times_t(maps[-1], rows, field.q))
+        out.append((places_k, rows, np.stack(maps)))
     return out
+
+
+def _times_t(x, places, q):
+    """x t mod p of residues x (..., k) at places p of degree k with
+    coefficient rows `places` (..., k + 1), broadcast together."""
+    top = x[..., -1:]
+    shifted = np.concatenate([np.zeros_like(top), x[..., :-1]], axis=-1)
+    return (shifted - top * places[..., :-1]) % q
 
 
 def _residues(field, m, rows):
     """[(polynomials, places of degree k, k) residues, for k = 1 .. m / 2]
     of the polynomials of degree <= m with coefficient rows `rows` at the
     places of `_places(field, m // 2)`, one matmul per place degree."""
-    padded = np.zeros((len(rows), m + 1), dtype=np.int64)
-    padded[:, : rows.shape[1]] = rows
+    padded = _padded(rows, m + 1)
     return [
-        (padded @ maps % field.q).reshape(len(rows), len(places_k), places_k[0].degree)
-        for places_k, maps in _residue_maps(field, m)
+        (padded @ maps.reshape(m + 1, -1) % field.q).reshape(len(rows), *maps.shape[1:])
+        for _, _, maps in _residue_maps(field, m)
     ]
+
+
+def _padded(rows, length):
+    """`rows` widened to `length` columns with zeros."""
+    out = np.zeros((len(rows), length), dtype=np.int64)
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
+def _chars_at(field, m, rows, at):
+    """chi_p of each polynomial of degree <= m, given by its coefficient
+    row, at its own place p, given by its index in `at` into
+    `_places(field, m // 2)`."""
+    padded = _padded(rows, m + 1)
+    out = np.zeros(len(rows), dtype=np.int64)
+    start = 0
+    for places_k, place_rows, maps in _residue_maps(field, m):
+        end = start + len(places_k)
+        chosen = (start <= at) & (at < end)
+        if chosen.any():
+            local = at[chosen] - start
+            residues = np.einsum("nj,jnk->nk", padded[chosen], maps[:, local]) % field.q
+            out[chosen] = _residue_chars(field, residues, place_rows[local])
+        start = end
+    return out
+
+
+def _residue_chars(field, x, places):
+    """chi_p(x) of residues x (n, k) at places p of degree k with
+    coefficient rows `places` (n, k + 1), row by row.
+
+    A/(p) is the field of q^k elements, in which x^((q^k - 1) / 2) =
+    N(x)^((q - 1) / 2) for the norm N down to F_q, so chi_p(x) = chi(N(x)).
+    N(x) is the determinant of multiplication by x on A/(p), whose columns
+    are x t^j mod p for j < k (at k = 1 the residue itself), by Gaussian
+    elimination mod q, k steps over all rows at once."""
+    q, k = field.q, x.shape[-1]
+    chars = np.array(field.chars)
+    if k == 1:
+        return chars[x[:, 0]]
+    columns = [x]
+    for _ in range(1, k):
+        columns.append(_times_t(columns[-1], places, q))
+    matrix = np.stack(columns, axis=-1)  # [i, r, j]: coefficient r of x t^j
+    n = len(matrix)
+    inverses = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)])
+    norm = np.ones(n, dtype=np.int64)
+    every = np.arange(n)
+    for j in range(k):
+        # the first row r >= j with a nonzero entry in column j; none: N = 0
+        nonzero = matrix[:, j:, j] != 0
+        pivot = j + nonzero.argmax(axis=1)
+        swapped = matrix[every, pivot].copy()
+        matrix[every, pivot] = matrix[:, j].copy()
+        matrix[:, j] = swapped
+        lead = matrix[:, j, j]
+        norm = np.where(pivot == j, norm, -norm) * lead % q
+        below = matrix[:, j + 1 :, j] * inverses[lead][:, None] % q
+        matrix[:, j + 1 :] = (matrix[:, j + 1 :] - below[..., None] * matrix[:, j, None]) % q
+    return chars[norm]
 
 
 def _zero_at(residues, n):
@@ -608,7 +740,9 @@ def _segments(at, n):
 def _closed_part(field, coeffs, k, at, index, rows):
     """Where deg a < deg c: the classes (u a_m, +-b) of each D, with u = 1
     or the first non-square and b the first of +-b in key order, sorted by
-    (key of a, key of b); one monic solution (a_m, b, None) each."""
+    (key of a, key of b); one monic solution (a_m, b, None) each.  Returns
+    the function that extends the lists of one table, and the (disc, a_m
+    index, u != 1) arrays of the classes, in table order."""
     q = field.q
     powers = q ** np.arange(k, dtype=np.int64)
     b_keys, neg_keys = rows @ powers, (-rows % q) @ powers
@@ -616,7 +750,12 @@ def _closed_part(field, coeffs, k, at, index, rows):
     at, index, rows, b_keys = at[kept], index[kept], rows[kept], b_keys[kept]
     monic, scaled, scaled_keys, _ = _monic_polys(field, k)
     # by (disc, key of the scaled a_m, key of b): lexsort is stable
-    by_scaled = np.lexsort((scaled_keys[index], at)).tolist()
+    by_scaled = np.lexsort((scaled_keys[index], at))
+    solution = np.concatenate([np.arange(len(at)), by_scaled])
+    is_scaled = np.arange(len(solution)) >= len(at)
+    order = np.argsort(2 * at[solution] + is_scaled, kind="stable")
+    members = at[solution[order]], index[solution[order]], is_scaled[order]
+    by_scaled = by_scaled.tolist()
     bounds = _segments(at, len(coeffs))
     index, b_keys, scaled_keys = index.tolist(), b_keys.tolist(), scaled_keys.tolist()
     bs = [Poly(field, row) for row in rows.tolist()]
@@ -636,7 +775,7 @@ def _closed_part(field, coeffs, k, at, index, rows):
             keys.append((scaled_keys[index[s]], b_keys[s]))
             counts.append(2 if b_keys[s] else 1)
 
-    return extend
+    return extend, members
 
 
 @functools.lru_cache(maxsize=16)
@@ -654,10 +793,11 @@ def _torus_part(field, coeffs, k, at, index, rows):
     """Where deg a = deg c = k: c = (b^2 - D) / a_m for every solution, the
     class keys of all of them from one `_least_images` pass, and the
     classes of each D in order of their first form, which is the
-    representative (a_m, b, c) of its class."""
+    representative (a_m, b, c) of its class.  Returns what `_closed_part`
+    does."""
     q, n = field.q, len(at)
     if not n:
-        return lambda *lists: None
+        return (lambda *lists: None), (at, index, np.zeros(0, dtype=bool))
     a_rows, maps = _quotient_maps(field, k)
     b_rows = np.zeros((n, k + 1), dtype=np.int64)
     b_rows[:, :k] = rows
@@ -698,7 +838,7 @@ def _torus_part(field, coeffs, k, at, index, rows):
             keys_out.append(class_keys[x])
             counts.append(counts_list[x])
 
-    return extend
+    return extend, (at[firsts], index[firsts], np.zeros(len(firsts), dtype=bool))
 
 
 def _disc_places(disc, places, divides, square):
@@ -721,52 +861,138 @@ def _disc_places(disc, places, divides, square):
     return out
 
 
-def _genus_keys(table):
-    """One key per class of `table`, equal for two classes exactly when
-    they share a genus: the assigned characters and the Hasse symbol at
-    infinity of a primitive class, the genus symbol of any other.
+def _batch_genera(batch):
+    """[(keys, pending)] for each table of `batch`: one int key per class,
+    in table order, and [(class index, [rank, ...])] for the classes whose
+    key still lacks the bits of the places at those ranks of `places`
+    (`ClassTable._pending_key`).
 
-    With a = lead a_m, chi_p(a) = chi(lead)^(deg p) chi_p(a_m), chi_p(a_m)
-    computed once per a_m (1 at a_m = 1); where p | a_m, chi_p(c) is
-    chi(lead)^(deg p) chi_p((b^2 - disc) / a_m).  The symbol at infinity
-    is computed once per deg a and lead.  Only a class that is not
-    primitive reads its representative."""
-    disc, places = table.disc, table.places
-    F = disc.field
-    ones = (1,) * len(places)
-    monic_chars = {}  # chi_p(a_m) at every place, by a_m
-    twists = {}  # chi(lead)^(deg p) at every place, by lead
-    hasse = {}  # by deg a and lead
-    out = []
-    for ci, (i, a) in enumerate(table._classes):
-        a_m, b, c = table._monic[i]
-        chars = monic_chars.get(a_m)
-        if chars is None:
-            if a_m.degree == 0:
-                chars = ones
-            else:
-                chars = tuple(_jacobi(a_m, p) for p, _ in places)
-            monic_chars[a_m] = chars
-        lead = a.coeffs[-1]
-        twist = twists.get(lead)
-        if twist is None:
-            chi = F.char(lead)
-            twist = twists[lead] = tuple(chi**p.degree for p, _ in places)
-        if 0 in chars:
-            if c is None:
-                c = (b * b - disc) // a_m
-            chars = tuple(x or _jacobi(c, p) for x, (p, _) in zip(chars, places))
-        chars = tuple(x * s for x, s in zip(chars, twist))
-        if 0 in chars:
-            # p divides a and c, so b^2 = disc + ac too: not primitive
-            out.append(genus_symbol(table.class_representatives[ci], places))
-            continue
-        at_infinity = hasse.get((a_m.degree, lead))
-        if at_infinity is None:
-            at_infinity = _binary_hasse_at_infinity(a_m.degree, lead, disc)
-            hasse[a_m.degree, lead] = at_infinity
-        out.append((chars, at_infinity))
+    Bit r of a key is set where the assigned character of the class at the
+    r-th place of D is -1, and the bit above them where its Hasse symbol at
+    infinity is.  With a = l a_m, l = 1 or the first non-square:
+    - at a place p of D of degree <= m / 2 that does not divide a_m,
+      chi_p(a) = chi(l)^(deg p) chi_p(a_m), one `_chars_at` pair per class
+      and place;
+    - where p | a_m and p || D, p || a_m and the character is chi_p(c) =
+      chi(l)^(deg p) chi_p(c_m), c_m = (b^2 - D) / a_m.  p | b, so
+      c_m = -(D / p) / (a_m / p) mod p, and D' = p' (D / p) mod p, so
+      chi_p(c_m) = chi_p(-p') chi_p(D') chi_p(a_m / p);
+    - where p | a_m and p^2 | D the class is pending;
+    - at the place R of degree > m / 2, where D has one (at most one, of
+      multiplicity 1), R does not divide a_m, and by reciprocity chi_R(a_m)
+      = (-1)^(((q - 1) / 2) deg a_m deg R) prod chi_p(R)^e over p^e || a_m;
+    - the Hasse symbol at infinity reads only deg a, l and D
+      (`_binary_hasse_at_infinity`)."""
+    field, discs = batch.field, batch.discs
+    q, m, n = field.q, discs[0].degree, len(discs)
+    top = m // 2
+    places = _places(field, top)
+    monic_rows, factors, exponents, cofactor_chars = _monic_factors(field, top)
+    # every class of the batch, by disc, then in table order; `index` runs
+    # over the monic a_m of every degree <= m / 2, as `_monic_factors` does
+    offsets = np.cumsum([0] + [q**k for k in range(top)])
+    at, index, scaled, degree = (
+        np.concatenate(column)
+        for column in zip(
+            *(
+                (at, offsets[k] + index, scaled, np.full(len(at), k))
+                for k, (at, index, scaled) in enumerate(batch.members)
+            )
+        )
+    )
+    order = np.argsort(at, kind="stable")
+    at, index, scaled, degree = at[order], index[order], scaled[order], degree[order]
+
+    # the places of degree <= m / 2 of each D, as (discs, rank) indices
+    small = batch.divides.sum(axis=1)
+    width = int(small.max(initial=0))
+    owner, where = np.nonzero(batch.divides)
+    ranked = np.zeros((n, width), dtype=np.int64)
+    ranked[owner, np.cumsum(batch.divides, axis=1)[owner, where] - 1] = where
+    columns, pairs = ranked[at], np.arange(width) < small[at, None]
+    chars = np.zeros(pairs.shape, dtype=np.int64)
+    pc, pj = np.nonzero(pairs)
+    chars[pc, pj] = _chars_at(field, m, monic_rows[index[pc]], columns[pc, pj])
+    divides_a = pairs & (chars == 0)
+    pending = divides_a & batch.square[at[:, None], columns]
+    rc, rj = np.nonzero(divides_a & ~pending)
+    if len(rc):
+        p = columns[rc, rj]
+        own = (factors[index[rc]] == p[:, None]) & (exponents[index[rc]] > 0)
+        derivatives = batch.coeffs[at[rc], 1:] * np.arange(1, m + 1) % q
+        place_rows = _poly_rows([places[x] for x in p.tolist()], top + 1)
+        minus_derivatives = -place_rows[:, 1:] * np.arange(1, top + 1) % q
+        chars[rc, rj] = (
+            (cofactor_chars[index[rc]] * own).sum(axis=1)
+            * _chars_at(field, m, derivatives, p)
+            * _chars_at(field, m, minus_derivatives, p)
+        )
+    odd = np.array([p.degree % 2 == 1 for p in places], dtype=bool)
+    chars[scaled[:, None] & odd[columns]] *= -1
+    keys = (chars < 0) @ (1 << np.arange(width, dtype=np.int64))
+
+    large = [
+        ps[-1][0] if ps and ps[-1][0].degree > top else field.one
+        for ps in batch.places
+    ]
+    large_degrees = np.array([p.degree for p in large])[at]
+    odd_half = (q - 1) // 2 % 2 == 1
+    flip = (large_degrees % 2 == 1) & (scaled ^ (odd_half & (degree % 2 == 1)))
+    fc, fs = np.nonzero((exponents[index] % 2 == 1) & (large_degrees > 0)[:, None])
+    if len(fc):
+        large_rows = _poly_rows(large, m + 1)[at[fc]]
+        chars_r = _chars_at(field, m, large_rows, factors[index[fc], fs])
+        flip ^= np.bincount(fc[chars_r < 0], minlength=len(at)) % 2 == 1
+    has_large = large_degrees > 0
+    keys |= (flip & has_large).astype(np.int64) << small[at]
+
+    # the symbol at infinity by (deg a_m, lc D, l), one disc for each lc D
+    by_lead = {d.lc(): d for d in discs}
+    leads = sorted(by_lead)
+    units = (1, field._first_nonsquare())
+    minus_at_infinity = np.array(
+        [
+            [[_binary_hasse_at_infinity(k, u, by_lead[lc]) < 0 for u in units]
+             for lc in leads]
+            for k in range(top + 1)
+        ]
+    )
+    lead_index = np.searchsorted(leads, [d.lc() for d in discs])[at]
+    infinity = minus_at_infinity[degree, lead_index, scaled.astype(np.int64)]
+    keys |= infinity.astype(np.int64) << (small[at] + has_large)
+
+    bounds = _segments(at, n)
+    keys = keys.tolist()
+    out = [(keys[bounds[i] : bounds[i + 1]], []) for i in range(n)]
+    for c in np.flatnonzero(pending.any(axis=1)).tolist():
+        ranks = np.flatnonzero(pending[c]).tolist()
+        out[at[c]][1].append((c - bounds[at[c]], ranks))
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _monic_factors(field, top):
+    """(rows, places, exponents, chars) over the monic a_m of every degree
+    k <= top, by degree and then key: their (., top + 1) coefficient rows,
+    and (., top) arrays of the index into `_places(field, top)` of each
+    place p | a_m, its exponent e and chi_p(a_m / p^e), with exponent 0 in
+    the slots left."""
+    size = sum(field.q**k for k in range(top + 1))
+    index = {p: i for i, p in enumerate(_places(field, top))}
+    places = np.zeros((size, top), dtype=np.int64)
+    exponents = np.zeros((size, top), dtype=np.int64)
+    monic, cofactors = [], []
+    for k in range(top + 1):
+        for u, factors in _monic_factorizations(field, k):
+            for s, (p, e, _) in enumerate(factors):
+                places[len(monic), s], exponents[len(monic), s] = index[p], e
+                cofactors.append(u // p**e)
+            monic.append(u)
+    chars = np.ones((size, top), dtype=np.int64)
+    filled = exponents > 0
+    rows = _poly_rows(cofactors, top + 1)
+    chars[filled] = _chars_at(field, 2 * top, rows, places[filled])
+    return _poly_rows(monic, top + 1), places, exponents, chars
 
 
 def canonical_disc_count(field, m):

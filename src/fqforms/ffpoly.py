@@ -44,12 +44,17 @@ class Field:
     `q` and `p` are the same number; `q` is the name used for counting
     (q^n polynomials of degree < n), `p` for reducing residues.
     `delta` defaults to the first non-square in the ascending element order.
+    `chars[a]` is the quadratic character of a, by Euler's criterion.
     """
 
     def __init__(self, p, delta=None):
         if not _is_prime(p) or p == 2:
             raise ValueError(f"q must be an odd prime, got {p}")
         self.p = self.q = p
+        half = (p - 1) // 2
+        self.chars = (0,) + tuple(
+            1 if pow(a, half, p) == 1 else -1 for a in range(1, p)
+        )
         if delta is None:
             delta = self._first_nonsquare()
         if not 0 < delta < p or self.is_square(delta):
@@ -87,13 +92,11 @@ class Field:
         """Whether a is a nonzero square; errors on zero."""
         if a == 0:
             raise ValueError("is_square is undefined at 0")
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return self.chars[a % self.p] == 1
 
     def char(self, a):
         """Quadratic character: 0 at 0, else +1 for squares, -1 otherwise."""
-        if a == 0:
-            return 0
-        return 1 if self.is_square(a) else -1
+        return self.chars[a % self.p]
 
     def elements(self):
         return range(self.q)

@@ -364,10 +364,11 @@ def successive_minima(form):
 # -- constant GL_n(F_q) transformations ------------------------------------
 
 def _poly_rows(polys, length):
+    """The (polys, length) coefficient rows of `polys`, zero-padded."""
     return np.array(
         [list(p.coeffs) + [0] * (length - len(p.coeffs)) for p in polys],
         dtype=np.int64,
-    )
+    ).reshape(-1, length)
 
 def key_powers(q, length):
     """The int64 weights q^0, ..., q^(length-1) that pack a row of `length`

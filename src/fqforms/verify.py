@@ -642,7 +642,7 @@ def _infinity_classes(field, digits):
 
 
 def _char_table(field):
-    return np.array([field.char(c) for c in range(field.q)])
+    return np.array(field.chars)
 
 
 def _class_ids(parts, chars):

@@ -21,7 +21,11 @@
 - genera from assigned characters against the Jordan path, at every
   discriminant and content, with no `genus_symbol` or Jordan
   diagonalization for a primitive table, and built on first read, after a
-  sweep that builds none.
+  sweep that builds none;
+- genera from one numpy pass over a batch (characters as norms, the large
+  place by reciprocity) against the per-class loop over `ffpoly._jacobi`
+  that it replaced, and the characters of `_chars_at` against
+  `residue_char` and the squares of each residue field.
 """
 
 import random
@@ -42,16 +46,26 @@ from fqforms.classify import (
     enumerate_forms,
 )
 from fqforms.errors import CapabilityError
-from fqforms.ffpoly import _sqrt_table, factor, prime_field, square_roots_mod
+from fqforms.ffpoly import (
+    _jacobi,
+    _places,
+    _sqrt_table,
+    factor,
+    powmod,
+    prime_field,
+    residue_char,
+    square_roots_mod,
+)
 from fqforms.localgenus import (
     INFINITY,
     GenusSymbol,
+    _binary_hasse_at_infinity,
     _jordan_at_place,
     genus_symbol,
     hasse_invariant,
     jordan_invariants,
 )
-from fqforms.qform import Form, key_powers
+from fqforms.qform import Form, _poly_rows, key_powers
 from fqforms.verify import SweepConfig
 from tests.test_ffpoly import high_multiplicity_discs
 from tests.test_qform import reduced_images, scanned_reduced_images
@@ -342,11 +356,145 @@ def test_class_tables_match_per_disc_oracle(monkeypatch, q, top, sampled):
         for disc, tables in zip(discs, zip(*both)):
             for primitive_only, table in enumerate(tables):
                 # places, monic solutions, classes, proper counts and class
-                # keys; representatives and genera are read off these alone
+                # keys; representatives are read off these alone, genera off
+                # the batch characters as well
                 oracle = poly_class_table(F, disc, bool(primitive_only))
-                assert table == oracle, (str(disc), primitive_only)
+                where = (str(disc), primitive_only)
+                assert table == oracle, where
+                assert [f.gram for f in table.class_representatives] == [
+                    f.gram for f in oracle.class_representatives
+                ], where
+                assert table.genera == genera_of(per_class_genus_keys(oracle)), where
             square_factor += any(e > 1 for _, e in table.places)
     assert square_factor > 100
+
+
+def per_class_genus_keys(table):
+    """One key per class of `table`, equal for two classes exactly when
+    they share a genus: the assigned characters and the Hasse symbol at
+    infinity of a primitive class, the genus symbol of any other, class by
+    class by reciprocity, as class tables read their genera before the
+    batch pass.
+
+    With a = lead a_m, chi_p(a) = chi(lead)^(deg p) chi_p(a_m), chi_p(a_m)
+    computed once per a_m (1 at a_m = 1); where p | a_m, chi_p(c) is
+    chi(lead)^(deg p) chi_p((b^2 - disc) / a_m).  The symbol at infinity
+    is computed once per deg a and lead.  Only a class that is not
+    primitive reads its representative."""
+    disc, places = table.disc, table.places
+    F = disc.field
+    ones = (1,) * len(places)
+    monic_chars = {}  # chi_p(a_m) at every place, by a_m
+    twists = {}  # chi(lead)^(deg p) at every place, by lead
+    hasse = {}  # by deg a and lead
+    out = []
+    for ci, (i, a) in enumerate(table._classes):
+        a_m, b, c = table._monic[i]
+        chars = monic_chars.get(a_m)
+        if chars is None:
+            if a_m.degree == 0:
+                chars = ones
+            else:
+                chars = tuple(_jacobi(a_m, p) for p, _ in places)
+            monic_chars[a_m] = chars
+        lead = a.coeffs[-1]
+        twist = twists.get(lead)
+        if twist is None:
+            chi = F.char(lead)
+            twist = twists[lead] = tuple(chi**p.degree for p, _ in places)
+        if 0 in chars:
+            if c is None:
+                c = (b * b - disc) // a_m
+            chars = tuple(x or _jacobi(c, p) for x, (p, _) in zip(chars, places))
+        chars = tuple(x * s for x, s in zip(chars, twist))
+        if 0 in chars:
+            # p divides a and c, so b^2 = disc + ac too: not primitive
+            out.append(genus_symbol(table.class_representatives[ci], places))
+            continue
+        at_infinity = hasse.get((a_m.degree, lead))
+        if at_infinity is None:
+            at_infinity = _binary_hasse_at_infinity(a_m.degree, lead, disc)
+            hasse[a_m.degree, lead] = at_infinity
+        out.append((chars, at_infinity))
+    return out
+
+
+def genera_of(keys):
+    """Class-index lists of equal genus keys, ordered by first member."""
+    by_genus = {}
+    for ci, key in enumerate(keys):
+        by_genus.setdefault(key, []).append(ci)
+    return list(by_genus.values())
+
+
+@pytest.mark.parametrize("q,top", [(7, 3), (11, 3)])
+def test_batch_genera_match_per_class_path(monkeypatch, q, top):
+    # every canonical disc, square-free or not, both contents, in batches
+    # of 7 so that batch bounds fall inside a degree (the per-disc oracle
+    # test above does the same at (3, 6) and (5, 4)); the key of a
+    # non-primitive class is its genus symbol on both paths
+    monkeypatch.setattr(classify, "TABLE_CHUNK", 7)
+    F = prime_field(q)
+    pending = large = 0
+    for m in range(top + 1):
+        for primitive_only in (False, True):
+            for table in class_tables(F, discs_of_degree(F, m), primitive_only):
+                where = (str(table.disc), primitive_only)
+                expected_keys = per_class_genus_keys(table)
+                assert table.genera == genera_of(expected_keys), where
+                for key, expected in zip(table.genus_keys, expected_keys):
+                    if isinstance(expected, GenusSymbol):
+                        assert key == expected, where
+                    else:
+                        assert isinstance(key, int), where
+                pending += len(table._batch.genera[table._index][1])
+                large += any(2 * p.degree > m for p, _ in table.places)
+    assert pending > 50 and large > 500
+
+
+def place_chars(field, m, rows):
+    """(rows, places) chi_p of the polynomials of degree <= m with
+    coefficient rows `rows` at every place p of `_places(field, m // 2)`,
+    one `_chars_at` call over every (row, place) pair."""
+    count = len(_places(field, m // 2))
+    at = np.tile(np.arange(count), len(rows))
+    chars = classify._chars_at(field, m, np.repeat(rows, count, axis=0), at)
+    return chars.reshape(len(rows), count)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_place_chars_match_residue_fields(q):
+    # every residue x (deg x < deg p) at every place p of degree <= 3, in
+    # one `_chars_at` call, against the squares of A/(p), and below degree
+    # 3 against `residue_char` and Euler's criterion
+    F = prime_field(q)
+    places = _places(F, 3)
+    residues = [F.poly_from_key(key) for key in range(q**3)]
+    rows = np.array([x.coeffs + (0,) * (3 - len(x.coeffs)) for x in residues])
+    chars = place_chars(F, 6, rows)
+    for j, p in enumerate(places):
+        size = q**p.degree
+        squares = {(x * x % p).key() for x in residues[1:size]}
+        for key in range(size):
+            expected = 0 if key == 0 else 1 if key in squares else -1
+            assert chars[key, j] == expected, (str(residues[key]), str(p))
+            if p.degree <= 2:
+                x = residues[key]
+                euler = powmod(x, (size - 1) // 2, p)
+                assert residue_char(x, p) == expected
+                assert euler == F.constant(expected % q) or key == 0
+
+
+def test_place_chars_at_high_place_degree_match_reciprocity():
+    # the norm is a determinant by elimination, k^3 steps at place degree
+    # k: at q = 3, every place of degree <= 9, for t^19 + t + 1 and for
+    # t^19 - t, which every place of degree 1 divides
+    F = prime_field(3)
+    polys = [F.poly([1, 1] + [0] * 17 + [1]), F.t**19 - F.t]
+    places = _places(F, 9)
+    chars = place_chars(F, 19, _poly_rows(polys, 20))
+    for f, row in zip(polys, chars.tolist()):
+        assert row == [_jacobi(f, p) for p in places], str(f)
 
 
 def test_class_tables_match_orbit_oracle(monkeypatch):
@@ -621,7 +769,8 @@ def test_orbit_partition_keys_never_wrap():
 
 def test_sweep_data_builds_no_genus(monkeypatch):
     # the minima, disc and equiv sweeps read only class representatives, so
-    # no genus is computed; a table's genera, read afterwards, are right
+    # no genus is computed and no batch runs its character pass; a table's
+    # genera, read afterwards, are right
     def refuse(*args):
         raise AssertionError("sweep_data computed a genus")
 
@@ -636,7 +785,8 @@ def test_sweep_data_builds_no_genus(monkeypatch):
     monkeypatch.setattr(verify, "_SWEEP_CACHE", {})
     monkeypatch.setattr(verify, "class_tables", tabling)
     for name in (
-        "genus_symbol", "_jacobi", "_hasse_at_infinity", "_binary_hasse_at_infinity"
+        "genus_symbol", "_jacobi", "_hasse_at_infinity", "_binary_hasse_at_infinity",
+        "_batch_genera", "_chars_at",
     ):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("fqforms") and hasattr(module, name):

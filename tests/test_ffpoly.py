@@ -48,6 +48,17 @@ def test_field_basics():
     with pytest.raises(ValueError):
         Field(9)  # prime fields only
     assert Field(5, delta=3).delta == 3
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 31])
+def test_field_chars_match_euler_criterion(q):
+    F = Field(q)
+    euler = [0] + [1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)]
+    assert list(F.chars) == euler
+    assert [F.char(a) for a in range(-q, 2 * q)] == euler * 3
+    assert [F.is_square(a) for a in range(1, q)] == [c == 1 for c in euler[1:]]
+    with pytest.raises(ValueError):
+        F.is_square(0)
     for bad in (0, 4, 7, -2):  # zero, a square, and out of range
         with pytest.raises(ValueError):
             Field(5, delta=bad)

@@ -482,6 +482,19 @@ def test_weil_interval_exact():
             assert hi < (q**0.5 + 1) ** (2 * g) < hi + 1
 
 
+def test_comp_sweep_reads_genera_off_batch_characters(monkeypatch):
+    # genera come from the batch characters (norms at the small places,
+    # reciprocity at the large one), not class by class; `comp` skips the
+    # tables with a square factor, so no class is left to `_jacobi`
+    def refuse(*args):
+        raise AssertionError("a class table called _jacobi")
+
+    monkeypatch.setattr(fqforms.classify, "_jacobi", refuse)
+    report = run_check("comp", SweepConfig(q=7, max_disc_degree=3))
+    assert report.passed
+    assert report.instances_checked > 500
+
+
 def test_comp_sweep_never_builds_group_structure(monkeypatch):
     # the sweep reads only |Pic|, which the Euler product gives
     def refuse(*args):
