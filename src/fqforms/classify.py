@@ -18,7 +18,9 @@ discriminants of one degree m, `TABLE_CHUNK` at a time, on int arrays.
 D -> D mod p is linear, so the residues of every D and D' at every place
 of degree <= m / 2 are one matmul per place degree, and the places of D,
 their multiplicities and the square-free test are read off
-"D = D' = 0 mod p".  The roots at a linear a_m are looked up in the F_q
+"D = D' = 0 mod p", the place of degree > m / 2 by an exact division of
+rows (`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
+(`_place_counts`).  The roots at a linear a_m come from the F_q
 square-root table for the whole batch; above degree 1 they are lifted and
 combined per D, as `square_roots_mod` does, from the batch residues.
 Where deg a = deg c, c = (b^2 - D) / a_m comes from one gathered quotient
@@ -56,30 +58,10 @@ computed it, c; the representative (l a_m, b, c) is built on first read,
 with c = (b^2 - D) / a_m computed once per (a_m, b) and divided by l.
 
 Genera group classes by their local data (Jordan invariants at the
-divisors of D, Hasse symbol at infinity) and are built on first read,
-from the monic solutions, so a sweep that reads only the representatives
-never computes one, and a sweep that reads only genera builds no
-representative of a primitive class.  The divisors of D are read off the
-batch residues that also give the roots.
-At every divisor p of D, whatever v_p(D), the Jordan data of a class
-primitive at p is one assigned character, chi_p(a), or chi_p(c) when
-p | a (`localgenus._jordan_at_place`), and chi_p(l a_m) =
-chi(l)^(deg p) chi_p(a_m).  The Hasse symbol at infinity of (a, b, c)
-comes from its diagonal <a, -a D> and so depends only on deg a and the
-square class of lc a (`localgenus._binary_hasse_at_infinity`).  A class
-whose characters vanish at p has content divisible by p, and only such a
-class builds its representative and takes a full `genus_symbol`.
-Residue characters are norms: in A/(p), of q^k elements,
-x^((q^k - 1)/2) = N(x)^((q - 1)/2), so chi_p(x) = chi(N(x mod p)), with
-N(x) the determinant of multiplication by x, by Gaussian elimination
-mod q (`_residue_chars`).  The first read of the genera of any table of
-a batch runs one numpy pass over all its classes (`_batch_genera`):
-chi_p(a_m) at the places p of D of degree <= m / 2 from the residues of
-a_m; where p | a_m and p || D, chi_p(c) from chi_p(D'), chi_p(p') and
-chi_p(a_m / p); at the one place R of D of degree > m / 2, if any,
-chi_R(a_m) by reciprocity from chi_p(R) at the places p of a_m.  Each
-genus key is one int of character bits.  Only a class with p | a_m and
-p^2 | D takes chi_p(c) class by class, by reciprocity (`ffpoly._jacobi`).
+divisors of D, Hasse symbol at infinity), built on first read from the
+monic solutions in one numpy pass over every class of the batch
+(`_batch_genera`), residue characters as norms (`_residue_chars`); only a
+class whose content p divides takes a representative and `genus_symbol`.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -274,9 +256,10 @@ class ClassTable:
     non-square.  `proper_counts[i]` is the number of proper classes (1 or
     2) in class i.  `places` holds the (place, multiplicity) pairs of
     `disc`, as `factor(disc)[1]` gives them, read off the residues of the
-    batch that built the table.  `_batch` is what the tables of that batch
-    share for their characters (`_Batch`) and `_index` the place of this
-    table in it; neither takes part in comparisons.
+    batch that built the table, as is `place_counts` (`_place_counts`);
+    `_batch` (`_Batch`) is what the tables of that batch share for their
+    characters and `_index` the place of this table in it.  The last three
+    take no part in comparisons.
 
     The rest is built on first read.  `class_representatives` holds the
     first form of each class in `enumerate_forms` order, and classes are
@@ -296,6 +279,7 @@ class ClassTable:
     _classes: list  # (index into _monic, a) per class
     proper_counts: list
     _class_of_key: dict  # (a, b) keys of a class's first form -> class index
+    place_counts: list = dataclasses.field(default=None, compare=False, repr=False)
     _batch: object = dataclasses.field(default=None, compare=False, repr=False)
     _index: int = dataclasses.field(default=0, compare=False, repr=False)
 
@@ -486,12 +470,9 @@ def _batch_tables(field, discs, primitive_only):
         (_torus_part if 2 * k == m else _closed_part)(field, coeffs, k, *sols)
         for k, sols in enumerate(solutions)
     ]
-    disc_places = [
-        _disc_places(disc, places, divides[i], square[i])
-        for i, disc in enumerate(discs)
-    ]
-    members = [part_members for _, part_members in parts]
-    batch = _Batch(field, discs, coeffs, divides, square, disc_places, members)
+    disc_places, large = _disc_places(field, discs, coeffs, places, divides, square)
+    batch = _Batch(field, discs, coeffs, divides, square, large, [x for _, x in parts])
+    place_counts = _place_counts(field, coeffs, residues)
 
     tables = []
     for i, disc in enumerate(discs):
@@ -508,6 +489,7 @@ def _batch_tables(field, discs, primitive_only):
                 _classes=classes,
                 proper_counts=counts,
                 _class_of_key=dict(zip(keys, range(len(keys)))),
+                place_counts=place_counts[i],
                 _batch=batch,
                 _index=i,
             )
@@ -517,21 +499,33 @@ def _batch_tables(field, discs, primitive_only):
 
 @dataclasses.dataclass(eq=False)
 class _Batch:
-    """What the tables of one `_batch_tables` call keep for their
-    characters, which are computed for all of them on the first read of
-    any table's genera."""
+    """What the tables of one `_batch_tables` call share for their genera,
+    computed for all of them on the first read of any table's."""
 
     field: object
     discs: list
     coeffs: object  # (discs, m + 1) coefficient rows
     divides: object  # (discs, places) bools: p | D, from `_sieve`
     square: object  # (discs, places) bools: p^2 | D
-    places: list  # `ClassTable.places` of each disc
+    large: object  # (discs, m + 1) rows of the place of D of degree > m / 2, or 1
     members: list  # (disc, a_m index, scaled) arrays per deg a_m, in table order
 
     @functools.cached_property
     def genera(self):
         return _batch_genera(self)
+
+
+def _place_counts(field, coeffs, residues):
+    """[[(inert, ramified, split) for k = 1 .. g] per polynomial of degree
+    m, with coefficient rows `coeffs` and `_residues` `residues`]: how many
+    places of degree k <= g = (m - 1) / 2 make chi_p -1, 0 or 1."""
+    n, m = coeffs.shape[0], coeffs.shape[1] - 1
+    maps = _residue_maps(field, m)[: (m - 1) // 2]
+    counts = np.zeros((n, len(maps), 3), dtype=np.int64)
+    for k, ((_, rows, _), x) in enumerate(zip(maps, residues)):
+        chars = _residue_chars(field, x.reshape(-1, k + 1), np.tile(rows, (n, 1)))
+        counts[:, k] = (chars.reshape(n, -1, 1) == np.arange(-1, 2)).sum(axis=1)
+    return counts.tolist()
 
 
 def _sieve(field, discs):
@@ -841,24 +835,35 @@ def _torus_part(field, coeffs, k, at, index, rows):
     return extend, (at[firsts], index[firsts], np.zeros(len(firsts), dtype=bool))
 
 
-def _disc_places(disc, places, divides, square):
-    """`factor(disc)[1]` from the batch sieve: the places of degree
-    <= deg D / 2 that divide D, each stripped to find its multiplicity
-    where its square divides D, then what is left, 1 or one place, divided
-    out only when it is not 1."""
-    out = []
-    left = disc.degree
-    for x in np.flatnonzero(divides).tolist():
-        p = places[x]
-        e = strip_valuation(disc, p)[0] if square[x] else 1
-        out.append((p, e))
-        left -= e * p.degree
-    if left:
-        rest = disc.monic()
-        for p, e in out:
-            rest = rest // p**e
-        out.append((rest, 1))
-    return out
+def _disc_places(field, discs, coeffs, places, divides, square):
+    """`factor(disc)[1]` of each of `discs`, of degree m, off the sieve at
+    `places` (multiplicities above 1 by stripping), and the rows of R =
+    D / (lc D S), S = prod p^e over those places, 1 or the place of degree
+    > m / 2: t^m D(1/t) over t^s S(1/t), s = deg S, a column per step."""
+    q, m = field.q, coeffs.shape[1] - 1
+    exponents = divides.astype(np.int64)
+    for i, x in zip(*np.nonzero(square)):
+        exponents[i, x] = strip_valuation(discs[i], places[x])[0]
+    below = np.eye(1, m + 1, dtype=np.int64).repeat(len(discs), axis=0)  # t^s S(1/t)
+    for x in np.flatnonzero(exponents.any(axis=0)).tolist():
+        p = places[x].coeffs[::-1]
+        for e in range(exponents[:, x].max()):  # times p reversed where p^(e + 1) | D
+            grown, times = below.copy(), exponents[:, x, None] > e
+            for j in range(1, len(p)):
+                grown[:, j:] += p[j] * times * below[:, :-j]
+            below = grown % q
+    inverse = np.array([pow(c, q - 2, q) for c in coeffs[:, m].tolist()])
+    rest = coeffs[:, ::-1] * inverse[:, None] % q  # t^m D(1/t) / lc D
+    for j in range(1, m + 1):
+        rest[:, j] = (rest[:, j] - (below[:, j:0:-1] * rest[:, :j]).sum(axis=1)) % q
+    out = [[] for _ in discs]
+    owner, where = np.nonzero(exponents)
+    for i, x in zip(owner.tolist(), where.tolist()):
+        out[i].append((places[x], int(exponents[i, x])))
+    degrees = m - exponents @ np.array([p.degree for p in places], dtype=np.int64)
+    large = [Poly(field, row[d::-1]) for row, d in zip(rest.tolist(), degrees.tolist())]
+    out = [pairs + [(r, 1)] * (r.degree > 0) for pairs, r in zip(out, large)]
+    return out, _poly_rows(large, m + 1)
 
 
 def _batch_genera(batch):
@@ -931,17 +936,12 @@ def _batch_genera(batch):
     chars[scaled[:, None] & odd[columns]] *= -1
     keys = (chars < 0) @ (1 << np.arange(width, dtype=np.int64))
 
-    large = [
-        ps[-1][0] if ps and ps[-1][0].degree > top else field.one
-        for ps in batch.places
-    ]
-    large_degrees = np.array([p.degree for p in large])[at]
+    large_degrees = (m - (batch.large[:, ::-1] != 0).argmax(axis=1))[at]
     odd_half = (q - 1) // 2 % 2 == 1
     flip = (large_degrees % 2 == 1) & (scaled ^ (odd_half & (degree % 2 == 1)))
     fc, fs = np.nonzero((exponents[index] % 2 == 1) & (large_degrees > 0)[:, None])
     if len(fc):
-        large_rows = _poly_rows(large, m + 1)[at[fc]]
-        chars_r = _chars_at(field, m, large_rows, factors[index[fc], fs])
+        chars_r = _chars_at(field, m, batch.large[at[fc]], factors[index[fc], fs])
         flip ^= np.bincount(fc[chars_r < 0], minlength=len(at)) % 2 == 1
     has_large = large_degrees > 0
     keys |= (flip & has_large).astype(np.int64) << small[at]

@@ -228,25 +228,39 @@ def pic_order(d0):
 
 
 def _euler_order(d0, genus):
-    """`pic_order` of a d0 known to be square-free and definite, of genus
-    `genus`, with no check of either."""
-    F, q = d0.field, d0.field.q
+    """`pic_order` of a d0 known to be square-free and definite, unchecked."""
+    return _series_order(d0.field.q, d0.degree, _reciprocity_counts(d0, genus))
+
+
+def _reciprocity_counts(d0, genus):
+    """`_series_order` counts by reciprocity, lazily: the budget comes first."""
+    counts = [[0, 0, 0] for _ in range(genus)]
+    for p in _places(d0.field, genus):
+        counts[p.degree - 1][_jacobi(d0, p) + 1] += 1
+    yield from counts
+
+
+def _series_order(q, degree, counts):
+    """|Pic O| of a square-free definite d0 of `degree` >= 1 and genus g
+    from `counts`, per k = 1 .. g the numbers (inert, ramified, split) of
+    places of degree k where d0 is a non-square, zero or a nonzero square.
+    BudgetError once q^g exceeds the default budget, before any count."""
+    genus = (degree - 1) // 2
     if q**genus > DEFAULT_BUDGET:
         raise BudgetError(
             f"genus {genus} scans the {q}^{genus} monic polynomials of "
             f"degree {genus} (budget {DEFAULT_BUDGET})"
         )
     series = [1] + [0] * genus  # coefficients of T^0 .. T^g: Z_O, then L
-    for p in _places(F, genus):
-        d = p.degree
-        steps = {1: (d, d), -1: (2 * d,), 0: (d,)}[_jacobi(d0, p)]
-        for step in steps:  # times 1/(1 - T^step), ascending
-            for n in range(step, genus + 1):
-                series[n] += series[n - step]
+    for k, (inert, ramified, split) in enumerate(counts, 1):
+        for step, power in ((k, 2 * split + ramified), (2 * k, inert)):
+            for n in range(genus, step - 1, -1):  # times 1/(1 - T^step)^power
+                for j in range(1, n // step + 1):
+                    series[n] += math.comb(power + j - 1, j) * series[n - j * step]
     for root in (1, q):  # times (1 - root T), descending
         for n in range(genus, 0, -1):
             series[n] -= root * series[n - 1]
-    e = 2 - d0.degree % 2
+    e = 2 - degree % 2
     for n in range(e, genus + 1):  # over (1 - T^e), ascending
         series[n] += series[n - e]
     h = sum(series) + sum(q ** (genus - i) * c for i, c in enumerate(series[:genus]))
@@ -326,15 +340,16 @@ def comp_sequence_check(disc):
 def _comp_report(table):
     """The composition bridge of a primitive class table: its places give
     disc = lc(disc) g^2 f0, and d0 = lc(disc) f0 is square-free and definite
-    by construction."""
+    by construction.  A square-free disc of degree >= 1 is its own d0, with
+    the place counts of its table."""
     F, disc = table.field, table.disc
-    f0, conductor = F.one, []  # g from `conductor`
-    for p, e in table.places:
-        if e % 2:
-            f0 = f0 * p
-        if e > 1:
-            conductor.append((p, e // 2))
-    pic = _conductor_order(F.constant(disc.lc()) * f0, conductor)
+    if disc.degree and all(e == 1 for _, e in table.places):
+        pic = _series_order(F.q, disc.degree, table.place_counts)
+    else:  # g from `conductor`
+        lead = F.constant(disc.lc())
+        d0 = math.prod((p for p, e in table.places if e % 2), start=lead)
+        conductor = [(p, e // 2) for p, e in table.places if e > 1]
+        pic = _conductor_order(d0, conductor)
     gd = sum(table.proper_counts)
     expected = 2 * pic if disc.degree >= 1 else pic
     return CompReport(

@@ -33,7 +33,7 @@ import numpy as np
 from .classify import canonical_disc_at, canonical_disc_count, canonical_discs
 from .classify import class_tables, cn1_prediction
 from .errors import DEFAULT_BUDGET
-from .ffpoly import SquareClass, is_squarefree, prime_field
+from .ffpoly import SquareClass, _places, is_squarefree, prime_field
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import _comp_report, weil_interval
 from .qform import Form, _mat_det, form_to_string
@@ -834,6 +834,24 @@ def cn1_survey(cfg):
     return _finish("cn1", cfg, instances, violations, stats, cfg.q <= 13)
 
 
+def _square_free_discs(field, max_degree):
+    """The canonical discriminants with no square factor, in order: a sieve
+    over the indices of each degree m that strikes out lc p^2 r, on rows,
+    for every place p of degree k <= m / 2 and monic r of degree m - 2k."""
+    q, out = field.q, []
+    for m in range(max_degree + 1):
+        struck = np.zeros(canonical_disc_count(field, m), dtype=bool)
+        digits = q ** np.arange(m + 1)
+        for p in _places(field, m // 2):
+            size = q ** (m - 2 * p.degree)
+            r = np.arange(size, 2 * size)[:, None] // digits % q  # monic, by key
+            rows = sum(c * np.roll(r, j, axis=1) for j, c in enumerate((p * p).coeffs))
+            for i, lead in enumerate((1, field.delta) if m % 2 else (field.delta,)):
+                struck[i * q**m + (lead * rows[:, :m] % q) @ digits[:m]] = True
+        out += [canonical_disc_at(field, m, int(i)) for i in np.flatnonzero(~struck)]
+    return out
+
+
 def comp_bridge_sweep(cfg):
     """Composition bridge |G_D| = 2 |Pic(B)| (deg D >= 1) for all square-free
     definite discriminants up to the configured degree, plus genus counts
@@ -842,10 +860,7 @@ def comp_bridge_sweep(cfg):
     F = prime_field(cfg.q)
     violations = []
     instances = 0
-    for disc, table in _primitive_tables(F, canonical_discs(F, cfg.max_disc_degree)):
-        # the places come from the sieve of the batch that built the table
-        if any(e > 1 for _, e in table.places):
-            continue
+    for disc, table in _primitive_tables(F, _square_free_discs(F, cfg.max_disc_degree)):
         instances += 1
         report = _comp_report(table)
         if disc.degree >= 1:

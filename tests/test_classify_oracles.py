@@ -509,17 +509,26 @@ def test_class_tables_match_orbit_oracle(monkeypatch):
 @pytest.mark.parametrize("q,top", [(3, 6), (5, 4), (7, 3)])
 def test_batch_places_match_factor(q, top):
     # every canonical d, square-free or not, then the high-multiplicity
-    # shapes at every lead, in one sieve per degree; Cantor-Zassenhaus
-    # `factor` is the oracle
+    # shapes, each times every unit, in one sieve per degree; the place R of
+    # degree > deg d / 2, where d has one, comes by the division of rows.
+    # Cantor-Zassenhaus `factor` is the oracle, and u d has the places of d
     F = prime_field(q)
     discs = [*canonical_discs(F, top), *high_multiplicity_discs(F)]
+    large_seen = set()
     for m in sorted({d.degree for d in discs}):
         batch = [d for d in discs if d.degree == m]
+        expected = [factor(d)[1] for d in batch]
+        scaled = [F.constant(u) * d for u in range(1, q) for d in batch]
+        coeffs, _, divides, square = classify._sieve(F, scaled)
         places = classify._places(F, m // 2)
-        _, _, divides, square = classify._sieve(F, batch)
-        for d, divides_d, square_d in zip(batch, divides, square):
-            got = classify._disc_places(d, places, divides_d, square_d)
-            assert got == factor(d)[1], str(d)
+        got, large = classify._disc_places(F, scaled, coeffs, places, divides, square)
+        assert got == expected * (q - 1), m
+        for d, pairs, row in zip(scaled, got, large.tolist()):
+            r = pairs[-1][0] if pairs and pairs[-1][0].degree > m // 2 else F.one
+            assert row == list(r.coeffs) + [0] * (m + 1 - len(r.coeffs)), str(d)
+            if all(e == 1 for _, e in pairs):
+                large_seen.add((d.lc(), r.degree > 0))
+    assert large_seen == {(u, has) for u in range(1, q) for has in (False, True)}
 
 
 def test_class_tables_refuse_what_class_table_refuses():

@@ -468,6 +468,44 @@ def test_pic_order_budget():
         pic_order(t**21 + t + 3)
 
 
+def test_euler_series_checks_the_budget_first(monkeypatch):
+    # with q^g over the budget, the series refuses before it reads a count:
+    # on the reciprocity path no place is sieved and no `_jacobi` taken, and
+    # on the batch path `_comp_report` refuses a table it could have read
+    def refuse(*args):
+        raise AssertionError("counted places over the budget")
+
+    F3 = prime_field(3)
+    d0 = F3.t**5 + F3.t**2 + 1  # genus 2, square-free: (t + 2) times a quartic
+    monkeypatch.setattr(fqforms.picard, "DEFAULT_BUDGET", 8)  # 3^2 = 9 > 8
+    table = fqforms.classify.class_table(F3, d0, primitive_only=True)
+    monkeypatch.setattr(fqforms.picard, "_places", refuse)
+    monkeypatch.setattr(fqforms.picard, "_jacobi", refuse)
+    with pytest.raises(BudgetError):
+        pic_order(d0)
+    with pytest.raises(BudgetError):
+        fqforms.picard._comp_report(table)
+    monkeypatch.setattr(fqforms.picard, "DEFAULT_BUDGET", 9)
+    assert fqforms.picard._comp_report(table).passed
+
+
+@pytest.mark.parametrize("q,top", [(3, 6), (5, 5), (7, 4)])
+def test_batch_pic_orders_match_reciprocity(q, top):
+    # every square-free canonical D of degree 1 .. top, from the sieve of
+    # the comp sweep: |Pic O| from the place counts of its batch residues
+    # (norms at places of degree 2, genus 2) against `pic_order`, which
+    # counts places by reciprocity
+    F = prime_field(q)
+    discs = fqforms.verify._square_free_discs(F, top)
+    assert discs == [d for d in canonical_discs(F, top) if is_squarefree(d)]
+    for m in range(1, top + 1):
+        batch = [d for d in discs if d.degree == m]
+        coeffs, residues, _, _ = fqforms.classify._sieve(F, batch)
+        counts = fqforms.classify._place_counts(F, coeffs, residues)
+        got = [fqforms.picard._series_order(q, m, c) for c in counts]
+        assert got == [pic_order(d) for d in batch], m
+
+
 def test_weil_interval_exact():
     # genus 1: Hasse, q + 1 +- floor(2 sqrt(q))
     assert weil_interval(13, 1) == (7, 21)
@@ -484,15 +522,24 @@ def test_weil_interval_exact():
 
 def test_comp_sweep_reads_genera_off_batch_characters(monkeypatch):
     # genera come from the batch characters (norms at the small places,
-    # reciprocity at the large one), not class by class; `comp` skips the
-    # tables with a square factor, so no class is left to `_jacobi`
+    # reciprocity at the large one), not class by class, and |Pic O| from
+    # the place counts of the batch; `comp` builds no table with a square
+    # factor, so no class is left to `_jacobi`, no solution to the content
+    # filter and no place to strip
     def refuse(*args):
-        raise AssertionError("a class table called _jacobi")
+        raise AssertionError("the comp sweep called a per-disc path")
 
-    monkeypatch.setattr(fqforms.classify, "_jacobi", refuse)
+    for module, name in [
+        (fqforms.classify, "_jacobi"),
+        (fqforms.classify, "_primitive_solutions"),
+        (fqforms.classify, "strip_valuation"),
+        (fqforms.picard, "_jacobi"),
+        (fqforms.picard, "_euler_order"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
     report = run_check("comp", SweepConfig(q=7, max_disc_degree=3))
     assert report.passed
-    assert report.instances_checked > 500
+    assert report.instances_checked == 645
 
 
 def test_comp_sweep_never_builds_group_structure(monkeypatch):
@@ -508,10 +555,12 @@ def test_comp_sweep_never_builds_group_structure(monkeypatch):
 
 
 def test_comp_sweep_flags_order_outside_weil_interval(monkeypatch):
-    # the sweep takes its orders from the Euler product of `pic_order`
-    true_order = fqforms.picard._euler_order
+    # the sweep takes its orders from the Euler series of `pic_order`
+    true_order = fqforms.picard._series_order
     monkeypatch.setattr(
-        fqforms.picard, "_euler_order", lambda d0, genus: 10 * true_order(d0, genus)
+        fqforms.picard,
+        "_series_order",
+        lambda q, degree, counts: 10 * true_order(q, degree, counts),
     )
     report = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     weil = [v for v in report.violations if "weil_interval" in str(v.expected)]

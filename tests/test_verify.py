@@ -451,7 +451,7 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
     monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
     classify._class_table_cached.cache_clear()
     r = run_check("comp", SweepConfig(q=5, max_disc_degree=3))
-    # a table is built for every disc; the 231 square-free ones are checked
+    # a table is built for each of the 231 square-free discs, all checked
     square_free = [t for t in tables if all(e == 1 for _, e in t.places)]
     assert r.passed and r.instances_checked == len(square_free) == 231
     assert built == []
@@ -467,9 +467,9 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
 
 
 def test_comp_bridge_sieves_each_disc_once(monkeypatch):
-    # every disc of the sweep is sieved once, in the batch that builds its
-    # class table, and the square-free filter and `_comp_report` read the
-    # table's places; no disc goes through the per-disc sieve
+    # only the square-free discs reach a class table, each sieved once in
+    # the batch that builds it, and `_comp_report` reads the table's places
+    # and place counts; no disc goes through the per-disc sieve
     # `_place_roots`, `factor` or the distinct-degree pass `_places_dividing`,
     # and no d0 = lc(D) f0 through a square-free test, as the sieve makes it
     # square-free
@@ -508,7 +508,7 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     r = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     square_free = [d for d in discs if ffpoly.is_squarefree(d)]
     assert r.passed and r.instances_checked == len(square_free)
-    assert batched == discs
+    assert batched == square_free
     assert not set(passed) & set(discs)
     _class_table_cached.cache_clear()
 
