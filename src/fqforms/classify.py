@@ -13,20 +13,25 @@ b^2 - ac = D != 0 by construction, so they skip the checks of
 a square factor needs the primitivity filter, which tests p | c only at
 the places p with p^2 | D that divide a_m and b (`_is_primitive`).
 
-Class tables are built a degree at a time: `class_tables` takes many
-discriminants of one degree m, `TABLE_CHUNK` at a time, on int arrays.
-D -> D mod p is linear, so the residues of every D and D' at every place
-of degree <= m / 2 are one matmul per place degree, and the places of D,
-their multiplicities and the square-free test are read off
-"D = D' = 0 mod p", the place of degree > m / 2 by an exact division of
-rows (`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
+Class tables are built a degree at a time: `class_batches` takes the
+coefficient rows of many discriminants of one degree m, as many at once as
+keep the largest arrays of a batch near `BATCH_VALUES` int64 values
+(`_disc_values`, from q and m), and works on int arrays.  D -> D mod p is
+linear, so the residues of every D and D' at every place of degree
+<= m / 2 are one matmul per place degree, and the places of D, their
+multiplicities and the square-free test are read off "D = D' = 0 mod p",
+the place of degree > m / 2 by an exact division of rows
+(`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
 (`_place_counts`).  The roots at a linear a_m come from the F_q
 square-root table for the whole batch; above degree 1 they are lifted and
 combined per D, as `square_roots_mod` does, from the batch residues.
 Where deg a = deg c, c = (b^2 - D) / a_m comes from one gathered quotient
 map per monic a_m, and one torus pass (below) names the classes of every
-D of the batch; only the grouping of keys into tables is per D.
-`class_table` is a batch of one.
+D of the batch.  A batch keeps its classes as arrays and gives the totals
+per D that `verify comp` reads (proper classes, genera, equal proper
+counts per genus, places) in numpy; a `ClassTable` is a view of one D of
+a batch, which builds its polynomials, lists and dicts on first read.
+`class_tables` hands out those views and `class_table` is a batch of one.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
@@ -70,7 +75,7 @@ one variable, so tables over canonical discriminants (leading coefficient
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 import functools
 
 import numpy as np
@@ -147,7 +152,7 @@ def enumerate_forms(field, disc, primitive_only=False):
     # a content g has g^2 | disc, so only a place p with p^2 | disc divides it
     square_places = []
     if primitive_only:
-        square = _sieve(field, [disc])[3][0].tolist()
+        square = _sieve(field, _poly_rows([disc], disc.degree + 1))[2][0].tolist()
         places = _places(field, disc.degree // 2)
         square_places = [p for p, s in zip(places, square) if s]
     out = []
@@ -185,25 +190,32 @@ def _least_images(rows, q):
     det U = 1, as two (forms, 2) arrays.
 
     The images come from the units of `_torus_weights`, one matmul per
-    distinct (lc a, lc c) over all forms that share it, so that no weight
-    block is copied per form.  Each polynomial has its own key, which
+    distinct (lc a, lc c) over the forms that share it, so that no weight
+    block is copied per form, and over at most `BATCH_VALUES` image
+    coefficients at once.  Each polynomial has its own key, which
     `key_powers` keeps from wrapping, and pairs are compared key by key."""
     powers = key_powers(q, rows.shape[2])
     top = rows.shape[2] - 1
     leads = rows[:, 0, top] * q + rows[:, 2, top]
-    keys = np.empty((len(rows), 2 * (q + 1), 2), dtype=np.int64)
+    least = np.empty((2, len(rows), 2), dtype=np.int64)
+    step = max(1, BATCH_VALUES // (4 * (q + 1) * rows.shape[2]))
     for lead in set(leads.tolist()):
-        chosen = leads == lead
-        images = _torus_weights(q, *divmod(lead, q)) @ rows[chosen][:, None]
-        keys[chosen] = np.remainder(images, q, out=images) @ powers
-    half = keys.shape[1] // 2
-    return _least_pairs(keys), _least_pairs(keys[:, :half])
+        weights = _torus_weights(q, *divmod(lead, q))
+        chosen = np.flatnonzero(leads == lead)
+        for start in range(0, len(chosen), step):
+            part = chosen[start : start + step]
+            images = weights @ rows[part][:, None]
+            keys = np.remainder(images, q, out=images) @ powers
+            least[0, part] = _least_pairs(keys)
+            least[1, part] = _least_pairs(keys[:, : q + 1])
+    return least[0], least[1]
 
 
 def _least_pairs(keys):
     """The least (a', b') key pair of each row of `keys` (forms, units, 2)."""
     a = keys[..., 0].min(axis=1)
-    b = np.where(keys[..., 0] == a[:, None], keys[..., 1], keys[..., 1].max())
+    # keys are >= 0: `initial` only serves a batch with no such form
+    b = np.where(keys[..., 0] == a[:, None], keys[..., 1], keys[..., 1].max(initial=0))
     return np.stack([a, b.min(axis=1)], axis=1)
 
 
@@ -245,43 +257,62 @@ def _class_keys(triples):
     return out
 
 
-@dataclasses.dataclass
-class ClassTable:
-    """The classes of one exact discriminant, with their genera.
+# the fields of a `ClassTable` that `_Batch.class_lists` builds together
+_CLASS_LISTS = ("_monic", "_classes", "proper_counts", "_class_of_key")
 
-    The table keeps what its build found: `_monic` holds the monic
+
+class ClassTable:
+    """The classes of one exact discriminant, with their genera: a view of
+    the `index`-th discriminant of a `_Batch`.
+
+    A view holds its batch and its index; every field below is read off
+    the batch's arrays on first read and kept.  `_monic` holds the monic
     solutions (a_m, b, c) that name classes, c where the torus pass
     computed it and None elsewhere, and `_classes` holds (index into
     `_monic`, a) for each class, a = a_m or a_m times the first
     non-square.  `proper_counts[i]` is the number of proper classes (1 or
-    2) in class i.  `places` holds the (place, multiplicity) pairs of
-    `disc`, as `factor(disc)[1]` gives them, read off the residues of the
-    batch that built the table, as is `place_counts` (`_place_counts`);
-    `_batch` (`_Batch`) is what the tables of that batch share for their
-    characters and `_index` the place of this table in it.  The last three
-    take no part in comparisons.
+    2) in class i and `_class_of_key` maps the (a, b) keys of a class's
+    first form to its index; these four are built together
+    (`_Batch.class_lists`).  `disc` is the discriminant, `places` its
+    (place, multiplicity) pairs, as `factor(disc)[1]` gives them, and
+    `place_counts` its `_place_counts`.  Two tables are equal when
+    `field`, `disc`, `primitive_only`, `places` and the four lists are.
 
-    The rest is built on first read.  `class_representatives` holds the
-    first form of each class in `enumerate_forms` order, and classes are
-    ordered by it.  `genus_keys` (one per class) and `genera` (sorted
-    class-index lists, ordered by first member) come from one numpy pass
-    over the batch (`_batch_genera`), run when the genera of any of its
-    tables are first read, with no representative built for a primitive
-    class.  `forms`, `classes` and `proper_classes` (sorted
-    form-index lists, ordered by first member) list every form.
+    `class_representatives` holds the first form of each class in
+    `enumerate_forms` order, and classes are ordered by it.  `genus_keys`
+    (one per class) and `genera` (sorted class-index lists, ordered by
+    first member) come from one numpy pass over the batch
+    (`_batch_genera`), run when the genera of any of its tables are first
+    read, with no representative built for a primitive class.  `forms`,
+    `classes` and `proper_classes` (sorted form-index lists, ordered by
+    first member) list every form.
     """
 
-    field: object
-    disc: object
-    primitive_only: bool
-    places: list
-    _monic: list  # (a_m, b, c or None)
-    _classes: list  # (index into _monic, a) per class
-    proper_counts: list
-    _class_of_key: dict  # (a, b) keys of a class's first form -> class index
-    place_counts: list = dataclasses.field(default=None, compare=False, repr=False)
-    _batch: object = dataclasses.field(default=None, compare=False, repr=False)
-    _index: int = dataclasses.field(default=0, compare=False, repr=False)
+    __hash__ = None
+    _COMPARED = ("field", "disc", "primitive_only", "places", *_CLASS_LISTS)
+
+    def __init__(self, batch, index):
+        self._batch, self._index = batch, index
+        self.field, self.primitive_only = batch.field, batch.primitive_only
+
+    def __getattr__(self, name):
+        # called only for a field not read yet: build it off the batch
+        if name in _CLASS_LISTS:
+            vars(self).update(zip(_CLASS_LISTS, self._batch.class_lists(self._index)))
+        elif name == "disc":
+            self.disc = self._batch.disc(self._index)
+        elif name == "places":
+            self.places = self._batch.places(self._index)
+        elif name == "place_counts":
+            self.place_counts = self._batch.place_counts[self._index]
+        else:
+            raise AttributeError(name)
+        return vars(self)[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassTable):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._COMPARED)
 
     def class_index_of(self, form):
         """Index of the class containing a definite form of this disc."""
@@ -333,11 +364,13 @@ class ClassTable:
         """One key per class, equal exactly within a genus: an int of
         character bits (`_batch_genera`) for a primitive class, the genus
         symbol of any other."""
-        keys, pending = self._batch.genera[self._index]
-        keys = list(keys)
-        for ci, ranks in pending:
-            keys[ci] = self._pending_key(ci, keys[ci], ranks)
-        return keys
+        keys, pending = self._batch.genera
+        lo, hi = self._batch.bounds[self._index : self._index + 2]
+        out = keys[lo:hi].tolist()
+        for ci in np.flatnonzero(pending[lo:hi].any(axis=1)).tolist():
+            ranks = np.flatnonzero(pending[lo + ci]).tolist()
+            out[ci] = self._pending_key(ci, out[ci], ranks)
+        return out
 
     def _pending_key(self, ci, key, ranks):
         """The key of class ci with the bits of the places of `places` at
@@ -417,102 +450,202 @@ def _class_table_cached(field, disc, primitive_only):
     return table
 
 
-TABLE_CHUNK = 32  # discriminants per batch of `class_tables`
+BATCH_VALUES = 1 << 15  # int64 values in the largest arrays of one batch
+
+
+def _disc_values(q, m):
+    """About how many int64 values one D of degree m adds to the largest
+    arrays of its batch.  D has about q^(m/2) monic solutions of the top
+    degree m / 2 and twice as many classes; each class gathers up to
+    m (m + 1) residue map entries for its characters (`_chars_at`).  The
+    torus images of a solution, 4 (q + 1)(m / 2 + 1) coefficients at even
+    m, are bounded in `_least_images` instead."""
+    return max(1, q ** (m // 2) * 2 * m * (m + 1))
 
 
 def class_tables(field, discs, primitive_only=False):
     """The class tables of `discs`, definite discriminants of one degree, in
-    order: an iterator that builds them `TABLE_CHUNK` at a time, so that a
-    sweep holds one batch of tables at once.  The discriminants are checked
-    before any table is built."""
+    order: an iterator of views of `class_batches`, so that a sweep holds
+    one batch at once.  The discriminants are checked before any table is
+    built."""
     discs = list(discs)
     if not all(map(is_definite_disc, discs)):
         raise ValueError("discriminant is not definite-shaped")
     if len({d.degree for d in discs}) > 1:
         raise ValueError("class_tables takes discriminants of one degree")
+    if not discs:
+        return iter(())
+    coeffs = _poly_rows(discs, discs[0].degree + 1)
     return (
-        table
-        for start in range(0, len(discs), TABLE_CHUNK)
-        for table in _batch_tables(
-            field, discs[start : start + TABLE_CHUNK], primitive_only
-        )
+        ClassTable(batch, i)
+        for batch in class_batches(field, coeffs, primitive_only, discs)
+        for i in range(batch.n)
     )
 
 
-def _batch_tables(field, discs, primitive_only):
-    """The class tables of `discs`, all of degree m, on int arrays.
+def class_batches(field, coeffs, primitive_only=False, discs=None):
+    """The `_Batch`es of the definite discriminants of one degree m with
+    coefficient rows `coeffs` (discs, m + 1), in order: an iterator, each
+    batch as many discriminants as keep its largest arrays near
+    `BATCH_VALUES` int64 values (`_disc_values`).  `discs`, if given, are
+    the same discriminants as polynomials, which the batches then build no
+    more."""
+    size = max(1, BATCH_VALUES // _disc_values(field.q, coeffs.shape[1] - 1))
+    for start in range(0, len(coeffs), size):
+        part = slice(start, start + size)
+        yield _Batch(
+            field, coeffs[part], primitive_only, None if discs is None else discs[part]
+        )
+
+
+# the classes of a batch, one entry per class: the index of its disc, deg
+# a_m, the index of a_m among the monic polynomials of that degree in key
+# order, whether a = a_m times the first non-square, the coefficient rows
+# of b and (where the torus pass computed it, else 0) of c, its number of
+# proper classes, the (a, b) keys of its first form, and the position of
+# the class that holds its monic solution (itself unless scaled)
+_Classes = collections.namedtuple(
+    "_Classes", "at degree index scaled b c counts keys twin"
+)
+
+
+class _Batch:
+    """The class tables of discriminants D of one degree m, on int arrays.
 
     The residues of every D and D' at every place of degree <= m / 2 are
     one matmul per place degree; a place divides D where D is 0 there, and
-    its square does where D' is too.  The monic solutions (a_m, b) come as
-    arrays (disc, index of a_m in key order, b) sorted by (disc, a_m, key
-    of b): at deg a_m = 1 from the square-root table of F_q, above it by
-    CRT over roots lifted per D (`_crt_solutions`).  Where deg a < deg c
-    their classes are read off in closed form; where deg a = deg c, c comes
-    from one quotient map per a_m and one `_least_images` pass names the
-    classes of every D at once.  Only the grouping into tables is per D."""
-    q, m, n = field.q, discs[0].degree, len(discs)
-    top = m // 2
-    places = _places(field, top)
-    coeffs, residues, divides, square = _sieve(field, discs)
+    its square does where D' is too (`_sieve`).  The monic solutions
+    (a_m, b) come as arrays (disc, index of a_m in key order, b) sorted by
+    (disc, a_m, key of b): at deg a_m = 1 from the square-root table of
+    F_q, above it by CRT over roots lifted per D (`_crt_solutions`).  Where
+    deg a < deg c their classes are read off in closed form; where
+    deg a = deg c, c comes from one quotient map per a_m and one
+    `_least_images` pass names the classes of every D at once.
 
-    solutions = [(np.arange(n), np.zeros(n, np.int64), np.zeros((n, 0), np.int64))]
-    if top >= 1:
-        solutions.append(_linear_solutions(residues[0][:, :, 0], q))
-    if top >= 2:
-        solutions.extend(_crt_solutions(field, discs, places, residues))
-    if primitive_only and square.any():
-        solutions = [
-            _primitive_solutions(field, discs, k, *sols, places, square)
+    A batch keeps, per D, its coefficient rows `coeffs`, the `divides` and
+    `square` bools and the `exponents` of the places of degree <= m / 2,
+    the rows of the place R of larger degree (`_disc_places`), and the
+    totals that `verify comp` reads: `proper` classes, `place_total` (the
+    number of places of D) and, on first read, `genus_totals`; per class,
+    the `_Classes` arrays `classes`, sorted by disc and in table order,
+    with `bounds` the range of each D's.  Polynomials, lists and dicts are
+    built only by `ClassTable` views, on their first read."""
+
+    def __init__(self, field, coeffs, primitive_only, discs=None):
+        q, n, m = field.q, len(coeffs), coeffs.shape[1] - 1
+        top = m // 2
+        self.field, self.coeffs, self.primitive_only = field, coeffs, primitive_only
+        self.n, self.m, self._discs = n, m, discs
+        places = _places(field, top)
+        self._residues, self.divides, self.square = _sieve(field, coeffs)
+        self.square_free = (~self.square.any(axis=1)).tolist()
+
+        solutions = [(np.arange(n), np.zeros(n, np.int64), np.zeros((n, 0), np.int64))]
+        if top >= 1:
+            solutions.append(_linear_solutions(self._residues[0][:, :, 0], q))
+        if top >= 2:
+            solutions.extend(_crt_solutions(self, places))
+        if primitive_only and not all(self.square_free):
+            solutions = [
+                _primitive_solutions(self, k, *sols, places)
+                for k, sols in enumerate(solutions)
+            ]
+        parts = [
+            (_torus_part if 2 * k == m else _closed_part)(field, coeffs, k, *sols)
             for k, sols in enumerate(solutions)
         ]
-    parts = [
-        (_torus_part if 2 * k == m else _closed_part)(field, coeffs, k, *sols)
-        for k, sols in enumerate(solutions)
-    ]
-    disc_places, large = _disc_places(field, discs, coeffs, places, divides, square)
-    batch = _Batch(field, discs, coeffs, divides, square, large, [x for _, x in parts])
-    place_counts = _place_counts(field, coeffs, residues)
-
-    tables = []
-    for i, disc in enumerate(discs):
-        monic, classes, keys, counts = [], [], [], []
-        for extend, _ in parts:
-            extend(i, monic, classes, keys, counts)
-        tables.append(
-            ClassTable(
-                field=field,
-                disc=disc,
-                primitive_only=primitive_only,
-                places=disc_places[i],
-                _monic=monic,
-                _classes=classes,
-                proper_counts=counts,
-                _class_of_key=dict(zip(keys, range(len(keys)))),
-                place_counts=place_counts[i],
-                _batch=batch,
-                _index=i,
-            )
+        # by disc, then by deg a_m (the order of `parts`): argsort is stable
+        sizes = [len(part.at) for part in parts]
+        merged = _Classes(*map(np.concatenate, zip(*parts)))
+        order = np.argsort(merged.at, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        twin = merged.twin + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        self.classes = _Classes(*(column[order] for column in merged))._replace(
+            twin=position[twin[order]]
         )
-    return tables
+        self.bounds = _segments(self.classes.at, n)
 
+        self.exponents, self.large, self.large_degree = _disc_places(
+            field, coeffs, places, self.divides, self.square
+        )
+        self.proper = np.bincount(self.classes.at, self.classes.counts, n).astype(np.int64)
+        self.place_total = np.count_nonzero(self.exponents, axis=1) + (self.large_degree > 0)
 
-@dataclasses.dataclass(eq=False)
-class _Batch:
-    """What the tables of one `_batch_tables` call share for their genera,
-    computed for all of them on the first read of any table's."""
+    def disc(self, i):
+        """The i-th discriminant, as a polynomial."""
+        if self._discs is not None:
+            return self._discs[i]
+        return Poly(self.field, self.coeffs[i].tolist())
 
-    field: object
-    discs: list
-    coeffs: object  # (discs, m + 1) coefficient rows
-    divides: object  # (discs, places) bools: p | D, from `_sieve`
-    square: object  # (discs, places) bools: p^2 | D
-    large: object  # (discs, m + 1) rows of the place of D of degree > m / 2, or 1
-    members: list  # (disc, a_m index, scaled) arrays per deg a_m, in table order
+    def places(self, i):
+        """`factor(disc)[1]` of the i-th discriminant."""
+        places = _places(self.field, self.m // 2)
+        exponents = self.exponents[i]
+        pairs = [(places[x], int(exponents[x])) for x in np.flatnonzero(exponents).tolist()]
+        if self.large_degree[i]:
+            pairs.append((Poly(self.field, self.large[i].tolist()), 1))
+        return pairs
+
+    def class_lists(self, i):
+        """(`_monic`, `_classes`, `proper_counts`, `_class_of_key`) of the
+        table of the i-th discriminant."""
+        F, m = self.field, self.m
+        lo, hi = self.bounds[i : i + 2]
+        columns, keys = self._class_columns
+        polys = [_monic_polys(F, k)[:2] for k in range(m // 2 + 1)]
+        monic, classes = [], []
+        for j, k, x, scaled, b, c in zip(*(column[lo:hi] for column in columns[:6])):
+            a_ms, scaled_as = polys[k]
+            if scaled:
+                classes.append((j, scaled_as[x]))
+                continue
+            monic.append((a_ms[x], Poly(F, b), Poly(F, c) if 2 * k == m else None))
+            classes.append((j, a_ms[x]))
+        return monic, classes, columns[6][lo:hi], dict(zip(keys[lo:hi], range(hi - lo)))
+
+    @functools.cached_property
+    def _class_columns(self):
+        """The `classes` arrays as lists for `class_lists`, once per batch:
+        the index into its table's `_monic` of each class's monic solution,
+        which its twin, an unscaled class, holds, then deg a_m, a_m index,
+        scaled, b and c rows and proper counts; and the class keys."""
+        c = self.classes
+        unscaled = np.concatenate([[0], np.cumsum(~c.scaled)])  # before each class
+        solution = unscaled[c.twin] - unscaled[np.array(self.bounds)[c.at]]
+        columns = (solution, c.degree, c.index, c.scaled, c.b, c.c, c.counts)
+        return [column.tolist() for column in columns], list(map(tuple, c.keys.tolist()))
+
+    @functools.cached_property
+    def place_counts(self):
+        """`_place_counts` of every discriminant, as lists."""
+        return _place_counts(self.field, self.coeffs, self._residues)
 
     @functools.cached_property
     def genera(self):
         return _batch_genera(self)
+
+    @functools.cached_property
+    def genus_totals(self):
+        """(genera, equal) arrays: the number of genera of each D, and
+        whether every genus of D holds the same number of proper classes.
+        A D with a class whose genus key needs its genus symbol
+        (`ClassTable._pending_key`) is read off its table."""
+        keys, pending = self.genera
+        c = self.classes
+        order = np.lexsort((keys, c.at))
+        at, keys = c.at[order], keys[order]
+        starts = np.flatnonzero(np.r_[True, (at[1:] != at[:-1]) | (keys[1:] != keys[:-1])])
+        owner = at[starts]
+        genera = np.bincount(owner, minlength=self.n)
+        sums = np.add.reduceat(c.counts[order], starts)
+        equal = np.ones(self.n, dtype=bool)
+        equal[owner[1:][(owner[1:] == owner[:-1]) & (sums[1:] != sums[:-1])]] = False
+        for i in sorted(set(c.at[pending.any(axis=1)].tolist())):
+            table = ClassTable(self, i)
+            genera[i] = len(table.genera)
+            equal[i] = len(set(table.proper_counts_per_genus())) == 1
+        return genera, equal
 
 
 def _place_counts(field, coeffs, residues):
@@ -528,18 +661,18 @@ def _place_counts(field, coeffs, residues):
     return counts.tolist()
 
 
-def _sieve(field, discs):
-    """(coefficient rows, `_residues`, divides, square) of nonzero `discs`
-    of one degree m: a place p of degree <= m / 2 divides D where D = 0
-    mod p, and p^2 divides D where D' = 0 mod p too, as places are
-    separable; both are (discs, places of `_places(field, m // 2)`) bools."""
-    m, n = discs[0].degree, len(discs)
-    coeffs = _poly_rows(discs, m + 1)
+def _sieve(field, coeffs):
+    """(`_residues`, divides, square) of nonzero polynomials of one degree m
+    with coefficient rows `coeffs`: a place p of degree <= m / 2 divides D
+    where D = 0 mod p, and p^2 divides D where D' = 0 mod p too, as places
+    are separable; both are (polynomials, places of `_places(field,
+    m // 2)`) bools."""
+    n, m = coeffs.shape[0], coeffs.shape[1] - 1
     residues = _residues(field, m, coeffs)
     divides = _zero_at(residues, n)
     derivatives = coeffs[:, 1:] * np.arange(1, m + 1) % field.q
     square = divides & _zero_at(_residues(field, m, derivatives), n)
-    return coeffs, residues, divides, square
+    return residues, divides, square
 
 
 @functools.lru_cache(maxsize=32)
@@ -662,14 +795,15 @@ def _linear_solutions(values, q):
     return disc, s, roots[found][:, None]
 
 
-def _crt_solutions(field, discs, places, residues):
+def _crt_solutions(batch, places):
     """(disc, a_m index, b) arrays for every degree 2 .. deg D / 2 of a_m:
     the root of D at each place from its batch residue, lifted to the
     powers of the place per D, and combined by CRT (`ffpoly._crt_roots`)."""
-    top = discs[0].degree // 2
+    field, top = batch.field, batch.m // 2
     out = [([], [], []) for _ in range(2, top + 1)]
-    for i, disc in enumerate(discs):
-        rows = [row for residue in residues for row in residue[i].tolist()]
+    for i in range(batch.n):
+        disc = batch.disc(i)
+        rows = [row for residue in batch._residues for row in residue[i].tolist()]
         roots_at = {
             p: _roots_mod_powers(
                 disc, p, top // p.degree, _sqrt_at_place(field.poly(row), p)
@@ -692,25 +826,24 @@ def _crt_solutions(field, discs, places, residues):
     ]
 
 
-def _primitive_solutions(field, discs, k, at, index, rows, places, square):
+def _primitive_solutions(batch, k, at, index, rows, places):
     """The solutions of degree k whose form is primitive.  A place p
     divides the content only if p^2 | D, p | a_m and p | b, read off their
     residues at every place (one matmul per place degree); `_is_primitive`
     decides the few solutions where some place does."""
     if k == 0:  # a_m = 1
         return at, index, rows
-    m, n = discs[0].degree, len(at)
+    field, m = batch.field, batch.m
     monic, _, _, monic_rows = _monic_polys(field, k)
-    suspects = (
-        square[at]
-        & _zero_at(_residues(field, m, monic_rows), len(monic))[index]
-        & _zero_at(_residues(field, m, rows), n)
-    )
+    suspects = batch.square[at] & _zero_at(_residues(field, m, monic_rows), len(monic))[index]
+    chosen = np.flatnonzero(suspects.any(axis=1))  # b is sieved only here
+    suspects = suspects[chosen] & _zero_at(_residues(field, m, rows[chosen]), len(chosen))
     keep = np.ones(len(at), dtype=bool)
-    for s in np.flatnonzero(suspects.any(axis=1)).tolist():
-        suspected = [places[x] for x in np.flatnonzero(suspects[s]).tolist()]
-        b = field.poly(rows[s].tolist())
-        keep[s] = _is_primitive(monic[index[s]], b, discs[at[s]], suspected)
+    for s, suspected in zip(chosen.tolist(), suspects.tolist()):
+        suspected = [p for p, x in zip(places, suspected) if x]
+        if suspected:
+            b = field.poly(rows[s].tolist())
+            keep[s] = _is_primitive(monic[index[s]], b, batch.disc(at[s]), suspected)
     return at[keep], index[keep], rows[keep]
 
 
@@ -734,53 +867,55 @@ def _segments(at, n):
 def _closed_part(field, coeffs, k, at, index, rows):
     """Where deg a < deg c: the classes (u a_m, +-b) of each D, with u = 1
     or the first non-square and b the first of +-b in key order, sorted by
-    (key of a, key of b); one monic solution (a_m, b, None) each.  Returns
-    the function that extends the lists of one table, and the (disc, a_m
-    index, u != 1) arrays of the classes, in table order."""
-    q = field.q
+    (key of a, key of b); one monic solution (a_m, b, None) each, held by
+    its class with u = 1.  Returns the `_Classes` in table order, with the
+    b and c rows as wide as `_Batch` keeps them."""
+    q, m = field.q, coeffs.shape[1] - 1
     powers = q ** np.arange(k, dtype=np.int64)
     b_keys, neg_keys = rows @ powers, (-rows % q) @ powers
     kept = b_keys <= neg_keys
     at, index, rows, b_keys = at[kept], index[kept], rows[kept], b_keys[kept]
-    monic, scaled, scaled_keys, _ = _monic_polys(field, k)
+    _, _, scaled_keys, _ = _monic_polys(field, k)
     # by (disc, key of the scaled a_m, key of b): lexsort is stable
     by_scaled = np.lexsort((scaled_keys[index], at))
     solution = np.concatenate([np.arange(len(at)), by_scaled])
     is_scaled = np.arange(len(solution)) >= len(at)
     order = np.argsort(2 * at[solution] + is_scaled, kind="stable")
-    members = at[solution[order]], index[solution[order]], is_scaled[order]
-    by_scaled = by_scaled.tolist()
-    bounds = _segments(at, len(coeffs))
-    index, b_keys, scaled_keys = index.tolist(), b_keys.tolist(), scaled_keys.tolist()
-    bs = [Poly(field, row) for row in rows.tolist()]
-    size = q**k
-
-    def extend(i, monic_out, classes, keys, counts):
-        lo, hi = bounds[i], bounds[i + 1]
-        first = len(monic_out) - lo
-        for s in range(lo, hi):
-            monic_out.append((monic[index[s]], bs[s], None))
-        for s in range(lo, hi):
-            classes.append((first + s, monic[index[s]]))
-            keys.append((size + index[s], b_keys[s]))
-            counts.append(2 if b_keys[s] else 1)
-        for s in by_scaled[lo:hi]:
-            classes.append((first + s, scaled[index[s]]))
-            keys.append((scaled_keys[index[s]], b_keys[s]))
-            counts.append(2 if b_keys[s] else 1)
-
-    return extend, members
+    position = np.empty_like(order)  # of each entry of `solution` in table order
+    position[order] = np.arange(len(order))
+    solution, scaled = solution[order], is_scaled[order]
+    index, b_keys = index[solution], b_keys[solution]
+    a_keys = np.where(scaled, scaled_keys[index], q**k + index)
+    return _Classes(
+        at=at[solution],
+        degree=np.full(len(solution), k),
+        index=index,
+        scaled=scaled,
+        b=_padded(rows[solution], m // 2),
+        c=np.zeros((len(solution), (m // 2 + 1) * (m % 2 == 0)), dtype=np.int64),
+        counts=np.where(b_keys != 0, 2, 1),
+        keys=np.stack([a_keys, b_keys], axis=1),
+        twin=position[solution],  # the unscaled entry of solution s is s
+    )
 
 
 @functools.lru_cache(maxsize=16)
 def _quotient_maps(field, k):
     """(coefficient rows of the monic a_m of degree k in key order, and
     the (q^k, 2k + 1, k + 1) maps x -> x // a_m on polynomials of degree
-    <= 2k)."""
-    monic, _, _, rows = _monic_polys(field, k)
-    powers = [field.t**i for i in range(2 * k + 1)]
-    maps = _poly_rows([x // a for a in monic for x in powers], k + 1)
-    return rows, maps.reshape(len(monic), 2 * k + 1, k + 1)
+    <= 2k).  With 1 / (t^k a_m(1/t)) = sum s_j t^j, a power series with
+    s_0 = 1, t^i // a_m = sum s_j t^(i - k - j) over j <= i - k."""
+    q = field.q
+    rows = _monic_polys(field, k)[3]
+    reverse = rows[:, ::-1]  # t^k a_m(1/t), constant term 1
+    series = np.zeros_like(rows)
+    series[:, 0] = 1
+    for j in range(1, k + 1):
+        series[:, j] = -(reverse[:, 1 : j + 1] * series[:, j - 1 :: -1]).sum(axis=1) % q
+    maps = np.zeros((len(rows), 2 * k + 1, k + 1), dtype=np.int64)
+    for i in range(k, 2 * k + 1):
+        maps[:, i, : i - k + 1] = series[:, i - k :: -1]
+    return rows, maps
 
 
 def _torus_part(field, coeffs, k, at, index, rows):
@@ -790,8 +925,6 @@ def _torus_part(field, coeffs, k, at, index, rows):
     representative (a_m, b, c) of its class.  Returns what `_closed_part`
     does."""
     q, n = field.q, len(at)
-    if not n:
-        return (lambda *lists: None), (at, index, np.zeros(0, dtype=bool))
     a_rows, maps = _quotient_maps(field, k)
     b_rows = np.zeros((n, k + 1), dtype=np.int64)
     b_rows[:, :k] = rows
@@ -812,39 +945,34 @@ def _torus_part(field, coeffs, k, at, index, rows):
     starts = np.flatnonzero(changed[:3].any(axis=0))
     proper = changed.any(axis=0)
     firsts = np.minimum.reduceat(order, starts)
-    counts_all = np.add.reduceat(proper, starts)
+    counts = np.add.reduceat(proper, starts)
     by_first = np.argsort(firsts)
-    firsts, counts_all = firsts[by_first], counts_all[by_first]
-    bounds = _segments(at[firsts], len(coeffs))
-    monic = _monic_polys(field, k)[0]
-    class_keys = [tuple(x) for x in keys[firsts].tolist()]
-    counts_list = counts_all.tolist()
-    reps = [
-        (monic[j], Poly(field, b), Poly(field, c))
-        for j, b, c in zip(index[firsts].tolist(), rows[firsts].tolist(),
-                           c_rows[firsts].tolist())
-    ]
-
-    def extend(i, monic_out, classes, keys_out, counts):
-        for x in range(bounds[i], bounds[i + 1]):
-            classes.append((len(monic_out), reps[x][0]))
-            monic_out.append(reps[x])
-            keys_out.append(class_keys[x])
-            counts.append(counts_list[x])
-
-    return extend, (at[firsts], index[firsts], np.zeros(len(firsts), dtype=bool))
+    firsts, counts = firsts[by_first], counts[by_first]
+    return _Classes(
+        at=at[firsts],
+        degree=np.full(len(firsts), k),
+        index=index[firsts],
+        scaled=np.zeros(len(firsts), dtype=bool),
+        b=rows[firsts],
+        c=c_rows[firsts],
+        counts=counts.astype(np.int64),
+        keys=keys[firsts],
+        twin=np.arange(len(firsts)),
+    )
 
 
-def _disc_places(field, discs, coeffs, places, divides, square):
-    """`factor(disc)[1]` of each of `discs`, of degree m, off the sieve at
-    `places` (multiplicities above 1 by stripping), and the rows of R =
-    D / (lc D S), S = prod p^e over those places, 1 or the place of degree
-    > m / 2: t^m D(1/t) over t^s S(1/t), s = deg S, a column per step."""
-    q, m = field.q, coeffs.shape[1] - 1
+def _disc_places(field, coeffs, places, divides, square):
+    """(exponents, large, large degrees) of polynomials D of degree m with
+    coefficient rows `coeffs`, off their sieve at `places`: the
+    (polynomials, places) multiplicity of each place (above 1 by
+    stripping), and the rows and degrees of R = D / (lc D S),
+    S = prod p^e over those places, 1 or the place of degree > m / 2:
+    t^m D(1/t) over t^s S(1/t), s = deg S, a column per step."""
+    q, n, m = field.q, len(coeffs), coeffs.shape[1] - 1
     exponents = divides.astype(np.int64)
     for i, x in zip(*np.nonzero(square)):
-        exponents[i, x] = strip_valuation(discs[i], places[x])[0]
-    below = np.eye(1, m + 1, dtype=np.int64).repeat(len(discs), axis=0)  # t^s S(1/t)
+        exponents[i, x] = strip_valuation(field.poly(coeffs[i].tolist()), places[x])[0]
+    below = np.eye(1, m + 1, dtype=np.int64).repeat(n, axis=0)  # t^s S(1/t)
     for x in np.flatnonzero(exponents.any(axis=0)).tolist():
         p = places[x].coeffs[::-1]
         for e in range(exponents[:, x].max()):  # times p reversed where p^(e + 1) | D
@@ -852,24 +980,21 @@ def _disc_places(field, discs, coeffs, places, divides, square):
             for j in range(1, len(p)):
                 grown[:, j:] += p[j] * times * below[:, :-j]
             below = grown % q
-    inverse = np.array([pow(c, q - 2, q) for c in coeffs[:, m].tolist()])
-    rest = coeffs[:, ::-1] * inverse[:, None] % q  # t^m D(1/t) / lc D
+    inverses = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)])
+    rest = coeffs[:, ::-1] * inverses[coeffs[:, m, None]] % q  # t^m D(1/t) / lc D
     for j in range(1, m + 1):
         rest[:, j] = (rest[:, j] - (below[:, j:0:-1] * rest[:, :j]).sum(axis=1)) % q
-    out = [[] for _ in discs]
-    owner, where = np.nonzero(exponents)
-    for i, x in zip(owner.tolist(), where.tolist()):
-        out[i].append((places[x], int(exponents[i, x])))
     degrees = m - exponents @ np.array([p.degree for p in places], dtype=np.int64)
-    large = [Poly(field, row[d::-1]) for row, d in zip(rest.tolist(), degrees.tolist())]
-    out = [pairs + [(r, 1)] * (r.degree > 0) for pairs, r in zip(out, large)]
-    return out, _poly_rows(large, m + 1)
+    # coefficient j of R is column deg R - j of its reversed row
+    source = degrees[:, None] - np.arange(m + 1)
+    large = np.take_along_axis(rest, np.maximum(source, 0), axis=1) * (source >= 0)
+    return exponents, large, degrees
 
 
 def _batch_genera(batch):
-    """[(keys, pending)] for each table of `batch`: one int key per class,
-    in table order, and [(class index, [rank, ...])] for the classes whose
-    key still lacks the bits of the places at those ranks of `places`
+    """(keys, pending) over the classes of `batch`, in its order: one int
+    key per class, and (classes, ranks) bools, set at the ranks r of the
+    places of D whose bits the key of a class still lacks
     (`ClassTable._pending_key`).
 
     Bit r of a key is set where the assigned character of the class at the
@@ -886,27 +1011,17 @@ def _batch_genera(batch):
     - at the place R of degree > m / 2, where D has one (at most one, of
       multiplicity 1), R does not divide a_m, and by reciprocity chi_R(a_m)
       = (-1)^(((q - 1) / 2) deg a_m deg R) prod chi_p(R)^e over p^e || a_m;
-    - the Hasse symbol at infinity reads only deg a, l and D
+    - the Hasse symbol at infinity reads only deg a, l and deg D, lc D
       (`_binary_hasse_at_infinity`)."""
-    field, discs = batch.field, batch.discs
-    q, m, n = field.q, discs[0].degree, len(discs)
-    top = m // 2
+    field, n, m = batch.field, batch.n, batch.m
+    q, top = field.q, m // 2
     places = _places(field, top)
     monic_rows, factors, exponents, cofactor_chars = _monic_factors(field, top)
-    # every class of the batch, by disc, then in table order; `index` runs
-    # over the monic a_m of every degree <= m / 2, as `_monic_factors` does
+    # `index` runs over the monic a_m of every degree <= m / 2, as
+    # `_monic_factors` does
     offsets = np.cumsum([0] + [q**k for k in range(top)])
-    at, index, scaled, degree = (
-        np.concatenate(column)
-        for column in zip(
-            *(
-                (at, offsets[k] + index, scaled, np.full(len(at), k))
-                for k, (at, index, scaled) in enumerate(batch.members)
-            )
-        )
-    )
-    order = np.argsort(at, kind="stable")
-    at, index, scaled, degree = at[order], index[order], scaled[order], degree[order]
+    at, scaled, degree = batch.classes.at, batch.classes.scaled, batch.classes.degree
+    index = offsets[degree] + batch.classes.index
 
     # the places of degree <= m / 2 of each D, as (discs, rank) indices
     small = batch.divides.sum(axis=1)
@@ -925,7 +1040,7 @@ def _batch_genera(batch):
         p = columns[rc, rj]
         own = (factors[index[rc]] == p[:, None]) & (exponents[index[rc]] > 0)
         derivatives = batch.coeffs[at[rc], 1:] * np.arange(1, m + 1) % q
-        place_rows = _poly_rows([places[x] for x in p.tolist()], top + 1)
+        place_rows = _poly_rows(places, top + 1)[p]
         minus_derivatives = -place_rows[:, 1:] * np.arange(1, top + 1) % q
         chars[rc, rj] = (
             (cofactor_chars[index[rc]] * own).sum(axis=1)
@@ -936,7 +1051,7 @@ def _batch_genera(batch):
     chars[scaled[:, None] & odd[columns]] *= -1
     keys = (chars < 0) @ (1 << np.arange(width, dtype=np.int64))
 
-    large_degrees = (m - (batch.large[:, ::-1] != 0).argmax(axis=1))[at]
+    large_degrees = batch.large_degree[at]
     odd_half = (q - 1) // 2 % 2 == 1
     flip = (large_degrees % 2 == 1) & (scaled ^ (odd_half & (degree % 2 == 1)))
     fc, fs = np.nonzero((exponents[index] % 2 == 1) & (large_degrees > 0)[:, None])
@@ -946,28 +1061,21 @@ def _batch_genera(batch):
     has_large = large_degrees > 0
     keys |= (flip & has_large).astype(np.int64) << small[at]
 
-    # the symbol at infinity by (deg a_m, lc D, l), one disc for each lc D
-    by_lead = {d.lc(): d for d in discs}
-    leads = sorted(by_lead)
+    # the symbol at infinity by (deg a_m, lc D, l), from lc D t^m
+    lcs = batch.coeffs[:, m]
+    leads = np.flatnonzero(np.bincount(lcs, minlength=q)).tolist()
+    shapes = [field.poly((0,) * m + (lc,)) for lc in leads]
     units = (1, field._first_nonsquare())
     minus_at_infinity = np.array(
         [
-            [[_binary_hasse_at_infinity(k, u, by_lead[lc]) < 0 for u in units]
-             for lc in leads]
+            [[_binary_hasse_at_infinity(k, u, disc) < 0 for u in units] for disc in shapes]
             for k in range(top + 1)
         ]
     )
-    lead_index = np.searchsorted(leads, [d.lc() for d in discs])[at]
+    lead_index = np.searchsorted(leads, lcs)[at]
     infinity = minus_at_infinity[degree, lead_index, scaled.astype(np.int64)]
     keys |= infinity.astype(np.int64) << (small[at] + has_large)
-
-    bounds = _segments(at, n)
-    keys = keys.tolist()
-    out = [(keys[bounds[i] : bounds[i + 1]], []) for i in range(n)]
-    for c in np.flatnonzero(pending.any(axis=1)).tolist():
-        ranks = np.flatnonzero(pending[c]).tolist()
-        out[at[c]][1].append((c - bounds[at[c]], ranks))
-    return out
+    return keys, pending
 
 
 @functools.lru_cache(maxsize=32)

@@ -338,24 +338,40 @@ def comp_sequence_check(disc):
 
 
 def _comp_report(table):
-    """The composition bridge of a primitive class table: its places give
-    disc = lc(disc) g^2 f0, and d0 = lc(disc) f0 is square-free and definite
-    by construction.  A square-free disc of degree >= 1 is its own d0, with
-    the place counts of its table."""
-    F, disc = table.field, table.disc
-    if disc.degree and all(e == 1 for _, e in table.places):
-        pic = _series_order(F.q, disc.degree, table.place_counts)
-    else:  # g from `conductor`
-        lead = F.constant(disc.lc())
-        d0 = math.prod((p for p, e in table.places if e % 2), start=lead)
-        conductor = [(p, e // 2) for p, e in table.places if e > 1]
-        pic = _conductor_order(d0, conductor)
-    gd = sum(table.proper_counts)
-    expected = 2 * pic if disc.degree >= 1 else pic
+    """The composition bridge of a primitive class table, read off its
+    batch (`classify._Batch`) by `_bridge_orders`, as `verify comp` reads a
+    whole batch."""
+    batch, i = table._batch, table._index
+    pic, expected = _bridge_orders(batch)
+    proper = int(batch.proper[i])
     return CompReport(
-        disc=disc,
-        proper_classes=gd,
-        pic_order=pic,
-        expected=expected,
-        passed=(gd == expected),
+        disc=table.disc,
+        proper_classes=proper,
+        pic_order=pic[i],
+        expected=expected[i],
+        passed=(proper == expected[i]),
     )
+
+
+def _bridge_orders(batch):
+    """(|Pic B|, the expected |G_D|) lists over the discriminants D of a
+    primitive class batch: |G_D| = 2 |Pic B| at degree >= 1, |Pic B| at
+    degree 0."""
+    pic = [_pic_order(batch, i) for i in range(batch.n)]
+    return pic, [(2 if batch.m else 1) * x for x in pic]
+
+
+def _pic_order(batch, i):
+    """|Pic B| of the i-th discriminant D of a primitive class batch.  A
+    square-free D of degree >= 1 is its own d0, with the place counts of
+    its batch; otherwise the places of D give D = lc(D) g^2 f0, and
+    d0 = lc(D) f0 is square-free and definite by construction, with g from
+    `conductor`."""
+    F, m = batch.field, batch.m
+    if m and batch.square_free[i]:
+        return _series_order(F.q, m, batch.place_counts[i])
+    places = batch.places(i)
+    d0 = math.prod(
+        (p for p, e in places if e % 2), start=F.constant(int(batch.coeffs[i, m]))
+    )
+    return _conductor_order(d0, [(p, e // 2) for p, e in places if e > 1])

@@ -19,6 +19,8 @@ or a non-square leading coefficient (`is_definite_disc`).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import CapabilityError
@@ -364,11 +366,11 @@ def successive_minima(form):
 # -- constant GL_n(F_q) transformations ------------------------------------
 
 def _poly_rows(polys, length):
-    """The (polys, length) coefficient rows of `polys`, zero-padded."""
-    return np.array(
-        [list(p.coeffs) + [0] * (length - len(p.coeffs)) for p in polys],
-        dtype=np.int64,
-    ).reshape(-1, length)
+    """The (polys, length) coefficient rows of the sequence `polys`,
+    zero-padded, read into the array with no list per row."""
+    flat = chain.from_iterable(p.coeffs + (0,) * (length - len(p.coeffs)) for p in polys)
+    count = len(polys) * length
+    return np.fromiter(flat, dtype=np.int64, count=count).reshape(len(polys), length)
 
 def key_powers(q, length):
     """The int64 weights q^0, ..., q^(length-1) that pack a row of `length`

@@ -31,11 +31,11 @@ from math import comb
 import numpy as np
 
 from .classify import canonical_disc_at, canonical_disc_count, canonical_discs
-from .classify import class_tables, cn1_prediction
+from .classify import ClassTable, class_batches, class_tables, cn1_prediction
 from .errors import DEFAULT_BUDGET
 from .ffpoly import SquareClass, _places, is_squarefree, prime_field
 from .localgenus import LocalRepDecider, represented_at_infinity
-from .picard import _comp_report, weil_interval
+from .picard import _bridge_orders, weil_interval
 from .qform import Form, _mat_det, form_to_string
 from .repset import _coeff_rows, repset_keys_batch, repset_upto
 
@@ -835,77 +835,99 @@ def cn1_survey(cfg):
 
 
 def _square_free_discs(field, max_degree):
-    """The canonical discriminants with no square factor, in order: a sieve
-    over the indices of each degree m that strikes out lc p^2 r, on rows,
-    for every place p of degree k <= m / 2 and monic r of degree m - 2k."""
-    q, out = field.q, []
+    """(m, coefficient rows) of the canonical discriminants of each degree
+    m <= max_degree with no square factor, in order: a sieve over the
+    indices of degree m that strikes out lc p^2 r, on rows, for every place
+    p of degree k <= m / 2 and monic r of degree m - 2k."""
+    q = field.q
     for m in range(max_degree + 1):
+        leads = (1, field.delta) if m % 2 else (field.delta,)
         struck = np.zeros(canonical_disc_count(field, m), dtype=bool)
         digits = q ** np.arange(m + 1)
         for p in _places(field, m // 2):
             size = q ** (m - 2 * p.degree)
             r = np.arange(size, 2 * size)[:, None] // digits % q  # monic, by key
-            rows = sum(c * np.roll(r, j, axis=1) for j, c in enumerate((p * p).coeffs))
-            for i, lead in enumerate((1, field.delta) if m % 2 else (field.delta,)):
+            square = np.convolve(p.coeffs, p.coeffs) % q
+            rows = sum(c * np.roll(r, j, axis=1) for j, c in enumerate(square.tolist()))
+            for i, lead in enumerate(leads):
                 struck[i * q**m + (lead * rows[:, :m] % q) @ digits[:m]] = True
-        out += [canonical_disc_at(field, m, int(i)) for i in np.flatnonzero(~struck)]
-    return out
+        lead, low = np.divmod(np.flatnonzero(~struck), q**m)
+        rows = np.empty((len(low), m + 1), dtype=np.int64)
+        rows[:, :m] = low[:, None] // digits[:m] % q
+        rows[:, m] = np.array(leads)[lead]
+        yield m, rows
 
 
 def comp_bridge_sweep(cfg):
     """Composition bridge |G_D| = 2 |Pic(B)| (deg D >= 1) for all square-free
     definite discriminants up to the configured degree, plus genus counts
     2^r for the square-free tables and, at degree 2g+1 or 2g+2, the Weil
-    bound (sqrt(q)-1)^(2g) <= h <= (sqrt(q)+1)^(2g), where |Pic O| = h or 2h."""
+    bound (sqrt(q)-1)^(2g) <= h <= (sqrt(q)+1)^(2g), where |Pic O| = h or 2h.
+
+    The checks read the totals of each class batch on arrays; a
+    discriminant becomes a polynomial only where it fails one."""
     F = prime_field(cfg.q)
     violations = []
     instances = 0
-    for disc, table in _primitive_tables(F, _square_free_discs(F, cfg.max_disc_degree)):
-        instances += 1
-        report = _comp_report(table)
-        if disc.degree >= 1:
-            lo, hi = weil_interval(cfg.q, (disc.degree - 1) // 2)
-            h = report.pic_order // (2 - disc.degree % 2)
-            if not lo <= h <= hi:
-                violations.append(
-                    Violation(
-                        "comp",
-                        {"disc": str(disc)},
-                        observed={"pic_order": report.pic_order, "h": h},
-                        expected={"weil_interval": [lo, hi]},
-                    )
-                )
-        if not report.passed:
-            violations.append(
+    for m, coeffs in _square_free_discs(F, cfg.max_disc_degree):
+        weil = weil_interval(cfg.q, (m - 1) // 2) if m else None
+        for batch in class_batches(F, coeffs, primitive_only=True):
+            instances += batch.n
+            violations += _bridge_violations(batch, weil)
+    return _finish("comp", cfg, instances, violations, {}, False)
+
+
+def _bridge_violations(batch, weil):
+    """The violations of the bridge checks in a primitive class batch, disc
+    by disc; `weil` is the interval of h at its degree, None at degree 0."""
+    pic, expected = (np.array(x, dtype=np.int64) for x in _bridge_orders(batch))
+    h = pic // (2 - batch.m % 2)
+    genera, equal = batch.genus_totals
+    outside = (h < weil[0]) | (h > weil[1]) if weil else np.zeros(batch.n, dtype=bool)
+    unequal_bridge = batch.proper != expected
+    genera_expected = 2**batch.place_total
+    failing = outside | unequal_bridge | (genera != genera_expected) | ~equal
+    out = []
+    for i in np.flatnonzero(failing).tolist():
+        disc = str(batch.disc(i))
+        if outside[i]:
+            out.append(
                 Violation(
                     "comp",
-                    {"disc": str(disc)},
-                    observed=report.proper_classes,
-                    expected=report.expected,
-                )
-            )
-        genera = len(table.genera)
-        r = len(table.places)
-        if genera != 2**r:
-            violations.append(
-                Violation(
-                    "comp",
-                    {"disc": str(disc)},
-                    observed={"genera": genera},
-                    expected={"genera": 2**r},
+                    {"disc": disc},
+                    observed={"pic_order": int(pic[i]), "h": int(h[i])},
+                    expected={"weil_interval": list(weil)},
                 )
             )
-        counts = set(table.proper_counts_per_genus())
-        if len(counts) > 1:
-            violations.append(
+        if unequal_bridge[i]:
+            out.append(
                 Violation(
                     "comp",
-                    {"disc": str(disc)},
+                    {"disc": disc},
+                    observed=int(batch.proper[i]),
+                    expected=int(expected[i]),
+                )
+            )
+        if genera[i] != genera_expected[i]:
+            out.append(
+                Violation(
+                    "comp",
+                    {"disc": disc},
+                    observed={"genera": int(genera[i])},
+                    expected={"genera": int(genera_expected[i])},
+                )
+            )
+        if not equal[i]:
+            counts = set(ClassTable(batch, i).proper_counts_per_genus())
+            out.append(
+                Violation(
+                    "comp",
+                    {"disc": disc},
                     observed={"per_genus_proper_counts": sorted(counts)},
                     expected="equal proper-class counts across genera",
                 )
             )
-    return _finish("comp", cfg, instances, violations, {}, False)
+    return out
 
 
 def run_check(name, cfg):

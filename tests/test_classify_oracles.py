@@ -325,7 +325,9 @@ def poly_class_table(field, disc, primitive_only):
                 for i, (b, b_key) in enumerate(kept, first):
                     found.append(((a.key(), b_key), (i, a), 1 if b.is_zero() else 2))
         classes.extend(sorted(found, key=lambda entry: entry[0]))
-    return ClassTable(
+    # a table with its fields given, as a batch view holds them once read
+    table = ClassTable.__new__(ClassTable)
+    vars(table).update(
         field=field,
         disc=disc,
         primitive_only=primitive_only,
@@ -335,6 +337,13 @@ def poly_class_table(field, disc, primitive_only):
         proper_counts=[count for _, _, count in classes],
         _class_of_key={key: ci for ci, (key, _, _) in enumerate(classes)},
     )
+    return table
+
+
+def batches_of(monkeypatch, size, q, m):
+    """Patch the batch bound so that `class_batches` takes `size`
+    discriminants of degree m at a time over F_q."""
+    monkeypatch.setattr(classify, "BATCH_VALUES", size * classify._disc_values(q, m))
 
 
 # (q, top degree, discs sampled at the top degree or None for all of them);
@@ -345,10 +354,10 @@ BATCH_CASES = [(3, 6, None), (5, 4, None), (7, 4, 80)]
 @pytest.mark.parametrize("q,top,sampled", BATCH_CASES)
 def test_class_tables_match_per_disc_oracle(monkeypatch, q, top, sampled):
     # every degree built in batches of 7, so batch bounds fall inside it
-    monkeypatch.setattr(classify, "TABLE_CHUNK", 7)
     F = prime_field(q)
     square_factor = 0
     for m in range(top + 1):
+        batches_of(monkeypatch, 7, q, m)
         discs = discs_of_degree(F, m)
         if m == top and sampled:
             discs = sorted(random.Random(q * 100 + m).sample(discs, sampled), key=str)
@@ -433,10 +442,10 @@ def test_batch_genera_match_per_class_path(monkeypatch, q, top):
     # of 7 so that batch bounds fall inside a degree (the per-disc oracle
     # test above does the same at (3, 6) and (5, 4)); the key of a
     # non-primitive class is its genus symbol on both paths
-    monkeypatch.setattr(classify, "TABLE_CHUNK", 7)
     F = prime_field(q)
     pending = large = 0
     for m in range(top + 1):
+        batches_of(monkeypatch, 7, q, m)
         for primitive_only in (False, True):
             for table in class_tables(F, discs_of_degree(F, m), primitive_only):
                 where = (str(table.disc), primitive_only)
@@ -447,7 +456,8 @@ def test_batch_genera_match_per_class_path(monkeypatch, q, top):
                         assert key == expected, where
                     else:
                         assert isinstance(key, int), where
-                pending += len(table._batch.genera[table._index][1])
+                lo, hi = table._batch.bounds[table._index : table._index + 2]
+                pending += int(table._batch.genera[1][lo:hi].any(axis=1).sum())
                 large += any(2 * p.degree > m for p, _ in table.places)
     assert pending > 50 and large > 500
 
@@ -498,9 +508,9 @@ def test_place_chars_at_high_place_degree_match_reciprocity():
 
 
 def test_class_tables_match_orbit_oracle(monkeypatch):
-    monkeypatch.setattr(classify, "TABLE_CHUNK", 5)
     F = prime_field(3)
     for m in range(5):
+        batches_of(monkeypatch, 5, 3, m)
         for primitive_only in (False, True):
             for table in class_tables(F, discs_of_degree(F, m), primitive_only):
                 assert_matches_orbit_oracle(table)
@@ -519,16 +529,55 @@ def test_batch_places_match_factor(q, top):
         batch = [d for d in discs if d.degree == m]
         expected = [factor(d)[1] for d in batch]
         scaled = [F.constant(u) * d for u in range(1, q) for d in batch]
-        coeffs, _, divides, square = classify._sieve(F, scaled)
+        coeffs = _poly_rows(scaled, m + 1)
+        _, divides, square = classify._sieve(F, coeffs)
         places = classify._places(F, m // 2)
-        got, large = classify._disc_places(F, scaled, coeffs, places, divides, square)
-        assert got == expected * (q - 1), m
-        for d, pairs, row in zip(scaled, got, large.tolist()):
+        exponents, large, degrees = classify._disc_places(
+            F, coeffs, places, divides, square
+        )
+        for d, pairs, row, r_row, r_degree in zip(
+            scaled, expected * (q - 1), exponents.tolist(), large.tolist(), degrees
+        ):
+            small = dict.fromkeys(places, 0)
+            small.update((p, e) for p, e in pairs if p.degree <= m // 2)
+            assert row == list(small.values()), str(d)
             r = pairs[-1][0] if pairs and pairs[-1][0].degree > m // 2 else F.one
-            assert row == list(r.coeffs) + [0] * (m + 1 - len(r.coeffs)), str(d)
+            assert r_row == list(r.coeffs) + [0] * (m + 1 - len(r.coeffs)), str(d)
+            assert r_degree == r.degree, str(d)
             if all(e == 1 for _, e in pairs):
                 large_seen.add((d.lc(), r.degree > 0))
     assert large_seen == {(u, has) for u in range(1, q) for has in (False, True)}
+
+
+@pytest.mark.parametrize("q,top", [(3, 6), (5, 4), (7, 3), (11, 2)])
+def test_batch_totals_match_class_tables(monkeypatch, q, top):
+    # the per-disc totals that `verify comp` reads off a primitive batch,
+    # for every canonical D, square-free or not, in batches of 7 so that
+    # batch bounds fall inside a degree, against the table of the same D
+    # built alone (`class_table`, a batch of one)
+    F = prime_field(q)
+    square_factor = pending = 0
+    for m in range(top + 1):
+        batches_of(monkeypatch, 7, q, m)
+        discs = iter(discs_of_degree(F, m))
+        rows = _poly_rows(discs_of_degree(F, m), m + 1)
+        batches = list(classify.class_batches(F, rows, primitive_only=True))
+        assert len(batches) == -(-len(rows) // 7), m
+        for batch in batches:
+            genera, equal = batch.genus_totals
+            for i, disc in zip(range(batch.n), discs):
+                table = class_table(F, disc, primitive_only=True)
+                where = str(disc)
+                assert batch.disc(i) == disc, where
+                assert batch.proper[i] == sum(table.proper_counts), where
+                assert genera[i] == len(table.genera), where
+                assert equal[i] == (len(set(table.proper_counts_per_genus())) == 1), where
+                assert batch.place_total[i] == len(table.places), where
+                assert batch.place_counts[i] == table.place_counts, where
+                square_factor += not batch.square_free[i]
+            pending += int(batch.genera[1].any(axis=1).sum())
+    # a primitive class waits for its genus symbol only where p^2 | a_m
+    assert square_factor > 10 and (pending > 0) == (top >= 4)
 
 
 def test_class_tables_refuse_what_class_table_refuses():

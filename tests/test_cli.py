@@ -414,11 +414,13 @@ def test_verify_report_matches_golden(capsys, check, q, deg):
     assert out == (DATA / f"{check}-q{q}-d{deg}.json").read_text()
 
 
-@pytest.mark.parametrize("q,deg", [(5, 3), (3, 4), (3, 5)])
+@pytest.mark.parametrize("q,deg", [(5, 3), (3, 4), (3, 5), (7, 3), (5, 4)])
 def test_verify_comp_report_matches_golden(capsys, q, deg):
     # reports recorded while every class table still built a form per class,
-    # and (3, 5), the first at genus 2, while every square-factor disc still
-    # built a table and every |Pic| came from `_jacobi`
+    # (3, 5), the first at genus 2, while every square-factor disc still
+    # built a table and every |Pic| came from `_jacobi`, and (7, 3), the
+    # benchmark's sweep, and (5, 4), with torus and CRT roots at even
+    # degree, while the bridge still read one class table per disc
     argv = ["verify", "comp", "--q", str(q), "--max-degree", str(deg)]
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -496,14 +496,15 @@ def test_batch_pic_orders_match_reciprocity(q, top):
     # (norms at places of degree 2, genus 2) against `pic_order`, which
     # counts places by reciprocity
     F = prime_field(q)
-    discs = fqforms.verify._square_free_discs(F, top)
+    sieved = list(fqforms.verify._square_free_discs(F, top))
+    assert [m for m, _ in sieved] == list(range(top + 1))
+    discs = [F.poly(row) for _, coeffs in sieved for row in coeffs.tolist()]
     assert discs == [d for d in canonical_discs(F, top) if is_squarefree(d)]
-    for m in range(1, top + 1):
-        batch = [d for d in discs if d.degree == m]
-        coeffs, residues, _, _ = fqforms.classify._sieve(F, batch)
+    for m, coeffs in sieved[1:]:
+        residues, _, _ = fqforms.classify._sieve(F, coeffs)
         counts = fqforms.classify._place_counts(F, coeffs, residues)
         got = [fqforms.picard._series_order(q, m, c) for c in counts]
-        assert got == [pic_order(d) for d in batch], m
+        assert got == [pic_order(d) for d in discs if d.degree == m], m
 
 
 def test_weil_interval_exact():

@@ -428,9 +428,18 @@ def test_comp_bridge_q5():
 
 
 def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
-    # `comp` reads counts and genera alone, so no class builds its form; the
-    # cn1 survey reads the representatives of degree <= 2 tables only
+    # `comp` reads the totals of its class batches, so no class builds its
+    # form and no table is viewed; the cn1 survey reads the representatives
+    # of degree <= 2 tables only
     from fqforms import classify, verify
+
+    batches = []
+    batched_by = verify.class_batches
+
+    def batching(field, coeffs, primitive_only=False, discs=None):
+        for batch in batched_by(field, coeffs, primitive_only, discs):
+            batches.append(batch)
+            yield batch
 
     tables = []
     built_by = verify.class_tables
@@ -447,17 +456,25 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
         built.append((a, b, c))
         return binary(a, b, c)
 
+    viewed = []
+    view = classify.ClassTable.__init__
+
+    def viewing(self, batch, index):
+        viewed.append(index)
+        view(self, batch, index)
+
+    monkeypatch.setattr(verify, "class_batches", batching)
     monkeypatch.setattr(verify, "class_tables", tabling)
     monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
+    monkeypatch.setattr(classify.ClassTable, "__init__", viewing)
     classify._class_table_cached.cache_clear()
     r = run_check("comp", SweepConfig(q=5, max_disc_degree=3))
-    # a table is built for each of the 231 square-free discs, all checked
-    square_free = [t for t in tables if all(e == 1 for _, e in t.places)]
-    assert r.passed and r.instances_checked == len(square_free) == 231
-    assert built == []
-    assert not any("class_representatives" in vars(t) for t in tables)
+    # a batch holds each of the 231 square-free discs, all checked
+    square_free = sum(sum(batch.square_free) for batch in batches)
+    assert r.passed and r.instances_checked == square_free == 231
+    assert sum(batch.n for batch in batches) == 231
+    assert built == [] and viewed == [] and tables == []
     classify._class_table_cached.cache_clear()
-    tables.clear()
     r = run_check("cn1", SweepConfig(q=17, samples=40))
     assert r.passed and r.stats["deg3_sampled"] == 40
     assert {t.disc.degree for t in tables} == {0, 1, 2, 3}
@@ -467,13 +484,13 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
 
 
 def test_comp_bridge_sieves_each_disc_once(monkeypatch):
-    # only the square-free discs reach a class table, each sieved once in
-    # the batch that builds it, and `_comp_report` reads the table's places
-    # and place counts; no disc goes through the per-disc sieve
-    # `_place_roots`, `factor` or the distinct-degree pass `_places_dividing`,
-    # and no d0 = lc(D) f0 through a square-free test, as the sieve makes it
+    # only the square-free discs reach a class batch, each sieved once in
+    # the batch that holds it, and the bridge reads the batch's places and
+    # place counts; no disc goes through the per-disc sieve `_place_roots`,
+    # `factor` or the distinct-degree pass `_places_dividing`, and no
+    # d0 = lc(D) f0 through a square-free test, as the sieve makes it
     # square-free
-    from fqforms import ffpoly, picard, verify
+    from fqforms import classify, ffpoly, picard, verify
     from fqforms.classify import _class_table_cached, canonical_discs
 
     def refuse(f):
@@ -484,15 +501,19 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
 
     F = prime_field(3)
     discs = canonical_discs(F, 3)
-    batched = []
-    built_by = verify.class_tables
+    batched, sieved = [], []
+    batched_by, sieve = verify.class_batches, classify._sieve
 
-    def tabling(field, batch, primitive_only=False):
-        batch = list(batch)
-        batched.extend(batch)
-        return built_by(field, batch, primitive_only)
+    def batching(field, coeffs, primitive_only=False, discs=None):
+        batched.extend(field.poly(row) for row in coeffs.tolist())
+        return batched_by(field, coeffs, primitive_only, discs)
 
-    monkeypatch.setattr(verify, "class_tables", tabling)
+    def sieving(field, coeffs):
+        sieved.extend(field.poly(row) for row in coeffs.tolist())
+        return sieve(field, coeffs)
+
+    monkeypatch.setattr(verify, "class_batches", batching)
+    monkeypatch.setattr(classify, "_sieve", sieving)
     _class_table_cached.cache_clear()
     passed = []
     for name in ("factor", "_places_dividing", "_place_roots"):
@@ -508,9 +529,22 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     r = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     square_free = [d for d in discs if ffpoly.is_squarefree(d)]
     assert r.passed and r.instances_checked == len(square_free)
-    assert batched == square_free
+    assert batched == sieved == square_free
     assert not set(passed) & set(discs)
     _class_table_cached.cache_clear()
+
+
+def test_comp_sweep_builds_no_class_table(monkeypatch):
+    # the bridge reads per-disc totals off the batch arrays, so a passing
+    # sweep views no table
+    from fqforms import classify
+
+    def refuse(*args):
+        raise AssertionError("the comp sweep built a class table")
+
+    monkeypatch.setattr(classify.ClassTable, "__init__", refuse)
+    r = run_check("comp", SweepConfig(q=7, max_disc_degree=3))
+    assert r.passed and r.instances_checked == 645
 
 
 def test_verify_sweeps_leave_numpy_ma_unimported():
