@@ -16,19 +16,24 @@ restricting to a smaller degree bound is a prefix slice.
 The grid holds the values of the binary part a x^2 + 2 b x y + c y^2 of
 the first two coordinates as coefficient planes: plane i is the (Nx, Ny)
 array of coefficients of t^i, reduced mod q, in the narrowest unsigned
-type that holds 3 (q - 1).  Each plane is built by one small integer
-product, so no (Nx, Ny, length) int64 block is ever allocated.  Keys are
-folded from the planes one plane at a time (Horner's rule into int64),
-never by a tensor contraction, which would upcast the whole block.
+type that holds 3 (q - 1).  Each plane is built in that type:
+(a x^2)_i + (c y^2)_i by one broadcast add, plus, when b is nonzero, the
+cross term sum_s x_s (2 b y)_(i-s), its products read from a q x q table;
+each sum is brought back below q by a wrap-min step (`_wrap`).  So no
+(Nx, Ny, length) int64 block and no int64 matrix product (numpy has no
+BLAS for int64) is formed.  Keys are folded from the planes one plane at
+a time (Horner's rule into int64), never by a tensor contraction, which
+would upcast the whole block.
 
 The plane kernel (`_binary_planes`, `_fold`) has a leading batch axis:
-it takes the binary blocks of R forms over one coordinate grid, their
-coefficients zero-padded to one length.  `_Grid` runs it with R = 1.
+it takes the (a, b, c) coefficient rows of R binary blocks over one
+coordinate grid, zero-padded to one length.  `_Grid` runs it with R = 1.
 `repset_keys_batch` runs it on many reduced forms that share their
-minima, and so their bounds, at once: chunks of about 2^14 int64 values
-(so the int64 blocks stay small), each deduplicated by one `_distinct`
-with the keys of form r offset by r q^L, where L bounds the value
-length, and split back per form by `searchsorted`.
+minima, and so their bounds, at once, as (c, b, a) over (y, x), the same
+values with the longer x grid along numpy's inner loops: chunks of about
+2^14 int64 keys, each deduplicated by one `_distinct` with the keys of
+form r offset by r q^L, where L bounds the value length by the degree
+formula, and handed on per chunk with the start of each form's keys.
 
 Deduplication follows the key range (`_distinct`): when q^(k+1) is at
 most 4 times the number of keys, each tail's keys are marked in a boolean
@@ -76,13 +81,16 @@ def _coeff_rows(q, count):
 
 
 def _batch_square(rows, q):
+    """The (n, 2c - 1) coefficient rows of the squares of the (n, c) rows,
+    reduced mod q (a transposed view)."""
     n, c = rows.shape
     if c == 0:
         return np.zeros((n, 1), dtype=np.int64)
-    out = np.zeros((n, 2 * c - 1), dtype=np.int64)
+    cols = rows.T
+    out = np.zeros((2 * c - 1, n), dtype=np.int64)
     for r in range(c):
-        out[:, r : r + c] += rows[:, r : r + 1] * rows
-    return out % q
+        out[r : r + c] += cols[r] * cols
+    return (out % q).T
 
 
 def _conv(rows, coeffs, q):
@@ -123,39 +131,69 @@ def _value_length(gram, bounds):
     )
 
 
-def _binary_planes(forms, x, y, length, q):
-    """The (R, length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2 for the
-    binary blocks (g_11, g_12, g_22) of R forms at once, over the
-    coefficient rows x (Nx, cx) and y (Ny, cy).
+def _wrap(plane, q, scratch, steps=1):
+    """Reduce the unsigned `plane`, each entry below (steps + 1) q, mod q in
+    place.  In unsigned arithmetic plane - q wraps above plane where
+    plane < q, so min(plane, plane - q) takes q off each entry >= q; one
+    step per multiple of q.  `scratch` has the shape and type of `plane`."""
+    narrow_q = plane.dtype.type(q)
+    for _ in range(steps):
+        np.subtract(plane, narrow_q, out=scratch)
+        np.minimum(plane, scratch, out=plane)
 
-    The coefficients of a, b and c are zero-padded to the longest among
-    them, an (R, 3, L) array.  Plane i of block r is one integer product,
-    [x, (a x^2)_i, 1] @ [W_i; 1; (c y^2)_i] with W_i[s] = (2 b y)_(i-s),
-    reduced mod q into the narrowest unsigned type that holds 3 (q - 1),
-    so no (Nx, Ny, length) block of int64 is ever allocated.
-    """
+
+def _block_rows(forms):
+    """The (R, 3, width) coefficient rows of the binary blocks
+    (g_11, g_12, g_22) of R forms, zero-padded to the longest entry."""
     polys = [p for f in forms for p in (f.gram[0][0], f.gram[0][1], f.gram[1][1])]
     width = max(len(p.coeffs) for p in polys)
-    coeffs = _poly_rows(polys, width).reshape(len(forms), 3, width)
-    count = len(forms)
-    cx = x.shape[1]
-    a, two_b, c = coeffs[:, 0], coeffs[:, 1] * 2 % q, coeffs[:, 2]
-    # by[r, :, cx + m] = (2 b y)_m; the cx zero columns in front stand for m < 0
-    by = np.zeros((count, len(y), cx + length), dtype=np.int64)
-    by[:, :, cx:] = _fit(_conv(y, two_b, q), length)
-    shift = cx + np.arange(length)[:, None] - np.arange(cx)[None, :]
-    left = np.ones((count, length, len(x), cx + 2), dtype=np.int64)
-    left[..., :cx] = x
-    left[..., cx] = _fit(_conv(_batch_square(x, q), a, q), length).transpose(0, 2, 1)
-    right = np.ones((count, length, cx + 2, len(y)), dtype=np.int64)
-    right[:, :, :cx] = by[:, :, shift].transpose(0, 2, 3, 1)
-    right[:, :, cx + 1] = _fit(_conv(_batch_square(y, q), c, q), length).transpose(
-        0, 2, 1
-    )
+    return _poly_rows(polys, width).reshape(len(forms), 3, width)
+
+
+def _binary_planes(coeffs, x, y, length, q):
+    """The (R, length, Nx, Ny) planes of a x^2 + 2 b x y + c y^2 for R
+    binary blocks at once, their (a, b, c) coefficient rows `coeffs` (an
+    (R, 3, width) array), over the coefficient rows x (Nx, cx) and
+    y (Ny, cy), reduced mod q in the narrowest unsigned type that holds
+    3 (q - 1).
+
+    Plane i starts as (a x^2)_i + (c y^2)_i, one broadcast add in that
+    type.  When some b is nonzero and y is enumerated, the cross term
+    sum_s x_s (2 b y)_(i-s) is added one s at a time, each product read
+    from a q x q table.  Every sum stays below 2 q and is brought back
+    below q by `_wrap`, so no int64 block and no integer matrix product is
+    formed.  Numpy's inner loops run along Ny, so a caller free to order
+    the coordinates passes the longer grid as y.
+    """
     dtype = np.min_scalar_type(3 * (q - 1))
-    planes = np.empty((count, length, len(x), len(y)), dtype=dtype)
-    for i in range(length):
-        np.remainder(left[:, i] @ right[:, i], q, out=planes[:, i], casting="unsafe")
+    count, _, width = coeffs.shape
+
+    def part(rows, poly):
+        # (R, length, N): coefficient i of poly * row for each of the rows,
+        # given as a (c, N) array of coefficients, reduced mod q
+        span = max(length, width + len(rows) - 1)
+        out = np.zeros((count, span, rows.shape[1]), dtype=np.int64)
+        for j in range(width):
+            out[:, j : j + len(rows)] += poly[:, j, None, None] * rows
+        return np.remainder(out[:, :length], q).astype(dtype)
+
+    a, two_b, c = coeffs[:, 0], coeffs[:, 1] * 2 % q, coeffs[:, 2]
+    xx, yy = _batch_square(x, q).T, _batch_square(y, q).T
+    planes = np.add(part(xx, a)[..., None], part(yy, c)[:, :, None, :])
+    scratch = np.empty_like(planes)
+    _wrap(planes, q, scratch)
+    if y.shape[1] and two_b.any():
+        by = part(y.T, two_b)  # by[r, m, j] = (2 b y_j)_m of block r
+        top = int(np.flatnonzero(by.any(axis=(0, 2)))[-1]) + 1
+        table = (np.arange(q)[:, None] * np.arange(q) % q).astype(dtype)
+        # products[r, m, v, j] = v (2 b y_j)_m mod q, for every digit v
+        products = np.ascontiguousarray(table[:, by[:, :top]].transpose(1, 2, 0, 3))
+        for s in range(x.shape[1]):
+            end = min(length, s + top)
+            # the terms x_s (2 b y)_(i-s) of planes s..end-1 at once
+            view = planes[:, s:end]
+            view += np.take(products[:, : end - s], x[:, s], axis=2)
+            _wrap(view, q, scratch[:, s:end])
     return planes
 
 
@@ -164,26 +202,20 @@ def _fold(planes, q, parts=None):
     plane at a time from the top down by Horner's rule (keys * q + plane).
 
     `parts` are a tail's (length, Nx) x-part and (length, Ny) y-part: each
-    is added to every plane, which is then reduced mod q in the narrow
-    plane type.
+    is added to every plane, which is then reduced mod q by `_wrap` in the
+    narrow plane type.
     """
     shape = planes.shape[:1] + planes.shape[2:]
     keys = np.zeros(shape, dtype=np.int64)
     if parts is not None:
         xpart, ypart = parts
         plane = np.empty(shape, dtype=planes.dtype)
-        wrapped = np.empty(shape, dtype=planes.dtype)
-        narrow_q = planes.dtype.type(q)
+        scratch = np.empty(shape, dtype=planes.dtype)
     for i in reversed(range(planes.shape[1])):
         if parts is not None:
             np.add(planes[:, i], xpart[i][:, None], out=plane)
             plane += ypart[i]
-            # plane < 3 q: in unsigned arithmetic plane - q wraps above
-            # plane where plane < q, so min(plane, plane - q) takes q
-            # off each entry >= q; twice gives plane mod q
-            for _ in range(2):
-                np.subtract(plane, narrow_q, out=wrapped)
-                np.minimum(plane, wrapped, out=plane)
+            _wrap(plane, q, scratch, steps=2)
         else:
             plane = planes[:, i]
         keys *= q
@@ -220,7 +252,9 @@ class _Grid:
         self.x_rows = _coeff_rows(q, counts[0])
         self.y_rows = _coeff_rows(q, counts[1])
         self.tail_sizes = [q**c for c in counts[2:]]
-        self.base = _binary_planes([red], self.x_rows, self.y_rows, length, q)[0]
+        self.base = _binary_planes(
+            _block_rows([red]), self.x_rows, self.y_rows, length, q
+        )[0]
 
     def tails(self):
         """All tail coordinate keys, () for binary forms."""
@@ -299,7 +333,8 @@ def _block_keys(gram, bounds, budget):
     length = _value_length(gram, bounds)
     squares = _batch_square(_coeff_rows(q, bounds[0] + 1), q)
     values = _fit(_conv(squares, gram[0][0].coeffs, q), length)
-    return _distinct([values @ key_powers(q, length)], q**length, len(values))
+    keys = (values * key_powers(q, length)).sum(axis=1)
+    return _distinct([keys], q**length, len(values))
 
 
 # the X^2 + t Y^2 block of the ternary family recurs in each of its forms
@@ -369,11 +404,20 @@ def _sumset(q, block, tail, k, budget):
     while q ** -(-width // chunks) > 2**12:
         chunks += 1
     c = -(-width // chunks)
-    digits = _coeff_rows(q, c)  # row x holds the c base-q digits of x
     shifts = [q ** (c * j) for j in range(chunks)]
     weights = key_powers(q, c)
     block_chunks = [block % cut // s % q**c for s in shifts]
     tail_chunks = [low // s % q**c for s in shifts]
+    values = np.arange(q, dtype=np.int64)
+
+    def table(t, shift):
+        # entry x: the digit-wise sum mod q of x and t, times shift, built
+        # a digit at a time: x = x_j q^j + (the lower digits of x)
+        out = np.zeros(1, dtype=np.int64)
+        for digit, weight in zip((t // weights % q).tolist(), weights.tolist()):
+            out = ((values + digit) % q * (weight * shift))[:, None] + out
+            out = out.ravel()
+        return out
 
     def sums():
         for i, (start, end) in enumerate(zip(starts, ends)):
@@ -381,8 +425,7 @@ def _sumset(q, block, tail, k, budget):
                 continue
             keys = np.zeros(end - start, dtype=np.int64)
             for shift, b_chunk, t_chunk in zip(shifts, block_chunks, tail_chunks):
-                table = (digits + digits[t_chunk[i]]) % q @ (weights * shift)
-                keys += table[b_chunk[start:end]]
+                keys += table(int(t_chunk[i]), shift)[b_chunk[start:end]]
             yield keys
 
     return _distinct(sums(), cut, pairs)
@@ -470,23 +513,27 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET):
     return RepSet(F, k, keys)
 
 
-# int64 values per `repset_keys_batch` chunk, which bounds its blocks
+# int64 keys per `repset_keys_batch` chunk, which bounds its blocks
 _BATCH_VALUES = 2**14
 
 
 def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
     """The V_k keys of each of many binary forms, which must be reduced and
-    share their minima: an iterator of sorted int64 arrays, one per form in
-    order, each equal to `repset_upto(form, k).keys`.
+    share their minima, chunk by chunk: an iterator of (keys, starts)
+    pairs, one per run of consecutive forms.  `keys` holds the keys of the
+    run's forms one form after another, form r of the run owning
+    keys[starts[r]:starts[r + 1]] (to the end for the last form), and
+    each form's keys are sorted and equal `repset_upto(form, k).keys`.
+    Every form owns at least key 0.
 
     The forms are not reduced again.  Their grids share the coordinate
     bounds, so they are enumerated together, in chunks of about
-    `_BATCH_VALUES` int64 values (per form, the grid's keys or the
-    operands of the plane products, whichever are more): one
-    `_binary_planes` and `_fold` pass per chunk, and one `_distinct` over
-    the chunk's keys, the keys of form r offset by r q^L, where every
-    value has fewer than L coefficients.  The budget is checked on the
-    grid of each form before any is enumerated, with the error
+    `_BATCH_VALUES` int64 keys: one `_binary_planes` and `_fold` pass per
+    chunk, and one `_distinct` over the chunk's keys, the keys of form r
+    offset by r q^L.  Every value has fewer than L = max_i (mu_i + 2 b_i)
+    + 1 coefficients over the enumerated coordinates i, by the degree
+    formula (b_i the coordinate bounds).  The budget is checked on the
+    shared grid before any form is enumerated, with the error
     `repset_upto` raises.
     """
     q = forms[0].field.q
@@ -497,21 +544,23 @@ def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
     vectors = _grid_vectors(q, bounds)
     _check_budget(vectors, budget, "vectors")
     x, y = _coeff_rows(q, bounds[0] + 1), _coeff_rows(q, bounds[1] + 1)
-    length = max(_value_length(f.gram, bounds) for f in forms)
+    length = max((mu + 2 * b for mu, b in zip(minima, bounds) if b >= 0), default=0)
+    length += 1
     key_powers(q, length)  # refuses key lengths that would wrap int64
     stride = q**length  # every key lies below it
-    size = max(vectors, length * (x.shape[1] + 2) * (len(x) + len(y)))
-    step = max(1, min(_BATCH_VALUES // size, (2**63 - 1) // stride))
+    step = max(1, min(_BATCH_VALUES // vectors, (2**63 - 1) // stride))
+    # (c, b, a) over (y, x): the same values, the longer x grid innermost
+    coeffs = _block_rows(forms)[:, ::-1]
 
     def chunks():
         for start in range(0, len(forms), step):
-            chunk = forms[start : start + step]
-            planes = _binary_planes(chunk, x, y, length, q)
+            chunk = coeffs[start : start + step]
+            planes = _binary_planes(chunk, y, x, length, q)
             keys = _fold(planes, q).reshape(len(chunk), -1)
             keys += np.arange(len(chunk), dtype=np.int64)[:, None] * stride
             uniq = _distinct([keys.ravel()], stride * len(chunk), keys.size)
-            cuts = np.searchsorted(uniq, np.arange(1, len(chunk)) * stride)
-            yield from np.split(uniq % stride, cuts)
+            starts = np.searchsorted(uniq, np.arange(len(chunk)) * stride)
+            yield uniq % stride, starts
 
     return chunks()
 

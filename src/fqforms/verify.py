@@ -10,10 +10,13 @@ Representation sets drive most checks.  V_j is the part of V_k of degree
 a prefix of those of V_k.  The class records are therefore refined one
 degree at a time: V_(d+1) is enumerated only for records whose V_d digest
 some other record shares, and a record whose V_d is unique is resolved at
-d, since its V_k is then unique for every k >= d.  Records with equal
-digests have their V_k enumerated once each for exact set comparison, so
-the comparisons stay exact while most classes never need their large
-representation sets.
+d, since its V_k is then unique for every k >= d.  The digests are 128-bit
+set digests held as numpy columns, two uint64 lanes per record and
+degree, summed from hashed keys chunk by chunk with no Python loop over
+records; below mu_2, V_d depends on a alone and is enumerated once per
+distinct a.  Records with equal digests have their V_k enumerated once
+each for exact set comparison, so the comparisons stay exact while most
+classes never need their large representation sets.
 
 Checks whose hypotheses carry a lower bound on q ("q > 3", "q > 13") can
 also run just below the threshold; they then record failures as expected
@@ -22,7 +25,6 @@ exceptions instead of violations, since counterexamples are known there.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import asdict, dataclass, field as dataclass_field
 from itertools import chain, combinations, groupby
@@ -109,10 +111,74 @@ class ClassRecord:
     # record of its SweepData, or kmax + 1 if another record ties with it
     # up to V_kmax.  The record is a singleton for every k >= resolved_at.
     resolved_at: int = 0
-    # digests[j] identifies V_j (a blake2b chain over the keys of degree
-    # 0..j), for each degree j <= resolved_at at which the refinement
-    # enumerated the record, i.e. while it was in a group of two or more.
-    digests: tuple = ()
+    # A (j + 1, 2) uint64 array: row d is the 128-bit set digest of V_d
+    # (`_degree_digests`, summed over degrees 0..d), for each degree
+    # d <= j = min(resolved_at, kmax) at which the refinement enumerated
+    # the record, i.e. while it was in a group of two or more; no rows if
+    # it never was.
+    digests: object = None
+
+
+def _splitmix64(z):
+    """splitmix64's output function on a uint64 array, in wrapping
+    arithmetic: a bijection that mixes every input bit into every output
+    bit."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _degree_digests(forms, d, budget):
+    """A (len(forms), 2) uint64 array: per form, the two lanes of the set
+    digest of its V_d keys of degree exactly d (every key of V_d at d = 0).
+    Lane l is the sum mod 2^64 of splitmix64(key + salt_(l, d)) over those
+    keys, taken chunk by chunk over the keys of `repset_keys_batch`."""
+    low = forms[0].field.q ** d if d else 0
+    salts = _splitmix64(np.arange(2 * d, 2 * d + 2, dtype=np.uint64))
+    out = np.empty((len(forms), 2), dtype=np.uint64)
+    row = 0
+    for keys, starts in repset_keys_batch(forms, d, budget=budget):
+        top = keys >= low
+        values = keys.view(np.uint64)
+        # every form owns key 0, so no run of `starts` is empty
+        for lane, salt in enumerate(salts):
+            hashed = _splitmix64(values + salt)
+            hashed *= top
+            out[row : row + len(starts), lane] = np.add.reduceat(hashed, starts)
+        row += len(starts)
+    return out
+
+
+def _runs(*columns):
+    """The start of each run of equal rows of the sorted `columns`, and
+    each run's length."""
+    n = len(columns[0])
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for column in columns:
+        change[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(np.append(starts, n))
+
+
+def _first_seen(codes):
+    """Group the positions of `codes` by code: a list of position arrays,
+    each ascending, in order of first position (a stable sort, not
+    `np.unique`, which would import `numpy.ma`)."""
+    order = np.argsort(codes, kind="stable")
+    starts, lengths = _runs(codes[order])
+    groups = [order[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
+    groups.sort(key=lambda positions: positions[0])
+    return groups
+
+
+def _pairs(sizes):
+    """The number of pairs within groups of the given sizes."""
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
 class SweepData:
@@ -121,15 +187,19 @@ class SweepData:
     `classes` lists (canonical disc, class index, representative) triples;
     a triple may repeat.  All records start in one group.  At each degree
     d = 0..kmax, V_d is enumerated only for records in a group of two or
-    more, by one `repset_keys_batch` call per minima over all of them
-    (class representatives are already reduced): each one's digest chain
-    is extended by its keys of degree exactly d, and the group is split by
-    digest.  A record left alone is resolved at d.  Since
-    V_d = {f in V_k : deg f <= d} for every k >= d, a V_d that no other
-    record shares stays unshared at every larger k, so a resolved record
-    needs no larger V_k.  Refinement stops once no group of two or more is
-    left.  Equal digests do not prove equal sets; `equal_set_pairs`
-    compares the exact sets of every tied record.
+    more, by `repset_keys_batch` over the tied records of each minima
+    (class representatives are already reduced), buckets in order of first
+    member.  Below mu_2, V_d = {a x^2 : deg <= d} depends on a alone, so
+    one form per distinct a of a bucket is enumerated and each record gets
+    its a's digest.  A record's digest is a 128-bit set digest: two uint64
+    lanes, each a sum mod 2^64 of hashed keys, to which d adds its keys of
+    degree exactly d (`_degree_digests`).  Groups are split by digest with
+    one `lexsort` over (group, lane 0, lane 1); a record left alone is
+    resolved at d.  Since V_d = {f in V_k : deg f <= d} for every k >= d,
+    a V_d that no other record shares stays unshared at every larger k, so
+    a resolved record needs no larger V_k.  Refinement stops once no group
+    of two or more is left.  Equal digests do not prove equal sets;
+    `equal_set_pairs` compares the exact sets of every tied record.
     """
 
     def __init__(self, cfg, classes):
@@ -152,47 +222,64 @@ class SweepData:
         self._refine()
 
     def _refine(self):
-        q = self.field.q
         budget = self.cfg.budget
         records = self.records
-        hist = self.distinguishing_histogram
-        hashes = [hashlib.blake2b(digest_size=16) for _ in records]
-        groups = [range(len(records))] if len(records) > 1 else []
+        reps = [rec.rep for rec in records]
+
+        def codes(values):  # equal values -> equal small integers
+            seen = {}
+            return np.array([seen.setdefault(v, len(seen)) for v in values], dtype=int)
+
+        minima = codes(rec.minima for rec in records)
+        lead = codes(rep.gram[0][0].coeffs for rep in reps)
+        resolved = np.zeros(len(records), dtype=np.int64)
+        total = np.zeros((len(records), 2), dtype=np.uint64)
+        # tied records: ascending within a group, groups in order of first member
+        live = np.arange(len(records) if len(records) > 1 else 0)
+        group = np.zeros(len(live), dtype=np.int64)
+        enumerated = []  # (live, digests) per degree
         for d in range(self.kmax + 1):
-            # V_d of every tied record, one batch per minima; buckets go in
-            # order of first member, so a grid over budget raises as the
-            # first such record's would
-            buckets = {}
-            for group in groups:
-                for i in group:
-                    buckets.setdefault(records[i].minima, []).append(i)
-            for members in buckets.values():
-                reps = [records[i].rep for i in members]
-                batch = repset_keys_batch(reps, d, budget=budget)
-                for i, keys in zip(members, batch):
-                    # keys of degree exactly d: q^d <= key < q^(d+1)
-                    lo = int(np.searchsorted(keys, q**d)) if d else 0
-                    hashes[i].update(keys[lo:].tobytes())
-                    records[i].digests += (hashes[i].digest(),)
-            tied = []
-            for group in groups:
-                parts = {}
-                for i in group:
-                    parts.setdefault(records[i].digests[-1], []).append(i)
-                split = comb(len(group), 2)
-                split -= sum(comb(len(part), 2) for part in parts.values())
-                if split:
-                    hist[d] = hist.get(d, 0) + split
-                for part in parts.values():
-                    if len(part) == 1:
-                        records[part[0]].resolved_at = d
-                    else:
-                        tied.append(part)
-            groups = tied
-        for group in groups:
-            self.undistinguished_pairs += comb(len(group), 2)
-            for i in group:
-                records[i].resolved_at = self.kmax + 1
+            if not len(live):
+                break
+            lanes = np.empty((len(live), 2), dtype=np.uint64)  # degree d alone
+            for at in _first_seen(minima[live]):
+                members = live[at]
+                if d < records[members[0]].minima[1]:
+                    firsts = _first_seen(lead[members])
+                    forms = [reps[members[pos[0]]] for pos in firsts]
+                    own = _degree_digests(forms, d, budget)
+                    for row, pos in zip(own, firsts):
+                        lanes[at[pos]] = row
+                else:
+                    forms = [reps[i] for i in members.tolist()]
+                    lanes[at] = _degree_digests(forms, d, budget)
+            total[live] += lanes
+            digests = total[live]
+            enumerated.append((live, digests))
+            order = np.lexsort((digests[:, 1], digests[:, 0], group))
+            starts, sizes = _runs(group[order], digests[order, 0], digests[order, 1])
+            split = _pairs(np.bincount(group)) - _pairs(sizes)
+            if split:
+                self.distinguishing_histogram[d] = split
+            resolved[live[order[starts[sizes == 1]]]] = d
+            # the tied runs in order of first member, each ascending
+            keep = np.repeat(sizes > 1, sizes)
+            run = np.repeat(np.arange(len(sizes)), sizes)[keep]
+            first = order[starts][run]
+            at = np.lexsort((order[keep], first))
+            live = live[order[keep][at]]
+            heads, sizes = _runs(first[at])
+            group = np.repeat(np.arange(len(heads)), sizes)
+        self.undistinguished_pairs = _pairs(np.bincount(group))
+        resolved[live] = self.kmax + 1
+        ids = np.concatenate([at for at, _ in enumerated] or [live])
+        rows = np.concatenate([lanes for _, lanes in enumerated] or [total[:0]])
+        enumerated.clear()
+        rows = rows[np.argsort(ids, kind="stable")]  # by record, then degree
+        ends = np.cumsum(np.bincount(ids, minlength=len(records))).tolist()
+        for rec, at, start, end in zip(records, resolved.tolist(), [0] + ends, ends):
+            rec.resolved_at = at
+            rec.digests = rows[start:end]
 
     def equal_set_pairs(self, records, k):
         """Pairs (r1, r2) of distinct records with V_k(r1) = V_k(r2): by
@@ -206,7 +293,7 @@ class SweepData:
         buckets = {}
         for rec in records:
             if rec.resolved_at > k:
-                buckets.setdefault(rec.digests[k], []).append(rec)
+                buckets.setdefault(rec.digests[k].tobytes(), []).append(rec)
         out = []
         for members in buckets.values():
             if len(members) < 2:

@@ -405,10 +405,12 @@ def test_equal_commands_large_q(capsys, command, det):
         assert payload["det"] == det
 
 
-@pytest.mark.parametrize("q,deg", [(3, 2), (7, 2), (3, 3)])
+@pytest.mark.parametrize("q,deg", [(3, 2), (7, 2), (3, 3), (11, 2), (5, 3)])
 @pytest.mark.parametrize("check", ["minima", "disc", "equiv"])
 def test_verify_report_matches_golden(capsys, check, q, deg):
-    # reports recorded from the eager V_kmax sweep, before lazy refinement
+    # reports recorded from the eager V_kmax sweep, before lazy refinement,
+    # and (11, 2) and (5, 3) while the refinement still hashed each record's
+    # keys by blake2b
     code, out = run_cli(capsys, "verify", check, "--q", str(q), "--max-degree", str(deg))
     assert code == 0
     assert out == (DATA / f"{check}-q{q}-d{deg}.json").read_text()

@@ -807,12 +807,21 @@ def class_representatives_by_minima(q, max_deg):
     return buckets
 
 
+def batch_keys(forms, k, **kwargs):
+    """The per-form key arrays of `repset_keys_batch`, split off its chunks."""
+    return [
+        keys
+        for chunk, starts in repset_keys_batch(forms, k, **kwargs)
+        for keys in np.split(chunk, starts[1:])
+    ]
+
+
 @pytest.mark.parametrize("q, max_deg", [(3, 4), (5, 3), (11, 2)])
 def test_batch_keys_match_repset_upto(q, max_deg):
     buckets = class_representatives_by_minima(q, max_deg)
     for k in range(max_deg + 2):
         for forms in buckets.values():
-            got = list(repset_keys_batch(forms, k))
+            got = batch_keys(forms, k)
             assert len(got) == len(forms)
             for form, keys in zip(forms, got):
                 want = repset_upto(form, k).keys
@@ -821,8 +830,8 @@ def test_batch_keys_match_repset_upto(q, max_deg):
 
 
 def test_batch_keys_split_across_chunks(monkeypatch):
-    # a chunk of 100 int64 values holds 25 forms at k = 0 (4 values per
-    # form), 4 at k = 1 and 2 (24 values) and one at k = 3 (192 values)
+    # a chunk of 100 int64 keys holds 100 forms at k = 0 (1 key per form),
+    # 33 at k = 1 and 2 (3 keys) and 3 at k = 3 (27 keys)
     import fqforms.repset as repset_module
 
     monkeypatch.setattr(repset_module, "_BATCH_VALUES", 100)
@@ -835,12 +844,75 @@ def test_batch_keys_split_across_chunks(monkeypatch):
 
     monkeypatch.setattr(repset_module, "_binary_planes", counting)
     forms = class_representatives_by_minima(3, 4)[(1, 3)]
-    for k, per_chunk in enumerate((25, 4, 4, 1)):
+    for k, per_chunk in enumerate((100, 33, 33, 3)):
         chunks.clear()
-        got = list(repset_keys_batch(forms, k))
+        got = batch_keys(forms, k)
         assert max(chunks) == per_chunk and sum(chunks) == len(forms)
         for form, keys in zip(forms, got):
             assert np.array_equal(keys, repset_upto(form, k).keys), (form, k)
+
+
+def assert_batch_matches_oracles(forms, k):
+    """One `_binary_planes` pass over all of `forms` folds to the int64
+    `block_keys` grid of each, and `repset_keys_batch`, its forms in one
+    chunk, gives each form's `repset_upto` keys."""
+    import fqforms.repset as repset_module
+
+    q = forms[0].field.q
+    minima = successive_minima(forms[0])
+    bounds = coordinate_degree_bounds(minima, k)
+    x = repset_module._coeff_rows(q, bounds[0] + 1)
+    y = repset_module._coeff_rows(q, bounds[1] + 1)
+    length = max(repset_module._value_length(f.gram, bounds) for f in forms)
+    planes = repset_module._binary_planes(
+        repset_module._block_rows(forms), x, y, length, q
+    )
+    assert planes.dtype == np.min_scalar_type(3 * (q - 1))
+    assert planes.max() < q
+    for form, keys in zip(forms, repset_module._fold(planes, q)):
+        assert np.array_equal(keys, block_keys(form, bounds, length, ())), form
+    batch = list(repset_keys_batch(forms, k, budget=10**9))
+    assert len(batch) == 1
+    got = np.split(batch[0][0], batch[0][1][1:])
+    for form, keys in zip(forms, got):
+        assert np.array_equal(keys, repset_upto(form, k).keys), (form, k)
+    return planes
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batch_kernel_mixes_zero_and_nonzero_cross_terms(k):
+    # minima (1, 2) at q = 5: b = 0 in 400 of the 1400 forms; one chunk
+    # holds forms of both kinds
+    forms = class_representatives_by_minima(5, 3)[(1, 2)]
+    zero = [f for f in forms if f.gram[0][1].is_zero()][:6]
+    other = [f for f in forms if not f.gram[0][1].is_zero()][:6]
+    mixed = [f for pair in zip(zero, other) for f in pair]
+    assert len(mixed) == 12
+    assert_batch_matches_oracles(mixed, k)
+
+
+def test_batch_kernel_q101_uint16_planes(monkeypatch):
+    # 3 (q - 1) = 300 needs uint16 planes; cross terms with b = 0 and b != 0;
+    # at k = 2 a form has 101^2 keys, so a chunk is widened to hold all six
+    import fqforms.repset as repset_module
+
+    monkeypatch.setattr(repset_module, "_BATCH_VALUES", 2**16)
+    F = prime_field(101)
+    rng = random.Random(1010)
+    forms = []
+    while len(forms) < 6:
+        form = rand_definite_reduced(F, rng, max_mu2=2)
+        if successive_minima(form) != (1, 2):
+            continue
+        a, _, c = form.binary_coeffs()
+        if len(forms) % 2 == 0:
+            form = Form.binary(a, F.zero, c)
+            if not (form.is_definite() and form.is_reduced()):
+                continue
+        forms.append(form)
+    for k in (1, 2):
+        planes = assert_batch_matches_oracles(forms, k)
+        assert planes.dtype == np.uint16
 
 
 def test_batch_keys_budget_matches_repset_upto():
@@ -856,7 +928,7 @@ def test_batch_keys_budget_matches_repset_upto():
             assert str(raised.value) == str(exc)
             assert budget == vectors - 1
             continue
-        got = list(repset_keys_batch(forms, k, budget=budget))
+        got = batch_keys(forms, k, budget=budget)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert budget == vectors

@@ -6,7 +6,8 @@ breaks `perfbench/run.py --trace 1` only when a trace is taken.  These
 tests load the tracer read-only and check that every target still
 resolves; one patches two targets as the tracer does, undone after it,
 to check that the ternary sweep still reaches the layers its perfbench
-case predicts.
+case predicts.  Another runs the three perfbench sweeps in one fresh
+interpreter and checks that none of them imports `numpy.ma`.
 
 A last test reads `src/fqforms` as source: every module-level name there
 is reached from `src/` or is public, so a helper that only tests call
@@ -16,6 +17,8 @@ lives in the tests.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,6 +92,29 @@ def test_ternary_sweep_reaches_predicted_repset_layers(monkeypatch, capsys):
     assert main(["verify", "ternary", "--q", "3"]) == 0
     capsys.readouterr()
     assert all(n > 0 for n in calls.values()), calls
+
+
+def test_verify_sweeps_leave_numpy_ma_unimported():
+    # plain `np.unique` imports numpy.ma lazily, an import every fresh
+    # sweep process would pay; the repset dedupe and the refinement's
+    # grouping sort instead
+    import fqforms
+
+    code = (
+        "import contextlib, io, sys\n"
+        "from fqforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', 'equiv', '--q', '3', '--max-degree', '2']),\n"
+        "             main(['verify', 'comp', '--q', '3', '--max-degree', '3']),\n"
+        "             main(['verify', 'ternary', '--q', '3'])]\n"
+        "print(*codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fqforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0", "0", "False"], out.stderr
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fqforms"

@@ -1,15 +1,12 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
 import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-import fqforms
 from fqforms.classify import canonical_discs, class_table
 from fqforms.errors import BudgetError
 from fqforms.ffpoly import SquareClass, prime_field, residue_char, strip_valuation
@@ -547,25 +544,6 @@ def test_comp_sweep_builds_no_class_table(monkeypatch):
     assert r.passed and r.instances_checked == 645
 
 
-def test_verify_sweeps_leave_numpy_ma_unimported():
-    # plain `np.unique` imports numpy.ma lazily, an import every fresh
-    # sweep process would pay; the repset dedupe sorts instead
-    code = (
-        "import contextlib, io, sys\n"
-        "from fqforms.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['verify', 'equiv', '--q', '3', '--max-degree', '2']),\n"
-        "             main(['verify', 'ternary', '--q', '3'])]\n"
-        "print(*codes, 'numpy.ma' in sys.modules)\n"
-    )
-    src = os.path.dirname(os.path.dirname(fqforms.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["0", "0", "False"], out.stderr
-
-
 def test_reports_deterministic():
     a = run_check("smooth", SweepConfig(q=5, samples=100, seed=11))
     b = run_check("smooth", SweepConfig(q=5, samples=100, seed=11))
@@ -814,25 +792,44 @@ def per_record_refinement(records, kmax, q, budget):
     return digests, resolved, hist
 
 
-@pytest.mark.parametrize("q,max_deg", [(3, 3), (5, 2), (7, 2)])
+def assert_same_partitions(records, want):
+    """Each record has a set digest at the degrees at which `want` (the
+    blake2b digests of `per_record_refinement`) has one, and at every
+    degree two records share a set digest iff they share the blake2b one."""
+    assert [len(rec.digests) for rec in records] == [len(w) for w in want]
+    for d in range(max(map(len, want), default=0)):
+        ours, theirs = {}, {}
+        for i, rec in enumerate(records):
+            if d < len(want[i]):
+                ours.setdefault(rec.digests[d].tobytes(), []).append(i)
+                theirs.setdefault(want[i][d], []).append(i)
+        assert sorted(ours.values()) == sorted(theirs.values()), d
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 3), (5, 2), (7, 2), (11, 2)])
 def test_batched_refinement_makes_no_per_record_call(q, max_deg, monkeypatch):
+    # the sweep's classes, and a few of them with repeated representatives
     import fqforms.verify as verify_module
 
     cfg = small_cfg(q=q, max_deg=max_deg)
     classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
+    repeated = classes[:6] + [classes[2], classes[4], classes[2]]
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-record repset_upto in the refinement")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(verify_module, "repset_upto", refuse)
-        data = SweepData(cfg, classes)
-    digests, resolved, hist = per_record_refinement(
-        data.records, data.kmax, q, cfg.budget
-    )
-    assert [rec.digests for rec in data.records] == digests
-    assert [rec.resolved_at for rec in data.records] == resolved
-    assert data.distinguishing_histogram == hist
+    for inventory in (classes, repeated):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, "repset_upto", refuse)
+            data = SweepData(cfg, inventory)
+        digests, resolved, hist = per_record_refinement(
+            data.records, data.kmax, q, cfg.budget
+        )
+        assert_same_partitions(data.records, digests)
+        assert [rec.resolved_at for rec in data.records] == resolved
+        assert data.distinguishing_histogram == hist
+    # the three copies of class 2 and the two of class 4 tie up to V_kmax
+    assert data.undistinguished_pairs == 3 + 1
 
 
 def test_batched_refinement_budget_matches_per_record():
@@ -853,6 +850,48 @@ def test_batched_refinement_budget_matches_per_record():
             outcomes.add("raised")
             continue
         data = SweepData(small, classes)
-        assert [rec.digests for rec in data.records] == want[0]
+        assert_same_partitions(data.records, want[0])
+        assert [rec.resolved_at for rec in data.records] == want[1]
+        assert data.distinguishing_histogram == want[2]
         outcomes.add("passed")
     assert outcomes == {"raised", "passed"}
+
+
+def test_refinement_below_mu2_enumerates_each_a_once(monkeypatch):
+    # below mu_2, V_d = {a x^2 : deg <= d} depends on a alone: each tied
+    # minima bucket hands `_binary_planes` one form per distinct a
+    import fqforms.repset as repset_module
+    import fqforms.verify as verify_module
+
+    cfg = small_cfg(q=5, max_deg=3)
+    classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
+    planes, batch = repset_module._binary_planes, verify_module.repset_keys_batch
+    handed = {}  # (d, minima) -> forms handed to `_binary_planes`
+    current = []
+
+    def recording_batch(forms, k, **kwargs):
+        current[:] = [(k, successive_minima(forms[0]))]
+        handed.setdefault(current[0], 0)
+        return batch(forms, k, **kwargs)
+
+    def counting_planes(coeffs, *args):
+        handed[current[0]] += len(coeffs)
+        return planes(coeffs, *args)
+
+    monkeypatch.setattr(verify_module, "repset_keys_batch", recording_batch)
+    monkeypatch.setattr(repset_module, "_binary_planes", counting_planes)
+    data = SweepData(cfg, classes)
+    # a record is enumerated at d while tied, i.e. for d <= resolved_at
+    tied = {}
+    for d in range(data.kmax + 1):
+        for rec in data.records:
+            if rec.resolved_at >= d:
+                tied.setdefault((d, rec.minima), []).append(rec)
+    below = {key: recs for key, recs in tied.items() if key[0] < key[1][1]}
+    distinct = {
+        key: len({rec.rep.gram[0][0].coeffs for rec in recs})
+        for key, recs in below.items()
+    }
+    assert {key: handed[key] for key in below} == distinct
+    assert sum(distinct.values()) < sum(map(len, below.values()))
+    assert all(handed[key] == len(recs) for key, recs in tied.items() if key not in below)
