@@ -15,13 +15,13 @@ the places p with p^2 | D that divide a_m and b (`_is_primitive`).
 
 Class tables are built a degree at a time: `class_batches` takes the
 coefficient rows of many discriminants of one degree m, as many at once as
-keep the largest arrays of a batch near `BATCH_VALUES` int64 values
-(`_disc_values`, from q and m), and works on int arrays.  D -> D mod p is
-linear, so the residues of every D and D' at every place of degree
-<= m / 2 are one matmul per place degree, and the places of D, their
-multiplicities and the square-free test are read off "D = D' = 0 mod p",
-the place of degree > m / 2 by an exact division of rows
-(`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
+keep the largest arrays of a batch (quotient maps per solution at even m,
+genus rows per class at odd m) near `BATCH_VALUES` int64 values
+(`_disc_values`).  D -> D mod p is linear, so the residues of every D and
+D' at every place of degree <= m / 2 are one matmul per place degree, and
+the places of D, their multiplicities and the square-free test are read
+off "D = D' = 0 mod p", the place of degree > m / 2 by an exact division
+of rows (`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
 (`_place_counts`).  The roots at a linear a_m come from the F_q
 square-root table for the whole batch; above degree 1 they are lifted and
 combined per D, as `square_roots_mod` does, from the batch residues.
@@ -30,8 +30,9 @@ map per monic a_m, and one torus pass (below) names the classes of every
 D of the batch.  A batch keeps its classes as arrays and gives the totals
 per D that `verify comp` reads (proper classes, genera, equal proper
 counts per genus, places) in numpy; a `ClassTable` is a view of one D of
-a batch, which builds its polynomials, lists and dicts on first read.
-`class_tables` hands out those views and `class_table` is a batch of one.
+a batch, which builds its polynomials, lists and dicts off its slice of
+the arrays on first read.  `class_tables` hands out those views and
+`class_table` is a batch of one.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
 exact discriminants force det U = +-1, so classes are orbits under
@@ -65,8 +66,9 @@ with c = (b^2 - D) / a_m computed once per (a_m, b) and divided by l.
 Genera group classes by their local data (Jordan invariants at the
 divisors of D, Hasse symbol at infinity), built on first read from the
 monic solutions in one numpy pass over every class of the batch
-(`_batch_genera`), residue characters as norms (`_residue_chars`); only a
-class whose content p divides takes a representative and `genus_symbol`.
+(`_batch_genera`), residue characters as norms once per distinct (a_m,
+place) pair; only a class whose content p divides takes a representative
+and `genus_symbol`.
 
 A class with discriminant u^2 D is carried to the table of D by rescaling
 one variable, so tables over canonical discriminants (leading coefficient
@@ -273,10 +275,10 @@ class ClassTable:
     non-square.  `proper_counts[i]` is the number of proper classes (1 or
     2) in class i and `_class_of_key` maps the (a, b) keys of a class's
     first form to its index; these four are built together
-    (`_Batch.class_lists`).  `disc` is the discriminant, `places` its
-    (place, multiplicity) pairs, as `factor(disc)[1]` gives them, and
-    `place_counts` its `_place_counts`.  Two tables are equal when
-    `field`, `disc`, `primitive_only`, `places` and the four lists are.
+    (`_Batch.class_lists`).  `disc` is the discriminant and `places` its
+    (place, multiplicity) pairs, as `factor(disc)[1]` gives them.  Two
+    tables are equal when `field`, `disc`, `primitive_only`, `places` and
+    the four lists are.
 
     `class_representatives` holds the first form of each class in
     `enumerate_forms` order, and classes are ordered by it.  `genus_keys`
@@ -303,8 +305,6 @@ class ClassTable:
             self.disc = self._batch.disc(self._index)
         elif name == "places":
             self.places = self._batch.places(self._index)
-        elif name == "place_counts":
-            self.place_counts = self._batch.place_counts[self._index]
         else:
             raise AttributeError(name)
         return vars(self)[name]
@@ -455,12 +455,12 @@ BATCH_VALUES = 1 << 15  # int64 values in the largest arrays of one batch
 
 def _disc_values(q, m):
     """About how many int64 values one D of degree m adds to the largest
-    arrays of its batch.  D has about q^(m/2) monic solutions of the top
-    degree m / 2 and twice as many classes; each class gathers up to
-    m (m + 1) residue map entries for its characters (`_chars_at`).  The
-    torus images of a solution, 4 (q + 1)(m / 2 + 1) coefficients at even
-    m, are bounded in `_least_images` instead."""
-    return max(1, q ** (m // 2) * 2 * m * (m + 1))
+    arrays of its batch: about q^(m/2) monic solutions of top degree m / 2,
+    each gathering its (m + 1, m / 2 + 1) quotient map at even m
+    (`_torus_part`), and up to twice as many classes, each a genus row over
+    the up to m places of D at odd m (`_batch_genera`).  The torus images
+    of a solution are bounded in `_least_images` instead."""
+    return max(1, q ** (m // 2) * ((m + 1) * (m // 2 + 1) if m % 2 == 0 else 2 * m))
 
 
 def class_tables(field, discs, primitive_only=False):
@@ -589,36 +589,28 @@ class _Batch:
 
     def class_lists(self, i):
         """(`_monic`, `_classes`, `proper_counts`, `_class_of_key`) of the
-        table of the i-th discriminant."""
+        table of the i-th discriminant, off its slice of `classes`; a scaled
+        class's monic solution is held by its twin, an unscaled class."""
         F, m = self.field, self.m
         lo, hi = self.bounds[i : i + 2]
-        columns, keys = self._class_columns
+        c = _Classes(*(column[lo:hi] for column in self.classes))
+        unscaled = np.concatenate([[0], np.cumsum(~c.scaled)])  # before each class
+        columns = (unscaled[c.twin - lo], c.degree, c.index, c.scaled, c.b, c.c)
         polys = [_monic_polys(F, k)[:2] for k in range(m // 2 + 1)]
         monic, classes = [], []
-        for j, k, x, scaled, b, c in zip(*(column[lo:hi] for column in columns[:6])):
+        for j, k, x, scaled, b, c_row in zip(*(column.tolist() for column in columns)):
             a_ms, scaled_as = polys[k]
             if scaled:
                 classes.append((j, scaled_as[x]))
                 continue
-            monic.append((a_ms[x], Poly(F, b), Poly(F, c) if 2 * k == m else None))
+            monic.append((a_ms[x], Poly(F, b), Poly(F, c_row) if 2 * k == m else None))
             classes.append((j, a_ms[x]))
-        return monic, classes, columns[6][lo:hi], dict(zip(keys[lo:hi], range(hi - lo)))
-
-    @functools.cached_property
-    def _class_columns(self):
-        """The `classes` arrays as lists for `class_lists`, once per batch:
-        the index into its table's `_monic` of each class's monic solution,
-        which its twin, an unscaled class, holds, then deg a_m, a_m index,
-        scaled, b and c rows and proper counts; and the class keys."""
-        c = self.classes
-        unscaled = np.concatenate([[0], np.cumsum(~c.scaled)])  # before each class
-        solution = unscaled[c.twin] - unscaled[np.array(self.bounds)[c.at]]
-        columns = (solution, c.degree, c.index, c.scaled, c.b, c.c, c.counts)
-        return [column.tolist() for column in columns], list(map(tuple, c.keys.tolist()))
+        keys = map(tuple, c.keys.tolist())
+        return monic, classes, c.counts.tolist(), dict(zip(keys, range(hi - lo)))
 
     @functools.cached_property
     def place_counts(self):
-        """`_place_counts` of every discriminant, as lists."""
+        """`_place_counts` of every discriminant."""
         return _place_counts(self.field, self.coeffs, self._residues)
 
     @functools.cached_property
@@ -634,9 +626,8 @@ class _Batch:
         keys, pending = self.genera
         c = self.classes
         order = np.lexsort((keys, c.at))
-        at, keys = c.at[order], keys[order]
-        starts = np.flatnonzero(np.r_[True, (at[1:] != at[:-1]) | (keys[1:] != keys[:-1])])
-        owner = at[starts]
+        starts, _ = _runs(c.at[order], keys[order])
+        owner = c.at[order][starts]
         genera = np.bincount(owner, minlength=self.n)
         sums = np.add.reduceat(c.counts[order], starts)
         equal = np.ones(self.n, dtype=bool)
@@ -649,16 +640,17 @@ class _Batch:
 
 
 def _place_counts(field, coeffs, residues):
-    """[[(inert, ramified, split) for k = 1 .. g] per polynomial of degree
-    m, with coefficient rows `coeffs` and `_residues` `residues`]: how many
-    places of degree k <= g = (m - 1) / 2 make chi_p -1, 0 or 1."""
+    """The (polynomials, g, 3) counts (inert, ramified, split) per place
+    degree k = 1 .. g = (m - 1) / 2 of polynomials of degree m with
+    coefficient rows `coeffs` and `_residues` `residues`: how many places
+    of degree k make chi_p -1, 0 or 1."""
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
     maps = _residue_maps(field, m)[: (m - 1) // 2]
     counts = np.zeros((n, len(maps), 3), dtype=np.int64)
     for k, ((_, rows, _), x) in enumerate(zip(maps, residues)):
         chars = _residue_chars(field, x.reshape(-1, k + 1), np.tile(rows, (n, 1)))
         counts[:, k] = (chars.reshape(n, -1, 1) == np.arange(-1, 2)).sum(axis=1)
-    return counts.tolist()
+    return counts
 
 
 def _sieve(field, coeffs):
@@ -738,6 +730,32 @@ def _chars_at(field, m, rows, at):
             out[chosen] = _residue_chars(field, residues, place_rows[local])
         start = end
     return out
+
+
+def _distinct_chars(field, m, rows, owners, at):
+    """`_chars_at` of `rows[owners]` at the places `at`, once per distinct
+    (owner, place) pair: sorted, with runs read off by adjacent compares
+    (`_runs`), as `np.unique` would import `numpy.ma`."""
+    count = len(_places(field, m // 2))
+    codes = owners * count + at
+    order = np.argsort(codes)
+    starts, lengths = _runs(codes[order])
+    owner, place = np.divmod(codes[order[starts]], count)
+    out = np.empty(len(codes), dtype=np.int64)
+    out[order] = np.repeat(_chars_at(field, m, rows[owner], place), lengths)
+    return out
+
+
+def _runs(*columns):
+    """The start of each run of equal rows of the sorted `columns`, and
+    each run's length."""
+    n = len(columns[0])
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for column in columns:
+        change[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(np.append(starts, n))
 
 
 def _residue_chars(field, x, places):
@@ -939,13 +957,10 @@ def _torus_part(field, coeffs, k, at, index, rows):
     # group by (disc, class key), then count the proper keys in each group
     columns = np.stack([at, *keys.T, *proper_keys.T])
     order = np.lexsort(columns[::-1])
-    ranked = columns[:, order]
-    changed = np.ones((len(columns), n), dtype=bool)  # the first form starts a group
-    changed[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    starts = np.flatnonzero(changed[:3].any(axis=0))
-    proper = changed.any(axis=0)
+    starts, _ = _runs(*columns[:3, order])
+    proper, _ = _runs(*columns[:, order])
     firsts = np.minimum.reduceat(order, starts)
-    counts = np.add.reduceat(proper, starts)
+    counts = np.diff(np.searchsorted(proper, np.append(starts, n)))
     by_first = np.argsort(firsts)
     firsts, counts = firsts[by_first], counts[by_first]
     return _Classes(
@@ -1001,16 +1016,18 @@ def _batch_genera(batch):
     r-th place of D is -1, and the bit above them where its Hasse symbol at
     infinity is.  With a = l a_m, l = 1 or the first non-square:
     - at a place p of D of degree <= m / 2 that does not divide a_m,
-      chi_p(a) = chi(l)^(deg p) chi_p(a_m), one `_chars_at` pair per class
-      and place;
+      chi_p(a) = chi(l)^(deg p) chi_p(a_m), computed once per distinct
+      (a_m, p) pair of the batch (`_distinct_chars`);
     - where p | a_m and p || D, p || a_m and the character is chi_p(c) =
       chi(l)^(deg p) chi_p(c_m), c_m = (b^2 - D) / a_m.  p | b, so
       c_m = -(D / p) / (a_m / p) mod p, and D' = p' (D / p) mod p, so
-      chi_p(c_m) = chi_p(-p') chi_p(D') chi_p(a_m / p);
+      chi_p(c_m) = chi_p(-p' a_m / p) chi_p(D'), the first per (a_m, p)
+      from `_monic_factors`, the second once per distinct (D, p);
     - where p | a_m and p^2 | D the class is pending;
     - at the place R of degree > m / 2, where D has one (at most one, of
       multiplicity 1), R does not divide a_m, and by reciprocity chi_R(a_m)
-      = (-1)^(((q - 1) / 2) deg a_m deg R) prod chi_p(R)^e over p^e || a_m;
+      = (-1)^(((q - 1) / 2) deg a_m deg R) prod chi_p(R)^e over p^e || a_m,
+      chi_p(R) once per distinct (D, p);
     - the Hasse symbol at infinity reads only deg a, l and deg D, lc D
       (`_binary_hasse_at_infinity`)."""
     field, n, m = batch.field, batch.n, batch.m
@@ -1032,21 +1049,16 @@ def _batch_genera(batch):
     columns, pairs = ranked[at], np.arange(width) < small[at, None]
     chars = np.zeros(pairs.shape, dtype=np.int64)
     pc, pj = np.nonzero(pairs)
-    chars[pc, pj] = _chars_at(field, m, monic_rows[index[pc]], columns[pc, pj])
+    chars[pc, pj] = _distinct_chars(field, m, monic_rows, index[pc], columns[pc, pj])
     divides_a = pairs & (chars == 0)
     pending = divides_a & batch.square[at[:, None], columns]
     rc, rj = np.nonzero(divides_a & ~pending)
     if len(rc):
         p = columns[rc, rj]
         own = (factors[index[rc]] == p[:, None]) & (exponents[index[rc]] > 0)
-        derivatives = batch.coeffs[at[rc], 1:] * np.arange(1, m + 1) % q
-        place_rows = _poly_rows(places, top + 1)[p]
-        minus_derivatives = -place_rows[:, 1:] * np.arange(1, top + 1) % q
-        chars[rc, rj] = (
-            (cofactor_chars[index[rc]] * own).sum(axis=1)
-            * _chars_at(field, m, derivatives, p)
-            * _chars_at(field, m, minus_derivatives, p)
-        )
+        derivatives = batch.coeffs[:, 1:] * np.arange(1, m + 1) % q
+        own_chars = (cofactor_chars[index[rc]] * own).sum(axis=1)
+        chars[rc, rj] = own_chars * _distinct_chars(field, m, derivatives, at[rc], p)
     odd = np.array([p.degree % 2 == 1 for p in places], dtype=bool)
     chars[scaled[:, None] & odd[columns]] *= -1
     keys = (chars < 0) @ (1 << np.arange(width, dtype=np.int64))
@@ -1056,7 +1068,7 @@ def _batch_genera(batch):
     flip = (large_degrees % 2 == 1) & (scaled ^ (odd_half & (degree % 2 == 1)))
     fc, fs = np.nonzero((exponents[index] % 2 == 1) & (large_degrees > 0)[:, None])
     if len(fc):
-        chars_r = _chars_at(field, m, batch.large[at[fc]], factors[index[fc], fs])
+        chars_r = _distinct_chars(field, m, batch.large, at[fc], factors[index[fc], fs])
         flip ^= np.bincount(fc[chars_r < 0], minlength=len(at)) % 2 == 1
     has_large = large_degrees > 0
     keys |= (flip & has_large).astype(np.int64) << small[at]
@@ -1083,8 +1095,8 @@ def _monic_factors(field, top):
     """(rows, places, exponents, chars) over the monic a_m of every degree
     k <= top, by degree and then key: their (., top + 1) coefficient rows,
     and (., top) arrays of the index into `_places(field, top)` of each
-    place p | a_m, its exponent e and chi_p(a_m / p^e), with exponent 0 in
-    the slots left."""
+    place p | a_m, its exponent e and chi_p(-p' a_m / p^e), with exponent 0
+    in the slots left."""
     size = sum(field.q**k for k in range(top + 1))
     index = {p: i for i, p in enumerate(_places(field, top))}
     places = np.zeros((size, top), dtype=np.int64)
@@ -1099,7 +1111,9 @@ def _monic_factors(field, top):
     chars = np.ones((size, top), dtype=np.int64)
     filled = exponents > 0
     rows = _poly_rows(cofactors, top + 1)
-    chars[filled] = _chars_at(field, 2 * top, rows, places[filled])
+    derivatives = _poly_rows(_places(field, top), top + 1)[:, 1:] * np.arange(1, top + 1)
+    minus = _chars_at(field, 2 * top, -derivatives % field.q, np.arange(len(derivatives)))
+    chars[filled] = _chars_at(field, 2 * top, rows, places[filled]) * minus[places[filled]]
     return _poly_rows(monic, top + 1), places, exponents, chars
 
 

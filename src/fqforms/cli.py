@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import partial
 
 from .classify import class_number, class_table
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
@@ -115,7 +116,7 @@ def _two_forms(args):
     return [form_from_string(F, literal) for literal in args.form]
 
 
-def _equal_command(args, finder):
+def _cmd_equal(finder, args):
     w = finder(*_two_forms(args))
     payload = {"equivalent": w is not None}
     if w is not None:
@@ -123,14 +124,6 @@ def _equal_command(args, finder):
         payload["det"] = w.det
     _emit(payload)
     return 0
-
-
-def _cmd_equal(args):
-    return _equal_command(args, equivalent)
-
-
-def _cmd_proper_equal(args):
-    return _equal_command(args, properly_equivalent)
 
 
 def _symbol_payload(sym):
@@ -244,99 +237,98 @@ def _cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="fqforms",
-        description="definite quadratic forms over F_q[t]",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _form_options(p):
+    p.add_argument("--form", required=True, help="form literal, e.g. '(t, 0, t^3)'")
 
-    def output(p, formats):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--format", choices=formats, default="json")
 
-    def common(p, form=False, forms=False, delta=True):
-        p.add_argument("--q", type=int, required=True, help="odd prime field size")
-        if delta:
-            p.add_argument("--delta", type=int, help="non-square override")
-        if form:
-            p.add_argument("--form", required=True, help="form literal, e.g. '(t, 0, t^3)'")
-        if forms:
-            p.add_argument(
-                "--form", action="append", required=True, help="repeatable form literal"
-            )
+def _forms_options(p):
+    p.add_argument("--form", action="append", required=True, help="repeatable form literal")
 
-    p = sub.add_parser("reduce", help="reduce a form")
-    common(p, form=True)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("disc", help="discriminant and its square class")
-    common(p, form=True)
-    p.set_defaults(func=_cmd_disc)
+def _output_options(p, formats):
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--format", choices=formats, default="json")
 
-    p = sub.add_parser("minima", help="successive minima")
-    common(p, form=True)
-    p.set_defaults(func=_cmd_minima)
 
-    p = sub.add_parser("repset", help="representation set up to a degree")
-    common(p, form=True)
-    output(p, ("json", "lines"))
+def _repset_options(p):
+    _form_options(p)
+    _output_options(p, ("json", "lines"))
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--counts", action="store_true")
-    p.set_defaults(func=_cmd_repset)
 
-    p = sub.add_parser("equal", help="equivalence witness search")
-    common(p, forms=True)
-    p.set_defaults(func=_cmd_equal)
 
-    p = sub.add_parser("proper-equal", help="determinant-1 equivalence search")
-    common(p, forms=True)
-    p.set_defaults(func=_cmd_proper_equal)
-
-    p = sub.add_parser("genus", help="genus symbols and same-genus test")
-    common(p, forms=True)
-    p.set_defaults(func=_cmd_genus)
-
-    p = sub.add_parser("symbol", help="Hilbert symbol at a place")
-    common(p)
+def _symbol_options(p):
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--place", required=True, help="a monic irreducible, or 'inf'")
-    p.set_defaults(func=_cmd_symbol)
 
-    p = sub.add_parser("classify", help="class table of a discriminant")
-    common(p)
+
+def _classify_options(p):
     p.add_argument("--disc", required=True)
     p.add_argument("--primitive", action="store_true")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("classnumber", help="classes in the genus of a form")
-    common(p, form=True)
-    p.set_defaults(func=_cmd_classnumber)
 
-    p = sub.add_parser("picard", help="Picard group data")
-    common(p)
+def _picard_options(p):
     p.add_argument("--d0", required=True, help="square-free curve polynomial")
     p.add_argument("--conductor", help="monic conductor polynomial")
-    p.set_defaults(func=_cmd_picard)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+
+def _verify_options(p):
     p.add_argument("check", choices=CHECKS)
-    common(p, delta=False)  # sweeps use the default non-square
-    output(p, ("json", "tsv"))
+    _output_options(p, ("json", "tsv"))
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="accepted for interface "
                    "compatibility; execution is sequential and output identical")
-    p.set_defaults(func=_cmd_verify)
 
+
+# name: (help, adds its arguments, handler) of each subcommand
+COMMANDS = {
+    "reduce": ("reduce a form", _form_options, _cmd_reduce),
+    "disc": ("discriminant and its square class", _form_options, _cmd_disc),
+    "minima": ("successive minima", _form_options, _cmd_minima),
+    "repset": ("representation set up to a degree", _repset_options, _cmd_repset),
+    "equal": ("equivalence witness search", _forms_options, partial(_cmd_equal, equivalent)),
+    "proper-equal": (
+        "determinant-1 equivalence search",
+        _forms_options,
+        partial(_cmd_equal, properly_equivalent),
+    ),
+    "genus": ("genus symbols and same-genus test", _forms_options, _cmd_genus),
+    "symbol": ("Hilbert symbol at a place", _symbol_options, _cmd_symbol),
+    "classify": ("class table of a discriminant", _classify_options, _cmd_classify),
+    "classnumber": ("classes in the genus of a form", _form_options, _cmd_classnumber),
+    "picard": ("Picard group data", _picard_options, _cmd_picard),
+    "verify": ("run a verification sweep", _verify_options, _cmd_verify),
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of `command` alone: its usage
+    still names every subcommand, as only `command` can be parsed."""
+    parser = argparse.ArgumentParser(
+        prog="fqforms",
+        description="definite quadratic forms over F_q[t]",
+    )
+    names = "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=names if command else None
+    )
+    for name in COMMANDS if command is None else [command]:
+        summary, add_options, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--q", type=int, required=True, help="odd prime field size")
+        if name != "verify":  # sweeps use the default non-square
+            p.add_argument("--delta", type=int, help="non-square override")
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, BudgetError, CapabilityError) as exc:

@@ -35,6 +35,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classify import class_table
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from .ffpoly import _jacobi, _places, factor, is_squarefree
@@ -224,26 +226,24 @@ def pic_order(d0):
     come from the product sieve `ffpoly._places`, and (D0/p) from
     reciprocity.  BudgetError once q^g exceeds the default budget.
     """
-    return _euler_order(d0, _genus(d0))
+    _genus(d0)
+    return _series_orders(d0.field.q, d0.degree, _reciprocity_counts(d0))
 
 
-def _euler_order(d0, genus):
-    """`pic_order` of a d0 known to be square-free and definite, unchecked."""
-    return _series_order(d0.field.q, d0.degree, _reciprocity_counts(d0, genus))
-
-
-def _reciprocity_counts(d0, genus):
-    """`_series_order` counts by reciprocity, lazily: the budget comes first."""
+def _reciprocity_counts(d0):
+    """`_series_orders` counts of d0 by reciprocity, lazily: budget first."""
+    genus = (d0.degree - 1) // 2
     counts = [[0, 0, 0] for _ in range(genus)]
     for p in _places(d0.field, genus):
         counts[p.degree - 1][_jacobi(d0, p) + 1] += 1
     yield from counts
 
 
-def _series_order(q, degree, counts):
-    """|Pic O| of a square-free definite d0 of `degree` >= 1 and genus g
-    from `counts`, per k = 1 .. g the numbers (inert, ramified, split) of
-    places of degree k where d0 is a non-square, zero or a nonzero square.
+def _series_orders(q, degree, counts):
+    """|Pic O| of square-free definite d0 of `degree` >= 1 and genus g from
+    `counts`, per k = 1 .. g the numbers (inert, ramified, split) of places
+    of degree k where d0 is a non-square, zero or a nonzero square: ints
+    for one d0, Python-int arrays for a batch at once (at g = 0, e for all).
     BudgetError once q^g exceeds the default budget, before any count."""
     genus = (degree - 1) // 2
     if q**genus > DEFAULT_BUDGET:
@@ -254,9 +254,14 @@ def _series_order(q, degree, counts):
     series = [1] + [0] * genus  # coefficients of T^0 .. T^g: Z_O, then L
     for k, (inert, ramified, split) in enumerate(counts, 1):
         for step, power in ((k, 2 * split + ramified), (2 * k, inert)):
-            for n in range(genus, step - 1, -1):  # times 1/(1 - T^step)^power
+            # times 1/(1 - T^step)^power, whose coefficient of T^(j step) is
+            # C(power + j - 1, j); descending, so each reads the old series
+            binomials = [1]
+            for j in range(1, genus // step + 1):
+                binomials.append(binomials[-1] * (power + j - 1) // j)
+            for n in range(genus, step - 1, -1):
                 for j in range(1, n // step + 1):
-                    series[n] += math.comb(power + j - 1, j) * series[n - j * step]
+                    series[n] += binomials[j] * series[n - j * step]
     for root in (1, q):  # times (1 - root T), descending
         for n in range(genus, 0, -1):
             series[n] -= root * series[n - 1]
@@ -302,7 +307,7 @@ def _conductor_order(d0, conductor):
         # deg f >= 1, as for f = 1 it is the maximal order F_{q^2}[t] itself
         numerator, denominator = 1, (q + 1 if conductor else 1)
     else:
-        numerator, denominator = _euler_order(d0, (d0.degree - 1) // 2), 1
+        numerator, denominator = _series_orders(q, d0.degree, _reciprocity_counts(d0)), 1
     for p, k in conductor:
         d = p.degree
         sym = _jacobi(d0, p)
@@ -342,36 +347,34 @@ def _comp_report(table):
     batch (`classify._Batch`) by `_bridge_orders`, as `verify comp` reads a
     whole batch."""
     batch, i = table._batch, table._index
-    pic, expected = _bridge_orders(batch)
+    pic, expected = (int(x[i]) for x in _bridge_orders(batch))
     proper = int(batch.proper[i])
     return CompReport(
         disc=table.disc,
         proper_classes=proper,
-        pic_order=pic[i],
-        expected=expected[i],
-        passed=(proper == expected[i]),
+        pic_order=pic,
+        expected=expected,
+        passed=(proper == expected),
     )
 
 
 def _bridge_orders(batch):
-    """(|Pic B|, the expected |G_D|) lists over the discriminants D of a
+    """(|Pic B|, the expected |G_D|) arrays over the discriminants D of a
     primitive class batch: |G_D| = 2 |Pic B| at degree >= 1, |Pic B| at
-    degree 0."""
-    pic = [_pic_order(batch, i) for i in range(batch.n)]
-    return pic, [(2 if batch.m else 1) * x for x in pic]
-
-
-def _pic_order(batch, i):
-    """|Pic B| of the i-th discriminant D of a primitive class batch.  A
-    square-free D of degree >= 1 is its own d0, with the place counts of
-    its batch; otherwise the places of D give D = lc(D) g^2 f0, and
-    d0 = lc(D) f0 is square-free and definite by construction, with g from
-    `conductor`."""
+    degree 0.  The square-free D of degree >= 1 are their own d0: one
+    `_series_orders` pass over the place counts of the batch.  Otherwise
+    the places of D give D = lc(D) g^2 f0, and d0 = lc(D) f0 is
+    square-free and definite by construction, with g from `conductor`."""
     F, m = batch.field, batch.m
-    if m and batch.square_free[i]:
-        return _series_order(F.q, m, batch.place_counts[i])
-    places = batch.places(i)
-    d0 = math.prod(
-        (p for p, e in places if e % 2), start=F.constant(int(batch.coeffs[i, m]))
-    )
-    return _conductor_order(d0, [(p, e // 2) for p, e in places if e > 1])
+    free = np.array(batch.square_free) & (m > 0)
+    pic = np.zeros(batch.n, dtype=object)
+    if free.any():
+        counts = batch.place_counts[free].astype(object).transpose(1, 2, 0)
+        pic[free] = _series_orders(F.q, m, counts)
+    for i in np.flatnonzero(~free).tolist():
+        places = batch.places(i)
+        d0 = math.prod(
+            (p for p, e in places if e % 2), start=F.constant(int(batch.coeffs[i, m]))
+        )
+        pic[i] = _conductor_order(d0, [(p, e // 2) for p, e in places if e > 1])
+    return pic, (2 if m else 1) * pic

@@ -33,8 +33,8 @@ from math import comb
 import numpy as np
 
 from .classify import canonical_disc_at, canonical_disc_count, canonical_discs
-from .classify import ClassTable, class_batches, class_tables, cn1_prediction
-from .errors import DEFAULT_BUDGET
+from .classify import ClassTable, _runs, class_batches, class_tables, cn1_prediction
+from .errors import DEFAULT_BUDGET, BudgetError
 from .ffpoly import SquareClass, _places, is_squarefree, prime_field
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import _bridge_orders, weil_interval
@@ -151,18 +151,6 @@ def _degree_digests(forms, d, budget):
             out[row : row + len(starts), lane] = np.add.reduceat(hashed, starts)
         row += len(starts)
     return out
-
-
-def _runs(*columns):
-    """The start of each run of equal rows of the sorted `columns`, and
-    each run's length."""
-    n = len(columns[0])
-    change = np.zeros(n, dtype=bool)
-    change[:1] = True
-    for column in columns:
-        change[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(change)
-    return starts, np.diff(np.append(starts, n))
 
 
 def _first_seen(codes):
@@ -921,12 +909,15 @@ def cn1_survey(cfg):
     return _finish("cn1", cfg, instances, violations, stats, cfg.q <= 13)
 
 
-def _square_free_discs(field, max_degree):
+def _square_free_discs(field, max_degree, budget):
     """(m, coefficient rows) of the canonical discriminants of each degree
     m <= max_degree with no square factor, in order: a sieve over the
     indices of degree m that strikes out lc p^2 r, on rows, for every place
-    p of degree k <= m / 2 and monic r of degree m - 2k."""
-    q = field.q
+    p of degree k <= m / 2 and monic r of degree m - 2k.  BudgetError before
+    any sieve once the indices of max_degree, the most, exceed the budget."""
+    q, count = field.q, canonical_disc_count(field, max_degree)
+    if count > budget:
+        raise BudgetError(f"degree {max_degree} has {count} discriminants (budget {budget})")
     for m in range(max_degree + 1):
         leads = (1, field.delta) if m % 2 else (field.delta,)
         struck = np.zeros(canonical_disc_count(field, m), dtype=bool)
@@ -956,7 +947,7 @@ def comp_bridge_sweep(cfg):
     F = prime_field(cfg.q)
     violations = []
     instances = 0
-    for m, coeffs in _square_free_discs(F, cfg.max_disc_degree):
+    for m, coeffs in _square_free_discs(F, cfg.max_disc_degree, cfg.budget):
         weil = weil_interval(cfg.q, (m - 1) // 2) if m else None
         for batch in class_batches(F, coeffs, primitive_only=True):
             instances += batch.n
@@ -967,7 +958,7 @@ def comp_bridge_sweep(cfg):
 def _bridge_violations(batch, weil):
     """The violations of the bridge checks in a primitive class batch, disc
     by disc; `weil` is the interval of h at its degree, None at degree 0."""
-    pic, expected = (np.array(x, dtype=np.int64) for x in _bridge_orders(batch))
+    pic, expected = _bridge_orders(batch)
     h = pic // (2 - batch.m % 2)
     genera, equal = batch.genus_totals
     outside = (h < weil[0]) | (h > weil[1]) if weil else np.zeros(batch.n, dtype=bool)

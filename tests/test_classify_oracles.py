@@ -507,6 +507,48 @@ def test_place_chars_at_high_place_degree_match_reciprocity():
         assert row == [_jacobi(f, p) for p in places], str(f)
 
 
+def per_pair_chars(field, m, rows, owners, at):
+    """`classify._distinct_chars` as the genus pass ran it before: one
+    `_chars_at` row per (owner, place) pair, each gathering the residue map
+    of its place, however often the pair recurs."""
+    return classify._chars_at(field, m, rows[owners], at)
+
+
+# (q, top degree, discs sampled at the top degree or None for all of them);
+# a (17, 4) batch lifts its roots per disc, about 0.07 s each
+PAIR_CASES = [(3, 6, None), (5, 4, None), (7, 3, None), (17, 4, 14)]
+
+
+@pytest.mark.parametrize("q,top,sampled", PAIR_CASES)
+def test_distinct_pair_chars_match_per_pair_gather(monkeypatch, q, top, sampled):
+    # every batch of every degree, both contents, at the batch sizes of the
+    # sweeps: the genus keys and pending bits from characters computed once
+    # per distinct pair against the per-pair gather
+    F = prime_field(q)
+    for m in range(top + 1):
+        discs = discs_of_degree(F, m)
+        if m == top and sampled:
+            discs = sorted(random.Random(q * 100 + m).sample(discs, sampled), key=str)
+        rows = _poly_rows(discs, m + 1)
+        for primitive_only in (False, True):
+            for batch in classify.class_batches(F, rows, primitive_only):
+                keys, pending = classify._batch_genera(batch)
+                with monkeypatch.context() as patch:
+                    patch.setattr(classify, "_distinct_chars", per_pair_chars)
+                    expected_keys, expected_pending = classify._batch_genera(batch)
+                where = (m, primitive_only, str(batch.disc(0)))
+                assert keys.tolist() == expected_keys.tolist(), where
+                assert pending.tolist() == expected_pending.tolist(), where
+    # the pairs themselves: repeated, in any order, and none
+    rng = np.random.default_rng(q)
+    count = len(_places(F, top // 2))
+    table = rng.integers(0, q, size=(9, top + 1))
+    owners, at = rng.integers(0, 9, size=200), rng.integers(0, count, size=200)
+    for part in (slice(None), slice(0, 1), slice(0, 0)):
+        got = classify._distinct_chars(F, top, table, owners[part], at[part])
+        assert got.tolist() == per_pair_chars(F, top, table, owners[part], at[part]).tolist()
+
+
 def test_class_tables_match_orbit_oracle(monkeypatch):
     F = prime_field(3)
     for m in range(5):
@@ -573,7 +615,8 @@ def test_batch_totals_match_class_tables(monkeypatch, q, top):
                 assert genera[i] == len(table.genera), where
                 assert equal[i] == (len(set(table.proper_counts_per_genus())) == 1), where
                 assert batch.place_total[i] == len(table.places), where
-                assert batch.place_counts[i] == table.place_counts, where
+                counts = table._batch.place_counts[table._index]
+                assert batch.place_counts[i].tolist() == counts.tolist(), where
                 square_factor += not batch.square_free[i]
             pending += int(batch.genera[1].any(axis=1).sum())
     # a primitive class waits for its genus symbol only where p^2 | a_m

@@ -1,4 +1,6 @@
+import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -362,6 +364,57 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+USAGE_CASES = json.loads((DATA / "cli-usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=[" ".join(c["argv"]) for c in USAGE_CASES])
+def test_usage_matches_golden(capsys, monkeypatch, case):
+    # help and usage errors, recorded while every subcommand was registered
+    # on every run: the usage line names every subcommand also when only
+    # the named one is built
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    expected = (case["exit"], case["stdout"], case["stderr"])
+    assert (code, captured.out, captured.err) == expected
+
+
+def test_main_builds_the_named_subcommand_alone(capsys, monkeypatch):
+    # one parser per subcommand otherwise: 13 with the top-level one
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["disc", "--q", "5", "--form", "(1, 0, 3)"]) == 0
+    assert built == ["fqforms", "fqforms disc"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert len(built) == 1 + len(fqforms.cli.COMMANDS) == 13
+
+
+def test_verify_comp_budget_refuses_before_sieving(capsys):
+    # the sieve holds one bool per canonical discriminant of the top degree
+    assert main(["verify", "comp", "--q", "3", "--max-degree", "3", "--budget", "10"]) == 2
+    assert "budget" in capsys.readouterr().err
+    # 101^4 > 10^8 bools would be allocated before any batch
+    tracemalloc.start()
+    try:
+        assert main(["verify", "comp", "--q", "101", "--max-degree", "4"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "budget" in capsys.readouterr().err
+    assert peak < 10**6
 
 
 def test_delta_override(capsys):

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import fqforms.picard
 from fqforms.classify import canonical_discs
-from fqforms.errors import BudgetError, CapabilityError
+from fqforms.errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from fqforms.ffpoly import factor, is_irreducible, is_squarefree, prime_field
 from fqforms.ffpoly import residue_char
 from fqforms.picard import (
@@ -489,22 +490,94 @@ def test_euler_series_checks_the_budget_first(monkeypatch):
     assert fqforms.picard._comp_report(table).passed
 
 
+def series_order(q, degree, counts):
+    """|Pic O| of one square-free definite d0 of `degree` >= 1 and genus g
+    from `counts`, per k = 1 .. g the numbers (inert, ramified, split) of
+    places of degree k where d0 is a non-square, zero or a nonzero square:
+    the scalar Euler series, one d0 at a time, with `math.comb`, as
+    `pic_order` ran it before the series ran over a batch."""
+    genus = (degree - 1) // 2
+    series = [1] + [0] * genus  # coefficients of T^0 .. T^g: Z_O, then L
+    for k, (inert, ramified, split) in enumerate(counts, 1):
+        for step, power in ((k, 2 * split + ramified), (2 * k, inert)):
+            for n in range(genus, step - 1, -1):  # times 1/(1 - T^step)^power
+                for j in range(1, n // step + 1):
+                    series[n] += math.comb(power + j - 1, j) * series[n - j * step]
+    for root in (1, q):  # times (1 - root T), descending
+        for n in range(genus, 0, -1):
+            series[n] -= root * series[n - 1]
+    e = 2 - degree % 2
+    for n in range(e, genus + 1):  # over (1 - T^e), ascending
+        series[n] += series[n - e]
+    h = sum(series) + sum(q ** (genus - i) * c for i, c in enumerate(series[:genus]))
+    return e * h
+
+
+def batch_series_orders(q, m, counts):
+    """`_series_orders` over the (discs, g, 3) `counts` of a batch, as
+    `picard._bridge_orders` runs it."""
+    return fqforms.picard._series_orders(q, m, counts.astype(object).transpose(1, 2, 0))
+
+
 @pytest.mark.parametrize("q,top", [(3, 6), (5, 5), (7, 4)])
 def test_batch_pic_orders_match_reciprocity(q, top):
     # every square-free canonical D of degree 1 .. top, from the sieve of
-    # the comp sweep: |Pic O| from the place counts of its batch residues
-    # (norms at places of degree 2, genus 2) against `pic_order`, which
-    # counts places by reciprocity
+    # the comp sweep, in the batches that the sweep cuts: |Pic O| from one
+    # series over the place counts of each batch (norms at places of
+    # degree 2, genus 2) against the scalar series per D and `pic_order`,
+    # which counts places by reciprocity
     F = prime_field(q)
-    sieved = list(fqforms.verify._square_free_discs(F, top))
+    sieved = list(fqforms.verify._square_free_discs(F, top, DEFAULT_BUDGET))
     assert [m for m, _ in sieved] == list(range(top + 1))
     discs = [F.poly(row) for _, coeffs in sieved for row in coeffs.tolist()]
     assert discs == [d for d in canonical_discs(F, top) if is_squarefree(d)]
+    batches = 0
     for m, coeffs in sieved[1:]:
-        residues, _, _ = fqforms.classify._sieve(F, coeffs)
-        counts = fqforms.classify._place_counts(F, coeffs, residues)
-        got = [fqforms.picard._series_order(q, m, c) for c in counts]
+        size = max(1, fqforms.classify.BATCH_VALUES // fqforms.classify._disc_values(q, m))
+        got = []
+        for start in range(0, len(coeffs), size):
+            rows = coeffs[start : start + size]
+            residues, _, _ = fqforms.classify._sieve(F, rows)
+            counts = fqforms.classify._place_counts(F, rows, residues)
+            # below genus 1 the series reads no count: |Pic O| = e for all
+            orders = np.broadcast_to(batch_series_orders(q, m, counts), len(rows)).tolist()
+            assert orders == [series_order(q, m, c) for c in counts.tolist()], m
+            got += orders
+            batches += 1
         assert got == [pic_order(d) for d in discs if d.degree == m], m
+    assert batches > top
+
+
+def place_numbers(q, genus):
+    """The number of monic irreducibles of each degree k = 1 .. genus over
+    F_q, by Moebius inversion of q^k = sum over d | k of d N_d."""
+    numbers = []
+    for k in range(1, genus + 1):
+        proper = sum(d * numbers[d - 1] for d in range(1, k) if k % d == 0)
+        numbers.append((q**k - proper) // k)
+    return numbers
+
+
+@pytest.mark.parametrize("q,genus", [(3, 16), (7, 9), (101, 3)])
+def test_batch_series_exact_at_budget_edge(q, genus):
+    # q^g within the default budget and q^(g + 1) over it: random splits of
+    # the places of each degree into (inert, ramified, split), and the row
+    # where every place splits, which has the largest Z_O, a batch of them
+    # at both degrees of that genus against the scalar series; the batch
+    # runs on Python ints, so nothing can wrap
+    assert q**genus <= DEFAULT_BUDGET < q ** (genus + 1)
+    rng = random.Random(q * 100 + genus)
+    counts = [[[0, 0, n] for n in place_numbers(q, genus)]]
+    for _ in range(24):
+        row = []
+        for places in place_numbers(q, genus):
+            cuts = sorted(rng.randint(0, places) for _ in range(2))
+            row.append([cuts[0], cuts[1] - cuts[0], places - cuts[1]])
+        counts.append(row)
+    for degree in (2 * genus + 1, 2 * genus + 2):
+        got = batch_series_orders(q, degree, np.array(counts, dtype=np.int64))
+        assert got.dtype == object and all(type(h) is int for h in got)
+        assert got.tolist() == [series_order(q, degree, row) for row in counts]
 
 
 def test_weil_interval_exact():
@@ -535,7 +608,7 @@ def test_comp_sweep_reads_genera_off_batch_characters(monkeypatch):
         (fqforms.classify, "_primitive_solutions"),
         (fqforms.classify, "strip_valuation"),
         (fqforms.picard, "_jacobi"),
-        (fqforms.picard, "_euler_order"),
+        (fqforms.picard, "_reciprocity_counts"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     report = run_check("comp", SweepConfig(q=7, max_disc_degree=3))
@@ -556,12 +629,13 @@ def test_comp_sweep_never_builds_group_structure(monkeypatch):
 
 
 def test_comp_sweep_flags_order_outside_weil_interval(monkeypatch):
-    # the sweep takes its orders from the Euler series of `pic_order`
-    true_order = fqforms.picard._series_order
+    # the sweep takes its orders from the Euler series of `pic_order`, one
+    # pass per batch
+    true_orders = fqforms.picard._series_orders
     monkeypatch.setattr(
         fqforms.picard,
-        "_series_order",
-        lambda q, degree, counts: 10 * true_order(q, degree, counts),
+        "_series_orders",
+        lambda q, degree, counts: 10 * true_orders(q, degree, counts),
     )
     report = run_check("comp", SweepConfig(q=3, max_disc_degree=3))
     weil = [v for v in report.violations if "weil_interval" in str(v.expected)]

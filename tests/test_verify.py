@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from fqforms.verify import (
 from tests.test_classify_oracles import discs_of_degree
 from tests.test_localgenus import square_class_at_infinity
 from tests.test_qform import reduced_images
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_cfg(q=5, max_deg=2, **kw):
@@ -542,6 +546,60 @@ def test_comp_sweep_builds_no_class_table(monkeypatch):
     monkeypatch.setattr(classify.ClassTable, "__init__", refuse)
     r = run_check("comp", SweepConfig(q=7, max_disc_degree=3))
     assert r.passed and r.instances_checked == 645
+
+
+def test_comp_sweep_runs_one_series_and_one_char_row_per_pair(monkeypatch):
+    # the (7, 3) sweep: one batch per degree, one Euler series per batch of
+    # degree >= 1 and none per disc, and in the genus pass one `_chars_at`
+    # row per distinct (owner, place) pair; the (a_m, place) pairs of a
+    # batch number at most (1 + q) q at top degree 1
+    from fqforms import classify, picard
+
+    F = prime_field(7)
+    monic_rows = [classify._monic_factors(F, top)[0] for top in (0, 1)]  # cached
+    batches, series, rows, pairs, monic_pairs = [], [], [], [], []
+    built, distinct = classify._Batch.__init__, classify._distinct_chars
+    orders, chars_at = picard._series_orders, classify._chars_at
+
+    def building(self, *args):
+        built(self, *args)
+        batches.append((self.m, self.n))
+
+    def distinct_pairs(field, m, table, owners, at):
+        pairs.append(len(set(zip(owners.tolist(), at.tolist()))))
+        if any(table is monic for monic in monic_rows):
+            monic_pairs.append(pairs[-1])
+        return distinct(field, m, table, owners, at)
+
+    def counted(field, m, table, at):
+        rows.append(len(table))
+        return chars_at(field, m, table, at)
+
+    monkeypatch.setattr(classify._Batch, "__init__", building)
+    monkeypatch.setattr(classify, "_distinct_chars", distinct_pairs)
+    monkeypatch.setattr(classify, "_chars_at", counted)
+    monkeypatch.setattr(
+        picard, "_series_orders", lambda *args: series.append(args[1]) or orders(*args)
+    )
+    r = run_check("comp", SweepConfig(q=7, max_disc_degree=3))
+    assert r.passed and r.instances_checked == 645
+    assert batches == [(0, 1), (1, 14), (2, 42), (3, 588)]
+    assert series == [1, 2, 3]
+    assert rows == pairs
+    assert len(monic_pairs) == len(batches) and 0 < monic_pairs[-1] <= (1 + 7) * 7
+
+
+@pytest.mark.parametrize("q,deg", [(5, 4), (7, 3)])
+@pytest.mark.parametrize("values", [1, 2**62])
+def test_comp_report_matches_golden_at_any_batch_size(monkeypatch, q, deg, values):
+    # one disc per batch, then one batch per degree, against the reports
+    # recorded at the batch sizes of their time
+    from fqforms import classify
+
+    monkeypatch.setattr(classify, "BATCH_VALUES", values)
+    report = run_check("comp", SweepConfig(q=q, max_disc_degree=deg))
+    out = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    assert out == (DATA / f"comp-q{q}-d{deg}.json").read_text()
 
 
 def test_reports_deterministic():
