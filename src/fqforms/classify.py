@@ -4,10 +4,12 @@ Every reduced definite binary form (a, b, c) with b^2 - ac = D has
 deg a <= deg D / 2 and deg b < deg a, so the forms of discriminant
 exactly D come from a finite enumeration with c = (b^2 - D)/a.  The
 congruence b^2 = D (mod a) depends only on the ideal (a), so it is solved
-once per monic a_m: `ffpoly.square_roots_mod` solves it by a sieve (square
-roots of D at each place of degree <= deg D / 2, lifted to prime powers
-once per D and combined by CRT over the factorization of a_m), and the
-form (u a_m, b, c / u) is reduced for every unit u.  Such forms have
+once per monic a_m, for many D of one degree at once, by `_monic_roots`,
+the one root path that the class tables, `enumerate_forms` and the
+Mumford divisors of `picard.pic_group` read (square roots of D at each
+place of degree <= deg D / 2, lifted to prime powers once per D and
+combined by CRT over the factorization of a_m), and the form
+(u a_m, b, c / u) is reduced for every unit u.  Such forms have
 b^2 - ac = D != 0 by construction, so they skip the checks of
 `Form.__init__`; and as a content g of a form has g^2 | D, only a D with
 a square factor needs the primitivity filter, which tests p | c only at
@@ -24,7 +26,7 @@ off "D = D' = 0 mod p", the place of degree > m / 2 by an exact division
 of rows (`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
 (`_place_counts`).  The roots at a linear a_m come from the F_q
 square-root table for the whole batch; above degree 1 they are lifted and
-combined per D, as `square_roots_mod` does, from the batch residues.
+combined per D from the batch residues.
 Where deg a = deg c, c = (b^2 - D) / a_m comes from one gathered quotient
 map per monic a_m, and one torus pass (below) names the classes of every
 D of the batch.  A batch keeps its classes as arrays and gives the totals
@@ -82,9 +84,10 @@ import functools
 
 import numpy as np
 
+from .errors import DEFAULT_BUDGET, BudgetError
 from .ffpoly import Poly, _crt_roots, _jacobi, _monic_factorizations, _places
 from .ffpoly import _roots_mod_powers, _sqrt_at_place, factor, is_irreducible
-from .ffpoly import square_roots_mod, strip_valuation
+from .ffpoly import strip_valuation
 from .localgenus import GenusSymbol, _binary_hasse_at_infinity, genus_symbol
 from .qform import (
     Form,
@@ -109,58 +112,31 @@ def _is_primitive(a_m, b, disc, square_places):
     return True
 
 
-def _monic_solutions(disc, deg_a, square_places):
-    """[(a_m, [b, ...])] for every monic a_m of degree `deg_a`, in key
-    order: a_m | b^2 - disc with deg b < deg a_m, b in key order, and only
-    primitive (a_m, b, (b^2 - disc) / a_m) when `square_places` (the places
-    p with p^2 | disc) is not empty."""
-    out = []
-    for a, roots in square_roots_mod(disc, deg_a):
-        if square_places:
-            roots = [b for b in roots if _is_primitive(a, b, disc, square_places)]
-        out.append((a, roots))
-    return out
-
-
-def _scaled_forms(field, disc, solutions, deg_a):
-    """The forms (u a_m, b, c / u) for every unit u, ordered by (lead a,
-    key of the low part of a, key of b); `solutions` from
-    `_monic_solutions` at degree `deg_a`."""
-    q = field.q
-    size = q**deg_a
-    binary = Form._trusted_binary
-    monic = [[(b, (b * b - disc) // a_m) for b in roots] for a_m, roots in solutions]
-    out = []
-    for lead in range(1, q):
-        inv = field.constant(field.inv(lead))
-        for low in range(size):
-            a = field.poly_from_key(low + lead * size)
-            for b, c in monic[a.monic().key() - size]:
-                out.append(binary(a, b, c * inv))
-    return out
-
-
 def enumerate_forms(field, disc, primitive_only=False):
     """All reduced definite binary forms with discriminant exactly `disc`.
 
-    b^2 = disc (mod a) is solved once per monic a: the solutions (b, c)
-    for a monic give (u a, b, c / u) for every unit u, and all of these
-    share one content, which is checked only when disc has a square
-    factor.  Forms come out ordered by (deg a, lead a, key of the low part
-    of a, key of b).
+    b^2 = disc (mod a) is solved once per monic a (`_monic_roots`, a batch
+    of one): the solutions (b, c) for a monic give (u a, b, c / u) for
+    every unit u, and all of these share one content.  Forms come out
+    ordered by (deg a, lead a, key of the low part of a, key of b).
     """
     if not is_definite_disc(disc):
         raise ValueError("discriminant is not definite-shaped")
-    # a content g has g^2 | disc, so only a place p with p^2 | disc divides it
-    square_places = []
-    if primitive_only:
-        square = _sieve(field, _poly_rows([disc], disc.degree + 1))[2][0].tolist()
-        places = _places(field, disc.degree // 2)
-        square_places = [p for p, s in zip(places, square) if s]
-    out = []
-    for deg_a in range(disc.degree // 2 + 1):
-        solutions = _monic_solutions(disc, deg_a, square_places)
-        out.extend(_scaled_forms(field, disc, solutions, deg_a))
+    coeffs = _poly_rows([disc], disc.degree + 1)
+    _, solutions = _monic_roots(field, coeffs, primitive_only, lambda _: disc)
+    q, binary, out = field.q, Form._trusted_binary, []
+    for k, (_, index, rows) in enumerate(solutions):
+        size, a_ms = q**k, _monic_polys(field, k)[0]
+        monic = [[] for _ in range(size)]  # (b, c) per monic a_m, by key
+        for x, row in zip(index.tolist(), rows.tolist()):
+            b = Poly(field, row)
+            monic[x].append((b, (b * b - disc) // a_ms[x]))
+        for lead in range(1, q):
+            inv = field.constant(field.inv(lead))
+            for low in range(size):
+                a = field.poly_from_key(low + lead * size)
+                for b, c in monic[a.monic().key() - size]:
+                    out.append(binary(a, b, c * inv))
     return out
 
 
@@ -512,15 +488,11 @@ _Classes = collections.namedtuple(
 class _Batch:
     """The class tables of discriminants D of one degree m, on int arrays.
 
-    The residues of every D and D' at every place of degree <= m / 2 are
-    one matmul per place degree; a place divides D where D is 0 there, and
-    its square does where D' is too (`_sieve`).  The monic solutions
-    (a_m, b) come as arrays (disc, index of a_m in key order, b) sorted by
-    (disc, a_m, key of b): at deg a_m = 1 from the square-root table of
-    F_q, above it by CRT over roots lifted per D (`_crt_solutions`).  Where
-    deg a < deg c their classes are read off in closed form; where
-    deg a = deg c, c comes from one quotient map per a_m and one
-    `_least_images` pass names the classes of every D at once.
+    The sieve and the monic solutions (a_m, b) come from `_monic_roots`,
+    as arrays (disc, index of a_m in key order, b) sorted by (disc, a_m,
+    key of b).  Where deg a < deg c their classes are read off in closed
+    form; where deg a = deg c, c comes from one quotient map per a_m and
+    one `_least_images` pass names the classes of every D at once.
 
     A batch keeps, per D, its coefficient rows `coeffs`, the `divides` and
     `square` bools and the `exponents` of the places of degree <= m / 2,
@@ -532,24 +504,12 @@ class _Batch:
     built only by `ClassTable` views, on their first read."""
 
     def __init__(self, field, coeffs, primitive_only, discs=None):
-        q, n, m = field.q, len(coeffs), coeffs.shape[1] - 1
-        top = m // 2
+        n, m = len(coeffs), coeffs.shape[1] - 1
         self.field, self.coeffs, self.primitive_only = field, coeffs, primitive_only
         self.n, self.m, self._discs = n, m, discs
-        places = _places(field, top)
-        self._residues, self.divides, self.square = _sieve(field, coeffs)
+        sieve, solutions = _monic_roots(field, coeffs, primitive_only, self.disc)
+        self._residues, self.divides, self.square = sieve
         self.square_free = (~self.square.any(axis=1)).tolist()
-
-        solutions = [(np.arange(n), np.zeros(n, np.int64), np.zeros((n, 0), np.int64))]
-        if top >= 1:
-            solutions.append(_linear_solutions(self._residues[0][:, :, 0], q))
-        if top >= 2:
-            solutions.extend(_crt_solutions(self, places))
-        if primitive_only and not all(self.square_free):
-            solutions = [
-                _primitive_solutions(self, k, *sols, places)
-                for k, sols in enumerate(solutions)
-            ]
         parts = [
             (_torus_part if 2 * k == m else _closed_part)(field, coeffs, k, *sols)
             for k, sols in enumerate(solutions)
@@ -567,7 +527,7 @@ class _Batch:
         self.bounds = _segments(self.classes.at, n)
 
         self.exponents, self.large, self.large_degree = _disc_places(
-            field, coeffs, places, self.divides, self.square
+            field, coeffs, _places(field, m // 2), self.divides, self.square
         )
         self.proper = np.bincount(self.classes.at, self.classes.counts, n).astype(np.int64)
         self.place_total = np.count_nonzero(self.exponents, axis=1) + (self.large_degree > 0)
@@ -637,6 +597,39 @@ class _Batch:
             genera[i] = len(table.genera)
             equal[i] = len(set(table.proper_counts_per_genus())) == 1
         return genera, equal
+
+
+def _monic_roots(field, coeffs, primitive_only, disc):
+    """(`_sieve`, solutions) of the discriminants D of one degree m with
+    coefficient rows `coeffs`, `disc(i)` the i-th as a polynomial.  The
+    solutions are, per k = deg a_m <= m / 2, the (disc, index of a_m in key
+    order, b rows) arrays of every monic a_m | b^2 - D with deg b < k,
+    sorted by (disc, a_m, key of b), and only those of primitive
+    (a_m, b, (b^2 - D) / a_m) if `primitive_only`: at k = 1 from the
+    square-root table of F_q, above it by CRT over roots lifted per D
+    (`_crt_solutions`).
+
+    BudgetError before anything is allocated once the (m + 1) q^(m / 2)
+    values of the residue maps of the places of degree <= m / 2, which
+    bound the largest table built per degree, exceed the default budget."""
+    q, n, m = field.q, len(coeffs), coeffs.shape[1] - 1
+    top, budget = m // 2, DEFAULT_BUDGET
+    values = (m + 1) * q**top
+    if values > budget:
+        raise BudgetError(f"degree {m} needs {values} residue-map values (budget {budget})")
+    places = _places(field, top)
+    sieve = _sieve(field, coeffs)
+    residues, _, square = sieve
+    solutions = [(np.arange(n), np.zeros(n, np.int64), np.zeros((n, 0), np.int64))]
+    if top >= 1:
+        solutions.append(_linear_solutions(residues[0][:, :, 0], q))
+    if top >= 2:
+        solutions.extend(_crt_solutions(field, residues, places, disc))
+    if primitive_only and square.any():
+        solutions = [
+            _primitive_solutions(field, m, square, disc, *sols, places) for sols in solutions
+        ]
+    return sieve, solutions
 
 
 def _place_counts(field, coeffs, residues):
@@ -813,19 +806,18 @@ def _linear_solutions(values, q):
     return disc, s, roots[found][:, None]
 
 
-def _crt_solutions(batch, places):
-    """(disc, a_m index, b) arrays for every degree 2 .. deg D / 2 of a_m:
-    the root of D at each place from its batch residue, lifted to the
-    powers of the place per D, and combined by CRT (`ffpoly._crt_roots`)."""
-    field, top = batch.field, batch.m // 2
+def _crt_solutions(field, residues, places, disc):
+    """(disc, a_m index, b) arrays for every degree 2 .. deg D / 2 of a_m,
+    `disc(i)` the i-th D: the root of D at each of `places` from its
+    residue in `residues` (`_residues`), lifted to the powers of the place
+    per D, and combined by CRT (`ffpoly._crt_roots`)."""
+    top = len(residues)
     out = [([], [], []) for _ in range(2, top + 1)]
-    for i in range(batch.n):
-        disc = batch.disc(i)
-        rows = [row for residue in batch._residues for row in residue[i].tolist()]
+    for i in range(len(residues[0])):
+        d = disc(i)
+        rows = [row for residue in residues for row in residue[i].tolist()]
         roots_at = {
-            p: _roots_mod_powers(
-                disc, p, top // p.degree, _sqrt_at_place(field.poly(row), p)
-            )
+            p: _roots_mod_powers(d, p, top // p.degree, _sqrt_at_place(field.poly(row), p))
             for p, row in zip(places, rows)
         }
         for k, (at, index, b_rows) in enumerate(out, 2):
@@ -844,16 +836,17 @@ def _crt_solutions(batch, places):
     ]
 
 
-def _primitive_solutions(batch, k, at, index, rows, places):
-    """The solutions of degree k whose form is primitive.  A place p
-    divides the content only if p^2 | D, p | a_m and p | b, read off their
-    residues at every place (one matmul per place degree); `_is_primitive`
-    decides the few solutions where some place does."""
+def _primitive_solutions(field, m, square, disc, at, index, rows, places):
+    """The solutions (disc, a_m index, b rows) of one degree whose form is
+    primitive, given the `square` bools of the sieve and `disc(i)` the i-th
+    D.  A place p divides the content only if p^2 | D, p | a_m and p | b,
+    read off their residues at every place (one matmul per place degree);
+    `_is_primitive` decides the few solutions where some place does."""
+    k = rows.shape[1]
     if k == 0:  # a_m = 1
         return at, index, rows
-    field, m = batch.field, batch.m
     monic, _, _, monic_rows = _monic_polys(field, k)
-    suspects = batch.square[at] & _zero_at(_residues(field, m, monic_rows), len(monic))[index]
+    suspects = square[at] & _zero_at(_residues(field, m, monic_rows), len(monic))[index]
     chosen = np.flatnonzero(suspects.any(axis=1))  # b is sieved only here
     suspects = suspects[chosen] & _zero_at(_residues(field, m, rows[chosen]), len(chosen))
     keep = np.ones(len(at), dtype=bool)
@@ -861,7 +854,7 @@ def _primitive_solutions(batch, k, at, index, rows, places):
         suspected = [p for p, x in zip(places, suspected) if x]
         if suspected:
             b = field.poly(rows[s].tolist())
-            keep[s] = _is_primitive(monic[index[s]], b, batch.disc(at[s]), suspected)
+            keep[s] = _is_primitive(monic[index[s]], b, disc(at[s]), suspected)
     return at[keep], index[keep], rows[keep]
 
 

@@ -610,20 +610,12 @@ def _jacobi(f, p):
     return out
 
 
-def square_roots_mod(d, degree):
-    """Yield (u, [v : deg v < deg u, u | v^2 - d]) for each monic u of
-    degree `degree`, both in key order.
-
-    A sieve (Cohen, GTM 138, 1.5): the roots of x^2 = d at each place p and
-    each power p^k are read off `_place_roots`, built once per d for every
-    degree up to deg d / 2, and combined by CRT over the factorization of u.
-    """
-    return _crt_roots(d.field, _place_roots(d, max(degree, d.degree // 2)), degree)
-
-
 def _crt_roots(field, roots_at, degree):
-    """`square_roots_mod` from `roots_at`, {p: [roots of x^2 = d mod p^k for
-    k = 1, 2, ...]} over the places of degree <= `degree`."""
+    """Yield (u, [v : deg v < deg u, u | v^2 - d]) for each monic u of
+    degree `degree`, both in key order, from `roots_at`, {p: [roots of
+    x^2 = d mod p^k for k = 1, 2, ...]} over the places of degree <=
+    `degree`: a sieve (Cohen, GTM 138, 1.5), combined by CRT over the
+    factorization of u."""
     for u, factors in _monic_factorizations(field, degree):
         per_factor = [roots_at[p][e - 1] for p, e, _ in factors]
         if len(factors) == 1:
@@ -635,18 +627,6 @@ def _crt_roots(field, roots_at, degree):
                 for combo in itertools.product(*per_factor)
             ]
         yield u, sorted(vs, key=Poly.key)
-
-
-@functools.lru_cache(maxsize=16)
-def _place_roots(d, top):
-    """{p: [roots of x^2 = d mod p^k for k = 1 .. top // deg p]} over the
-    places p of degree <= top, each root of degree < k deg p: an F_q
-    square-root table at degree 1, Tonelli-Shanks in A/(p) above, lifted to
-    p^k one p-adic digit at a time."""
-    return {
-        p: _roots_mod_powers(d, p, top // p.degree, _sqrt_at_place(d % p, p))
-        for p in _places(d.field, top)
-    }
 
 
 def _roots_mod_powers(d, p, top, r):

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import class_table
+from .classify import _monic_polys, _monic_roots, class_table
 from .errors import DEFAULT_BUDGET, BudgetError, CapabilityError
-from .ffpoly import _jacobi, _places, factor, is_squarefree
-from .ffpoly import square_roots_mod, xgcd
-from .qform import is_definite_disc
+from .ffpoly import _jacobi, _places, factor, is_squarefree, xgcd
+from .qform import _poly_rows, is_definite_disc
 
 
 @dataclass(frozen=True)
@@ -172,12 +171,19 @@ class PicGroup:
 
 
 def enumerate_reduced_divisors(d0):
-    """All reduced Mumford divisors of y^2 = D0 (deg u <= genus)."""
+    """All reduced Mumford divisors of y^2 = D0 (deg u <= genus): the
+    identity, then (u, v) by deg u, key of u and key of v.  They are the
+    monic solutions u | v^2 - D0, deg v < deg u, of degree 1 .. g of the
+    class tables of D0 (`classify._monic_roots`, a batch of one), since
+    deg D0 = 2g + 1."""
     genus = _check_curve(d0)
+    F = d0.field
+    _, solutions = _monic_roots(F, _poly_rows([d0], d0.degree + 1), False, lambda _: d0)
     out = [divisor_identity(d0)]
-    for du in range(1, genus + 1):
-        for u, roots in square_roots_mod(d0, du):
-            out.extend(MumfordDivisor(u, v, d0) for v in roots)
+    for k, (_, index, rows) in enumerate(solutions[1 : genus + 1], 1):
+        monic = _monic_polys(F, k)[0]
+        for x, row in zip(index.tolist(), rows.tolist()):
+            out.append(MumfordDivisor(monic[x], F.poly(row), d0))
     return out
 
 

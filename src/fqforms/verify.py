@@ -303,21 +303,19 @@ def _primitive_tables(field, discs):
         yield from zip(group, class_tables(field, group, primitive_only=True))
 
 
-_SWEEP_CACHE = {}
-
-
 def sweep_data(cfg):
-    key = (cfg.q, cfg.max_disc_degree, cfg.budget)
-    if key not in _SWEEP_CACHE:
-        field = prime_field(cfg.q)
-        discs = canonical_discs(field, cfg.max_disc_degree)
-        classes = [
-            (disc, ci, rep)
-            for disc, table in _primitive_tables(field, discs)
-            for ci, rep in enumerate(table.class_representatives)
-        ]
-        _SWEEP_CACHE[key] = SweepData(cfg, classes)
-    return _SWEEP_CACHE[key]
+    """The `SweepData` of every primitive class of the canonical
+    discriminants up to the configured degree; BudgetError before any
+    discriminant is built once those of the top degree exceed the budget."""
+    field = prime_field(cfg.q)
+    _check_disc_count(field, cfg.max_disc_degree, cfg.budget)
+    discs = canonical_discs(field, cfg.max_disc_degree)
+    classes = [
+        (disc, ci, rep)
+        for disc, table in _primitive_tables(field, discs)
+        for ci, rep in enumerate(table.class_representatives)
+    ]
+    return SweepData(cfg, classes)
 
 
 def _witness_pair(r1, r2):
@@ -909,15 +907,22 @@ def cn1_survey(cfg):
     return _finish("cn1", cfg, instances, violations, stats, cfg.q <= 13)
 
 
+def _check_disc_count(field, max_degree, budget):
+    """BudgetError once the canonical discriminants of `max_degree`, the
+    most of any degree up to it, exceed `budget`."""
+    count = canonical_disc_count(field, max_degree)
+    if count > budget:
+        raise BudgetError(f"degree {max_degree} has {count} discriminants (budget {budget})")
+
+
 def _square_free_discs(field, max_degree, budget):
     """(m, coefficient rows) of the canonical discriminants of each degree
     m <= max_degree with no square factor, in order: a sieve over the
     indices of degree m that strikes out lc p^2 r, on rows, for every place
     p of degree k <= m / 2 and monic r of degree m - 2k.  BudgetError before
     any sieve once the indices of max_degree, the most, exceed the budget."""
-    q, count = field.q, canonical_disc_count(field, max_degree)
-    if count > budget:
-        raise BudgetError(f"degree {max_degree} has {count} discriminants (budget {budget})")
+    q = field.q
+    _check_disc_count(field, max_degree, budget)
     for m in range(max_degree + 1):
         leads = (1, field.delta) if m % 2 else (field.delta,)
         struck = np.zeros(canonical_disc_count(field, m), dtype=bool)

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from fqforms import classify, ffpoly, picard
 from fqforms.classify import (
     canonical_disc_at,
     canonical_disc_count,
@@ -13,6 +15,7 @@ from fqforms.classify import (
     irreducible_factor_count,
     is_definite_disc,
 )
+from fqforms.errors import BudgetError
 from fqforms.ffpoly import SquareClass, poly_from_string, prime_field
 from fqforms.qform import (
     Form,
@@ -283,3 +286,65 @@ def test_remark_form_string_parse():
         poly_from_string(F13, "4"),
         poly_from_string(F13, "12*t^2+8*t+2"),
     )
+
+
+def test_every_root_comes_from_one_batch_pass(monkeypatch):
+    # a class table, `enumerate_forms` and the divisors of `pic_group` each
+    # read their roots off one `_monic_roots` call, and no root helper runs
+    # outside it
+    calls, inside = [], []
+    monic_roots = classify._monic_roots
+
+    def counted(field, coeffs, primitive_only, disc):
+        calls.append(coeffs.shape)
+        inside.append(True)
+        try:
+            return monic_roots(field, coeffs, primitive_only, disc)
+        finally:
+            inside.pop()
+
+    def only_inside(name, original):
+        def wrapped(*args):
+            assert inside, f"{name} ran outside _monic_roots"
+            return original(*args)
+
+        return wrapped
+
+    for module in (classify, picard):
+        monkeypatch.setattr(module, "_monic_roots", counted)
+    helpers = "_linear_solutions _crt_solutions _crt_roots _sqrt_at_place _roots_mod_powers"
+    for name in helpers.split():
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("fqforms") and hasattr(module, name):
+                monkeypatch.setattr(module, name, only_inside(name, getattr(module, name)))
+    classify._class_table_cached.cache_clear()
+    t = F5.t
+    disc = (t**2 + 2) ** 2 * 2  # deg a_m = 2 reaches the CRT path, p^2 | disc
+    table = class_table(F5, disc)
+    assert calls == [(1, 5)]
+    forms = table.forms
+    assert calls == [(1, 5)] * 2
+    primitive = enumerate_forms(F5, disc, primitive_only=True)
+    assert calls == [(1, 5)] * 3 and 0 < len(primitive) < len(forms)
+    group = picard.pic_group(t**5 + t + 3)
+    assert calls == [(1, 5)] * 3 + [(1, 6)] and group.order == len(group.elements)
+    for name in ("square_roots_mod", "_place_roots", "_monic_solutions"):
+        assert not hasattr(ffpoly, name) and not hasattr(classify, name), name
+    classify._class_table_cached.cache_clear()
+
+
+def test_monic_roots_check_the_budget_for_every_reader(monkeypatch):
+    # (m + 1) q^(m / 2) residue-map values: 6 * 25 = 150 at m = 5, q = 5
+    t = F5.t
+    monkeypatch.setattr(classify, "DEFAULT_BUDGET", 149)
+    classify._class_table_cached.cache_clear()
+    for read in (
+        lambda: class_table(F5, t**5 + t + 3),
+        lambda: enumerate_forms(F5, t**5 + t + 3),
+        lambda: picard.pic_group(t**5 + t + 3),
+    ):
+        with pytest.raises(BudgetError, match="budget 149"):
+            read()
+    monkeypatch.setattr(classify, "DEFAULT_BUDGET", 150)
+    assert len(enumerate_forms(F5, t**5 + t + 3)) > 0
+    classify._class_table_cached.cache_clear()

@@ -1,14 +1,17 @@
 """The fast class-table paths against the slow, independent ones.
 
-- `enumerate_forms` (one square-root scan per monic a) against the scan
-  over every pair (a, b) with a of any leading coefficient;
+- `enumerate_forms` (the roots of each monic a read off one batch pass,
+  `classify._monic_roots`) against the scan over every pair (a, b) with a
+  of any leading coefficient, and against the per-disc `Poly` sieve that
+  it replaced (`sieved_forms`), as `picard.enumerate_reduced_divisors` is
+  against the same sieve;
 - the assigned-character Jordan data at every divisor p of D, of forms of
   any content, against the p-adic Jordan diagonalization;
 - `class_tables` (every discriminant of one degree built together on int
   arrays, in batches) against the per-discriminant `Poly` construction that
-  it replaced, which reads the roots off `square_roots_mod`, the places off
-  `factor` and the content off `Form.is_primitive`, and against the orbit
-  oracle below;
+  it replaced, which reads the roots off the `square_roots_mod` oracle of
+  tests/test_ffpoly.py, the places off `factor` and the content off
+  `Form.is_primitive`, and against the orbit oracle below;
 - `class_table` (one torus pass per discriminant, places read off the
   sieve) against two orbit passes over every U in GL_2(F_q), for det +-1
   and det 1, with genera from Jordan data only;
@@ -51,10 +54,10 @@ from fqforms.ffpoly import (
     _places,
     _sqrt_table,
     factor,
+    is_squarefree,
     powmod,
     prime_field,
     residue_char,
-    square_roots_mod,
 )
 from fqforms.localgenus import (
     INFINITY,
@@ -65,9 +68,10 @@ from fqforms.localgenus import (
     hasse_invariant,
     jordan_invariants,
 )
-from fqforms.qform import Form, _poly_rows, key_powers
+from fqforms.picard import enumerate_reduced_divisors
+from fqforms.qform import Form, _poly_rows, is_definite_disc, key_powers
 from fqforms.verify import SweepConfig
-from tests.test_ffpoly import high_multiplicity_discs
+from tests.test_ffpoly import high_multiplicity_discs, square_roots_mod
 from tests.test_qform import reduced_images, scanned_reduced_images
 
 SCAN_CASES = [(3, 4), (5, 3), (7, 3)]
@@ -101,6 +105,33 @@ def brute_force_forms(field, disc):
                     c, rem = divmod(b * b - disc, a)
                     if rem.is_zero():
                         out.append(Form.binary(a, b, c))
+    return out
+
+
+def sieved_forms(field, disc, primitive_only=False):
+    """The forms of `enumerate_forms`, one disc at a time on `Poly` values,
+    as it built them before the batch root path: the roots of each monic
+    a_m from `square_roots_mod`, the content from `Form.is_primitive` where
+    disc has a square factor, and (u a_m, b, c / u) for every unit u,
+    ordered by (deg a, lead a, key of the low part of a, key of b)."""
+    q = field.q
+    binary = Form._trusted_binary
+    square_free = is_squarefree(disc)  # a content g has g^2 | disc
+    out = []
+    for deg_a in range(disc.degree // 2 + 1):
+        size = q**deg_a
+        monic = []  # (b, c) per monic a_m, by key
+        for a_m, roots in square_roots_mod(disc, deg_a):
+            pairs = [(b, (b * b - disc) // a_m) for b in roots]
+            if primitive_only and not square_free:
+                pairs = [(b, c) for b, c in pairs if binary(a_m, b, c).is_primitive()]
+            monic.append(pairs)
+        for lead in range(1, q):
+            inv = field.constant(field.inv(lead))
+            for low in range(size):
+                a = field.poly_from_key(low + lead * size)
+                for b, c in monic[a.monic().key() - size]:
+                    out.append(binary(a, b, c * inv))
     return out
 
 
@@ -188,6 +219,50 @@ def test_enumerate_forms_matches_brute_force(q, deg):
         assert [f.binary_coeffs() for f in enumerate_forms(F, d, True)] == primitive
 
 
+def sieved_divisors(d0):
+    """The (u, v) of the reduced Mumford divisors of y^2 = d0 in
+    `enumerate_reduced_divisors` order, off `square_roots_mod`."""
+    out = [(d0.field.one, d0.field.zero)]
+    for du in range(1, (d0.degree - 1) // 2 + 1):
+        out.extend((u, v) for u, roots in square_roots_mod(d0, du) for v in roots)
+    return out
+
+
+# q -> (the top degree of the discs whose forms are compared, the degrees
+# of the canonical discs among them, the degrees of the square-free
+# canonical d0 whose divisors are); the forms of the canonical discs of
+# ORBIT_CASES are compared in `assert_matches_orbit_oracle`, as
+# `ClassTable.forms` is `enumerate_forms`
+ROOT_CASES = {3: (6, (5, 6), (3, 5)), 5: (4, (), (3, 5)), 31: (0, (), ())}
+
+
+@pytest.mark.parametrize("q", list(ROOT_CASES))
+def test_monic_roots_match_sieve_oracle(q):
+    # the batch root path against the per-disc `Poly` sieve it replaced, for
+    # the forms of both contents, of canonical and of high-multiplicity
+    # discs, and for the Mumford divisors (of t^5 + t + 3 at q = 31)
+    F = prime_field(q)
+    top, form_degrees, curve_degrees = ROOT_CASES[q]
+    discs = [d for d in canonical_discs(F, top) if d.degree in form_degrees] + [
+        d for d in high_multiplicity_discs(F) if d.degree <= top and is_definite_disc(d)
+    ]
+    curves = [
+        d
+        for d in canonical_discs(F, max(curve_degrees, default=0))
+        if d.degree in curve_degrees and is_squarefree(d)
+    ]
+    if q == 31:
+        curves = [F.t**5 + F.t + 3]
+    for d in discs:
+        for primitive_only in (False, True):
+            got = enumerate_forms(F, d, primitive_only)
+            expected = sieved_forms(F, d, primitive_only)
+            assert [f.gram for f in got] == [f.gram for f in expected], str(d)
+    for d0 in curves:
+        got = [(D.u, D.v) for D in enumerate_reduced_divisors(d0)]
+        assert got == sieved_divisors(d0), str(d0)
+
+
 @pytest.mark.parametrize("q,deg", SCAN_CASES)
 def test_enumerated_forms_pass_checked_constructor(q, deg):
     # enumerate_forms builds its forms without the checks of Form.__init__
@@ -236,8 +311,10 @@ def test_class_table_matches_two_orbit_jordan_path(q, deg):
 def orbit_table(field, disc, primitive_only):
     """(forms, classes, proper classes, genera) with every form enumerated,
     one orbit pass per class over all of them and one `genus_symbol` per
-    class: the class tables before they were read off the monic roots."""
-    forms = enumerate_forms(field, disc, primitive_only)
+    class: the class tables before they were read off the monic roots,
+    with the forms of `sieved_forms`, so that no root is shared with the
+    tables."""
+    forms = sieved_forms(field, disc, primitive_only)
     walk = reduced_orbit_partition(forms, field.q)
     classes = [members for members, _ in walk]
     proper_classes = sorted(p for _, propers in walk for p in propers)
@@ -761,7 +838,7 @@ def assert_partition_matches_orbit_oracle(field, disc):
     for primitive_only in (False, True):
         forms = [
             f
-            for f in enumerate_forms(field, disc, primitive_only)
+            for f in sieved_forms(field, disc, primitive_only)
             if 2 * f.gram[0][0].degree == disc.degree
         ]
         monic = [f for f in forms if f.gram[0][0].lc() == 1]
@@ -883,7 +960,6 @@ def test_sweep_data_builds_no_genus(monkeypatch):
             built.append(table)
             yield table
 
-    monkeypatch.setattr(verify, "_SWEEP_CACHE", {})
     monkeypatch.setattr(verify, "class_tables", tabling)
     for name in (
         "genus_symbol", "_jacobi", "_hasse_at_infinity", "_binary_hasse_at_infinity",

@@ -417,6 +417,27 @@ def test_verify_comp_budget_refuses_before_sieving(capsys):
     assert peak < 10**6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "equiv", "--q", "101", "--max-degree", "4"],
+        ["classify", "--q", "101", "--disc", "2*t^8+1"],
+    ],
+)
+def test_budget_refuses_before_listing(capsys, argv):
+    # `verify equiv` would build 101^4 > 10^8 discriminants before its first
+    # table, and the table of 2 t^8 + 1 would hold 9 * 101^4 residue-map
+    # values; both refuse before either
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "budget" in capsys.readouterr().err
+    assert peak < 10**6
+
+
 def test_delta_override(capsys):
     code, out = run_cli(
         capsys, "disc", "--q", "5", "--delta", "3", "--form", "(1, 0, 2)"

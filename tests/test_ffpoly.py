@@ -9,6 +9,10 @@ from fqforms.ffpoly import (
     NEG_INF,
     Field,
     SquareClass,
+    _crt_roots,
+    _places,
+    _roots_mod_powers,
+    _sqrt_at_place,
     factor,
     gcd,
     invmod,
@@ -19,7 +23,6 @@ from fqforms.ffpoly import (
     powmod,
     prime_field,
     residue_char,
-    square_roots_mod,
     strip_valuation,
     xgcd,
 )
@@ -542,6 +545,28 @@ def _squares_mod_each_u(field, degree):
     ]
 
 
+def square_roots_mod(d, degree):
+    """Yield (u, [v : deg v < deg u, u | v^2 - d]) for each monic u of
+    degree `degree`, both in key order: the per-polynomial sieve that
+    `classify._monic_roots` replaced, kept as its oracle.  The roots of
+    x^2 = d at each place p and each power p^k are read off `_place_roots`,
+    built once per d for every degree up to deg d / 2, and combined by CRT
+    over the factorization of u."""
+    return _crt_roots(d.field, _place_roots(d, max(degree, d.degree // 2)), degree)
+
+
+@functools.lru_cache(maxsize=16)
+def _place_roots(d, top):
+    """{p: [roots of x^2 = d mod p^k for k = 1 .. top // deg p]} over the
+    places p of degree <= top, each root of degree < k deg p: an F_q
+    square-root table at degree 1, Tonelli-Shanks in A/(p) above, lifted to
+    p^k one p-adic digit at a time."""
+    return {
+        p: _roots_mod_powers(d, p, top // p.degree, _sqrt_at_place(d % p, p))
+        for p in _places(d.field, top)
+    }
+
+
 def scanned_square_roots_mod(d, degree):
     """The scan the sieve replaced: every v of degree < `degree` tried
     against every monic u of degree `degree`, both in key order, with
@@ -588,8 +613,6 @@ def test_square_roots_mod_high_multiplicity_any_lead(q, degree):
 
 
 def test_places_match_irreducibility_scan():
-    from fqforms.ffpoly import _places
-
     for q, top in ((3, 4), (5, 3), (7, 2)):
         F = prime_field(q)
         scanned = [p for m in range(1, top + 1) for p in monic_places(F, m)]

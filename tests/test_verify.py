@@ -487,7 +487,7 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
 def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     # only the square-free discs reach a class batch, each sieved once in
     # the batch that holds it, and the bridge reads the batch's places and
-    # place counts; no disc goes through the per-disc sieve `_place_roots`,
+    # place counts; no disc goes through the per-place root `_sqrt_at_place`,
     # `factor` or the distinct-degree pass `_places_dividing`, and no
     # d0 = lc(D) f0 through a square-free test, as the sieve makes it
     # square-free
@@ -517,7 +517,7 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     monkeypatch.setattr(classify, "_sieve", sieving)
     _class_table_cached.cache_clear()
     passed = []
-    for name in ("factor", "_places_dividing", "_place_roots"):
+    for name in ("factor", "_places_dividing", "_sqrt_at_place"):
         original = getattr(ffpoly, name)
 
         def recorded(f, *args, original=original):
@@ -754,8 +754,12 @@ def _pair_ids(pairs):
 
 @pytest.mark.parametrize("q,max_deg", [(3, 2), (3, 3), (5, 2), (7, 2)])
 def test_lazy_refinement_matches_eager_oracle(q, max_deg, monkeypatch):
+    # the three checks share one `SweepData`, whose records the oracle holds
+    from fqforms import verify
+
     cfg = small_cfg(q=q, max_deg=max_deg)
     data = sweep_data(cfg)
+    monkeypatch.setattr(verify, "sweep_data", lambda _: data)
     oracle = EagerOracle(data.records, data.kmax, q)
     calls = []
     lazy_pairs = SweepData.equal_set_pairs
