@@ -17,7 +17,7 @@ the places p with p^2 | D that divide a_m and b (`_is_primitive`).
 
 Class tables are built a degree at a time: `class_batches` takes the
 coefficient rows of many discriminants of one degree m, as many at once as
-keep the largest arrays of a batch (quotient maps per solution at even m,
+keep the largest arrays of a batch (division rows per solution at even m,
 genus rows per class at odd m) near `BATCH_VALUES` int64 values
 (`_disc_values`).  D -> D mod p is linear, so the residues of every D and
 D' at every place of degree <= m / 2 are one matmul per place degree, and
@@ -27,9 +27,9 @@ of rows (`_disc_places`), and the counts of chi_p(D) for |Pic| by norms
 (`_place_counts`).  The roots at a linear a_m come from the F_q
 square-root table for the whole batch; above degree 1 they are lifted and
 combined per D from the batch residues.
-Where deg a = deg c, c = (b^2 - D) / a_m comes from one gathered quotient
-map per monic a_m, and one torus pass (below) names the classes of every
-D of the batch.  A batch keeps its classes as arrays and gives the totals
+Where deg a = deg c, c = (b^2 - D) / a_m comes from one exact division on
+arrays (`_cofactors`), and one torus pass (below) names the classes of
+every D of the batch.  A batch keeps its classes as arrays and gives the totals
 per D that `verify comp` reads (proper classes, genera, equal proper
 counts per genus, places) in numpy; a `ClassTable` is a view of one D of
 a batch, which builds its polynomials, lists and dicts off its slice of
@@ -60,10 +60,11 @@ there, never scaled by units; `forms` come in `enumerate_forms` order,
 monic forms first, so every class's first form is among them.  That
 first form is the representative of a class, (l a_m, b) with l the least
 lead in the square class of u and b the first of +-b where
-deg a < deg c, and classes are ordered by it.  A table keeps, for each
-class, its monic solution (a_m, b), its lead l and, where the torus pass
-computed it, c; the representative (l a_m, b, c) is built on first read,
-with c = (b^2 - D) / a_m computed once per (a_m, b) and divided by l.
+deg a < deg c, and classes are ordered by it.  A batch keeps, for each
+class, its monic solution (a_m, b) and its lead l; the coefficient rows
+of the representative (l a_m, b, c), c = (b^2 - D) / a_m / l, are divided
+on arrays when read (`_Batch.class_rows`), and a table builds its forms
+from them.
 
 Genera group classes by their local data (Jordan invariants at the
 divisors of D, Hasse symbol at infinity), built on first read from the
@@ -236,7 +237,7 @@ def _class_keys(triples):
 
 
 # the fields of a `ClassTable` that `_Batch.class_lists` builds together
-_CLASS_LISTS = ("_monic", "_classes", "proper_counts", "_class_of_key")
+_CLASS_LISTS = ("proper_counts", "_class_of_key")
 
 
 class ClassTable:
@@ -244,20 +245,18 @@ class ClassTable:
     the `index`-th discriminant of a `_Batch`.
 
     A view holds its batch and its index; every field below is read off
-    the batch's arrays on first read and kept.  `_monic` holds the monic
-    solutions (a_m, b, c) that name classes, c where the torus pass
-    computed it and None elsewhere, and `_classes` holds (index into
-    `_monic`, a) for each class, a = a_m or a_m times the first
-    non-square.  `proper_counts[i]` is the number of proper classes (1 or
-    2) in class i and `_class_of_key` maps the (a, b) keys of a class's
-    first form to its index; these four are built together
+    the batch's arrays on first read and kept.  `proper_counts[i]` is the
+    number of proper classes (1 or 2) in class i and `_class_of_key` maps
+    the (a, b) keys of a class's first form to its index
     (`_Batch.class_lists`).  `disc` is the discriminant and `places` its
-    (place, multiplicity) pairs, as `factor(disc)[1]` gives them.  Two
-    tables are equal when `field`, `disc`, `primitive_only`, `places` and
-    the four lists are.
-
+    (place, multiplicity) pairs, as `factor(disc)[1]` gives them.
     `class_representatives` holds the first form of each class in
-    `enumerate_forms` order, and classes are ordered by it.  `genus_keys`
+    `enumerate_forms` order, read off the batch's coefficient rows
+    (`_Batch.class_rows`), and classes are ordered by it.  Two tables are
+    equal when `field`, `disc`, `primitive_only`, `places`, the
+    representatives and the two lists are.
+
+    `genus_keys`
     (one per class) and `genera` (sorted class-index lists, ordered by
     first member) come from one numpy pass over the batch
     (`_batch_genera`), run when the genera of any of its tables are first
@@ -267,7 +266,8 @@ class ClassTable:
     """
 
     __hash__ = None
-    _COMPARED = ("field", "disc", "primitive_only", "places", *_CLASS_LISTS)
+    _COMPARED = ("field", "disc", "primitive_only", "places", "class_representatives")
+    _COMPARED += _CLASS_LISTS
 
     def __init__(self, batch, index):
         self._batch, self._index = batch, index
@@ -312,28 +312,11 @@ class ClassTable:
 
     @functools.cached_property
     def class_representatives(self):
-        """The form (a, b, c) of each class: c = (b^2 - disc) / a_m is
-        computed once per monic solution and divided by the lead of a."""
-        F, disc = self.field, self.disc
-        binary = Form._trusted_binary
-        cs = []
-        for a_m, b, c in self._monic:
-            if c is None:
-                c = b * b - disc
-                if a_m.degree:  # a_m = 1 needs no division
-                    c = c // a_m
-            cs.append(c)
-        inv = {}  # the constant 1 / lead, by lead
-        out = []
-        for i, a in self._classes:
-            b, c = self._monic[i][1], cs[i]
-            lead = a.coeffs[-1]
-            if lead != 1:
-                if lead not in inv:
-                    inv[lead] = F.constant(F.inv(lead))
-                c = c * inv[lead]
-            out.append(binary(a, b, c))
-        return out
+        """The form (a, b, c) of each class, off the batch's `class_rows`."""
+        F, binary = self.field, Form._trusted_binary
+        lo, hi = self._batch.bounds[self._index : self._index + 2]
+        rows = self._batch.class_rows(lo, hi).tolist()
+        return [binary(*(Poly(F, row) for row in abc)) for abc in rows]
 
     @functools.cached_property
     def genus_keys(self):
@@ -350,17 +333,13 @@ class ClassTable:
 
     def _pending_key(self, ci, key, ranks):
         """The key of class ci with the bits of the places of `places` at
-        `ranks` added, places p with p | a_m and p^2 | disc: chi_p(c), for
-        c = (b^2 - disc) / (lead a_m), by reciprocity, and the genus symbol
-        of the representative where it vanishes."""
-        i, a = self._classes[ci]
-        a_m, b, c = self._monic[i]
-        if c is None:
-            c = (b * b - self.disc) // a_m
-        chi = self.field.char(a.coeffs[-1])
+        `ranks` added, places p with p | a_m and p^2 | disc: chi_p(c) of the
+        representative (a, b, c) by reciprocity, and the genus symbol of the
+        representative where it vanishes."""
+        at = self._batch.bounds[self._index] + ci
+        c = Poly(self.field, self._batch.class_rows(at, at + 1)[0, 2].tolist())
         for rank in ranks:
-            p = self.places[rank][0]
-            x = _jacobi(c, p) * chi**p.degree
+            x = _jacobi(c, self.places[rank][0])
             if x == 0:  # p divides a and c, so b^2 = disc + ac too: not primitive
                 return genus_symbol(self.class_representatives[ci], self.places)
             if x < 0:
@@ -432,10 +411,10 @@ BATCH_VALUES = 1 << 15  # int64 values in the largest arrays of one batch
 def _disc_values(q, m):
     """About how many int64 values one D of degree m adds to the largest
     arrays of its batch: about q^(m/2) monic solutions of top degree m / 2,
-    each gathering its (m + 1, m / 2 + 1) quotient map at even m
-    (`_torus_part`), and up to twice as many classes, each a genus row over
-    the up to m places of D at odd m (`_batch_genera`).  The torus images
-    of a solution are bounded in `_least_images` instead."""
+    each with about (m + 1)(m / 2 + 1) values of division and coefficient
+    rows at even m (`_cofactors`), and up to twice as many classes, each a
+    genus row over the up to m places of D at odd m (`_batch_genera`).  The
+    torus images of a solution are bounded in `_least_images` instead."""
     return max(1, q ** (m // 2) * ((m + 1) * (m // 2 + 1) if m % 2 == 0 else 2 * m))
 
 
@@ -477,12 +456,11 @@ def class_batches(field, coeffs, primitive_only=False, discs=None):
 # the classes of a batch, one entry per class: the index of its disc, deg
 # a_m, the index of a_m among the monic polynomials of that degree in key
 # order, whether a = a_m times the first non-square, the coefficient rows
-# of b and (where the torus pass computed it, else 0) of c, its number of
-# proper classes, the (a, b) keys of its first form, and the position of
-# the class that holds its monic solution (itself unless scaled)
-_Classes = collections.namedtuple(
-    "_Classes", "at degree index scaled b c counts keys twin"
-)
+# of b, its number of proper classes and the (a, b) keys of its first form
+_Classes = collections.namedtuple("_Classes", "at degree index scaled b counts keys")
+
+# the place data of a `_Batch`, built on first read (`_disc_places`)
+_PLACE_FIELDS = ("exponents", "large", "large_degree")
 
 
 class _Batch:
@@ -491,17 +469,19 @@ class _Batch:
     The sieve and the monic solutions (a_m, b) come from `_monic_roots`,
     as arrays (disc, index of a_m in key order, b) sorted by (disc, a_m,
     key of b).  Where deg a < deg c their classes are read off in closed
-    form; where deg a = deg c, c comes from one quotient map per a_m and
-    one `_least_images` pass names the classes of every D at once.
+    form; where deg a = deg c, c comes from one exact division on arrays
+    and one `_least_images` pass names the classes of every D at once.
 
-    A batch keeps, per D, its coefficient rows `coeffs`, the `divides` and
-    `square` bools and the `exponents` of the places of degree <= m / 2,
-    the rows of the place R of larger degree (`_disc_places`), and the
-    totals that `verify comp` reads: `proper` classes, `place_total` (the
-    number of places of D) and, on first read, `genus_totals`; per class,
-    the `_Classes` arrays `classes`, sorted by disc and in table order,
-    with `bounds` the range of each D's.  Polynomials, lists and dicts are
-    built only by `ClassTable` views, on their first read."""
+    A batch keeps, per D, its coefficient rows `coeffs` and the `divides`
+    and `square` bools of the places of degree <= m / 2; per class, the
+    `_Classes` arrays `classes`, sorted by disc and in table order, with
+    `bounds` the range of each D's.  On first read, as only `verify comp`,
+    tables and Picard orders need them, it finds the `exponents` of those
+    places and the rows of the place R of larger degree (`_disc_places`),
+    and the totals that `verify comp` reads: `proper` classes,
+    `place_total` (the number of places of D) and `genus_totals`.
+    Polynomials, lists and dicts are built only by `ClassTable` views, on
+    their first read."""
 
     def __init__(self, field, coeffs, primitive_only, discs=None):
         n, m = len(coeffs), coeffs.shape[1] - 1
@@ -515,22 +495,27 @@ class _Batch:
             for k, sols in enumerate(solutions)
         ]
         # by disc, then by deg a_m (the order of `parts`): argsort is stable
-        sizes = [len(part.at) for part in parts]
         merged = _Classes(*map(np.concatenate, zip(*parts)))
         order = np.argsort(merged.at, kind="stable")
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        twin = merged.twin + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-        self.classes = _Classes(*(column[order] for column in merged))._replace(
-            twin=position[twin[order]]
-        )
+        self.classes = _Classes(*(column[order] for column in merged))
         self.bounds = _segments(self.classes.at, n)
 
-        self.exponents, self.large, self.large_degree = _disc_places(
-            field, coeffs, _places(field, m // 2), self.divides, self.square
-        )
-        self.proper = np.bincount(self.classes.at, self.classes.counts, n).astype(np.int64)
-        self.place_total = np.count_nonzero(self.exponents, axis=1) + (self.large_degree > 0)
+    def __getattr__(self, name):
+        # called only for place data not read yet
+        if name not in _PLACE_FIELDS:
+            raise AttributeError(name)
+        places = _places(self.field, self.m // 2)
+        found = _disc_places(self.field, self.coeffs, places, self.divides, self.square)
+        vars(self).update(zip(_PLACE_FIELDS, found))
+        return vars(self)[name]
+
+    @functools.cached_property
+    def proper(self):
+        return np.bincount(self.classes.at, self.classes.counts, self.n).astype(np.int64)
+
+    @functools.cached_property
+    def place_total(self):
+        return np.count_nonzero(self.exponents, axis=1) + (self.large_degree > 0)
 
     def disc(self, i):
         """The i-th discriminant, as a polynomial."""
@@ -548,25 +533,30 @@ class _Batch:
         return pairs
 
     def class_lists(self, i):
-        """(`_monic`, `_classes`, `proper_counts`, `_class_of_key`) of the
-        table of the i-th discriminant, off its slice of `classes`; a scaled
-        class's monic solution is held by its twin, an unscaled class."""
-        F, m = self.field, self.m
+        """(`proper_counts`, `_class_of_key`) of the table of the i-th
+        discriminant, off its slice of `classes`."""
         lo, hi = self.bounds[i : i + 2]
-        c = _Classes(*(column[lo:hi] for column in self.classes))
-        unscaled = np.concatenate([[0], np.cumsum(~c.scaled)])  # before each class
-        columns = (unscaled[c.twin - lo], c.degree, c.index, c.scaled, c.b, c.c)
-        polys = [_monic_polys(F, k)[:2] for k in range(m // 2 + 1)]
-        monic, classes = [], []
-        for j, k, x, scaled, b, c_row in zip(*(column.tolist() for column in columns)):
-            a_ms, scaled_as = polys[k]
-            if scaled:
-                classes.append((j, scaled_as[x]))
-                continue
-            monic.append((a_ms[x], Poly(F, b), Poly(F, c_row) if 2 * k == m else None))
-            classes.append((j, a_ms[x]))
-        keys = map(tuple, c.keys.tolist())
-        return monic, classes, c.counts.tolist(), dict(zip(keys, range(hi - lo)))
+        keys = map(tuple, self.classes.keys[lo:hi].tolist())
+        return self.classes.counts[lo:hi].tolist(), dict(zip(keys, range(hi - lo)))
+
+    def class_rows(self, lo, hi):
+        """The (hi - lo, 3, m + 1) coefficient rows of the representatives
+        (a, b, c) of the classes lo .. hi - 1 of the batch: a = l a_m and
+        c = (b^2 - D) / a_m / l, l = 1 or the first non-square, divided on
+        arrays once per degree of a_m (`_cofactors`)."""
+        F, m, c = self.field, self.m, _Classes(*(column[lo:hi] for column in self.classes))
+        q, unit = F.q, F._first_nonsquare()
+        leads = np.where(c.scaled, unit, 1)[:, None]
+        inverses = np.where(c.scaled, F.inv(unit), 1)[:, None]
+        out = np.zeros((hi - lo, 3, m + 1), dtype=np.int64)
+        for k in range(m // 2 + 1):
+            at = np.flatnonzero(c.degree == k)
+            a_m, b = _monic_polys(F, k)[2][c.index[at]], c.b[at, :k]
+            out[at, 0, : k + 1] = a_m * leads[at] % q
+            out[at, 1, :k] = b
+            cofactors = _cofactors(q, self.coeffs[c.at[at]], a_m, b)
+            out[at, 2, : m - k + 1] = cofactors * inverses[at] % q
+        return out
 
     @functools.cached_property
     def place_counts(self):
@@ -845,7 +835,7 @@ def _primitive_solutions(field, m, square, disc, at, index, rows, places):
     k = rows.shape[1]
     if k == 0:  # a_m = 1
         return at, index, rows
-    monic, _, _, monic_rows = _monic_polys(field, k)
+    monic, _, monic_rows = _monic_polys(field, k)
     suspects = square[at] & _zero_at(_residues(field, m, monic_rows), len(monic))[index]
     chosen = np.flatnonzero(suspects.any(axis=1))  # b is sieved only here
     suspects = suspects[chosen] & _zero_at(_residues(field, m, rows[chosen]), len(chosen))
@@ -860,14 +850,12 @@ def _primitive_solutions(field, m, square, disc, at, index, rows, places):
 
 @functools.lru_cache(maxsize=32)
 def _monic_polys(field, k):
-    """(the monic a_m of degree k in key order, each times the first
-    non-square, the keys of those, and the coefficient rows of the a_m)."""
-    size = field.q**k
+    """(the monic a_m of degree k in key order, the keys of each times the
+    first non-square, and the coefficient rows of the a_m)."""
+    q, size = field.q, field.q**k
     monic = [field.poly_from_key(size + j) for j in range(size)]
-    nonsquare = field.constant(field._first_nonsquare())
-    scaled = [a * nonsquare for a in monic]
-    keys = np.array([a.key() for a in scaled], dtype=np.int64)
-    return monic, scaled, keys, _poly_rows(monic, k + 1)
+    rows = _poly_rows(monic, k + 1)
+    return monic, (rows * field._first_nonsquare() % q) @ q ** np.arange(k + 1), rows
 
 
 def _segments(at, n):
@@ -878,22 +866,19 @@ def _segments(at, n):
 def _closed_part(field, coeffs, k, at, index, rows):
     """Where deg a < deg c: the classes (u a_m, +-b) of each D, with u = 1
     or the first non-square and b the first of +-b in key order, sorted by
-    (key of a, key of b); one monic solution (a_m, b, None) each, held by
-    its class with u = 1.  Returns the `_Classes` in table order, with the
-    b and c rows as wide as `_Batch` keeps them."""
+    (key of a, key of b).  Returns the `_Classes` in table order, with the
+    b rows as wide as `_Batch` keeps them."""
     q, m = field.q, coeffs.shape[1] - 1
     powers = q ** np.arange(k, dtype=np.int64)
     b_keys, neg_keys = rows @ powers, (-rows % q) @ powers
     kept = b_keys <= neg_keys
     at, index, rows, b_keys = at[kept], index[kept], rows[kept], b_keys[kept]
-    _, _, scaled_keys, _ = _monic_polys(field, k)
+    _, scaled_keys, _ = _monic_polys(field, k)
     # by (disc, key of the scaled a_m, key of b): lexsort is stable
     by_scaled = np.lexsort((scaled_keys[index], at))
     solution = np.concatenate([np.arange(len(at)), by_scaled])
     is_scaled = np.arange(len(solution)) >= len(at)
     order = np.argsort(2 * at[solution] + is_scaled, kind="stable")
-    position = np.empty_like(order)  # of each entry of `solution` in table order
-    position[order] = np.arange(len(order))
     solution, scaled = solution[order], is_scaled[order]
     index, b_keys = index[solution], b_keys[solution]
     a_keys = np.where(scaled, scaled_keys[index], q**k + index)
@@ -903,30 +888,25 @@ def _closed_part(field, coeffs, k, at, index, rows):
         index=index,
         scaled=scaled,
         b=_padded(rows[solution], m // 2),
-        c=np.zeros((len(solution), (m // 2 + 1) * (m % 2 == 0)), dtype=np.int64),
         counts=np.where(b_keys != 0, 2, 1),
         keys=np.stack([a_keys, b_keys], axis=1),
-        twin=position[solution],  # the unscaled entry of solution s is s
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _quotient_maps(field, k):
-    """(coefficient rows of the monic a_m of degree k in key order, and
-    the (q^k, 2k + 1, k + 1) maps x -> x // a_m on polynomials of degree
-    <= 2k).  With 1 / (t^k a_m(1/t)) = sum s_j t^j, a power series with
-    s_0 = 1, t^i // a_m = sum s_j t^(i - k - j) over j <= i - k."""
-    q = field.q
-    rows = _monic_polys(field, k)[3]
-    reverse = rows[:, ::-1]  # t^k a_m(1/t), constant term 1
-    series = np.zeros_like(rows)
-    series[:, 0] = 1
-    for j in range(1, k + 1):
-        series[:, j] = -(reverse[:, 1 : j + 1] * series[:, j - 1 :: -1]).sum(axis=1) % q
-    maps = np.zeros((len(rows), 2 * k + 1, k + 1), dtype=np.int64)
-    for i in range(k, 2 * k + 1):
-        maps[:, i, : i - k + 1] = series[:, i - k :: -1]
-    return rows, maps
+def _cofactors(q, coeffs, a_rows, b_rows):
+    """The (n, m - k + 1) coefficient rows of (b^2 - D) / a_m, an exact
+    division, for D, monic a_m of degree k and b with rows `coeffs`
+    (n, m + 1), `a_rows` (n, k + 1) and `b_rows` (n, k): each quotient
+    column is the top column left, from the top down."""
+    k, m = b_rows.shape[1], coeffs.shape[1] - 1
+    rest = -coeffs
+    for j in range(k):
+        rest[:, j : j + k] += b_rows[:, j : j + 1] * b_rows
+    out = np.empty((len(coeffs), m - k + 1), dtype=np.int64)
+    for j in reversed(range(m - k + 1)):
+        out[:, j] = rest[:, j + k] % q
+        rest[:, j : j + k + 1] -= out[:, j, None] * a_rows
+    return out
 
 
 def _torus_part(field, coeffs, k, at, index, rows):
@@ -936,16 +916,10 @@ def _torus_part(field, coeffs, k, at, index, rows):
     representative (a_m, b, c) of its class.  Returns what `_closed_part`
     does."""
     q, n = field.q, len(at)
-    a_rows, maps = _quotient_maps(field, k)
-    b_rows = np.zeros((n, k + 1), dtype=np.int64)
-    b_rows[:, :k] = rows
-    b_squared = np.zeros((n, 2 * k + 1), dtype=np.int64)
-    for j in range(k):
-        b_squared[:, j : j + k] += rows[:, j : j + 1] * rows
-    numerator = (b_squared - coeffs[at]) % q
-    c_rows = np.einsum("ni,nij->nj", numerator, maps[index]) % q
+    a_rows = _monic_polys(field, k)[2][index]
+    c_rows = _cofactors(q, coeffs[at], a_rows, rows)
     keys, proper_keys = _least_images(
-        np.stack([a_rows[index], b_rows, c_rows], axis=1), q
+        np.stack([a_rows, _padded(rows, k + 1), c_rows], axis=1), q
     )
     # group by (disc, class key), then count the proper keys in each group
     columns = np.stack([at, *keys.T, *proper_keys.T])
@@ -962,10 +936,8 @@ def _torus_part(field, coeffs, k, at, index, rows):
         index=index[firsts],
         scaled=np.zeros(len(firsts), dtype=bool),
         b=rows[firsts],
-        c=c_rows[firsts],
         counts=counts.astype(np.int64),
         keys=keys[firsts],
-        twin=np.arange(len(firsts)),
     )
 
 
@@ -1113,26 +1085,6 @@ def _monic_factors(field, top):
 def canonical_disc_count(field, m):
     """The number of canonical definite discriminants of degree m."""
     return 1 if m == 0 else (2 if m % 2 else 1) * field.q**m
-
-
-def canonical_disc_at(field, m, index):
-    """The canonical definite discriminant of degree m at `index` in
-    `canonical_discs` order: by leading coefficient, 1 before delta (delta
-    alone at even m), then by the key of the lower part."""
-    if m == 0:
-        return field.poly((field.delta,))
-    leads = (1, field.delta) if m % 2 else (field.delta,)
-    lead, low = divmod(index, field.q**m)
-    return field.poly_from_key(low + leads[lead] * field.q**m)
-
-
-def canonical_discs(field, max_degree):
-    """Canonical definite discriminants, ascending by (degree, key)."""
-    return [
-        canonical_disc_at(field, m, index)
-        for m in range(max_degree + 1)
-        for index in range(canonical_disc_count(field, m))
-    ]
 
 
 def class_number(form):

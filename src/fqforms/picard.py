@@ -59,6 +59,14 @@ class MumfordDivisor:
         if not ((self.v * self.v - self.curve) % self.u).is_zero():
             raise ValueError("u does not divide v^2 - curve")
 
+    @classmethod
+    def _trusted(cls, u, v, curve):
+        """(u, v) with u monic, deg v < deg u and u | v^2 - curve known by
+        construction: the checks of `__post_init__` are skipped."""
+        divisor = cls.__new__(cls)
+        vars(divisor).update(u=u, v=v, curve=curve)
+        return divisor
+
     def is_identity(self):
         return self.u.degree == 0
 
@@ -183,7 +191,7 @@ def enumerate_reduced_divisors(d0):
     for k, (_, index, rows) in enumerate(solutions[1 : genus + 1], 1):
         monic = _monic_polys(F, k)[0]
         for x, row in zip(index.tolist(), rows.tolist()):
-            out.append(MumfordDivisor(monic[x], F.poly(row), d0))
+            out.append(MumfordDivisor._trusted(monic[x], F.poly(row), d0))
     return out
 
 

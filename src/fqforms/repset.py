@@ -28,8 +28,8 @@ would upcast the whole block.
 The plane kernel (`_binary_planes`, `_fold`) has a leading batch axis:
 it takes the (a, b, c) coefficient rows of R binary blocks over one
 coordinate grid, zero-padded to one length.  `_Grid` runs it with R = 1.
-`repset_keys_batch` runs it on many reduced forms that share their
-minima, and so their bounds, at once, as (c, b, a) over (y, x), the same
+`repset_keys_batch` runs it on the coefficient rows of many reduced forms
+that share their minima, and so their bounds, at once, as (c, b, a) over (y, x), the same
 values with the longer x grid along numpy's inner loops: chunks of about
 2^14 int64 keys, each deduplicated by one `_distinct` with the keys of
 form r offset by r q^L, where L bounds the value length by the degree
@@ -148,6 +148,12 @@ def _block_rows(forms):
     polys = [p for f in forms for p in (f.gram[0][0], f.gram[0][1], f.gram[1][1])]
     width = max(len(p.coeffs) for p in polys)
     return _poly_rows(polys, width).reshape(len(forms), 3, width)
+
+
+def _row_degrees(rows):
+    """The degree of the nonzero polynomial of each coefficient row
+    (..., width)."""
+    return rows.shape[-1] - 1 - (rows[..., ::-1] != 0).argmax(axis=-1)
 
 
 def _binary_planes(coeffs, x, y, length, q):
@@ -517,14 +523,15 @@ def repset_upto(form, k, *, slack=0, budget=DEFAULT_BUDGET):
 _BATCH_VALUES = 2**14
 
 
-def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
-    """The V_k keys of each of many binary forms, which must be reduced and
-    share their minima, chunk by chunk: an iterator of (keys, starts)
-    pairs, one per run of consecutive forms.  `keys` holds the keys of the
-    run's forms one form after another, form r of the run owning
-    keys[starts[r]:starts[r + 1]] (to the end for the last form), and
-    each form's keys are sorted and equal `repset_upto(form, k).keys`.
-    Every form owns at least key 0.
+def repset_keys_batch(q, rows, minima, k, *, budget=DEFAULT_BUDGET):
+    """The V_k keys of each of many binary forms over F_q, which must be
+    reduced and share their `minima` (deg a, deg c), given as the
+    (R, 3, width) coefficient rows of their (a, b, c), chunk by chunk: an
+    iterator of (keys, starts) pairs, one per run of consecutive forms.
+    `keys` holds the keys of the run's forms one form after another, form
+    r of the run owning keys[starts[r]:starts[r + 1]] (to the end for the
+    last form), and each form's keys are sorted and equal
+    `repset_upto(form, k).keys`.  Every form owns at least key 0.
 
     The forms are not reduced again.  Their grids share the coordinate
     bounds, so they are enumerated together, in chunks of about
@@ -536,9 +543,7 @@ def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
     shared grid before any form is enumerated, with the error
     `repset_upto` raises.
     """
-    q = forms[0].field.q
-    minima = (forms[0].gram[0][0].degree, forms[0].gram[1][1].degree)
-    if any((f.gram[0][0].degree, f.gram[1][1].degree) != minima for f in forms):
+    if (_row_degrees(rows[:, ::2]) != minima).any():
         raise ValueError("a batch of forms must share its minima")
     bounds = coordinate_degree_bounds(minima, k)
     vectors = _grid_vectors(q, bounds)
@@ -550,11 +555,11 @@ def repset_keys_batch(forms, k, *, budget=DEFAULT_BUDGET):
     stride = q**length  # every key lies below it
     step = max(1, min(_BATCH_VALUES // vectors, (2**63 - 1) // stride))
     # (c, b, a) over (y, x): the same values, the longer x grid innermost
-    coeffs = _block_rows(forms)[:, ::-1]
+    coeffs = rows[:, ::-1, : minima[1] + 1]
 
     def chunks():
-        for start in range(0, len(forms), step):
-            chunk = coeffs[start : start + step]
+        for start in range(0, len(rows), step):
+            chunk = coeffs[start : start + step].astype(np.int64)
             planes = _binary_planes(chunk, y, x, length, q)
             keys = _fold(planes, q).reshape(len(chunk), -1)
             keys += np.arange(len(chunk), dtype=np.int64)[:, None] * stride

@@ -16,7 +16,10 @@ degree, summed from hashed keys chunk by chunk with no Python loop over
 records; below mu_2, V_d depends on a alone and is enumerated once per
 distinct a.  Records with equal digests have their V_k enumerated once
 each for exact set comparison, so the comparisons stay exact while most
-classes never need their large representation sets.
+classes never need their large representation sets.  The records are
+columns read off the class batches (disc index, class index, coefficient
+rows of the representative), and a record becomes a `Form` only where a
+check compares its exact set or prints it.
 
 Checks whose hypotheses carry a lower bound on q ("q > 3", "q > 13") can
 also run just below the threshold; they then record failures as expected
@@ -25,21 +28,22 @@ exceptions instead of violations, since counterexamples are known there.
 
 from __future__ import annotations
 
+import collections
 import random
 from dataclasses import asdict, dataclass, field as dataclass_field
-from itertools import chain, combinations, groupby
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .classify import canonical_disc_at, canonical_disc_count, canonical_discs
-from .classify import ClassTable, _runs, class_batches, class_tables, cn1_prediction
+from .classify import ClassTable, _runs, canonical_disc_count, class_batches
+from .classify import cn1_prediction
 from .errors import DEFAULT_BUDGET, BudgetError
 from .ffpoly import SquareClass, _places, is_squarefree, prime_field
 from .localgenus import LocalRepDecider, represented_at_infinity
 from .picard import _bridge_orders, weil_interval
 from .qform import Form, _mat_det, form_to_string
-from .repset import _coeff_rows, repset_keys_batch, repset_upto
+from .repset import _coeff_rows, _row_degrees, repset_keys_batch, repset_upto
 
 CHECKS = ("minima", "disc", "equiv", "smooth", "quadric", "ternary", "cn1", "comp")
 
@@ -101,22 +105,11 @@ class Report:
 # -- shared class inventory, refined by representation sets ------------------
 
 
-@dataclass
-class ClassRecord:
-    disc: object
-    class_index: int
-    rep: object
-    minima: tuple
-    # Least d at which V_d of this record differs from V_d of every other
-    # record of its SweepData, or kmax + 1 if another record ties with it
-    # up to V_kmax.  The record is a singleton for every k >= resolved_at.
-    resolved_at: int = 0
-    # A (j + 1, 2) uint64 array: row d is the 128-bit set digest of V_d
-    # (`_degree_digests`, summed over degrees 0..d), for each degree
-    # d <= j = min(resolved_at, kmax) at which the refinement enumerated
-    # the record, i.e. while it was in a group of two or more; no rows if
-    # it never was.
-    digests: object = None
+# the classes of a sweep as columns, one entry per class: the index of its
+# canonical discriminant, by degree and then in `_canonical_rows` order, its
+# index in the class table, and the (3, width) coefficient rows of its
+# representative (a, b, c)
+Inventory = collections.namedtuple("Inventory", "disc_index class_index rows")
 
 
 def _splitmix64(z):
@@ -132,16 +125,18 @@ def _splitmix64(z):
     return z
 
 
-def _degree_digests(forms, d, budget):
-    """A (len(forms), 2) uint64 array: per form, the two lanes of the set
-    digest of its V_d keys of degree exactly d (every key of V_d at d = 0).
-    Lane l is the sum mod 2^64 of splitmix64(key + salt_(l, d)) over those
-    keys, taken chunk by chunk over the keys of `repset_keys_batch`."""
-    low = forms[0].field.q ** d if d else 0
+def _degree_digests(q, rows, minima, d, budget):
+    """A (len(rows), 2) uint64 array: per form, given by the coefficient
+    rows of its (a, b, c), all with the given minima, the two lanes of the
+    set digest of its V_d keys of degree exactly d (every key of V_d at
+    d = 0).  Lane l is the sum mod 2^64 of splitmix64(key + salt_(l, d))
+    over those keys, taken chunk by chunk over the keys of
+    `repset_keys_batch`."""
+    low = q**d if d else 0
     salts = _splitmix64(np.arange(2 * d, 2 * d + 2, dtype=np.uint64))
-    out = np.empty((len(forms), 2), dtype=np.uint64)
+    out = np.empty((len(rows), 2), dtype=np.uint64)
     row = 0
-    for keys, starts in repset_keys_batch(forms, d, budget=budget):
+    for keys, starts in repset_keys_batch(q, rows, minima, d, budget=budget):
         top = keys >= low
         values = keys.view(np.uint64)
         # every form owns key 0, so no run of `starts` is empty
@@ -153,12 +148,12 @@ def _degree_digests(forms, d, budget):
     return out
 
 
-def _first_seen(codes):
-    """Group the positions of `codes` by code: a list of position arrays,
-    each ascending, in order of first position (a stable sort, not
-    `np.unique`, which would import `numpy.ma`)."""
-    order = np.argsort(codes, kind="stable")
-    starts, lengths = _runs(codes[order])
+def _first_seen(*columns):
+    """Group the positions of the rows of `columns` by value: a list of
+    position arrays, each ascending, in order of first position (a stable
+    sort, not `np.unique`, which would import `numpy.ma`)."""
+    order = np.lexsort(columns[::-1])
+    starts, lengths = _runs(*(column[order] for column in columns))
     groups = [order[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
     groups.sort(key=lambda positions: positions[0])
     return groups
@@ -172,13 +167,16 @@ def _pairs(sizes):
 class SweepData:
     """Class records refined by their representation sets V_0, V_1, ...
 
-    `classes` lists (canonical disc, class index, representative) triples;
-    a triple may repeat.  All records start in one group.  At each degree
-    d = 0..kmax, V_d is enumerated only for records in a group of two or
-    more, by `repset_keys_batch` over the tied records of each minima
+    Record i is entry i of an `Inventory`; an entry may repeat.  The
+    records are held as columns: `minima` (deg a, deg c) and `degree`, the
+    disc degree, are read off the coefficient rows, and a record's form
+    and discriminant are built only where a check reads them (`rep`).
+    All records start in one group.  At each degree d = 0..kmax, V_d is
+    enumerated only for records in a group of two or more, by
+    `repset_keys_batch` over the rows of the tied records of each minima
     (class representatives are already reduced), buckets in order of first
     member.  Below mu_2, V_d = {a x^2 : deg <= d} depends on a alone, so
-    one form per distinct a of a bucket is enumerated and each record gets
+    one row per distinct a of a bucket is enumerated and each record gets
     its a's digest.  A record's digest is a 128-bit set digest: two uint64
     lanes, each a sum mod 2^64 of hashed keys, to which d adds its keys of
     degree exactly d (`_degree_digests`).  Groups are split by digest with
@@ -188,59 +186,60 @@ class SweepData:
     a resolved record needs no larger V_k.  Refinement stops once no group
     of two or more is left.  Equal digests do not prove equal sets;
     `equal_set_pairs` compares the exact sets of every tied record.
+
+    `resolved_at[i]` is the least d at which V_d of record i differs from
+    V_d of every other record, or kmax + 1 if another record ties with it
+    up to V_kmax; the record is a singleton for every k >= resolved_at.
+    `digests` holds the (rows, 2) digests by record, then degree: row
+    offsets[i] + d is the digest of V_d of record i (summed over degrees
+    0..d) for each d < offsets[i + 1] - offsets[i], the degrees at which
+    the refinement enumerated it, i.e. while it was in a group of two or
+    more.
     """
 
-    def __init__(self, cfg, classes):
+    def __init__(self, cfg, inventory):
         self.field = prime_field(cfg.q)
         self.cfg = cfg
         self.kmax = max(3 * cfg.max_disc_degree - 2, 0)
-        self.records = [
-            ClassRecord(
-                disc=disc,
-                class_index=ci,
-                rep=rep,
-                minima=tuple(rep.gram[i][i].degree for i in range(rep.n)),
-            )
-            for disc, ci, rep in classes
-        ]
+        self.disc_index, self.class_index, self.rows = inventory
+        self.minima = _row_degrees(self.rows[:, ::2])
+        self.degree = self.minima.sum(axis=1)
         # least degree at which two records differ -> number of such pairs
         self.distinguishing_histogram = {}
         # pairs still tied at V_kmax
         self.undistinguished_pairs = 0
         self._refine()
 
+    def __len__(self):
+        return len(self.rows)
+
+    def rep(self, i):
+        """The representative of record i, as a form."""
+        return Form._trusted_binary(*map(self.field.poly, self.rows[i].tolist()))
+
     def _refine(self):
-        budget = self.cfg.budget
-        records = self.records
-        reps = [rec.rep for rec in records]
-
-        def codes(values):  # equal values -> equal small integers
-            seen = {}
-            return np.array([seen.setdefault(v, len(seen)) for v in values], dtype=int)
-
-        minima = codes(rec.minima for rec in records)
-        lead = codes(rep.gram[0][0].coeffs for rep in reps)
-        resolved = np.zeros(len(records), dtype=np.int64)
-        total = np.zeros((len(records), 2), dtype=np.uint64)
+        budget, q, n = self.cfg.budget, self.field.q, len(self)
+        resolved = np.zeros(n, dtype=np.int64)
+        total = np.zeros((n, 2), dtype=np.uint64)
         # tied records: ascending within a group, groups in order of first member
-        live = np.arange(len(records) if len(records) > 1 else 0)
+        live = np.arange(n if n > 1 else 0)
         group = np.zeros(len(live), dtype=np.int64)
         enumerated = []  # (live, digests) per degree
         for d in range(self.kmax + 1):
             if not len(live):
                 break
             lanes = np.empty((len(live), 2), dtype=np.uint64)  # degree d alone
-            for at in _first_seen(minima[live]):
+            for at in _first_seen(*self.minima[live].T):
                 members = live[at]
-                if d < records[members[0]].minima[1]:
-                    firsts = _first_seen(lead[members])
-                    forms = [reps[members[pos[0]]] for pos in firsts]
-                    own = _degree_digests(forms, d, budget)
+                minima = tuple(self.minima[members[0]].tolist())
+                if d < minima[1]:
+                    firsts = _first_seen(*self.rows[members, 0].T)
+                    heads = members[[pos[0] for pos in firsts]]
+                    own = _degree_digests(q, self.rows[heads], minima, d, budget)
                     for row, pos in zip(own, firsts):
                         lanes[at[pos]] = row
                 else:
-                    forms = [reps[i] for i in members.tolist()]
-                    lanes[at] = _degree_digests(forms, d, budget)
+                    lanes[at] = _degree_digests(q, self.rows[members], minima, d, budget)
             total[live] += lanes
             digests = total[live]
             enumerated.append((live, digests))
@@ -260,70 +259,94 @@ class SweepData:
             group = np.repeat(np.arange(len(heads)), sizes)
         self.undistinguished_pairs = _pairs(np.bincount(group))
         resolved[live] = self.kmax + 1
+        self.resolved_at = resolved
         ids = np.concatenate([at for at, _ in enumerated] or [live])
         rows = np.concatenate([lanes for _, lanes in enumerated] or [total[:0]])
         enumerated.clear()
-        rows = rows[np.argsort(ids, kind="stable")]  # by record, then degree
-        ends = np.cumsum(np.bincount(ids, minlength=len(records))).tolist()
-        for rec, at, start, end in zip(records, resolved.tolist(), [0] + ends, ends):
-            rec.resolved_at = at
-            rec.digests = rows[start:end]
+        self.digests = rows[np.argsort(ids, kind="stable")]  # by record, then degree
+        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=n))])
 
     def equal_set_pairs(self, records, k):
-        """Pairs (r1, r2) of distinct records with V_k(r1) = V_k(r2): by
-        bucket in order of first member, then (i < j) within a bucket.
+        """Pairs (i, j) of distinct records, given by their positions
+        `records`, with V_k(i) = V_k(j): by bucket in order of first member,
+        then (i < j) within a bucket.
 
         A record resolved at or below k shares its V_k with no record, so
         only records still tied at k are bucketed by their V_k digest.
-        Each record of a bucket of two or more has its V_k enumerated once,
-        and the members whose keys are equal are paired.
+        Each record of a bucket of two or more has its form built and its
+        V_k enumerated once, and the members whose keys are equal are
+        paired.
         """
-        buckets = {}
-        for rec in records:
-            if rec.resolved_at > k:
-                buckets.setdefault(rec.digests[k].tobytes(), []).append(rec)
+        records = np.asarray(records, dtype=np.int64)
+        tied = records[self.resolved_at[records] > k]
+        lanes = self.digests[self.offsets[tied] + k]
         out = []
-        for members in buckets.values():
-            if len(members) < 2:
+        for at in _first_seen(*lanes.T):
+            if len(at) < 2:
                 continue
+            members = tied[at].tolist()
             same = {}  # exact V_k keys -> bucket positions of their records
-            for i, rec in enumerate(members):
-                keys = repset_upto(rec.rep, k, budget=self.cfg.budget).keys
-                same.setdefault(keys.tobytes(), []).append(i)
+            for pos, i in enumerate(members):
+                keys = repset_upto(self.rep(i), k, budget=self.cfg.budget).keys
+                same.setdefault(keys.tobytes(), []).append(pos)
             pairs = sorted(p for pos in same.values() for p in combinations(pos, 2))
             out.extend((members[i], members[j]) for i, j in pairs)
         return out
 
 
-def _primitive_tables(field, discs):
-    """(disc, primitive class table) for each of `discs`, ascending by
-    degree, the tables of each degree built together by `class_tables`."""
-    for _, group in groupby(discs, key=lambda disc: disc.degree):
-        group = list(group)
-        yield from zip(group, class_tables(field, group, primitive_only=True))
+def _canonical_rows(field, m, indices):
+    """The (len(indices), m + 1) coefficient rows of the canonical
+    discriminants of degree m at `indices` in canonical order: by leading
+    coefficient, 1 before delta (delta alone at even m), then by the key of
+    the lower part."""
+    q = field.q
+    leads = np.array((1, field.delta) if m % 2 else (field.delta,))
+    lead, low = np.divmod(np.asarray(indices, dtype=np.int64), q**m)
+    rows = np.empty((len(low), m + 1), dtype=np.int64)
+    rows[:, :m] = low[:, None] // q ** np.arange(m) % q
+    rows[:, m] = leads[lead]
+    return rows
+
+
+def _primitive_batches(field, picks):
+    """The primitive class batches of the canonical discriminants of
+    degree m at `indices`, for each (m, indices) of `picks` in order, fed
+    to `class_batches` as coefficient rows."""
+    for m, indices in picks:
+        yield from class_batches(field, _canonical_rows(field, m, indices), True)
+
+
+def _inventory(field, max_degree):
+    """The `Inventory` of every primitive class of the canonical
+    discriminants of degree <= max_degree, off their class batches, with
+    rows in the narrowest unsigned type that holds q - 1."""
+    picks = [(m, range(canonical_disc_count(field, m))) for m in range(max_degree + 1)]
+    dtype, columns, start = np.min_scalar_type(field.q - 1), [], 0
+    for batch in _primitive_batches(field, picks):
+        at, firsts = batch.classes.at, np.array(batch.bounds)
+        rows = np.zeros((len(at), 3, max_degree + 1), dtype=dtype)
+        rows[..., : batch.m + 1] = batch.class_rows(0, len(at))
+        columns.append((start + at, np.arange(len(at)) - firsts[at], rows))
+        start += batch.n
+    return Inventory(*map(np.concatenate, zip(*columns)))
 
 
 def sweep_data(cfg):
     """The `SweepData` of every primitive class of the canonical
     discriminants up to the configured degree; BudgetError before any
-    discriminant is built once those of the top degree exceed the budget."""
+    discriminant is sieved once those of the top degree exceed the budget."""
     field = prime_field(cfg.q)
     _check_disc_count(field, cfg.max_disc_degree, cfg.budget)
-    discs = canonical_discs(field, cfg.max_disc_degree)
-    classes = [
-        (disc, ci, rep)
-        for disc, table in _primitive_tables(field, discs)
-        for ci, rep in enumerate(table.class_representatives)
-    ]
-    return SweepData(cfg, classes)
+    return SweepData(cfg, _inventory(field, cfg.max_disc_degree))
 
 
-def _witness_pair(r1, r2):
+def _witness_pair(data, i, j):
+    r1, r2 = data.rep(i), data.rep(j)
     return {
-        "form": form_to_string(r1.rep),
-        "other_form": form_to_string(r2.rep),
-        "disc": str(r1.disc),
-        "other_disc": str(r2.disc),
+        "form": form_to_string(r1),
+        "other_form": form_to_string(r2),
+        "disc": str(r1.discriminant()),
+        "other_disc": str(r2.discriminant()),
     }
 
 
@@ -344,18 +367,18 @@ def _finish(check, cfg, instances, violations, stats, expect_exceptions):
 
 def _levelled_pairs(data, disc_window):
     """(instances, pairs) over levels m = 0..max disc degree: level m holds
-    the records of disc degree <= m, and a pair (r1, r2, k) with equal V_k,
+    the records of disc degree <= m, and a pair (i, j, k) with equal V_k,
     k = m or max(3m - 2, 0) with `disc_window`, is reported at its larger
     disc degree."""
     instances, pairs = 0, []
     for m in range(data.cfg.max_disc_degree + 1):
-        level = [r for r in data.records if r.disc.degree <= m]
+        level = np.flatnonzero(data.degree <= m)
         instances += comb(len(level), 2)
         k = max(3 * m - 2, 0) if disc_window else m
         pairs.extend(
-            (r1, r2, k)
-            for r1, r2 in data.equal_set_pairs(level, k)
-            if max(r1.disc.degree, r2.disc.degree) == m
+            (i, j, k)
+            for i, j in data.equal_set_pairs(level, k)
+            if max(data.degree[i], data.degree[j]) == m
         )
     return instances, pairs
 
@@ -367,29 +390,30 @@ def verify_minima_recovery(cfg):
     data = sweep_data(cfg)
     violations = []
     instances, pairs = _levelled_pairs(data, disc_window=False)
-    for r1, r2, _ in pairs:
-        if r1.minima != r2.minima or r1.disc.degree != r2.disc.degree:
+    minima, degree = data.minima.tolist(), data.degree.tolist()
+    for i, j, _ in pairs:
+        if minima[i] != minima[j] or degree[i] != degree[j]:
             violations.append(
                 Violation(
                     "minima",
-                    _witness_pair(r1, r2),
+                    _witness_pair(data, i, j),
                     observed={
-                        "minima": [list(r1.minima), list(r2.minima)],
-                        "disc_degrees": [r1.disc.degree, r2.disc.degree],
+                        "minima": [minima[i], minima[j]],
+                        "disc_degrees": [degree[i], degree[j]],
                     },
                     expected="equal minima and disc degrees",
                 )
             )
-        elif not _leading_coeffs_matchable(r1.rep, r2.rep):
+        elif not _leading_coeffs_matchable(data.rep(i), data.rep(j)):
             violations.append(
                 Violation(
                     "minima",
-                    _witness_pair(r1, r2),
+                    _witness_pair(data, i, j),
                     observed="no reduced basis matches diagonal leading coefficients",
                     expected="matchable leading coefficients",
                 )
             )
-    stats = {"classes": len(data.records)}
+    stats = {"classes": len(data)}
     return _finish("minima", cfg, instances, violations, stats, cfg.q <= 3)
 
 
@@ -417,17 +441,17 @@ def verify_disc_recovery(cfg):
     data = sweep_data(cfg)
     violations = []
     instances, pairs = _levelled_pairs(data, disc_window=True)
-    for r1, r2, window in pairs:
-        if r1.disc != r2.disc:  # canonical discs: equality iff same class
+    for i, j, window in pairs:
+        if data.disc_index[i] != data.disc_index[j]:  # canonical: same class
             violations.append(
                 Violation(
                     "disc",
-                    _witness_pair(r1, r2),
+                    _witness_pair(data, i, j),
                     observed="equal V_%d but distinct disc classes" % window,
                     expected="equal disc square classes",
                 )
             )
-    stats = {"classes": len(data.records)}
+    stats = {"classes": len(data)}
     return _finish("disc", cfg, instances, violations, stats, cfg.q <= 3)
 
 
@@ -438,38 +462,38 @@ def verify_equiv_theorems(cfg):
     data = sweep_data(cfg)
     violations = []
     instances = 0
-    # (i): within one canonical disc and minima bucket, compare at mu_2;
-    # records come disc by disc, so the buckets do too
-    buckets = {}
-    for rec in data.records:
-        buckets.setdefault((rec.disc.key(), rec.minima), []).append(rec)
-    for (_, minima), bucket in buckets.items():
+    # (i): within one canonical disc and minima bucket, compare at mu_2,
+    # where two or more records are still tied there
+    tied = data.resolved_at > data.minima[:, 1]
+    for bucket in _first_seen(data.disc_index, data.minima[:, 0]):
         instances += comb(len(bucket), 2)
-        for r1, r2 in data.equal_set_pairs(bucket, minima[1]):
+        if np.count_nonzero(tied[bucket]) < 2:
+            continue
+        mu2 = int(data.minima[bucket[0], 1])
+        for i, j in data.equal_set_pairs(bucket, mu2):
             violations.append(
                 Violation(
                     "equiv",
-                    _witness_pair(r1, r2),
-                    observed="same disc and minima, equal V_%d, inequivalent"
-                    % minima[1],
+                    _witness_pair(data, i, j),
+                    observed="same disc and minima, equal V_%d, inequivalent" % mu2,
                     expected="equivalent forms",
                 )
             )
     # (ii): all pairs at the 3m-2 window, levelled by max disc degree
     level_instances, pairs = _levelled_pairs(data, disc_window=True)
     instances += level_instances
-    for r1, r2, window in pairs:
+    for i, j, window in pairs:
         violations.append(
             Violation(
                 "equiv",
-                _witness_pair(r1, r2),
+                _witness_pair(data, i, j),
                 observed="equal V_%d, inequivalent" % window,
                 expected="equivalent forms",
             )
         )
     hist = sorted(data.distinguishing_histogram.items())
     stats = {
-        "classes": len(data.records),
+        "classes": len(data),
         "distinguishing_degree_histogram": {str(k): v for k, v in hist},
         "undistinguished_pairs": data.undistinguished_pairs,
     }
@@ -873,36 +897,37 @@ def cn1_survey(cfg):
     as expected exceptions)."""
     F = prime_field(cfg.q)
     rng = random.Random(cfg.seed)
-    # indices into the cubic canonical discriminants: only the chosen are built
+    # indices into the cubic canonical discriminants: only the chosen are sieved
     count = canonical_disc_count(F, 3)
     chosen = sorted(rng.sample(range(count), min(cfg.samples, count)))
-    cubics = (canonical_disc_at(F, 3, idx) for idx in chosen)
+    picks = [(m, range(canonical_disc_count(F, m))) for m in range(3)] + [(3, chosen)]
     violations = []
     instances = 0
     h_one_at_deg3 = []
-    for disc, table in _primitive_tables(F, chain(canonical_discs(F, 2), cubics)):
-        for ci in range(len(table.proper_counts)):
-            instances += 1
-            observed = len(table.genera[table.genus_index_of_class(ci)])
-            # the criterion predicts class number >= 2 at every deg D >= 3
-            predicted = disc.degree <= 2 and cn1_prediction(
-                table.class_representatives[ci]
-            )
-            if predicted == (observed == 1):
-                continue
-            rep = table.class_representatives[ci]
-            expected = "class number 1" if predicted else "class number >= 2"
-            if disc.degree > 2:
-                expected += " at disc degree %d" % disc.degree
-                h_one_at_deg3.append(form_to_string(rep))
-            violations.append(
-                Violation(
-                    "cn1",
-                    {"form": form_to_string(rep), "disc": str(disc)},
-                    observed=observed,
-                    expected=expected,
+    for batch in _primitive_batches(F, picks):
+        for table in (ClassTable(batch, i) for i in range(batch.n)):
+            for ci in range(len(table.proper_counts)):
+                instances += 1
+                observed = len(table.genera[table.genus_index_of_class(ci)])
+                # the criterion predicts class number >= 2 at every deg D >= 3
+                predicted = batch.m <= 2 and cn1_prediction(
+                    table.class_representatives[ci]
                 )
-            )
+                if predicted == (observed == 1):
+                    continue
+                rep = table.class_representatives[ci]
+                expected = "class number 1" if predicted else "class number >= 2"
+                if batch.m > 2:
+                    expected += " at disc degree %d" % batch.m
+                    h_one_at_deg3.append(form_to_string(rep))
+                violations.append(
+                    Violation(
+                        "cn1",
+                        {"form": form_to_string(rep), "disc": str(table.disc)},
+                        observed=observed,
+                        expected=expected,
+                    )
+                )
     stats = {"deg3_sampled": len(chosen), "h_one_deg3_forms": h_one_at_deg3[:20]}
     return _finish("cn1", cfg, instances, violations, stats, cfg.q <= 13)
 
@@ -934,11 +959,7 @@ def _square_free_discs(field, max_degree, budget):
             rows = sum(c * np.roll(r, j, axis=1) for j, c in enumerate(square.tolist()))
             for i, lead in enumerate(leads):
                 struck[i * q**m + (lead * rows[:, :m] % q) @ digits[:m]] = True
-        lead, low = np.divmod(np.flatnonzero(~struck), q**m)
-        rows = np.empty((len(low), m + 1), dtype=np.int64)
-        rows[:, :m] = low[:, None] // digits[:m] % q
-        rows[:, m] = np.array(leads)[lead]
-        yield m, rows
+        yield m, _canonical_rows(field, m, np.flatnonzero(~struck))
 
 
 def comp_bridge_sweep(cfg):

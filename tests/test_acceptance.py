@@ -242,7 +242,7 @@ def test_criterion_10_property_suites():
             break
 
     # table invariants: h+ <= 2h and equal proper counts per genus
-    from fqforms.classify import canonical_discs
+    from tests.canonical import canonical_discs
 
     for field, max_deg in ((F5, 3), (F7, 2)):
         for disc in canonical_discs(field, max_deg):

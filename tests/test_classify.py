@@ -3,11 +3,9 @@ import sys
 
 import pytest
 
-from fqforms import classify, ffpoly, picard
+from fqforms import classify, ffpoly, picard, verify
 from fqforms.classify import (
-    canonical_disc_at,
     canonical_disc_count,
-    canonical_discs,
     class_number,
     class_table,
     cn1_prediction,
@@ -24,6 +22,7 @@ from fqforms.qform import (
     properly_equivalent,
     successive_minima,
 )
+from tests.canonical import canonical_disc_at, canonical_discs
 from tests.test_classify_oracles import field_sqrt, form_key
 from tests.test_qform import rand_definite_reduced, rand_gl2, remark_form
 
@@ -268,7 +267,8 @@ def test_canonical_discs_shape():
 @pytest.mark.parametrize("q", [3, 5])
 def test_canonical_disc_at_matches_key_scan(q):
     # every polynomial of degree m led by 1 or delta (delta alone at even
-    # m), in key order, is the list that the indices run through
+    # m), in key order, is the list that the indices run through, as
+    # polynomials and as the coefficient rows the sweeps feed their batches
     F = prime_field(q)
     for m in range(4):
         leads = (1, F.delta) if m % 2 else (F.delta,)
@@ -276,6 +276,8 @@ def test_canonical_disc_at_matches_key_scan(q):
         want = [f for f in scan if f.lc() in leads]
         count = canonical_disc_count(F, m)
         assert [canonical_disc_at(F, m, i) for i in range(count)] == want
+        rows = verify._canonical_rows(F, m, range(count))
+        assert [F.poly(row) for row in rows.tolist()] == want
         assert canonical_discs(F, m)[-count:] == want
 
 

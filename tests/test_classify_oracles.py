@@ -41,9 +41,7 @@ from fqforms import classify, verify
 from fqforms.classify import (
     ClassTable,
     _class_keys,
-    canonical_disc_at,
     canonical_disc_count,
-    canonical_discs,
     class_table,
     class_tables,
     enumerate_forms,
@@ -71,6 +69,7 @@ from fqforms.localgenus import (
 from fqforms.picard import enumerate_reduced_divisors
 from fqforms.qform import Form, _poly_rows, is_definite_disc, key_powers
 from fqforms.verify import SweepConfig
+from tests.canonical import canonical_disc_at, canonical_discs
 from tests.test_ffpoly import high_multiplicity_discs, square_roots_mod
 from tests.test_qform import reduced_images, scanned_reduced_images
 
@@ -402,6 +401,14 @@ def poly_class_table(field, disc, primitive_only):
                 for i, (b, b_key) in enumerate(kept, first):
                     found.append(((a.key(), b_key), (i, a), 1 if b.is_zero() else 2))
         classes.extend(sorted(found, key=lambda entry: entry[0]))
+    # the representative (a, b, c) of each class on `Poly` values, as class
+    # tables built it before their coefficient rows: c = (b^2 - disc) / a_m
+    # once per monic solution, divided by the lead of a
+    cs = [(b * b - disc) // a_m if c is None else c for a_m, b, c in monic]
+    reps = [
+        Form._trusted_binary(a, monic[i][1], cs[i] * field.constant(field.inv(a.lc())))
+        for _, (i, a), _ in classes
+    ]
     # a table with its fields given, as a batch view holds them once read
     table = ClassTable.__new__(ClassTable)
     vars(table).update(
@@ -409,8 +416,7 @@ def poly_class_table(field, disc, primitive_only):
         disc=disc,
         primitive_only=primitive_only,
         places=places,
-        _monic=monic,
-        _classes=[entry for _, entry, _ in classes],
+        class_representatives=reps,
         proper_counts=[count for _, _, count in classes],
         _class_of_key={key: ci for ci, (key, _, _) in enumerate(classes)},
     )
@@ -441,9 +447,9 @@ def test_class_tables_match_per_disc_oracle(monkeypatch, q, top, sampled):
         both = [list(class_tables(F, discs, flag)) for flag in (False, True)]
         for disc, tables in zip(discs, zip(*both)):
             for primitive_only, table in enumerate(tables):
-                # places, monic solutions, classes, proper counts and class
-                # keys; representatives are read off these alone, genera off
-                # the batch characters as well
+                # places, representatives (off the batch's coefficient rows
+                # against `Poly` division), proper counts and class keys;
+                # genera off the batch characters as well
                 oracle = poly_class_table(F, disc, bool(primitive_only))
                 where = (str(disc), primitive_only)
                 assert table == oracle, where
@@ -464,9 +470,9 @@ def per_class_genus_keys(table):
 
     With a = lead a_m, chi_p(a) = chi(lead)^(deg p) chi_p(a_m), chi_p(a_m)
     computed once per a_m (1 at a_m = 1); where p | a_m, chi_p(c) is
-    chi(lead)^(deg p) chi_p((b^2 - disc) / a_m).  The symbol at infinity
-    is computed once per deg a and lead.  Only a class that is not
-    primitive reads its representative."""
+    chi(lead)^(deg p) chi_p((b^2 - disc) / a_m), divided on `Poly` values.
+    The symbol at infinity is computed once per deg a and lead.  a and b
+    are read off the representative of each class."""
     disc, places = table.disc, table.places
     F = disc.field
     ones = (1,) * len(places)
@@ -474,8 +480,9 @@ def per_class_genus_keys(table):
     twists = {}  # chi(lead)^(deg p) at every place, by lead
     hasse = {}  # by deg a and lead
     out = []
-    for ci, (i, a) in enumerate(table._classes):
-        a_m, b, c = table._monic[i]
+    for ci, rep in enumerate(table.class_representatives):
+        a, b, _ = rep.binary_coeffs()
+        a_m, c = a.monic(), None
         chars = monic_chars.get(a_m)
         if chars is None:
             if a_m.degree == 0:
@@ -953,14 +960,14 @@ def test_sweep_data_builds_no_genus(monkeypatch):
         raise AssertionError("sweep_data computed a genus")
 
     built = []
-    built_by = verify.class_tables
+    batched_by = verify.class_batches
 
-    def tabling(field, discs, primitive_only=False):
-        for table in built_by(field, discs, primitive_only):
-            built.append(table)
-            yield table
+    def batching(field, coeffs, primitive_only=False, discs=None):
+        for batch in batched_by(field, coeffs, primitive_only, discs):
+            built.extend(ClassTable(batch, i) for i in range(batch.n))
+            yield batch
 
-    monkeypatch.setattr(verify, "class_tables", tabling)
+    monkeypatch.setattr(verify, "class_batches", batching)
     for name in (
         "genus_symbol", "_jacobi", "_hasse_at_infinity", "_binary_hasse_at_infinity",
         "_batch_genera", "_chars_at",
@@ -969,11 +976,14 @@ def test_sweep_data_builds_no_genus(monkeypatch):
             if module_name.startswith("fqforms") and hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     data = verify.sweep_data(SweepConfig(q=5, max_disc_degree=3))
-    assert len(data.records) > 100
+    assert len(data) > 100
     monkeypatch.undo()
     F = prime_field(5)
-    # the sweep built one table per disc; read the genera of the last 16
+    # the sweep batched every disc, and found no place data; read the
+    # genera of the last 16
     assert [table.disc for table in built] == canonical_discs(F, 3)
+    for table in built:
+        assert not {"exponents", "proper", "place_total"} & set(vars(table._batch))
     for table in built[-16:]:
         assert "genera" not in vars(table)
         by_symbol = {}

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from fqforms.classify import canonical_discs
 from fqforms.errors import BudgetError
 from fqforms.ffpoly import (
     NEG_INF,
@@ -26,6 +25,7 @@ from fqforms.ffpoly import (
     strip_valuation,
     xgcd,
 )
+from tests.canonical import canonical_discs
 
 F5 = prime_field(5)
 F13 = prime_field(13)

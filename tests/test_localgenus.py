@@ -136,7 +136,8 @@ def test_hasse_at_infinity_matches_diagonalization(q):
 @pytest.mark.parametrize("q,top", [(3, 5), (7, 3)])
 def test_hasse_at_infinity_closed_form_on_class_representatives(q, top):
     # the closed form against the symbol of the diagonal <a, -a D> itself
-    from fqforms.classify import canonical_discs, class_table
+    from fqforms.classify import class_table
+    from tests.canonical import canonical_discs
 
     F = prime_field(q)
     for disc in canonical_discs(F, top):
@@ -175,7 +176,8 @@ def test_jordan_invariants_off_diagonal_minimum():
 
 def test_jordan_scales_sum_to_disc_valuation_non_primitive():
     # the scales of the blocks add up to v_p(D), also for forms with content
-    from fqforms.classify import canonical_discs, enumerate_forms
+    from fqforms.classify import enumerate_forms
+    from tests.canonical import canonical_discs
 
     F3 = prime_field(3)
     t = F3.t

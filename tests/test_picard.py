@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import fqforms.picard
-from fqforms.classify import canonical_discs
 from fqforms.errors import DEFAULT_BUDGET, BudgetError, CapabilityError
 from fqforms.ffpoly import factor, is_irreducible, is_squarefree, prime_field
 from fqforms.ffpoly import residue_char
@@ -25,6 +24,7 @@ from fqforms.picard import (
 )
 from fqforms.qform import is_definite_disc
 from fqforms.verify import SweepConfig, run_check
+from tests.canonical import canonical_discs
 
 F5 = prime_field(5)
 F13 = prime_field(13)
@@ -321,6 +321,29 @@ def test_pic_order_matches_point_count_q7_cubics():
 def test_pic_order_matches_pic_group_sampled_quintics():
     for d0 in sampled_curves(F5, 5, 8, seed=501):
         assert_group_matches_oracles(d0)
+
+
+# (q, degree of D0, curves sampled or None for every square-free canonical
+# one); the 2 7^5 canonical quintics at q = 7 would take about 40 s
+TRUSTED_CASES = [(3, 3, None), (3, 5, None), (5, 3, None), (5, 5, None), (7, 3, None),
+                 (7, 5, 400)]
+
+
+@pytest.mark.parametrize("q,deg,sampled", TRUSTED_CASES)
+def test_trusted_divisors_pass_the_full_check(q, deg, sampled):
+    # the divisors read off the batch roots skip the checks of
+    # `MumfordDivisor.__post_init__`; rebuilt through them, every one passes
+    # and equals the divisor it was read as
+    F = prime_field(q)
+    curves = [d for d in canonical_discs(F, deg) if d.degree == deg and is_squarefree(d)]
+    if sampled:
+        curves = random.Random(q * 100 + deg).sample(curves, sampled)
+    divisors = 0
+    for d0 in curves:
+        for p in enumerate_reduced_divisors(d0):
+            assert MumfordDivisor(p.u, p.v, p.curve) == p, (str(d0), p)
+            divisors += 1
+    assert divisors > 3 * len(curves) > 0
 
 
 def test_pic_order_genus_three_matches_divisor_count():

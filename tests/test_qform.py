@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from fqforms.classify import canonical_discs, enumerate_forms
+from fqforms.classify import enumerate_forms
 from fqforms.errors import CapabilityError
 from fqforms.ffpoly import SquareClass, factor, poly_from_string, prime_field
 from fqforms.qform import (
@@ -23,6 +23,7 @@ from fqforms.qform import (
     reduce,
     successive_minima,
 )
+from tests.canonical import canonical_discs
 
 F5 = prime_field(5)
 F7 = prime_field(7)

@@ -797,7 +797,8 @@ def test_sumset_digit_sums_match_poly_addition(q, k, sizes):
 def class_representatives_by_minima(q, max_deg):
     """The primitive class representatives of every canonical disc of
     degree <= max_deg, bucketed by minima in table order."""
-    from fqforms.classify import canonical_discs, class_table
+    from fqforms.classify import class_table
+    from tests.canonical import canonical_discs
 
     F = prime_field(q)
     buckets = {}
@@ -807,11 +808,20 @@ def class_representatives_by_minima(q, max_deg):
     return buckets
 
 
+def forms_batch(forms, k, **kwargs):
+    """`repset_keys_batch` over the coefficient rows of `forms`, which
+    share the minima of the first."""
+    import fqforms.repset as repset_module
+
+    rows, minima = repset_module._block_rows(forms), successive_minima(forms[0])
+    return repset_keys_batch(forms[0].field.q, rows, minima, k, **kwargs)
+
+
 def batch_keys(forms, k, **kwargs):
     """The per-form key arrays of `repset_keys_batch`, split off its chunks."""
     return [
         keys
-        for chunk, starts in repset_keys_batch(forms, k, **kwargs)
+        for chunk, starts in forms_batch(forms, k, **kwargs)
         for keys in np.split(chunk, starts[1:])
     ]
 
@@ -827,6 +837,22 @@ def test_batch_keys_match_repset_upto(q, max_deg):
                 want = repset_upto(form, k).keys
                 assert keys.dtype == want.dtype
                 assert np.array_equal(keys, want), (form, k)
+
+
+def test_batch_keys_from_narrow_padded_rows():
+    # the sweep hands uint8 rows padded to its widest discriminant: the
+    # same keys as the int64 rows of `_block_rows`
+    import fqforms.repset as repset_module
+
+    forms = class_representatives_by_minima(5, 3)[(1, 2)]
+    rows = repset_module._block_rows(forms)
+    padded = np.zeros(rows.shape[:2] + (rows.shape[2] + 4,), dtype=np.uint8)
+    padded[..., : rows.shape[2]] = rows
+    for k in range(5):
+        narrow = repset_keys_batch(5, padded, (1, 2), k)
+        wide = forms_batch(forms, k)
+        for (got, got_starts), (want, want_starts) in zip(narrow, wide, strict=True):
+            assert np.array_equal(got, want) and np.array_equal(got_starts, want_starts)
 
 
 def test_batch_keys_split_across_chunks(monkeypatch):
@@ -871,7 +897,7 @@ def assert_batch_matches_oracles(forms, k):
     assert planes.max() < q
     for form, keys in zip(forms, repset_module._fold(planes, q)):
         assert np.array_equal(keys, block_keys(form, bounds, length, ())), form
-    batch = list(repset_keys_batch(forms, k, budget=10**9))
+    batch = list(forms_batch(forms, k, budget=10**9))
     assert len(batch) == 1
     got = np.split(batch[0][0], batch[0][1][1:])
     for form, keys in zip(forms, got):
@@ -924,7 +950,7 @@ def test_batch_keys_budget_matches_repset_upto():
             want = [repset_upto(f, k, budget=budget).keys for f in forms]
         except BudgetError as exc:
             with pytest.raises(BudgetError) as raised:
-                repset_keys_batch(forms, k, budget=budget)
+                forms_batch(forms, k, budget=budget)
             assert str(raised.value) == str(exc)
             assert budget == vectors - 1
             continue
@@ -937,4 +963,4 @@ def test_batch_keys_budget_matches_repset_upto():
 def test_batch_keys_refuse_mixed_minima():
     buckets = class_representatives_by_minima(5, 2)
     with pytest.raises(ValueError, match="minima"):
-        repset_keys_batch(buckets[(0, 2)][:1] + buckets[(1, 1)][:1], 2)
+        forms_batch(buckets[(0, 2)][:1] + buckets[(1, 1)][:1], 2)

@@ -8,17 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fqforms.classify import canonical_discs, class_table
+from fqforms import verify
+from fqforms.classify import class_table, class_tables
 from fqforms.errors import BudgetError
-from fqforms.ffpoly import SquareClass, prime_field, residue_char, strip_valuation
+from fqforms.ffpoly import Poly, SquareClass, is_squarefree, prime_field, residue_char
+from fqforms.ffpoly import strip_valuation
 from fqforms.localgenus import LocalRepDecider, represented_at_infinity
 from fqforms.qform import Form, successive_minima
 from fqforms.repset import RepSet, _coeff_rows, repset_upto
 from fqforms.verify import (
+    Inventory,
     _finish,
     _infinity_classes,
     _leading_coeffs_matchable,
     _linear_place_classes,
+    _splitmix64,
     SweepConfig,
     SweepData,
     Violation,
@@ -32,6 +36,7 @@ from fqforms.verify import (
     verify_equiv_theorems,
     verify_minima_recovery,
 )
+from tests.canonical import canonical_discs
 from tests.test_classify_oracles import discs_of_degree
 from tests.test_localgenus import square_class_at_infinity
 from tests.test_qform import reduced_images
@@ -396,30 +401,36 @@ def test_cn1_survey_q13_mode():
 
 def test_cn1_survey_builds_only_the_sampled_cubic_discs(monkeypatch):
     # the degree-3 sample is drawn as indices into the 2 q^3 cubic canonical
-    # discriminants, and only the chosen are built: the same discriminants,
-    # in the same order, as sampling from the full list
-    from fqforms import verify
+    # discriminants, and only the chosen reach the class batches, as
+    # coefficient rows: the same discriminants, in the same order, as
+    # sampling from the full list; with no violation, a discriminant is
+    # built as a polynomial only where the content filter tests a solution
+    # (`_is_primitive`, at a square factor)
+    from fqforms import classify, verify
 
-    asked, tabled = [], []
-    discs, tables = verify.canonical_discs, verify.class_tables
+    fed, built = [], []
+    batches, disc = verify.class_batches, classify._Batch.disc
 
-    def listing(field, max_degree):
-        asked.append(max_degree)
-        return discs(field, max_degree)
+    def batching(field, coeffs, primitive_only=False, discs=None):
+        fed.append(coeffs)
+        return batches(field, coeffs, primitive_only, discs)
 
-    def tabling(field, batch, primitive_only=False):
-        batch = list(batch)
-        tabled.extend(batch)
-        return tables(field, batch, primitive_only)
+    def building(self, i):
+        built.append(disc(self, i))
+        return built[-1]
 
-    monkeypatch.setattr(verify, "canonical_discs", listing)
-    monkeypatch.setattr(verify, "class_tables", tabling)
+    monkeypatch.setattr(verify, "class_batches", batching)
+    monkeypatch.setattr(classify._Batch, "disc", building)
     r = run_check("cn1", SweepConfig(q=17, samples=12, seed=5))
-    assert asked == [2]
-    deg3 = discs_of_degree(prime_field(17), 3)
+    assert r.passed and r.stats["deg3_sampled"] == 12
+    assert not any(map(is_squarefree, built))
+    assert len(set(built)) < sum(map(len, fed)) // 10
+    F = prime_field(17)
+    fed = [[Poly(F, row) for row in rows.tolist()] for rows in fed]
+    assert fed[:3] == [discs_of_degree(F, m) for m in range(3)]
+    deg3 = discs_of_degree(F, 3)
     chosen = sorted(random.Random(5).sample(range(len(deg3)), 12))
-    assert [d for d in tabled if d.degree == 3] == [deg3[i] for i in chosen]
-    assert r.stats["deg3_sampled"] == 12
+    assert fed[3:] == [[deg3[i] for i in chosen]]
 
 
 def test_comp_bridge_q5():
@@ -442,14 +453,6 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
             batches.append(batch)
             yield batch
 
-    tables = []
-    built_by = verify.class_tables
-
-    def tabling(field, discs, primitive_only=False):
-        for table in built_by(field, discs, primitive_only):
-            tables.append(table)
-            yield table
-
     built = []
     binary = Form._trusted_binary
 
@@ -461,11 +464,10 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
     view = classify.ClassTable.__init__
 
     def viewing(self, batch, index):
-        viewed.append(index)
+        viewed.append(self)
         view(self, batch, index)
 
     monkeypatch.setattr(verify, "class_batches", batching)
-    monkeypatch.setattr(verify, "class_tables", tabling)
     monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
     monkeypatch.setattr(classify.ClassTable, "__init__", viewing)
     classify._class_table_cached.cache_clear()
@@ -474,13 +476,13 @@ def test_comp_and_cn1_build_representatives_only_where_read(monkeypatch):
     square_free = sum(sum(batch.square_free) for batch in batches)
     assert r.passed and r.instances_checked == square_free == 231
     assert sum(batch.n for batch in batches) == 231
-    assert built == [] and viewed == [] and tables == []
+    assert built == [] and viewed == []
     classify._class_table_cached.cache_clear()
     r = run_check("cn1", SweepConfig(q=17, samples=40))
     assert r.passed and r.stats["deg3_sampled"] == 40
-    assert {t.disc.degree for t in tables} == {0, 1, 2, 3}
-    for t in tables:
-        assert ("class_representatives" in vars(t)) == (t.disc.degree <= 2), str(t.disc)
+    assert {t._batch.m for t in viewed} == {0, 1, 2, 3}
+    for t in viewed:
+        assert ("class_representatives" in vars(t)) == (t._batch.m <= 2), str(t.disc)
     classify._class_table_cached.cache_clear()
 
 
@@ -492,7 +494,7 @@ def test_comp_bridge_sieves_each_disc_once(monkeypatch):
     # d0 = lc(D) f0 through a square-free test, as the sieve makes it
     # square-free
     from fqforms import classify, ffpoly, picard, verify
-    from fqforms.classify import _class_table_cached, canonical_discs
+    from fqforms.classify import _class_table_cached
 
     def refuse(f):
         raise AssertionError("the comp sweep tested a d0 for a square factor")
@@ -664,11 +666,7 @@ def test_comp_bridge_q13_sampled():
     # deg <= 2 exhaustive plus seeded deg-3 sample of the q = 13 bridge
     import random as _random
 
-    from fqforms.classify import (
-        canonical_discs,
-        class_table,
-        irreducible_factor_count,
-    )
+    from fqforms.classify import class_table, irreducible_factor_count
     from fqforms.ffpoly import is_squarefree
     from fqforms.picard import comp_sequence_check
 
@@ -699,18 +697,47 @@ def test_violation_replay():
         assert class_number(form) == v.observed
 
 
-# -- eager oracle for the lazy refinement in SweepData ------------------------
+# -- Form-path oracles for the column inventory and its refinement ----------
+
+
+def form_path_inventory(cfg):
+    """(disc index, class index, representative) of every primitive class
+    of the canonical discriminants up to the configured degree, as the
+    sweep listed them before its class columns: a `Form` per class from
+    `class_tables`, disc by disc in `canonical_discs` order."""
+    F = prime_field(cfg.q)
+    discs = canonical_discs(F, cfg.max_disc_degree)
+    out = []
+    for m in range(cfg.max_disc_degree + 1):
+        at = [i for i, disc in enumerate(discs) if disc.degree == m]
+        tables = class_tables(F, [discs[i] for i in at], primitive_only=True)
+        for i, table in zip(at, tables):
+            out.extend((i, ci, rep) for ci, rep in enumerate(table.class_representatives))
+    return out
+
+
+def sweep_inventory(cfg):
+    return verify._inventory(prime_field(cfg.q), cfg.max_disc_degree)
+
+
+def select(inventory, positions):
+    """The entries of `inventory` at `positions`, which may repeat."""
+    return Inventory(*(column[positions] for column in inventory))
+
+
+def forms_of(data):
+    return [data.rep(i) for i in range(len(data))]
 
 
 class EagerOracle:
     """V_kmax per record, hashed into per-degree prefix digests."""
 
-    def __init__(self, records, kmax, q):
+    def __init__(self, forms, kmax, q):
         self.q = q
-        self.keys = {}
-        self.digests = {}
-        for rec in records:
-            keys = repset_upto(rec.rep, kmax).keys
+        self.keys = []
+        self.digests = []
+        for form in forms:
+            keys = repset_upto(form, kmax).keys
             h = hashlib.blake2b(digest_size=16)
             out = []
             pos = 0
@@ -719,27 +746,26 @@ class EagerOracle:
                 h.update(keys[pos:cut].tobytes())
                 pos = cut
                 out.append(h.copy().digest())
-            self.keys[id(rec)] = keys
-            self.digests[id(rec)] = out
+            self.keys.append(keys)
+            self.digests.append(out)
 
     def equal_set_pairs(self, records, k):
         buckets = {}
-        for rec in records:
-            buckets.setdefault(self.digests[id(rec)][k], []).append(rec)
+        for i in records:
+            buckets.setdefault(self.digests[i][k], []).append(i)
         limit = self.q ** (k + 1)
         out = []
         for members in buckets.values():
-            for r1, r2 in combinations(members, 2):
-                v1, v2 = self.keys[id(r1)], self.keys[id(r2)]
+            for i, j in combinations(members, 2):
+                v1, v2 = self.keys[i], self.keys[j]
                 if np.array_equal(v1[v1 < limit], v2[v2 < limit]):
-                    out.append((r1, r2))
+                    out.append((i, j))
         return out
 
-    def distinguishing_histogram(self, records, k):
+    def distinguishing_histogram(self, k):
         hist = {}
         undistinguished = 0
-        for r1, r2 in combinations(records, 2):
-            d1, d2 = self.digests[id(r1)], self.digests[id(r2)]
+        for d1, d2 in combinations(self.digests, 2):
             first = next((d for d in range(k + 1) if d1[d] != d2[d]), None)
             if first is None:
                 undistinguished += 1
@@ -748,25 +774,19 @@ class EagerOracle:
         return hist, undistinguished
 
 
-def _pair_ids(pairs):
-    return [(id(r1), id(r2)) for r1, r2 in pairs]
-
-
 @pytest.mark.parametrize("q,max_deg", [(3, 2), (3, 3), (5, 2), (7, 2)])
 def test_lazy_refinement_matches_eager_oracle(q, max_deg, monkeypatch):
     # the three checks share one `SweepData`, whose records the oracle holds
-    from fqforms import verify
-
     cfg = small_cfg(q=q, max_deg=max_deg)
     data = sweep_data(cfg)
     monkeypatch.setattr(verify, "sweep_data", lambda _: data)
-    oracle = EagerOracle(data.records, data.kmax, q)
+    oracle = EagerOracle(forms_of(data), data.kmax, q)
     calls = []
     lazy_pairs = SweepData.equal_set_pairs
 
     def recording(self, records, k):
         out = lazy_pairs(self, records, k)
-        calls.append((list(records), k, out))
+        calls.append((records.tolist(), k, out))
         return out
 
     monkeypatch.setattr(SweepData, "equal_set_pairs", recording)
@@ -774,8 +794,8 @@ def test_lazy_refinement_matches_eager_oracle(q, max_deg, monkeypatch):
         check(cfg)
     assert calls
     for records, k, pairs in calls:
-        assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(records, k))
-    assert oracle.distinguishing_histogram(data.records, data.kmax) == (
+        assert pairs == oracle.equal_set_pairs(records, k)
+    assert oracle.distinguishing_histogram(data.kmax) == (
         data.distinguishing_histogram,
         data.undistinguished_pairs,
     )
@@ -784,10 +804,9 @@ def test_lazy_refinement_matches_eager_oracle(q, max_deg, monkeypatch):
 def test_equal_set_pairs_enumerates_each_tied_record_once(monkeypatch):
     # the 327 records still tied at V_0 share one digest bucket: each has
     # its V_0 enumerated once, not once per pair it is compared in
-    from fqforms import verify
-
     data = sweep_data(small_cfg(q=3, max_deg=3))
-    oracle = EagerOracle(data.records, data.kmax, 3)
+    everyone = np.arange(len(data))
+    oracle = EagerOracle(forms_of(data), data.kmax, 3)
     calls = []
     enumerate_set = verify.repset_upto
 
@@ -796,50 +815,56 @@ def test_equal_set_pairs_enumerates_each_tied_record_once(monkeypatch):
         return enumerate_set(form, k, **kw)
 
     monkeypatch.setattr(verify, "repset_upto", counting)
-    pairs = data.equal_set_pairs(data.records, 0)
+    pairs = data.equal_set_pairs(everyone, 0)
     assert calls == [0] * 327
     assert len(pairs) == 22458
-    assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(data.records, 0))
+    assert pairs == oracle.equal_set_pairs(everyone.tolist(), 0)
 
 
 def test_lazy_refinement_repeated_representative():
     # copies of a class tie with it up to V_kmax: they count as
     # undistinguished, and every equal_set_pairs call re-verifies them exactly
     cfg = small_cfg(q=3, max_deg=2)
-    classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
-    data = SweepData(cfg, classes[:6] + [classes[2], classes[4], classes[2]])
-    oracle = EagerOracle(data.records, data.kmax, cfg.q)
+    data = SweepData(cfg, select(sweep_inventory(cfg), [0, 1, 2, 3, 4, 5, 2, 4, 2]))
+    oracle = EagerOracle(forms_of(data), data.kmax, cfg.q)
     assert data.undistinguished_pairs == 4
-    assert oracle.distinguishing_histogram(data.records, data.kmax) == (
+    assert oracle.distinguishing_histogram(data.kmax) == (
         data.distinguishing_histogram,
         data.undistinguished_pairs,
     )
-    tied = [data.records[i] for i in (2, 4, 6, 7, 8)]
-    assert all(rec.resolved_at == data.kmax + 1 for rec in tied)
+    assert (data.resolved_at[[2, 4, 6, 7, 8]] == data.kmax + 1).all()
     for k in range(data.kmax + 1):
-        pairs = data.equal_set_pairs(data.records, k)
-        assert _pair_ids(pairs) == _pair_ids(oracle.equal_set_pairs(data.records, k))
+        pairs = data.equal_set_pairs(np.arange(len(data)), k)
+        assert pairs == oracle.equal_set_pairs(range(len(data)), k)
         assert len(pairs) >= 4
 
 
-def per_record_refinement(records, kmax, q, budget):
-    """SweepData's refinement one record at a time, by one `repset_upto`
-    per tied record and degree in group order: (digests, resolved_at,
-    histogram)."""
-    hashes = [hashlib.blake2b(digest_size=16) for _ in records]
-    digests = [() for _ in records]
-    resolved = [kmax + 1] * len(records)
+def per_record_refinement(forms, kmax, q, budget):
+    """SweepData's refinement one record at a time on `Form`s, by one
+    `repset_upto` per tied record and degree in group order, groups split
+    by blake2b digests: (blake2b digests, set digest rows, resolved_at,
+    histogram, undistinguished pairs), the set digest rows summed from
+    splitmix64 of the keys as `_degree_digests` defines them."""
+    hashes = [hashlib.blake2b(digest_size=16) for _ in forms]
+    digests = [() for _ in forms]
+    lanes = [np.zeros(2, dtype=np.uint64) for _ in forms]
+    rows = [[] for _ in forms]
+    resolved = [kmax + 1] * len(forms)
     hist = {}
-    groups = [list(range(len(records)))] if len(records) > 1 else []
+    groups = [list(range(len(forms)))] if len(forms) > 1 else []
     for d in range(kmax + 1):
+        salts = _splitmix64(np.arange(2 * d, 2 * d + 2, dtype=np.uint64))
         tied = []
         for group in groups:
             parts = {}
             for i in group:
-                keys = repset_upto(records[i].rep, d, budget=budget).keys
+                keys = repset_upto(forms[i], d, budget=budget).keys
                 lo = int(np.searchsorted(keys, q**d)) if d else 0
                 hashes[i].update(keys[lo:].tobytes())
                 digests[i] += (hashes[i].digest(),)
+                values = keys[lo:].view(np.uint64)
+                lanes[i] = lanes[i] + [_splitmix64(values + s).sum() for s in salts]
+                rows[i].append(lanes[i])
                 parts.setdefault(digests[i][-1], []).append(i)
             split = len(group) * (len(group) - 1) // 2
             split -= sum(len(p) * (len(p) - 1) // 2 for p in parts.values())
@@ -851,45 +876,67 @@ def per_record_refinement(records, kmax, q, budget):
                 else:
                     tied.append(part)
         groups = tied
-    return digests, resolved, hist
+    undistinguished = sum(len(g) * (len(g) - 1) // 2 for g in groups)
+    return digests, rows, resolved, hist, undistinguished
 
 
-def assert_same_partitions(records, want):
-    """Each record has a set digest at the degrees at which `want` (the
-    blake2b digests of `per_record_refinement`) has one, and at every
-    degree two records share a set digest iff they share the blake2b one."""
-    assert [len(rec.digests) for rec in records] == [len(w) for w in want]
-    for d in range(max(map(len, want), default=0)):
-        ours, theirs = {}, {}
-        for i, rec in enumerate(records):
-            if d < len(want[i]):
-                ours.setdefault(rec.digests[d].tobytes(), []).append(i)
-                theirs.setdefault(want[i][d], []).append(i)
-        assert sorted(ours.values()) == sorted(theirs.values()), d
+def assert_same_refinement(data, want):
+    """`data` holds the set digest rows, resolved_at, histogram and
+    undistinguished pairs of `want` (`per_record_refinement`), and at
+    every degree two records share a set digest iff they share the
+    blake2b one."""
+    digests, rows, resolved, hist, undistinguished = want
+    offsets = data.offsets.tolist()
+    ours = [data.digests[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    assert [len(part) for part in ours] == [len(w) for w in digests]
+    for got, expected in zip(ours, rows):
+        assert np.array_equal(got, np.array(expected, dtype=np.uint64).reshape(-1, 2))
+    for d in range(max(map(len, digests), default=0)):
+        by_lanes, by_blake = {}, {}
+        for i, part in enumerate(ours):
+            if d < len(part):
+                by_lanes.setdefault(part[d].tobytes(), []).append(i)
+                by_blake.setdefault(digests[i][d], []).append(i)
+        assert sorted(by_lanes.values()) == sorted(by_blake.values()), d
+    assert data.resolved_at.tolist() == resolved
+    assert data.distinguishing_histogram == hist
+    assert data.undistinguished_pairs == undistinguished
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 4), (5, 3), (7, 2), (11, 2)])
+def test_inventory_matches_form_path(q, max_deg):
+    # the class columns against a `Form` per class of `class_tables`, row
+    # for row, square-factor discs and scaled classes included; the
+    # refinement of the columns against the Form-path refinement
+    cfg = small_cfg(q=q, max_deg=max_deg)
+    data = sweep_data(cfg)
+    want = form_path_inventory(cfg)
+    assert data.disc_index.tolist() == [i for i, _, _ in want]
+    assert data.class_index.tolist() == [ci for _, ci, _ in want]
+    forms = [rep for _, _, rep in want]
+    assert [f.gram for f in forms_of(data)] == [f.gram for f in forms]
+    assert data.minima.tolist() == [list(successive_minima(f)) for f in forms]
+    assert any(f.gram[0][0].lc() != 1 for f in forms)
+    assert any(not is_squarefree(f.discriminant()) for f in forms)
+    assert_same_refinement(data, per_record_refinement(forms, data.kmax, q, cfg.budget))
 
 
 @pytest.mark.parametrize("q,max_deg", [(3, 3), (5, 2), (7, 2), (11, 2)])
 def test_batched_refinement_makes_no_per_record_call(q, max_deg, monkeypatch):
     # the sweep's classes, and a few of them with repeated representatives
-    import fqforms.verify as verify_module
-
     cfg = small_cfg(q=q, max_deg=max_deg)
-    classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
-    repeated = classes[:6] + [classes[2], classes[4], classes[2]]
+    inventory = sweep_inventory(cfg)
+    repeated = select(inventory, [0, 1, 2, 3, 4, 5, 2, 4, 2])
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-record repset_upto in the refinement")
 
-    for inventory in (classes, repeated):
+    for columns in (inventory, repeated):
         with monkeypatch.context() as patch:
-            patch.setattr(verify_module, "repset_upto", refuse)
-            data = SweepData(cfg, inventory)
-        digests, resolved, hist = per_record_refinement(
-            data.records, data.kmax, q, cfg.budget
-        )
-        assert_same_partitions(data.records, digests)
-        assert [rec.resolved_at for rec in data.records] == resolved
-        assert data.distinguishing_histogram == hist
+            patch.setattr(verify, "repset_upto", refuse)
+            data = SweepData(cfg, columns)
+        want = per_record_refinement(forms_of(data), data.kmax, q, cfg.budget)
+        assert_same_refinement(data, want)
     # the three copies of class 2 and the two of class 4 tie up to V_kmax
     assert data.undistinguished_pairs == 3 + 1
 
@@ -898,23 +945,20 @@ def test_batched_refinement_budget_matches_per_record():
     # the first tied record whose grid is over budget raises, with the
     # message of its own repset_upto
     cfg = small_cfg(q=3, max_deg=3)
-    records = sweep_data(cfg).records
-    classes = [(r.disc, r.class_index, r.rep) for r in records]
+    inventory = sweep_inventory(cfg)
+    forms = forms_of(SweepData(cfg, inventory))
     outcomes = set()
     for budget in (3, 9, 30, 100, 300, 1000):
         small = small_cfg(q=3, max_deg=3, budget=budget)
         try:
-            want = per_record_refinement(records, 7, 3, budget)
+            want = per_record_refinement(forms, 7, 3, budget)
         except BudgetError as exc:
             with pytest.raises(BudgetError) as raised:
-                SweepData(small, classes)
+                SweepData(small, inventory)
             assert str(raised.value) == str(exc)
             outcomes.add("raised")
             continue
-        data = SweepData(small, classes)
-        assert_same_partitions(data.records, want[0])
-        assert [rec.resolved_at for rec in data.records] == want[1]
-        assert data.distinguishing_histogram == want[2]
+        assert_same_refinement(SweepData(small, inventory), want)
         outcomes.add("passed")
     assert outcomes == {"raised", "passed"}
 
@@ -923,37 +967,81 @@ def test_refinement_below_mu2_enumerates_each_a_once(monkeypatch):
     # below mu_2, V_d = {a x^2 : deg <= d} depends on a alone: each tied
     # minima bucket hands `_binary_planes` one form per distinct a
     import fqforms.repset as repset_module
-    import fqforms.verify as verify_module
 
     cfg = small_cfg(q=5, max_deg=3)
-    classes = [(r.disc, r.class_index, r.rep) for r in sweep_data(cfg).records]
-    planes, batch = repset_module._binary_planes, verify_module.repset_keys_batch
+    inventory = sweep_inventory(cfg)
+    planes, batch = repset_module._binary_planes, verify.repset_keys_batch
     handed = {}  # (d, minima) -> forms handed to `_binary_planes`
     current = []
 
-    def recording_batch(forms, k, **kwargs):
-        current[:] = [(k, successive_minima(forms[0]))]
+    def recording_batch(q, rows, minima, k, **kwargs):
+        current[:] = [(k, tuple(minima))]
         handed.setdefault(current[0], 0)
-        return batch(forms, k, **kwargs)
+        return batch(q, rows, minima, k, **kwargs)
 
     def counting_planes(coeffs, *args):
         handed[current[0]] += len(coeffs)
         return planes(coeffs, *args)
 
-    monkeypatch.setattr(verify_module, "repset_keys_batch", recording_batch)
+    monkeypatch.setattr(verify, "repset_keys_batch", recording_batch)
     monkeypatch.setattr(repset_module, "_binary_planes", counting_planes)
-    data = SweepData(cfg, classes)
+    data = SweepData(cfg, inventory)
+    forms = forms_of(data)
     # a record is enumerated at d while tied, i.e. for d <= resolved_at
     tied = {}
     for d in range(data.kmax + 1):
-        for rec in data.records:
-            if rec.resolved_at >= d:
-                tied.setdefault((d, rec.minima), []).append(rec)
-    below = {key: recs for key, recs in tied.items() if key[0] < key[1][1]}
+        for i, form in enumerate(forms):
+            if data.resolved_at[i] >= d:
+                tied.setdefault((d, successive_minima(form)), []).append(form)
+    below = {key: forms for key, forms in tied.items() if key[0] < key[1][1]}
     distinct = {
-        key: len({rec.rep.gram[0][0].coeffs for rec in recs})
-        for key, recs in below.items()
+        key: len({form.gram[0][0].coeffs for form in forms})
+        for key, forms in below.items()
     }
     assert {key: handed[key] for key in below} == distinct
     assert sum(distinct.values()) < sum(map(len, below.values()))
-    assert all(handed[key] == len(recs) for key, recs in tied.items() if key not in below)
+    assert all(handed[key] == len(f) for key, f in tied.items() if key not in below)
+
+
+def test_sweep_builds_forms_only_for_compared_records(monkeypatch):
+    # the inventory and its refinement build no form, and a report builds
+    # one per record of each digest bucket of two or more that it compares
+    # exactly: none in a passing sweep, where every class of disc degree m
+    # is resolved at or below m, and so below each window; copies of a
+    # class are compared and built at every degree
+    built = []
+    binary, init = Form._trusted_binary.__func__, Form.__init__
+
+    def counted(cls, a, b, c):
+        built.append((a, b, c))
+        return binary(cls, a, b, c)
+
+    def checked(self, gram):
+        built.append(gram)
+        init(self, gram)
+
+    compared = []
+    lazy_pairs = SweepData.equal_set_pairs
+
+    def recording(self, records, k):
+        tied = [i for i in records.tolist() if self.resolved_at[i] > k]
+        rows = [self.digests[self.offsets[i] + k].tobytes() for i in tied]
+        compared.extend(i for i, row in zip(tied, rows) if rows.count(row) > 1)
+        return lazy_pairs(self, records, k)
+
+    monkeypatch.setattr(Form, "_trusted_binary", classmethod(counted))
+    monkeypatch.setattr(Form, "__init__", checked)
+    monkeypatch.setattr(SweepData, "equal_set_pairs", recording)
+    cfg = small_cfg(q=5, max_deg=3)
+    data = sweep_data(cfg)
+    assert len(data) > 100 and built == []
+    monkeypatch.setattr(verify, "sweep_data", lambda _: data)
+    for check in (verify_minima_recovery, verify_disc_recovery, verify_equiv_theorems):
+        assert check(cfg).passed
+    assert built == compared == []
+    cfg = small_cfg(q=3, max_deg=2)
+    data = SweepData(cfg, select(sweep_inventory(cfg), [0, 1, 2, 3, 4, 5, 2, 4, 2]))
+    assert built == []
+    for k in range(data.kmax + 1):
+        data.equal_set_pairs(np.arange(len(data)), k)
+        assert len(built) == len(compared) >= 5 * (k + 1)
