@@ -29,11 +29,11 @@ square-root table for the whole batch; above degree 1 they are lifted and
 combined per D from the batch residues.
 Where deg a = deg c, c = (b^2 - D) / a_m comes from one exact division on
 arrays (`_cofactors`), and one torus pass (below) names the classes of
-every D of the batch.  A batch keeps its classes as arrays and gives the totals
-per D that `verify comp` reads (proper classes, genera, equal proper
-counts per genus, places) in numpy; a `ClassTable` is a view of one D of
-a batch, which builds its polynomials, lists and dicts off its slice of
-the arrays on first read.  `class_tables` hands out those views and
+every D of the batch.  A batch keeps its classes as arrays and gives the
+totals per D that `verify comp` reads (proper classes, genera, equal
+proper counts per genus, places) in numpy; a `ClassTable` is a view of
+one D of a batch, which builds its polynomials, lists and dicts off its
+slice of the arrays on first read.  `class_tables` hands out those views and
 `class_table` is a batch of one.
 
 Reduced forms in one GL_2(A)-class differ by a constant U, and equal
